@@ -31,9 +31,13 @@ from .kcomplex import (
     cyclic_order_simplices,
     distance,
 )
-from .structure import ball_report, component_product, esd, verify_iso
+from .structure import ball_report, component_product, esd, theta_to_esd_map, verify_iso
 from .surfaces import realize_vertex
 from .theta import (
+    SPHERE,
+    Placement,
+    ThetaComponent,
+    ThetaEdge,
     ThetaGraph,
     augment_flype_arcs,
     extract_theta,
@@ -153,9 +157,6 @@ def cmd_product(args) -> tuple[int, dict]:
 
 
 def cmd_verify_esd(args) -> tuple[int, dict]:
-    from .structure import theta_to_esd_map
-    from .theta import SPHERE, Placement, ThetaComponent, ThetaEdge
-
     checked = []
     all_ok = True
     for n in range(1, args.max_n + 1):
@@ -325,14 +326,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        code, doc = args.handler(args)
-    except FileNotFoundError as exc:
+        try:
+            code, doc = args.handler(args)
+        except ValueError as exc:
+            code, doc = EXIT_INVALID, {"error": str(exc)}
+        _emit(doc, args)
+    except OSError as exc:
         sys.stderr.write(f"kakimizu: {exc}\n")
         return EXIT_USAGE
-    except ValueError as exc:
-        _emit({"error": str(exc)}, args)
-        return EXIT_INVALID
-    _emit(doc, args)
     return code
 
 

@@ -301,11 +301,14 @@ def parse_diagram(text: str) -> Diagram:
     for rec in raw:
         if not isinstance(rec, dict) or "id" not in rec or "pd" not in rec:
             raise ValueError("malformed document: crossing needs 'id' and 'pd'")
-        pd = rec["pd"]
-        if not (isinstance(pd, list) and len(pd) == 4 and all(isinstance(x, int) for x in pd)):
-            raise ValueError(f"crossing {rec['id']}: pd must be 4 integers")
+        cid, pd = rec["id"], rec["pd"]
+        # JSON integers only: bool is an int subclass, floats would truncate
+        if type(cid) is not int:
+            raise ValueError(f"crossing {cid!r}: id must be an integer")
+        if not (isinstance(pd, list) and len(pd) == 4 and all(type(x) is int for x in pd)):
+            raise ValueError(f"crossing {cid}: pd must be 4 integers")
         labels.extend(pd)
-        crossings.append((int(rec["id"]), tuple(pd)))
+        crossings.append((cid, tuple(pd)))
     distinct = sorted(set(labels))
     for lab in distinct:
         if labels.count(lab) != 2:

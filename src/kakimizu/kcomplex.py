@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
 
-import networkx as nx
-
+from .generate import predicted_vertex_count
 from .theta import Region, ThetaGraph, compute_regions
 
 __all__ = [
@@ -116,15 +114,8 @@ def enumerate_vertices(t: ThetaGraph) -> list[Vertex]:
         tuple(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*per_comp)
     )
-    assert len(vertices) == _vertex_count(t)
+    assert len(vertices) == predicted_vertex_count(t)
     return vertices
-
-
-def _vertex_count(t: ThetaGraph) -> int:
-    count = 1
-    for c in t.components:
-        count *= comb(c.total_weight() + c.k - 1, c.k - 1)
-    return count
 
 
 # -- region moves ----------------------------------------------------------
@@ -231,6 +222,26 @@ def adjacency(
 # -- the complex -----------------------------------------------------------
 
 
+def _maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:
+    """Every maximal clique of the graph, by Bron-Kerbosch with the pivot
+    rule of Tomita, Tanaka & Takahashi (TCS 363, 2006)."""
+    out: list[list[int]] = []
+
+    def expand(clique: list[int], cand: set[int], done: set[int]) -> None:
+        if not cand and not done:
+            out.append(clique)
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
+        for v in cand - adj[pivot]:
+            expand(clique + [v], cand & adj[v], done & adj[v])
+            cand.remove(v)
+            done.add(v)
+
+    if adj:
+        expand([], set(adj), set())
+    return out
+
+
 def build_complex(t: ThetaGraph) -> SimplicialComplex:
     """All vertices, with maximal simplices as maximal cliques of the
     adjacency graph; the complex is flag, so this is the whole complex."""
@@ -238,12 +249,12 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
         return SimplicialComplex(vertices=[()], maximal_simplices=[[0]], theta=t)
     regions = compute_regions(t)
     vertices = enumerate_vertices(t)
-    g = nx.Graph()
-    g.add_nodes_from(range(len(vertices)))
+    adj: dict[int, set[int]] = {i: set() for i in range(len(vertices))}
     for i, j in itertools.combinations(range(len(vertices)), 2):
         if adjacency(vertices[i], vertices[j], regions, t) is not None:
-            g.add_edge(i, j)
-    simplices = sorted(sorted(c) for c in nx.find_cliques(g))
+            adj[i].add(j)
+            adj[j].add(i)
+    simplices = sorted(sorted(c) for c in _maximal_cliques(adj))
     return SimplicialComplex(
         vertices=vertices, maximal_simplices=simplices, theta=t, regions=regions
     )
@@ -299,13 +310,21 @@ def cyclic_order_simplices(t: ThetaGraph) -> set[frozenset]:
 
 
 def distance(c: SimplicialComplex, u, v) -> int:
-    g = nx.Graph()
-    g.add_nodes_from(range(len(c.vertices)))
-    g.add_edges_from(c.skeleton_edges())
-    try:
-        return nx.shortest_path_length(g, c.index(u), c.index(v))
-    except nx.NetworkXNoPath as exc:
-        raise ValueError("complex is disconnected") from exc
+    """Edge distance in the 1-skeleton, by breadth-first search."""
+    adj: dict[int, set[int]] = {i: set() for i in range(len(c.vertices))}
+    for i, j in c.skeleton_edges():
+        adj[i].add(j)
+        adj[j].add(i)
+    target = c.index(v)
+    frontier = seen = {c.index(u)}
+    d = 0
+    while target not in frontier:
+        frontier = {j for i in frontier for j in adj[i]} - seen
+        if not frontier:
+            raise ValueError("complex is disconnected")
+        seen = seen | frontier
+        d += 1
+    return d
 
 
 def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:

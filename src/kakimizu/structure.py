@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from math import comb
 
-import networkx as nx
-
 from .homology import HomologyReport, homology
 from .kcomplex import (
     SimplicialComplex,
@@ -237,76 +235,70 @@ class SplitReport:
     right_region: Region
 
 
-def _incidence_tree(t: ThetaGraph, regions: list[Region]) -> nx.Graph:
-    """The bipartite graph of components and regions, joined where a region
-    contains a local face of a component.  For a planar placement this is
-    always a tree, which the caller relies on."""
-    g = nx.Graph()
-    incidences = 0
-    for r in regions:
-        for cid, _face in r.faces:
-            g.add_edge(("c", cid), ("r", r.id))
-            incidences += 1
-    total_faces = sum(c.k for c in t.components)
+def _incidence_tree(t: ThetaGraph, regions: list[Region]) -> dict[tuple, list[tuple]]:
+    """Adjacency lists of the bipartite graph of components and regions,
+    joined where a region contains a local face of a component.  For a
+    planar placement this is always a tree, which the caller relies on."""
+    tree: dict[tuple, list[tuple]] = {}
+    pairs = {(cid, r.id) for r in regions for cid, _face in r.faces}
+    for cid, rid in pairs:
+        tree.setdefault(("c", cid), []).append(("r", rid))
+        tree.setdefault(("r", rid), []).append(("c", cid))
+    incidences = sum(len(r.faces) for r in regions)
     if (
-        incidences != total_faces
-        or g.number_of_edges() != incidences
-        or g.number_of_nodes() != incidences + 1
-        or not nx.is_connected(g)
+        incidences != sum(c.k for c in t.components)
+        or len(pairs) != incidences
+        or len(tree) != incidences + 1
+        or len(_walk(tree, next(iter(tree)))) != len(tree)
     ):
         raise ValueError("component-region incidence is not a tree")
-    return g
+    return tree
 
 
-def _restrict(delta: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, ...]:
-    return tuple(delta[t.edge_position[eid]] for eid in sub.global_edge_order)
+def _walk(tree: dict[tuple, list[tuple]], start, blocked=None) -> dict:
+    """Every node reachable from ``start`` without entering ``blocked``,
+    mapped to the node it was first reached from (``start`` maps to None)."""
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for nxt in tree[node]:
+            if nxt not in parent and nxt != blocked:
+                parent[nxt] = node
+                frontier.append(nxt)
+    return parent
+
+
+def _restrict(w: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, ...]:
+    return tuple(w[t.edge_position[eid]] for eid in sub.global_edge_order)
 
 
 def _branch_theta(
-    t: ThetaGraph,
-    tree: nx.Graph,
-    branches: list[set],
-    region: Region,
-    regions: list[Region],
+    t: ThetaGraph, walks: list[dict], region: Region, regions: list[Region]
 ) -> ThetaGraph:
     """Reassemble the components of some branches into their own graph.
 
-    Each branch hangs off the split region through exactly one component;
-    that component goes directly on the sphere with its outer face at the
-    split region, and the rest of the branch keeps its nesting by walking
-    the incidence tree.
+    Each walk covers one branch from the component where it hangs off the
+    split region; that component goes directly on the sphere with its outer
+    face at the split region, and every other component keeps its nesting
+    inside the component the walk reached it from.
     """
     region_wedge = dict(region.faces)  # component -> face, unique in a tree
-    placements: dict[int, Placement] = {}
-    for branch in branches:
-        comps = [node[1] for node in branch if node[0] == "c"]
-        roots = [c for c in comps if c in region_wedge]
-        assert len(roots) == 1, "branch must attach to the split region once"
-        root = roots[0]
-        placements[root] = Placement(SPHERE, 0, region_wedge[root])
-        seen = {("c", root)}
-        frontier = [("c", root)]
-        while frontier:
-            node = frontier.pop()
-            for mid in tree.neighbors(node):
-                if mid in seen or mid == ("r", region.id):
-                    continue
-                seen.add(mid)
-                faces = dict(regions[mid[1]].faces)
-                for nxt in tree.neighbors(mid):
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    frontier.append(nxt)
-                    placements[nxt[1]] = Placement(
-                        node[1], faces[node[1]], faces[nxt[1]]
-                    )
     comps_out = []
-    for cid, pl in placements.items():
-        old = t.component_by_id(cid)
-        comps_out.append(
-            ThetaComponent(id=cid, edges=old.edges, placement=pl, vertices=old.vertices)
-        )
+    for walk in walks:
+        for (kind, cid), via in walk.items():
+            if kind != "c":
+                continue
+            if via is None:
+                pl = Placement(SPHERE, 0, region_wedge[cid])
+            else:
+                faces = dict(regions[via[1]].faces)
+                parent = walk[via][1]
+                pl = Placement(parent, faces[parent], faces[cid])
+            old = t.component_by_id(cid)
+            comps_out.append(
+                ThetaComponent(cid, old.edges, placement=pl, vertices=old.vertices)
+            )
     sub = ThetaGraph(comps_out)
     sub.crossings = {
         e.id: t.crossings[e.id]
@@ -321,11 +313,12 @@ def split_theta(t: ThetaGraph, region_id: int | None = None) -> SplitReport:
     """Cut a multi-component graph along a curve inside one region.
 
     The region must touch at least two components.  Its complement in the
-    incidence tree falls into branches; the branch holding the lowest
-    component becomes ``left`` and the rest together become ``right``.
-    Each side's regions are predicted from the original ones -- unchanged
-    away from the cut, plus one restriction of the cut region per side --
-    and the rebuilt placements are checked against that prediction.
+    incidence tree falls into branches, one per component the region
+    touches; the branch holding the lowest component becomes ``left`` and
+    the rest together become ``right``.  Each side's regions are predicted
+    from the original ones -- unchanged away from the cut, plus one
+    restriction of the cut region per side -- and the rebuilt placements
+    are checked against that prediction.
     """
     if len(t.components) < 2:
         raise ValueError("cannot split a single-component theta graph")
@@ -339,16 +332,10 @@ def split_theta(t: ThetaGraph, region_id: int | None = None) -> SplitReport:
         raise ValueError("split region touches fewer than two components")
 
     tree = _incidence_tree(t, regions)
-    cut = tree.copy()
-    cut.remove_node(("r", region_id))
-    branches = list(nx.connected_components(cut))
-    lowest = min(c.id for c in t.components)
-    left_branches = [b for b in branches if ("c", lowest) in b]
-    right_branches = [b for b in branches if ("c", lowest) not in b]
-    assert left_branches and right_branches
-
-    left = _branch_theta(t, tree, left_branches, region, regions)
-    right = _branch_theta(t, tree, right_branches, region, regions)
+    walks = [_walk(tree, ("c", cid), ("r", region_id)) for cid in by_region[region_id]]
+    lowest = ("c", min(c.id for c in t.components))
+    left = _branch_theta(t, [w for w in walks if lowest in w], region, regions)
+    right = _branch_theta(t, [w for w in walks if lowest not in w], region, regions)
 
     side_regions = []
     for sub in (left, right):
@@ -371,10 +358,6 @@ def split_theta(t: ThetaGraph, region_id: int | None = None) -> SplitReport:
 
 
 # -- products over all components -------------------------------------------
-
-
-def _project(w: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, ...]:
-    return tuple(w[t.edge_position[eid]] for eid in sub.global_edge_order)
 
 
 def _transport_order(
@@ -417,7 +400,7 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
     right = _transport_order(kr, s.right_region, pr, fr)
     product = ordered_product(left, right)
     f = {
-        w: (fl[_project(w, t, s.left)], fr[_project(w, t, s.right)])
+        w: (fl[_restrict(w, t, s.left)], fr[_restrict(w, t, s.right)])
         for w in enumerate_vertices(t)
     }
     return product, f

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram
 from .kcomplex import adjacency, base_vertex, enumerate_vertices
-from .theta import Region, ThetaGraph, compute_regions
+from .theta import Region, ThetaGraph, compute_regions, merge_classes
 
 __all__ = [
     "FlypeCircle",
@@ -175,42 +175,26 @@ def _face_regions(t: ThetaGraph) -> dict[int, Region]:
     face_of = f.face_index()
     theta_edges = set(t.global_edge_order)
 
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for eid in f.edges:
-        if eid in theta_edges:
-            continue
-        a = find(f.positive_face(eid, face_of))
-        b = find(f.negative_face(eid, face_of))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    faces = sorted({i for i in face_of.values()})
-    groups: dict[int, set[int]] = {}
-    for fc in faces:
-        groups.setdefault(find(fc), set()).add(fc)
-
-    deltas: dict[int, tuple[int, ...]] = {}
-    for root, members in groups.items():
-        delta = []
-        for eid in t.global_edge_order:
-            pos = f.positive_face(eid, face_of) in members
-            neg = f.negative_face(eid, face_of) in members
-            delta.append(1 if neg and not pos else -1 if pos and not neg else 0)
-        deltas[root] = tuple(delta)
+    classes = merge_classes(
+        sorted(set(face_of.values())),
+        (
+            (f.positive_face(eid, face_of), f.negative_face(eid, face_of))
+            for eid in f.edges
+            if eid not in theta_edges
+        ),
+    )
 
     regions = compute_regions(t)
     by_delta = {r.delta(t): r for r in regions}
     assert len(by_delta) == len(regions)
     out: dict[int, Region] = {}
-    for root, members in groups.items():
-        region = by_delta[deltas[root]]
+    for members in classes:
+        delta = []
+        for eid in t.global_edge_order:
+            pos = f.positive_face(eid, face_of) in members
+            neg = f.negative_face(eid, face_of) in members
+            delta.append(1 if neg and not pos else -1 if pos and not neg else 0)
+        region = by_delta[tuple(delta)]
         for fc in members:
             out[fc] = region
     return out

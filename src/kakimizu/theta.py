@@ -41,6 +41,7 @@ __all__ = [
     "augment_flype_arcs",
     "compute_regions",
     "extract_theta",
+    "merge_classes",
     "parse_theta",
     "reduce_bigons",
 ]
@@ -177,16 +178,27 @@ def parse_theta(text: str) -> ThetaGraph:
         raise ValueError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("components"), list):
         raise ValueError("malformed document: missing 'components'")
+
+    def integer(x):
+        # JSON integers only: bool is an int subclass, floats would truncate
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an integer")
+        return x
+
     comps = []
     for rec in doc["components"]:
         try:
-            edges = [ThetaEdge(int(e["id"]), int(e["weight"])) for e in rec["edges"]]
+            edges = [
+                ThetaEdge(integer(e["id"]), integer(e["weight"])) for e in rec["edges"]
+            ]
             pl = rec["placement"]
             parent = pl["parent"]
             if parent != SPHERE:
-                parent = int(parent)
-            placement = Placement(parent, int(pl["parent_face"]), int(pl["outer_face"]))
-            comps.append(ThetaComponent(int(rec["id"]), edges, placement))
+                parent = integer(parent)
+            placement = Placement(
+                parent, integer(pl["parent_face"]), integer(pl["outer_face"])
+            )
+            comps.append(ThetaComponent(integer(rec["id"]), edges, placement))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed component record: {exc}") from exc
     return ThetaGraph(comps)
@@ -470,6 +482,27 @@ class Region:
         return tuple(out)
 
 
+def merge_classes(items: list, pairs) -> list[set]:
+    """The classes of ``items`` under the equivalence generated by
+    ``pairs``, each a set, ordered by least member (union-find)."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), set()).add(x)
+    return sorted(groups.values(), key=min)
+
+
 def compute_regions(t: ThetaGraph) -> list[Region]:
     """The regions of the cut-apart theta graph with their signed boundaries.
 
@@ -478,41 +511,17 @@ def compute_regions(t: ThetaGraph) -> list[Region]:
     forest: a child's outer face joins its parent's parent_face, and the
     outer faces of all components at the sphere root join each other.
     """
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     local = [(c.id, j) for c in t.components for j in range(c.k)]
+    pairs = []
     sphere_outer: list[tuple[int, int]] = []
     for c in t.components:
         p = c.placement
         if p.parent == SPHERE:
             sphere_outer.append((c.id, p.outer_face))
         else:
-            union((c.id, p.outer_face), (p.parent, p.parent_face))
-    for a, b in zip(sphere_outer, sphere_outer[1:]):
-        union(a, b)
-
-    groups: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for lf in local:
-        groups.setdefault(find(lf), set()).add(lf)
-    regions = [
-        Region(id=i, faces=g)
-        for i, g in enumerate(
-            sorted(groups.values(), key=lambda s: min(s))
-        )
-    ]
+            pairs.append(((c.id, p.outer_face), (p.parent, p.parent_face)))
+    pairs.extend(zip(sphere_outer, sphere_outer[1:]))
+    regions = [Region(id=i, faces=g) for i, g in enumerate(merge_classes(local, pairs))]
     expected = sum(c.k - 1 for c in t.components) + 1
     if t.components and len(regions) != expected:
         raise ValueError(

@@ -1,18 +1,33 @@
 """Independent oracles used by several test modules.
 
 The fibredness oracle tries every reduction order instead of trusting the
-greedy pass; the cyclic-order simplex enumeration (a second route to the
-maximal simplices, independent of clique search) lives in
-``kakimizu.kcomplex`` and is re-exported here for the tests that compare
-it against ``build_complex``.
+greedy pass; networkx's clique search checks the library's own; the
+cyclic-order simplex enumeration (a second route to the maximal simplices,
+independent of clique search) lives in ``kakimizu.kcomplex`` and is
+re-exported here for the tests that compare it against ``build_complex``.
 """
 
 from __future__ import annotations
 
+import networkx as nx
+
 from kakimizu.kcomplex import cyclic_order_simplices as cyclic_order_maximal_simplices
 from kakimizu.planar import EmbeddedGraph
 
-__all__ = ["cyclic_order_maximal_simplices", "exhaustive_is_fibred"]
+__all__ = [
+    "cyclic_order_maximal_simplices",
+    "exhaustive_is_fibred",
+    "networkx_maximal_cliques",
+]
+
+
+def networkx_maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:
+    """Maximal cliques of a graph given by neighbour sets, found by
+    ``networkx.find_cliques``, each sorted and listed in sorted order."""
+    g = nx.Graph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((i, j) for i in adj for j in adj[i])
+    return sorted(sorted(c) for c in nx.find_cliques(g))
 
 
 def exhaustive_is_fibred(g: EmbeddedGraph) -> bool:

@@ -1,6 +1,9 @@
 """Command-line behaviour: exit codes, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,12 +263,53 @@ def test_missing_input_file(capsys):
     assert "no-such-file.json" in captured.err
 
 
+def test_io_errors_are_usage_errors(capsys, tmp_path):
+    # reading a directory, and writing into a directory that does not exist
+    missing = tmp_path / "no-such-dir" / "x.json"
+    for argv in (
+        ["complex", str(tmp_path)],
+        ["esd", "--n", "1", "--m", "1", "-o", str(missing)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("kakimizu: ") and captured.err.count("\n") == 1
+
+
+def test_import_leaves_networkx_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, kakimizu.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_malformed_document(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json")
     code, doc, _ = run(capsys, "validate", str(bad))
     assert code == EXIT_INVALID
     assert "malformed document" in doc["error"]
+    # non-integer JSON fields are rejected, not truncated or coerced
+    for text in (
+        '{"crossings": [{"id": null, "pd": [1, 2, 2, 1]}]}',
+        '{"crossings": [{"id": {}, "pd": [1, 2, 2, 1]}]}',
+    ):
+        bad.write_text(text)
+        code, doc, _ = run(capsys, "validate", str(bad))
+        assert code == EXIT_INVALID and "integer" in doc["error"]
+    theta = json.loads((FIXTURES / "dalpha.theta.json").read_text())
+    theta["components"][0]["edges"][0]["weight"] = 1.5
+    bad.write_text(json.dumps(theta))
+    code, doc, _ = run(capsys, "complex", str(bad))
+    assert code == EXIT_INVALID and "integer" in doc["error"]
 
 
 def test_help_exits_zero(capsys):

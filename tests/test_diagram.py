@@ -52,6 +52,13 @@ def test_parse_malformed():
         parse_diagram("{nope")
     with pytest.raises(ValueError, match="malformed"):
         parse_diagram('{"crossings": 3}')
+    # JSON integers only: no null, object, float, bool or string ids or labels
+    bad = [(None, 1), ({}, 1), (1.5, 1), (True, 1), ("0", 1), (0, 1.0), (0, True)]
+    for cid, label in bad:
+        first = {"id": cid, "pd": [label, 3, 2, 4]}
+        doc = {"crossings": [first, {"id": 1, "pd": [3, 1, 4, 2]}]}
+        with pytest.raises(ValueError, match="integer"):
+            parse_diagram(json.dumps(doc))
 
 
 def test_parse_normalizes_sparse_labels():

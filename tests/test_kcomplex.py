@@ -1,12 +1,17 @@
 """Vertex enumeration, region moves, adjacency, cliques, and orders."""
 
+import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakimizu.families import dalpha_graph
 from kakimizu.kcomplex import (
+    SimplicialComplex,
+    _maximal_cliques,
     adjacency,
     base_vertex,
     build_complex,
@@ -27,6 +32,8 @@ from kakimizu.theta import (
     extract_theta,
     reduce_bigons,
 )
+
+from oracles import networkx_maximal_cliques
 
 BASE = (1, 0, 2, 0, 1)
 
@@ -250,6 +257,32 @@ def test_connected(dalpha_complex):
     assert nx.is_connected(g)
 
 
+@st.composite
+def neighbour_sets(draw):
+    """Graphs on 0-12 vertices: edgeless, complete, or each pair kept at
+    random, so isolated vertices are common."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    shape = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if shape == "random":
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    else:
+        keep = [shape == "complete"] * len(pairs)
+    adj = {i: set() for i in range(n)}
+    for (i, j), k in zip(pairs, keep):
+        if k:
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbour_sets())
+def test_maximal_cliques_match_networkx(adj):
+    ours = sorted(sorted(c) for c in _maximal_cliques(adj))
+    assert ours == networkx_maximal_cliques(adj)
+
+
 # -- metric ----------------------------------------------------------------
 
 
@@ -279,6 +312,12 @@ def test_distance_examples(dalpha_complex):
     assert distance(c, (1, 0, 3, 0, 0), (0, 1, 0, 0, 3)) == hand[
         c.index((0, 1, 0, 0, 3))
     ]
+
+
+def test_distance_disconnected_generic_complex():
+    c = SimplicialComplex([0, 1], [[0], [1]])
+    with pytest.raises(ValueError, match="disconnected"):
+        distance(c, 0, 1)
 
 
 def test_metric_axioms(dalpha_complex):

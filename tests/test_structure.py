@@ -268,6 +268,51 @@ def test_component_product_random_family():
         assert verify_iso(c, prod, f)
 
 
+def chain_beside_sibling():
+    """Components 0 > 1 > 2 nested in a chain, with 3 beside 0 on the sphere."""
+    comps = [
+        ThetaComponent(
+            0,
+            [ThetaEdge(0, 1), ThetaEdge(1, 0), ThetaEdge(2, 1)],
+            Placement(SPHERE, 0, 0),
+        ),
+        ThetaComponent(1, [ThetaEdge(3, 1), ThetaEdge(4, 0)], Placement(0, 2, 1)),
+        ThetaComponent(2, [ThetaEdge(5, 0), ThetaEdge(6, 1)], Placement(1, 0, 0)),
+        ThetaComponent(3, [ThetaEdge(7, 1), ThetaEdge(8, 0)], Placement(SPHERE, 0, 1)),
+    ]
+    return ThetaGraph(comps)
+
+
+def nesting_depth(t, comp):
+    depth = 0
+    while comp.placement.parent != SPHERE:
+        comp = t.component_by_id(comp.placement.parent)
+        depth += 1
+    return depth
+
+
+def test_component_product_four_or_more_components():
+    """Splits whose sides hold several components: nested chains below
+    one component and sibling components on the sphere."""
+    family = [chain_beside_sibling()] + [
+        t
+        for seed in range(3)
+        for t in random_theta_family(
+            seed, 30, max_components=5, max_edges=2, max_weight=2
+        )
+        if len(t.components) >= 4
+    ]
+    assert sum(
+        max(nesting_depth(t, c) for c in t.components) >= 2
+        and sum(c.placement.parent == SPHERE for c in t.components) >= 2
+        for t in family
+    ) >= 2
+    for t in family:
+        c = build_complex(t)
+        prod, f = component_product(t)
+        assert verify_iso(c, prod, f)
+
+
 # -- ball reports -----------------------------------------------------------
 
 

@@ -382,3 +382,23 @@ def test_parse_rejects_malformed():
         parse_theta('{"wrong": []}')
     with pytest.raises(ValueError, match="malformed"):
         parse_theta('{"components": [{"id": 0}]}')
+    # JSON integers only: a float weight is not truncated, a bool is not 1
+    for path, value in [
+        (("id",), True),
+        (("edges", 0, "id"), 0.0),
+        (("edges", 0, "weight"), 1.5),
+        (("edges", 0, "weight"), True),
+        (("placement", "parent_face"), None),
+        (("placement", "outer_face"), "0"),
+    ]:
+        rec = comp_doc(0, "sphere")
+        *outer, last = path
+        target = rec
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match="integer"):
+            parse_theta(json.dumps({"components": [rec]}))
+    nested = {"components": [comp_doc(0, "sphere"), comp_doc(1, 0.0, eids=(2, 3))]}
+    with pytest.raises(ValueError, match="integer"):
+        parse_theta(json.dumps(nested))
