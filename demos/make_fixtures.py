@@ -16,10 +16,10 @@ Run from the repository root:  python3 demos/make_fixtures.py
 import json
 from pathlib import Path
 
-from kakimizu.diagram import black_region_graph, parse_diagram, validate
+from kakimizu.diagram import parse_diagram, validate
 from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
 from kakimizu.medial import medial
-from kakimizu.theta import augment_flype_arcs, extract_theta, reduce_bigons
+from kakimizu.theta import theta_pipeline
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,9 +56,7 @@ def main():
 
     dalpha = medial(dalpha_graph())
     write("dalpha.json", diagram_doc(dalpha))
-    theta = extract_theta(
-        augment_flype_arcs(reduce_bigons(black_region_graph(dalpha)))
-    )
+    theta = theta_pipeline(dalpha)
     write("dalpha.theta.json", theta.to_json())
 
     # round-trip and flag summary, so a stale fixture is noticed immediately

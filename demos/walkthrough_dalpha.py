@@ -43,7 +43,7 @@ def simplex_cycles(c, idx):
     cycles = set()
     for start_idx in simplex:
         start = c.vertices[start_idx]
-        for perm in itertools.permutations(c.regions):
+        for perm in itertools.permutations(c.theta.regions):
             walk = [start]
             v = start
             for r in perm:

@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 
 from .diagram import (
-    Diagram,
-    black_region_graph,
     is_fibred,
     parse_diagram,
     seifert,
@@ -26,10 +24,10 @@ from .diagram import (
 )
 from .generate import random_theta_family
 from .kcomplex import (
-    base_vertex,
     build_complex,
     cyclic_order_simplices,
     distance,
+    enumerate_vertices,
 )
 from .structure import ball_report, component_product, esd, theta_to_esd_map, verify_iso
 from .surfaces import realize_vertex
@@ -39,21 +37,13 @@ from .theta import (
     ThetaComponent,
     ThetaEdge,
     ThetaGraph,
-    augment_flype_arcs,
-    extract_theta,
     parse_theta,
-    reduce_bigons,
+    theta_pipeline,
 )
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-
-def theta_pipeline(d: Diagram) -> ThetaGraph:
-    """Diagram to theta graph: black regions, bigon reduction, arc
-    augmentation, theta extraction."""
-    return extract_theta(augment_flype_arcs(reduce_bigons(black_region_graph(d))))
 
 
 def _read_input(path: str) -> str:
@@ -62,16 +52,15 @@ def _read_input(path: str) -> str:
     return Path(path).read_text()
 
 
-def _sniff(text: str) -> tuple[Diagram | None, ThetaGraph]:
+def _sniff(text: str) -> ThetaGraph:
     """Accept either a diagram document or a theta document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed document: {exc}") from exc
     if isinstance(doc, dict) and "components" in doc:
-        return None, parse_theta(text)
-    d = parse_diagram(text)
-    return d, theta_pipeline(d)
+        return parse_theta(text)
+    return theta_pipeline(parse_diagram(text))
 
 
 def _resolve_seed(cli_seed: int) -> int:
@@ -104,12 +93,12 @@ def cmd_theta(args) -> tuple[int, dict]:
 
 
 def cmd_complex(args) -> tuple[int, dict]:
-    _, t = _sniff(_read_input(args.input))
+    t = _sniff(_read_input(args.input))
     return EXIT_OK, build_complex(t).to_json()
 
 
 def cmd_analyze(args) -> tuple[int, dict]:
-    _, t = _sniff(_read_input(args.input))
+    t = _sniff(_read_input(args.input))
     c = build_complex(t)
     doc: dict = {
         "vertex_count": len(c.vertices),
@@ -151,7 +140,7 @@ def cmd_esd(args) -> tuple[int, dict]:
 
 
 def cmd_product(args) -> tuple[int, dict]:
-    _, t = _sniff(_read_input(args.input))
+    t = _sniff(_read_input(args.input))
     prod, _ = component_product(t)
     return EXIT_OK, prod.to_json()
 
@@ -173,7 +162,7 @@ def cmd_verify_esd(args) -> tuple[int, dict]:
 
 
 def cmd_verify_product(args) -> tuple[int, dict]:
-    _, t = _sniff(_read_input(args.input))
+    t = _sniff(_read_input(args.input))
     c = build_complex(t)
     prod, f = component_product(t)
     ok = verify_iso(c, prod, f)
@@ -195,10 +184,10 @@ def cmd_fibred(args) -> tuple[int, dict]:
 def cmd_surface(args) -> tuple[int, dict]:
     d = parse_diagram(_read_input(args.input))
     t = theta_pipeline(d)
-    c = build_complex(t)
-    if not 0 <= args.vertex < len(c.vertices):
+    vertices = enumerate_vertices(t)
+    if not 0 <= args.vertex < len(vertices):
         raise ValueError(f"vertex index {args.vertex} out of range")
-    doc = realize_vertex(d, t, c.vertices[args.vertex], convention=args.convention)
+    doc = realize_vertex(d, t, vertices[args.vertex], convention=args.convention)
     doc["vertex_index"] = args.vertex
     return EXIT_OK, doc
 

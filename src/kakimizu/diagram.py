@@ -225,9 +225,7 @@ class Diagram:
 
     def corner_face(self, cid: int, corner: int) -> int:
         """Face in the corner between arms ``corner`` and ``corner+1``."""
-        dart = self._darts[(cid, corner)]
-        h = (dart[0], 0 if dart[1] == 0 else 1)
-        return self.face_of[h]
+        return self.face_of[self._darts[(cid, corner)]]
 
     def face_corners(self, face_idx: int) -> list[tuple[int, int]]:
         """Corners (crossing id, corner index) of a face, in boundary order.

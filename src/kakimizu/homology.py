@@ -218,8 +218,7 @@ def homology(c: SimplicialComplex) -> HomologyReport:
         boundaries.append(_boundary(by_dim[k - 1], by_dim[k]))
 
     for k in range(1, len(boundaries)):
-        if f_counts[k] <= 400:
-            assert not _compose(boundaries[k - 1], boundaries[k])
+        assert not _compose(boundaries[k - 1], boundaries[k])
 
     results = [_eliminate({i: dict(r) for i, r in b.items()}) for b in boundaries]
     betti = []

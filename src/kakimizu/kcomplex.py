@@ -14,10 +14,11 @@ flag, so its simplices are exactly the cliques of this adjacency graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .generate import predicted_vertex_count
-from .theta import Region, ThetaGraph, compute_regions
+from .theta import Region, ThetaGraph
 
 __all__ = [
     "SimplicialComplex",
@@ -41,15 +42,13 @@ class SimplicialComplex:
     """A finite complex given by its maximal simplices.
 
     ``vertices`` is canonically sorted and simplices refer to it by index.
-    Complexes built from a theta graph keep the graph and its regions so
-    that vertex orders can be derived later; generic complexes leave those
-    fields empty.
+    Complexes built from a theta graph keep the graph, whose regions derive
+    vertex orders later; generic complexes leave it empty.
     """
 
     vertices: list
     maximal_simplices: list[list[int]]
     theta: ThetaGraph | None = None
-    regions: list[Region] = field(default_factory=list)
     # optional vertex order (set of directed index pairs), e.g. from
     # order_vertices; products of ordered complexes need it
     order: frozenset | None = None
@@ -61,8 +60,15 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(s) for s in self.maximal_simplices}) == 1
 
+    @cached_property
+    def _index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def index(self, v) -> int:
-        return self.vertices.index(v)
+        try:
+            return self._index[v]
+        except (KeyError, TypeError):
+            raise ValueError(f"{v!r} is not a vertex") from None
 
     def skeleton_edges(self) -> set[tuple[int, int]]:
         out: set[tuple[int, int]] = set()
@@ -78,15 +84,12 @@ class SimplicialComplex:
                 out.update(itertools.combinations(s, size))
         return out
 
-    def to_json(self, order_region: int | None = None) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "edge_order": list(self.theta.global_edge_order) if self.theta else [],
             "vertices": [list(v) for v in self.vertices],
             "maximal_simplices": [list(s) for s in self.maximal_simplices],
         }
-        if order_region is not None:
-            doc["order_region"] = order_region
-        return doc
 
 
 # -- vertices --------------------------------------------------------------
@@ -156,9 +159,7 @@ def order_regions(a: list[Region], u: Vertex, t: ThetaGraph) -> list[Region]:
     return out
 
 
-def adjacency(
-    u: Vertex, v: Vertex, regions: list[Region], t: ThetaGraph
-) -> list[Region] | None:
+def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[Region] | None:
     """The set of regions carrying ``u`` to ``v``, or None when not adjacent.
 
     Each theta edge is in the positive boundary of exactly one region and
@@ -176,20 +177,13 @@ def adjacency(
     if any(abs(x) > 1 for x in d):
         return None
 
-    plus_owner: dict[int, int] = {}
-    minus_owner: dict[int, int] = {}
-    for r in regions:
-        for eid in r.boundary_plus:
-            plus_owner[eid] = r.id
-        for eid in r.boundary_minus:
-            minus_owner[eid] = r.id
-
+    regions = t.regions
     value: dict[int, bool] = {}
     same: dict[int, list[int]] = {r.id: [] for r in regions}
     pending: list[tuple[int, bool]] = []
     for eid in t.global_edge_order:
         de = d[t.edge_position[eid]]
-        rp, rm = plus_owner[eid], minus_owner[eid]
+        rp, rm = t.plus_owner[eid], t.minus_owner[eid]
         if de == 1:
             pending.append((rp, True))
             pending.append((rm, False))
@@ -247,17 +241,14 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
     adjacency graph; the complex is flag, so this is the whole complex."""
     if not t.components:
         return SimplicialComplex(vertices=[()], maximal_simplices=[[0]], theta=t)
-    regions = compute_regions(t)
     vertices = enumerate_vertices(t)
     adj: dict[int, set[int]] = {i: set() for i in range(len(vertices))}
     for i, j in itertools.combinations(range(len(vertices)), 2):
-        if adjacency(vertices[i], vertices[j], regions, t) is not None:
+        if adjacency(vertices[i], vertices[j], t) is not None:
             adj[i].add(j)
             adj[j].add(i)
     simplices = sorted(sorted(c) for c in _maximal_cliques(adj))
-    return SimplicialComplex(
-        vertices=vertices, maximal_simplices=simplices, theta=t, regions=regions
-    )
+    return SimplicialComplex(vertices=vertices, maximal_simplices=simplices, theta=t)
 
 
 def cyclic_order_simplices(t: ThetaGraph) -> set[frozenset]:
@@ -273,9 +264,8 @@ def cyclic_order_simplices(t: ThetaGraph) -> set[frozenset]:
     """
     if not t.components:
         return {frozenset({()})}
-    regions = compute_regions(t)
-    deltas = [r.delta(t) for r in regions]
-    m = len(regions)
+    deltas = [r.delta(t) for r in t.regions]
+    m = len(deltas)
     vset = set(enumerate_vertices(t))
     memo: dict[tuple[Vertex, int], frozenset] = {}
 
@@ -340,7 +330,7 @@ def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
         raise ValueError("complex does not carry a theta graph")
     order: set[tuple[int, int]] = set()
     for i, j in c.skeleton_edges():
-        a = adjacency(c.vertices[i], c.vertices[j], c.regions, c.theta)
+        a = adjacency(c.vertices[i], c.vertices[j], c.theta)
         if any(reg.id == r.id for reg in a):
             order.add((j, i))
         else:
@@ -354,6 +344,5 @@ def ordered_by(c: SimplicialComplex, r: Region) -> SimplicialComplex:
         vertices=c.vertices,
         maximal_simplices=c.maximal_simplices,
         theta=c.theta,
-        regions=c.regions,
         order=frozenset(order_vertices(c, r)),
     )

@@ -35,7 +35,8 @@ __all__ = [
 Dart = tuple[int, int]
 
 # A half-edge is a directed edge: (edge id, direction) with direction 0
-# meaning u -> v and direction 1 meaning v -> u.
+# meaning u -> v and direction 1 meaning v -> u.  The half-edge leaving along
+# a dart is the same pair as the dart.
 HalfEdge = tuple[int, int]
 
 
@@ -143,17 +144,9 @@ class EmbeddedGraph:
         edge = self.edges[dart[0]]
         return edge.u if dart[1] == 0 else edge.v
 
-    def half_edge_tail(self, h: HalfEdge) -> int:
-        edge = self.edges[h[0]]
-        return edge.u if h[1] == 0 else edge.v
-
     def half_edge_head(self, h: HalfEdge) -> int:
         edge = self.edges[h[0]]
         return edge.v if h[1] == 0 else edge.u
-
-    def rotation_next(self, dart: Dart) -> Dart:
-        rot = self.rotation[self.dart_vertex(dart)]
-        return rot[(rot.index(dart) + 1) % len(rot)]
 
     def rotation_prev(self, dart: Dart) -> Dart:
         rot = self.rotation[self.dart_vertex(dart)]
@@ -194,8 +187,7 @@ class EmbeddedGraph:
         eid, direction = h
         # The arriving end is the head of h: end 1 when walking u -> v.
         arrival: Dart = (eid, 1) if direction == 0 else (eid, 0)
-        nxt = self.rotation_prev(arrival)
-        return (nxt[0], 0 if nxt[1] == 0 else 1)
+        return self.rotation_prev(arrival)
 
     def trace_faces(self) -> list[list[HalfEdge]]:
         """All faces, each an anticlockwise cycle of half-edges.
@@ -250,15 +242,6 @@ class EmbeddedGraph:
     def negative_face(self, eid: int, face_of: dict[HalfEdge, int]) -> int:
         edge = self.edges[eid]
         return face_of[(eid, 1 if edge.pos_left else 0)]
-
-    def corner_face(self, dart: Dart, face_of: dict[HalfEdge, int]) -> int:
-        """The face in the corner anticlockwise after ``dart`` at its vertex.
-
-        Equivalently the face to the left of the half-edge leaving along
-        ``dart``.
-        """
-        h: HalfEdge = (dart[0], 0 if dart[1] == 0 else 1)
-        return face_of[h]
 
     # -- views ------------------------------------------------------------
 

@@ -29,7 +29,6 @@ from .theta import (
     Region,
     ThetaComponent,
     ThetaGraph,
-    compute_regions,
 )
 
 __all__ = [
@@ -183,8 +182,10 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
     """
     o1 = validate_order(c1)
     o2 = validate_order(c2)
-    vertices = sorted((u, v) for u in c1.vertices for v in c2.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
+    product = SimplicialComplex(
+        vertices=sorted((u, v) for u in c1.vertices for v in c2.vertices),
+        maximal_simplices=[],
+    )
     maximal = set()
     for s1 in c1.maximal_simplices:
         chain1 = [c1.vertices[i] for i in _chain(s1, o1)]
@@ -192,24 +193,18 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
             chain2 = [c2.vertices[i] for i in _chain(s2, o2)]
             p, q = len(chain1) - 1, len(chain2) - 1
             for path in _staircases(p, q):
-                maximal.add(
-                    tuple(sorted(index[(chain1[a], chain2[b])] for a, b in path))
-                )
-    product = SimplicialComplex(
-        vertices=vertices,
-        maximal_simplices=sorted(list(s) for s in maximal),
-    )
-    id1 = {v: i for i, v in enumerate(c1.vertices)}
-    id2 = {v: i for i, v in enumerate(c2.vertices)}
+                pairs = [(chain1[a], chain2[b]) for a, b in path]
+                maximal.add(tuple(sorted(product.index(x) for x in pairs)))
+    product.maximal_simplices = sorted(list(s) for s in maximal)
 
-    def leq(o, ids, a, b):
-        return a == b or (ids[a], ids[b]) in o
+    def leq(c, o, a, b):
+        return a == b or (c.index(a), c.index(b)) in o
 
     order = set()
     for i, j in product.skeleton_edges():
-        (u1, v1), (u2, v2) = vertices[i], vertices[j]
-        forward = leq(o1, id1, u1, u2) and leq(o2, id2, v1, v2)
-        backward = leq(o1, id1, u2, u1) and leq(o2, id2, v2, v1)
+        (u1, v1), (u2, v2) = product.vertices[i], product.vertices[j]
+        forward = leq(c1, o1, u1, u2) and leq(c2, o2, v1, v2)
+        backward = leq(c1, o1, u2, u1) and leq(c2, o2, v2, v1)
         assert forward != backward, "product pairs must be strictly comparable"
         order.add((i, j) if forward else (j, i))
     product.order = frozenset(order)
@@ -235,16 +230,16 @@ class SplitReport:
     right_region: Region
 
 
-def _incidence_tree(t: ThetaGraph, regions: list[Region]) -> dict[tuple, list[tuple]]:
+def _incidence_tree(t: ThetaGraph) -> dict[tuple, list[tuple]]:
     """Adjacency lists of the bipartite graph of components and regions,
     joined where a region contains a local face of a component.  For a
     planar placement this is always a tree, which the caller relies on."""
     tree: dict[tuple, list[tuple]] = {}
-    pairs = {(cid, r.id) for r in regions for cid, _face in r.faces}
+    pairs = {(cid, r.id) for r in t.regions for cid, _face in r.faces}
     for cid, rid in pairs:
         tree.setdefault(("c", cid), []).append(("r", rid))
         tree.setdefault(("r", rid), []).append(("c", cid))
-    incidences = sum(len(r.faces) for r in regions)
+    incidences = sum(len(r.faces) for r in t.regions)
     if (
         incidences != sum(c.k for c in t.components)
         or len(pairs) != incidences
@@ -273,9 +268,7 @@ def _restrict(w: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, 
     return tuple(w[t.edge_position[eid]] for eid in sub.global_edge_order)
 
 
-def _branch_theta(
-    t: ThetaGraph, walks: list[dict], region: Region, regions: list[Region]
-) -> ThetaGraph:
+def _branch_theta(t: ThetaGraph, walks: list[dict], region: Region) -> ThetaGraph:
     """Reassemble the components of some branches into their own graph.
 
     Each walk covers one branch from the component where it hangs off the
@@ -292,7 +285,7 @@ def _branch_theta(
             if via is None:
                 pl = Placement(SPHERE, 0, region_wedge[cid])
             else:
-                faces = dict(regions[via[1]].faces)
+                faces = dict(t.regions[via[1]].faces)
                 parent = walk[via][1]
                 pl = Placement(parent, faces[parent], faces[cid])
             old = t.component_by_id(cid)
@@ -309,50 +302,45 @@ def _branch_theta(
     return sub
 
 
-def split_theta(t: ThetaGraph, region_id: int | None = None) -> SplitReport:
+def split_theta(t: ThetaGraph) -> SplitReport:
     """Cut a multi-component graph along a curve inside one region.
 
-    The region must touch at least two components.  Its complement in the
-    incidence tree falls into branches, one per component the region
-    touches; the branch holding the lowest component becomes ``left`` and
-    the rest together become ``right``.  Each side's regions are predicted
+    The cut region is the lowest-numbered one touching at least two
+    components.  Its complement in the incidence tree falls into branches,
+    one per component the region touches; the branch holding the lowest
+    component becomes ``left`` and the rest together become ``right``.  Each side's regions are predicted
     from the original ones -- unchanged away from the cut, plus one
     restriction of the cut region per side -- and the rebuilt placements
     are checked against that prediction.
     """
     if len(t.components) < 2:
         raise ValueError("cannot split a single-component theta graph")
-    regions = compute_regions(t)
-    by_region = {r.id: sorted({cid for cid, _ in r.faces}) for r in regions}
-    if region_id is None:
-        region_id = min(r for r, cs in by_region.items() if len(cs) >= 2)
-    region = regions[region_id]
+    by_region = {r.id: sorted({cid for cid, _ in r.faces}) for r in t.regions}
+    region_id = min(r for r, cs in by_region.items() if len(cs) >= 2)
+    region = t.regions[region_id]
     assert region.id == region_id
-    if len(by_region[region_id]) < 2:
-        raise ValueError("split region touches fewer than two components")
 
-    tree = _incidence_tree(t, regions)
+    tree = _incidence_tree(t)
     walks = [_walk(tree, ("c", cid), ("r", region_id)) for cid in by_region[region_id]]
     lowest = ("c", min(c.id for c in t.components))
-    left = _branch_theta(t, [w for w in walks if lowest in w], region, regions)
-    right = _branch_theta(t, [w for w in walks if lowest not in w], region, regions)
+    left = _branch_theta(t, [w for w in walks if lowest in w], region)
+    right = _branch_theta(t, [w for w in walks if lowest not in w], region)
 
     side_regions = []
     for sub in (left, right):
         in_side = {c.id for c in sub.components}
         predicted = {
             _restrict(r.delta(t), t, sub)
-            for r in regions
+            for r in t.regions
             if r.id != region_id and {cid for cid, _ in r.faces} <= in_side
         }
         cut_delta = _restrict(region.delta(t), t, sub)
         predicted.add(cut_delta)
-        sub_regions = compute_regions(sub)
-        actual = {r.delta(sub) for r in sub_regions}
+        actual = {r.delta(sub) for r in sub.regions}
         if actual != predicted:
             raise ValueError("split produced unexpected regions")
         side_regions.append(
-            next(r for r in sub_regions if r.delta(sub) == cut_delta)
+            next(r for r in sub.regions if r.delta(sub) == cut_delta)
         )
     return SplitReport(left, right, region, side_regions[0], side_regions[1])
 
@@ -365,9 +353,8 @@ def _transport_order(
 ) -> SimplicialComplex:
     """Order a product complex by carrying a region-broken order of the
     isomorphic weight-vector complex across the isomorphism ``f``."""
-    ids = {v: i for i, v in enumerate(product.vertices)}
     order = frozenset(
-        (ids[f[k.vertices[i]]], ids[f[k.vertices[j]]])
+        (product.index(f[k.vertices[i]]), product.index(f[k.vertices[j]]))
         for i, j in order_vertices(k, region)
     )
     return SimplicialComplex(
@@ -390,14 +377,16 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
         c = build_complex(t)
         return c, {v: v for v in c.vertices}
     s = split_theta(t)
-    kl = build_complex(s.left)
-    kr = build_complex(s.right)
-    pl, fl = component_product(s.left)
-    pr, fr = component_product(s.right)
-    if not verify_iso(kl, pl, fl) or not verify_iso(kr, pr, fr):
-        raise AssertionError("factor complex does not match its product form")
-    left = _transport_order(kl, s.left_region, pl, fl)
-    right = _transport_order(kr, s.right_region, pr, fr)
+    sides = []
+    for sub, region in ((s.left, s.left_region), (s.right, s.right_region)):
+        p, f = component_product(sub)
+        # a one-component side is its own product; a larger side's
+        # weight-vector complex is built here and checked against it
+        k = p if len(sub.components) == 1 else build_complex(sub)
+        if k is not p and not verify_iso(k, p, f):
+            raise AssertionError("factor complex does not match its product form")
+        sides.append((_transport_order(k, region, p, f), f))
+    (left, fl), (right, fr) = sides
     product = ordered_product(left, right)
     f = {
         w: (fl[_restrict(w, t, s.left)], fr[_restrict(w, t, s.right)])
@@ -445,11 +434,10 @@ def ball_report(t: ThetaGraph, c: SimplicialComplex | None = None) -> BallReport
     if c is None:
         c = build_complex(t)
     expected = sum(comp.k - 1 for comp in t.components)
-    regions = compute_regions(t) if t.components else []
     return BallReport(
         dimension=c.dim,
         expected_dimension=expected,
         pure=c.is_pure(),
-        region_count=len(regions),
+        region_count=len(t.regions),
         homology=homology(c),
     )

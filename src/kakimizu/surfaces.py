@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram
 from .kcomplex import adjacency, base_vertex, enumerate_vertices
-from .theta import Region, ThetaGraph, compute_regions, merge_classes
+from .theta import Region, ThetaGraph, merge_classes
 
 __all__ = [
     "FlypeCircle",
@@ -120,7 +120,7 @@ def flype_set_for_edge(t: ThetaGraph, u: tuple[int, ...], a: list[Region]) -> Fl
                 FlypeCircle(comp.id, crossing_edge.id, comp.edges[j].id)
             )
     in_a = tuple(sorted(r.id for r in a))
-    all_ids = {r.id for r in compute_regions(t)} if t.components else set()
+    all_ids = {r.id for r in t.regions}
     return FlypeSet(
         base=tuple(u),
         region_ids=in_a,
@@ -184,9 +184,8 @@ def _face_regions(t: ThetaGraph) -> dict[int, Region]:
         ),
     )
 
-    regions = compute_regions(t)
-    by_delta = {r.delta(t): r for r in regions}
-    assert len(by_delta) == len(regions)
+    by_delta = {r.delta(t): r for r in t.regions}
+    assert len(by_delta) == len(t.regions)
     out: dict[int, Region] = {}
     for members in classes:
         delta = []
@@ -421,12 +420,11 @@ def neighbors_via_flypes(
     by solving the region two-colouring against every other vertex."""
     if not t.components:
         return []
-    regions = compute_regions(t)
     out = []
     for v in enumerate_vertices(t):
         if v == tuple(u):
             continue
-        if adjacency(tuple(u), v, regions, t) is not None:
+        if adjacency(tuple(u), v, t) is not None:
             out.append(v)
     return sorted(out)
 
@@ -440,8 +438,7 @@ def realize_vertex(
     if tuple(v) == base:
         fs = FlypeSet(base=base, region_ids=(), labels={}, circles=[])
     else:
-        regions = compute_regions(t)
-        a = adjacency(base, tuple(v), regions, t)
+        a = adjacency(base, tuple(v), t)
         if a is None:
             raise ValueError("vertex is not within distance 1 of the base vertex")
         fs = flype_set_for_edge(t, base, a)

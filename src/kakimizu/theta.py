@@ -30,6 +30,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .diagram import Diagram, black_region_graph
 from .planar import Edge, EmbeddedGraph
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "merge_classes",
     "parse_theta",
     "reduce_bigons",
+    "theta_pipeline",
 ]
 
 SPHERE = "sphere"
@@ -86,6 +88,9 @@ class ThetaGraph:
     ``crossings`` (in-memory only, never serialized) maps edge ids to the
     diagram crossings stacked along the edge, when the graph came from a
     diagram; ``source`` keeps the F(D) graph for the same reason.
+    ``regions`` are the regions of the cut-apart graph, and ``plus_owner``
+    and ``minus_owner`` map each edge id to the id of the region holding it
+    in its positive and negative boundary.
     """
 
     def __init__(self, components: list[ThetaComponent]):
@@ -97,6 +102,9 @@ class ThetaGraph:
             e.id for comp in self.components for e in comp.edges
         ]
         self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
+        self.regions = compute_regions(self)
+        self.plus_owner = {e: r.id for r in self.regions for e in r.boundary_plus}
+        self.minus_owner = {e: r.id for r in self.regions for e in r.boundary_minus}
 
     def _validate(self) -> None:
         ids = [c.id for c in self.components]
@@ -256,16 +264,9 @@ def _face_corners(g: EmbeddedGraph, cycle: list) -> list[tuple[int, tuple[int, i
 
     The corner between consecutive boundary half-edges sits at their common
     vertex; a new dart belongs immediately anticlockwise after the departing
-    half-edge's dart.
+    half-edge, which is itself the dart it leaves along.
     """
-    corners = []
-    length = len(cycle)
-    for i in range(length):
-        h_next = cycle[(i + 1) % length]
-        w = g.half_edge_tail(h_next)
-        dep_dart = (h_next[0], 0 if h_next[1] == 0 else 1)
-        corners.append((w, dep_dart))
-    return corners
+    return [(g.dart_vertex(h), h) for h in cycle[1:] + cycle[:1]]
 
 
 def _arc_candidates(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
@@ -458,6 +459,12 @@ def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
     }
     t.source = f
     return t
+
+
+def theta_pipeline(d: Diagram) -> ThetaGraph:
+    """Diagram to theta graph: black regions, bigon reduction, arc
+    augmentation, theta extraction."""
+    return extract_theta(augment_flype_arcs(reduce_bigons(black_region_graph(d))))
 
 
 # -- regions ---------------------------------------------------------------

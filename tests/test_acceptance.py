@@ -107,7 +107,7 @@ def region_walks_from(c, simplex, start):
     """Closed region-addition walks around ``simplex`` beginning at ``start``."""
     members = {c.vertices[i] for i in simplex}
     walks = set()
-    for perm in itertools.permutations(c.regions):
+    for perm in itertools.permutations(c.theta.regions):
         walk = [start]
         v = start
         for r in perm:

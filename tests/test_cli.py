@@ -193,6 +193,22 @@ def test_surface_conventions_agree_on_counts(capsys):
     assert pos["n_a"] + pos["n_b"] == neg["n_a"] + neg["n_b"] == 10
 
 
+def test_surface_does_not_build_the_complex(capsys, monkeypatch):
+    _, complex_doc, _ = run(capsys, "complex", fx("dalpha.json"))
+    idx = complex_doc["vertices"].index([1, 0, 2, 0, 1])
+
+    def refuse(t):
+        raise AssertionError("surface built the whole complex")
+
+    monkeypatch.setattr("kakimizu.cli.build_complex", refuse)
+    code, doc, _ = run(capsys, "surface", fx("dalpha.json"), "--vertex", str(idx))
+    assert code == EXIT_OK
+    assert doc["vertex"] == [1, 0, 2, 0, 1] and doc["vertex_index"] == idx
+    code, doc, _ = run(capsys, "surface", fx("dalpha.json"), "--vertex", "20")
+    assert code == EXIT_INVALID
+    assert "out of range" in doc["error"]
+
+
 def test_surface_vertex_out_of_range(capsys):
     code, doc, _ = run(capsys, "surface", fx("dalpha.json"), "--vertex", "99")
     assert code == EXIT_INVALID

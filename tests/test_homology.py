@@ -6,6 +6,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from kakimizu import homology as homology_module
 from kakimizu.homology import HomologyReport, homology, smith_diagonal
 from kakimizu.homology import _eliminate
 from kakimizu.kcomplex import SimplicialComplex
@@ -130,6 +131,23 @@ def test_projective_plane_torsion():
     assert rep.betti == [0, 0, 0]
     assert rep.torsion[1] == [2]
     assert not rep.is_trivial()
+
+
+def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
+    """A 500-edge path is a contractible complex; with the signs dropped
+    from its boundary matrices, the check that the boundary of a boundary
+    vanishes must fire, however many faces there are."""
+    path = complex_on(501, [[i, i + 1] for i in range(500)])
+    assert homology(path).is_trivial()
+    signed = homology_module._boundary
+
+    def unsigned(lower, upper):
+        rows = signed(lower, upper)
+        return {i: {j: abs(v) for j, v in row.items()} for i, row in rows.items()}
+
+    monkeypatch.setattr(homology_module, "_boundary", unsigned)
+    with pytest.raises(AssertionError):
+        homology(path)
 
 
 def test_report_json_fields():

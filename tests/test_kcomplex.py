@@ -149,14 +149,14 @@ def test_region_add_preserves_component_sums(dalpha):
 
 def test_adjacency_two_step(dalpha):
     t, regions = dalpha
-    a = adjacency(BASE, (0, 1, 3, 0, 0), regions, t)
+    a = adjacency(BASE, (0, 1, 3, 0, 0), t)
     assert {r.delta(t) for r in a} == {R_A, R_B}
 
 
 def test_adjacency_rejects_far_and_equal(dalpha):
     t, regions = dalpha
-    assert adjacency((1, 0, 3, 0, 0), (1, 0, 0, 3, 0), regions, t) is None
-    assert adjacency(BASE, BASE, regions, t) is None
+    assert adjacency((1, 0, 3, 0, 0), (1, 0, 0, 3, 0), t) is None
+    assert adjacency(BASE, BASE, t) is None
 
 
 def test_adjacency_complement_symmetry(dalpha):
@@ -166,8 +166,8 @@ def test_adjacency_complement_symmetry(dalpha):
     found = 0
     for _ in range(200):
         u, v = rng.sample(vs, 2)
-        a = adjacency(u, v, regions, t)
-        b = adjacency(v, u, regions, t)
+        a = adjacency(u, v, t)
+        b = adjacency(v, u, t)
         assert (a is None) == (b is None)
         if a is not None:
             found += 1
@@ -320,6 +320,18 @@ def test_distance_disconnected_generic_complex():
         distance(c, 0, 1)
 
 
+def test_index_and_distance_reject_non_vertices(dalpha_complex):
+    c = dalpha_complex
+    assert c.index(BASE) == c.vertices.index(BASE)
+    for bad in [(9, 9, 9, 9, 9), (1, 0, 2, 0), [1, 0, 2, 0, 1], "base"]:
+        with pytest.raises(ValueError):
+            c.index(bad)
+        with pytest.raises(ValueError):
+            distance(c, BASE, bad)
+        with pytest.raises(ValueError):
+            distance(c, bad, BASE)
+
+
 def test_metric_axioms(dalpha_complex):
     c = dalpha_complex
     n = len(c.vertices)
@@ -428,8 +440,7 @@ def test_order_axioms(dalpha, dalpha_complex, region_idx):
 
 
 def test_to_json_shape(dalpha_complex):
-    doc = dalpha_complex.to_json(order_region=3)
+    doc = dalpha_complex.to_json()
     assert doc["edge_order"] == list(dalpha_complex.theta.global_edge_order)
     assert len(doc["vertices"]) == 20
     assert len(doc["maximal_simplices"]) == 27
-    assert doc["order_region"] == 3

@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from conftest import load_text
+from kakimizu import structure
 from kakimizu.diagram import black_region_graph
 from kakimizu.families import dalpha_graph
 from kakimizu.generate import random_theta_family
@@ -35,6 +37,7 @@ from kakimizu.theta import (
     augment_flype_arcs,
     compute_regions,
     extract_theta,
+    parse_theta,
     reduce_bigons,
 )
 
@@ -311,6 +314,29 @@ def test_component_product_four_or_more_components():
         c = build_complex(t)
         prod, f = component_product(t)
         assert verify_iso(c, prod, f)
+
+
+def dalpha_theta_document():
+    return parse_theta(load_text("dalpha.theta.json"))
+
+
+@pytest.mark.parametrize(
+    "maker", [dalpha_theta_document, chain3, star3, chain_beside_sibling]
+)
+def test_component_product_builds_each_factor_once(maker, monkeypatch):
+    """n components take 2n - 2 complex builds: one per one-component side,
+    and one per larger side to check against its recursive product."""
+    t = maker()
+    calls = []
+
+    def counting(sub):
+        calls.append(sub)
+        return build_complex(sub)
+
+    monkeypatch.setattr(structure, "build_complex", counting)
+    prod, f = component_product(t)
+    assert len(calls) == 2 * len(t.components) - 2
+    assert verify_iso(build_complex(t), prod, f)
 
 
 # -- ball reports -----------------------------------------------------------

@@ -259,6 +259,20 @@ def test_region_invariants(maker):
     assert all(x == 0 for x in total)
 
 
+@pytest.mark.parametrize(
+    "maker", [two_edge_theta, nested_theta, dalpha_theta]
+)
+def test_graph_owns_its_regions(maker):
+    t = maker()
+    assert [r.delta(t) for r in t.regions] == [
+        r.delta(t) for r in compute_regions(t)
+    ]
+    for r in t.regions:
+        assert all(t.plus_owner[eid] == r.id for eid in r.boundary_plus)
+        assert all(t.minus_owner[eid] == r.id for eid in r.boundary_minus)
+    assert set(t.plus_owner) == set(t.minus_owner) == set(t.global_edge_order)
+
+
 def embedded_deltas(f, t):
     """Region deltas read directly off the embedding of F(D): faces merge
     across every edge that is not a theta edge."""
