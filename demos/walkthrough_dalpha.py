@@ -18,9 +18,9 @@ import json
 from pathlib import Path
 
 from kakimizu.diagram import black_region_graph, parse_diagram, seifert, validate
-from kakimizu.kcomplex import base_vertex, build_complex, region_add
+from kakimizu.kcomplex import base_vertex, build_complex, neighbours, region_add
 from kakimizu.structure import ball_report
-from kakimizu.surfaces import neighbors_via_flypes, realize_vertex
+from kakimizu.surfaces import realize_vertex
 from kakimizu.theta import augment_flype_arcs, extract_theta, reduce_bigons
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "dalpha.json"
@@ -103,7 +103,7 @@ def main():
         from_base = sorted(w for w in cycles if w[0] == u0)
         print(f"  simplex {i}: cycle {' -> '.join(map(str, from_base[0]))} -> back")
 
-    nbrs = neighbors_via_flypes(d, t, u0)
+    nbrs = neighbours(t, u0)
     print(f"flype neighbours of base: {len(nbrs)}")
     assert len(nbrs) == 6
 

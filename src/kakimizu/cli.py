@@ -100,6 +100,9 @@ def cmd_complex(args) -> tuple[int, dict]:
 def cmd_analyze(args) -> tuple[int, dict]:
     t = _sniff(_read_input(args.input))
     c = build_complex(t)
+    for idx in args.metric or ():
+        if not 0 <= idx < len(c.vertices):
+            raise ValueError(f"vertex index {idx} out of range")
     doc: dict = {
         "vertex_count": len(c.vertices),
         "maximal_simplex_count": len(c.maximal_simplices),
@@ -124,9 +127,6 @@ def cmd_analyze(args) -> tuple[int, dict]:
             code = EXIT_INVALID
     if args.metric is not None:
         iu, iv = args.metric
-        for idx in (iu, iv):
-            if not 0 <= idx < len(c.vertices):
-                raise ValueError(f"vertex index {idx} out of range")
         doc["metric"] = {
             "u": iu,
             "v": iv,

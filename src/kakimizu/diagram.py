@@ -355,32 +355,20 @@ class ValidationReport:
 
 
 def _two_edge_cut(d: Diagram) -> tuple[int, int] | None:
-    """A pair of arcs whose removal disconnects the crossings, if any.
+    """The least pair of arcs whose removal disconnects the crossings, if any.
 
     Such a pair is crossed by a simple closed curve meeting the diagram in
     two edge points with crossings on both sides; its absence (on a
     connected diagram) is Menasco's visibility criterion for primeness.
-    The 4-valent map has no bridges, so pairs suffice.
+    The 4-valent map has no bridges, so a separating set of two arcs is a
+    minimal cut, whose duals form a 2-cycle: the two arcs border the same
+    two faces.
     """
-    g = d.map
-    labels = sorted(g.edges)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            # connectivity of the map minus edges a, b
-            seen = {d.crossings[0].id}
-            stack = [d.crossings[0].id]
-            while stack:
-                v = stack.pop()
-                for eid, _end in g.rotation[v]:
-                    if eid in (a, b):
-                        continue
-                    w = g.edges[eid].other(v)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) < d.n:
-                return (a, b)
-    return None
+    groups: dict[frozenset, list[int]] = {}
+    for lab in sorted(d.map.edges):
+        sides = frozenset({d.face_of[(lab, 0)], d.face_of[(lab, 1)]})
+        groups.setdefault(sides, []).append(lab)
+    return min(((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None)
 
 
 def _white_smooth(d: Diagram, cid: int) -> tuple[Diagram | None, int]:

@@ -5,10 +5,11 @@ per-component totals match the input weights.  Adding a region to a vertex
 raises the weight by 1 on each edge the region meets only on its negative
 side and lowers it on each edge met only on the positive side; this is
 defined only when no weight would go negative.  Two vertices are adjacent
-when one is obtained from the other by adding a set of regions that can be
-ordered so every intermediate vector is again a vertex, and every such set
-is found by solving a two-colouring problem on the regions.  The complex is
-flag, so its simplices are exactly the cliques of this adjacency graph.
+when one is obtained from the other by adding a proper non-empty set of
+regions one at a time, every intermediate vector again a vertex; the
+neighbours of a vertex are found by walking those additions from it.  The
+complex is flag, so its simplices are exactly the cliques of this
+neighbour graph.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .theta import Region, ThetaGraph
 
 __all__ = [
     "SimplicialComplex",
-    "adjacency",
     "base_vertex",
     "build_complex",
     "cyclic_order_simplices",
     "distance",
     "enumerate_vertices",
-    "order_regions",
+    "neighbours",
     "order_vertices",
     "ordered_by",
     "region_add",
@@ -137,80 +137,37 @@ def region_add(v: Vertex, r: Region, t: ThetaGraph) -> Vertex | None:
     return tuple(out)
 
 
-def order_regions(a: list[Region], u: Vertex, t: ThetaGraph) -> list[Region]:
-    """Order ``a`` so the regions can be added starting from ``u``.
+def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
+    """Every vertex adjacent to ``u``, mapped to the regions carrying ``u``
+    to it.
 
-    Greedy by lowest region id; for genuinely adjacent vertices this never
-    sticks, so sticking signals corrupted input.
+    A depth-first walk adds one region at a time, staying on vertices, and
+    visits each region set at most once.  The region deltas sum to zero and
+    span a space of dimension one less than their number, so distinct
+    proper non-empty sets reach distinct vertices and the walk costs
+    O(deg(u) * R) additions.
     """
-    remaining = sorted(a, key=lambda r: r.id)
-    out: list[Region] = []
-    current = u
-    while remaining:
-        for r in remaining:
-            nxt = region_add(current, r, t)
-            if nxt is not None:
-                remaining.remove(r)
-                out.append(r)
-                current = nxt
-                break
-        else:
-            raise RuntimeError("stuck: region set admits no addition order")
-    return out
-
-
-def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[Region] | None:
-    """The set of regions carrying ``u`` to ``v``, or None when not adjacent.
-
-    Each theta edge is in the positive boundary of exactly one region and
-    the negative boundary of another; a weight difference constrains
-    whether those owners are in the set, and equal weights force the owners
-    into or out of it together.  Propagation either fails (not adjacent) or
-    determines the set and its complement; the returned set is the one
-    whose deltas sum to ``v - u``.
-    """
-    if len(u) != t.n_edges or len(v) != t.n_edges:
-        raise ValueError("vertices do not match the theta graph")
-    if u == v:
-        return None
-    d = [b - a for a, b in zip(u, v)]
-    if any(abs(x) > 1 for x in d):
-        return None
-
+    if len(u) != t.n_edges:
+        raise ValueError("vertex does not match the theta graph")
     regions = t.regions
-    value: dict[int, bool] = {}
-    same: dict[int, list[int]] = {r.id: [] for r in regions}
-    pending: list[tuple[int, bool]] = []
-    for eid in t.global_edge_order:
-        de = d[t.edge_position[eid]]
-        rp, rm = t.plus_owner[eid], t.minus_owner[eid]
-        if de == 1:
-            pending.append((rp, True))
-            pending.append((rm, False))
-        elif de == -1:
-            pending.append((rp, False))
-            pending.append((rm, True))
-        else:
-            same[rp].append(rm)
-            same[rm].append(rp)
-    while pending:
-        rid, val = pending.pop()
-        if rid in value:
-            if value[rid] != val:
-                return None
-            continue
-        value[rid] = val
-        for other in same[rid]:
-            pending.append((other, val))
-    if len(value) != len(regions):
-        # the constraint graph on regions is connected, so this cannot
-        # happen for distinct vertices; guard rather than guess
-        raise RuntimeError("underdetermined region set")
-    a = [r for r in regions if value[r.id]]
-    if not a or len(a) == len(regions):
-        return None
-    order_regions(a, u, t)  # adjacency requires a valid addition order
-    return a
+    full = (1 << len(regions)) - 1
+    out: dict[Vertex, list[Region]] = {}
+    seen = {0}
+    stack = [(0, tuple(u))]
+    while stack:
+        used, v = stack.pop()
+        for i, r in enumerate(regions):
+            nxt = used | 1 << i
+            if nxt in seen:
+                continue
+            w = region_add(v, r, t)
+            if w is None:
+                continue
+            seen.add(nxt)
+            if nxt != full:
+                out[w] = [s for j, s in enumerate(regions) if nxt >> j & 1]
+                stack.append((nxt, w))
+    return out
 
 
 # -- the complex -----------------------------------------------------------
@@ -238,15 +195,10 @@ def _maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:
 
 def build_complex(t: ThetaGraph) -> SimplicialComplex:
     """All vertices, with maximal simplices as maximal cliques of the
-    adjacency graph; the complex is flag, so this is the whole complex."""
-    if not t.components:
-        return SimplicialComplex(vertices=[()], maximal_simplices=[[0]], theta=t)
+    neighbour graph; the complex is flag, so this is the whole complex."""
     vertices = enumerate_vertices(t)
-    adj: dict[int, set[int]] = {i: set() for i in range(len(vertices))}
-    for i, j in itertools.combinations(range(len(vertices)), 2):
-        if adjacency(vertices[i], vertices[j], t) is not None:
-            adj[i].add(j)
-            adj[j].add(i)
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = {i: {index[w] for w in neighbours(t, v)} for i, v in enumerate(vertices)}
     simplices = sorted(sorted(c) for c in _maximal_cliques(adj))
     return SimplicialComplex(vertices=vertices, maximal_simplices=simplices, theta=t)
 
@@ -318,7 +270,7 @@ def distance(c: SimplicialComplex, u, v) -> int:
 
 
 def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
-    """Orient each adjacency: ``i`` comes before ``j`` when the region set
+    """Orient each edge: ``i`` comes before ``j`` when the region set
     carrying vertex i to vertex j omits ``r``.
 
     Within a simplex the vertices sit on a cycle of single-region moves;
@@ -328,14 +280,12 @@ def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
     """
     if c.theta is None:
         raise ValueError("complex does not carry a theta graph")
-    order: set[tuple[int, int]] = set()
-    for i, j in c.skeleton_edges():
-        a = adjacency(c.vertices[i], c.vertices[j], c.theta)
-        if any(reg.id == r.id for reg in a):
-            order.add((j, i))
-        else:
-            order.add((i, j))
-    return order
+    return {
+        (i, c.index(w))
+        for i, v in enumerate(c.vertices)
+        for w, a in neighbours(c.theta, v).items()
+        if all(reg.id != r.id for reg in a)
+    }
 
 
 def ordered_by(c: SimplicialComplex, r: Region) -> SimplicialComplex:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import Diagram
-from .kcomplex import adjacency, base_vertex, enumerate_vertices
+from .kcomplex import base_vertex, neighbours
 from .theta import Region, ThetaGraph, merge_classes
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "PArcConfig",
     "euler_characteristic",
     "flype_set_for_edge",
-    "neighbors_via_flypes",
     "p_arcs",
     "realize_vertex",
     "trace_curves",
@@ -410,25 +409,6 @@ def euler_characteristic(n: int, n_a: int, n_b: int) -> int:
     return -n + n_a + n_b
 
 
-# -- neighborhoods ----------------------------------------------------------
-
-
-def neighbors_via_flypes(
-    d: Diagram | None, t: ThetaGraph, u: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All vertices reachable from ``u`` by one coherent flype set, found
-    by solving the region two-colouring against every other vertex."""
-    if not t.components:
-        return []
-    out = []
-    for v in enumerate_vertices(t):
-        if v == tuple(u):
-            continue
-        if adjacency(tuple(u), v, t) is not None:
-            out.append(v)
-    return sorted(out)
-
-
 def realize_vertex(
     d: Diagram, t: ThetaGraph, v: tuple[int, ...], convention: str = "positive"
 ) -> dict:
@@ -438,7 +418,7 @@ def realize_vertex(
     if tuple(v) == base:
         fs = FlypeSet(base=base, region_ids=(), labels={}, circles=[])
     else:
-        a = adjacency(base, tuple(v), t)
+        a = neighbours(t, base).get(tuple(v))
         if a is None:
             raise ValueError("vertex is not within distance 1 of the base vertex")
         fs = flype_set_for_edge(t, base, a)

@@ -88,9 +88,7 @@ class ThetaGraph:
     ``crossings`` (in-memory only, never serialized) maps edge ids to the
     diagram crossings stacked along the edge, when the graph came from a
     diagram; ``source`` keeps the F(D) graph for the same reason.
-    ``regions`` are the regions of the cut-apart graph, and ``plus_owner``
-    and ``minus_owner`` map each edge id to the id of the region holding it
-    in its positive and negative boundary.
+    ``regions`` are the regions of the cut-apart graph.
     """
 
     def __init__(self, components: list[ThetaComponent]):
@@ -103,8 +101,6 @@ class ThetaGraph:
         ]
         self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
         self.regions = compute_regions(self)
-        self.plus_owner = {e: r.id for r in self.regions for e in r.boundary_plus}
-        self.minus_owner = {e: r.id for r in self.regions for e in r.boundary_minus}
 
     def _validate(self) -> None:
         ids = [c.id for c in self.components]

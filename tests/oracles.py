@@ -1,24 +1,166 @@
 """Independent oracles used by several test modules.
 
-The fibredness oracle tries every reduction order instead of trusting the
-greedy pass; networkx's clique search checks the library's own; the
-cyclic-order simplex enumeration (a second route to the maximal simplices,
-independent of clique search) lives in ``kakimizu.kcomplex`` and is
-re-exported here for the tests that compare it against ``build_complex``.
+Each checks a fast library routine against a slower route to the same
+answer:
+
+- the fibredness oracle tries every reduction order instead of trusting
+  the greedy pass;
+- networkx's clique search checks the library's own;
+- ``adjacency`` decides whether two vertices are adjacent by solving a
+  two-colouring of the regions, fixed by the owners of each theta edge,
+  and then orders the region set greedily; ``all_pairs_neighbours`` runs it
+  on every pair of vertices, which ``kcomplex.neighbours`` must match;
+- ``bfs_two_edge_cut`` finds a separating pair of arcs by a connectivity
+  search on the diagram with each pair of arcs removed, where
+  ``diagram._two_edge_cut`` reads the pair off the faces;
+- the cyclic-order simplex enumeration (a second route to the maximal
+  simplices, independent of clique search) lives in ``kakimizu.kcomplex``
+  and is re-exported here for the tests that compare it against
+  ``build_complex``.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 
+from kakimizu.diagram import Diagram
+from kakimizu.kcomplex import Vertex, enumerate_vertices, region_add
 from kakimizu.kcomplex import cyclic_order_simplices as cyclic_order_maximal_simplices
 from kakimizu.planar import EmbeddedGraph
+from kakimizu.theta import Region, ThetaGraph
 
 __all__ = [
+    "adjacency",
+    "all_pairs_neighbours",
+    "bfs_two_edge_cut",
     "cyclic_order_maximal_simplices",
     "exhaustive_is_fibred",
     "networkx_maximal_cliques",
+    "order_regions",
+    "owner_maps",
 ]
+
+
+def owner_maps(t: ThetaGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """Maps from each edge id to the id of the region holding it in its
+    positive and in its negative boundary."""
+    plus = {e: r.id for r in t.regions for e in r.boundary_plus}
+    minus = {e: r.id for r in t.regions for e in r.boundary_minus}
+    return plus, minus
+
+
+def order_regions(a: list[Region], u: Vertex, t: ThetaGraph) -> list[Region]:
+    """Order ``a`` so the regions can be added starting from ``u``.
+
+    Greedy by lowest region id; for genuinely adjacent vertices this never
+    sticks, so sticking signals corrupted input.
+    """
+    remaining = sorted(a, key=lambda r: r.id)
+    out: list[Region] = []
+    current = u
+    while remaining:
+        for r in remaining:
+            nxt = region_add(current, r, t)
+            if nxt is not None:
+                remaining.remove(r)
+                out.append(r)
+                current = nxt
+                break
+        else:
+            raise RuntimeError("stuck: region set admits no addition order")
+    return out
+
+
+def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[Region] | None:
+    """The set of regions carrying ``u`` to ``v``, or None when not adjacent.
+
+    Each theta edge is in the positive boundary of exactly one region and
+    the negative boundary of another; a weight difference constrains
+    whether those owners are in the set, and equal weights force the owners
+    into or out of it together.  Propagation either fails (not adjacent) or
+    determines the set and its complement; the returned set is the one
+    whose deltas sum to ``v - u``.
+    """
+    if len(u) != t.n_edges or len(v) != t.n_edges:
+        raise ValueError("vertices do not match the theta graph")
+    if u == v:
+        return None
+    d = [b - a for a, b in zip(u, v)]
+    if any(abs(x) > 1 for x in d):
+        return None
+
+    regions = t.regions
+    plus_owner, minus_owner = owner_maps(t)
+    value: dict[int, bool] = {}
+    same: dict[int, list[int]] = {r.id: [] for r in regions}
+    pending: list[tuple[int, bool]] = []
+    for eid in t.global_edge_order:
+        de = d[t.edge_position[eid]]
+        rp, rm = plus_owner[eid], minus_owner[eid]
+        if de == 1:
+            pending.append((rp, True))
+            pending.append((rm, False))
+        elif de == -1:
+            pending.append((rp, False))
+            pending.append((rm, True))
+        else:
+            same[rp].append(rm)
+            same[rm].append(rp)
+    while pending:
+        rid, val = pending.pop()
+        if rid in value:
+            if value[rid] != val:
+                return None
+            continue
+        value[rid] = val
+        for other in same[rid]:
+            pending.append((other, val))
+    if len(value) != len(regions):
+        # the constraint graph on regions is connected, so this cannot
+        # happen for distinct vertices; guard rather than guess
+        raise RuntimeError("underdetermined region set")
+    a = [r for r in regions if value[r.id]]
+    if not a or len(a) == len(regions):
+        return None
+    order_regions(a, u, t)  # adjacency requires a valid addition order
+    return a
+
+
+def all_pairs_neighbours(t: ThetaGraph) -> dict[Vertex, dict[Vertex, list[Region]]]:
+    """For every vertex, its neighbours and the regions reaching each, from
+    ``adjacency`` on every ordered pair of vertices."""
+    vertices = enumerate_vertices(t)
+    out: dict[Vertex, dict[Vertex, list[Region]]] = {u: {} for u in vertices}
+    for u in vertices:
+        for v in vertices:
+            a = adjacency(u, v, t)
+            if a is not None:
+                out[u][v] = a
+    return out
+
+
+def bfs_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
+    """The first pair of arcs, in label order, whose removal disconnects the
+    crossings, found by a depth-first search for each pair."""
+    g = d.map
+    labels = sorted(g.edges)
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            # connectivity of the map minus edges a, b
+            seen = {d.crossings[0].id}
+            stack = [d.crossings[0].id]
+            while stack:
+                v = stack.pop()
+                for eid, _end in g.rotation[v]:
+                    if eid in (a, b):
+                        continue
+                    w = g.edges[eid].other(v)
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) < d.n:
+                return (a, b)
+    return None
 
 
 def networkx_maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:

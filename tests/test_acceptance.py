@@ -32,6 +32,7 @@ from kakimizu.kcomplex import (
     cyclic_order_simplices,
     distance,
     enumerate_vertices,
+    neighbours,
     region_add,
 )
 from kakimizu.structure import (
@@ -41,7 +42,7 @@ from kakimizu.structure import (
     theta_to_esd_map,
     verify_iso,
 )
-from kakimizu.surfaces import neighbors_via_flypes, realize_vertex
+from kakimizu.surfaces import realize_vertex
 from kakimizu.theta import (
     SPHERE,
     Placement,
@@ -235,7 +236,7 @@ def test_criterion_5_euler_identity():
         s = seifert(d).s
         n = len(d.crossings)
         u0 = base_vertex(t)
-        ball = [u0, *neighbors_via_flypes(d, t, u0)]
+        ball = [u0, *neighbours(t, u0)]
         for v in ball:
             for convention in ("positive", "negative"):
                 real = realize_vertex(d, t, v, convention=convention)

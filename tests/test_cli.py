@@ -117,6 +117,18 @@ def test_analyze_metric_out_of_range(capsys):
     assert "out of range" in doc["error"]
 
 
+def test_analyze_metric_checked_before_homology(capsys, monkeypatch):
+    argv = ["analyze", fx("dalpha.theta.json"), "--homology", "--ball", "--metric", "0", "99"]
+    expected = run(capsys, *argv)
+    assert expected[0] == EXIT_INVALID and "out of range" in expected[1]["error"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology ran before the range check")
+
+    monkeypatch.setattr("kakimizu.structure.homology", refuse)
+    assert run(capsys, *argv) == expected
+
+
 # -- structure subcommands --------------------------------------------------
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu.diagram import (
+    _two_edge_cut,
+    _white_smooth,
     black_region_graph,
     is_fibred,
     parse_diagram,
@@ -23,6 +25,9 @@ from kakimizu.families import (
     pendant_book,
 )
 from kakimizu.medial import medial
+
+from conftest import FIXTURES
+from oracles import bfs_two_edge_cut
 
 HOPF = '{"crossings":[{"id":0,"pd":[1,3,2,4]},{"id":1,"pd":[3,1,4,2]}]}'
 
@@ -94,6 +99,28 @@ def test_validate_kink_not_reduced():
     r = validate(medial(pendant_book()))
     assert not r.reduced
     assert any("not reduced" in m for m in r.messages)
+
+
+def test_two_edge_cut_matches_bfs_oracle():
+    diagrams = [
+        parse_diagram(p.read_text())
+        for p in sorted(FIXTURES.glob("*.json"))
+        if not p.name.endswith(".theta.json")
+    ]
+    graphs = [book(k) for k in range(2, 12)]
+    graphs += [granny_graph(), pendant_book(), cube_graph(), dalpha_graph()]
+    diagrams += [medial(g) for g in graphs]
+    cases = list(diagrams)
+    for d in diagrams:
+        for c in d.crossings:
+            smoothed, _ = _white_smooth(d, c.id)
+            if smoothed is not None:
+                cases.append(smoothed)
+    cases = [d for d in cases if d.map.component_count() == 1]
+    cuts = [_two_edge_cut(d) for d in cases]
+    assert cuts == [bfs_two_edge_cut(d) for d in cases]
+    assert sum(cut is not None for cut in cuts) >= 10
+    assert sum(cut is None for cut in cuts) >= 10
 
 
 # One strand passing over the other twice: a valid oriented 2-crossing

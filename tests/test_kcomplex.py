@@ -1,4 +1,4 @@
-"""Vertex enumeration, region moves, adjacency, cliques, and orders."""
+"""Vertex enumeration, region moves, neighbours, cliques, and orders."""
 
 import itertools
 import random
@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu.families import dalpha_graph
+from kakimizu.generate import random_theta
 from kakimizu.kcomplex import (
     SimplicialComplex,
     _maximal_cliques,
-    adjacency,
     base_vertex,
     build_complex,
     distance,
     enumerate_vertices,
-    order_regions,
+    neighbours,
     order_vertices,
     region_add,
 )
@@ -33,7 +33,12 @@ from kakimizu.theta import (
     reduce_bigons,
 )
 
-from oracles import networkx_maximal_cliques
+from oracles import (
+    adjacency,
+    all_pairs_neighbours,
+    networkx_maximal_cliques,
+    order_regions,
+)
 
 BASE = (1, 0, 2, 0, 1)
 
@@ -144,19 +149,22 @@ def test_region_add_preserves_component_sums(dalpha):
             assert out in vs
 
 
-# -- adjacency -------------------------------------------------------------
+# -- neighbours ------------------------------------------------------------
 
 
 def test_adjacency_two_step(dalpha):
     t, regions = dalpha
     a = adjacency(BASE, (0, 1, 3, 0, 0), t)
     assert {r.delta(t) for r in a} == {R_A, R_B}
+    assert neighbours(t, BASE)[(0, 1, 3, 0, 0)] == a
 
 
 def test_adjacency_rejects_far_and_equal(dalpha):
     t, regions = dalpha
     assert adjacency((1, 0, 3, 0, 0), (1, 0, 0, 3, 0), t) is None
     assert adjacency(BASE, BASE, t) is None
+    assert (1, 0, 0, 3, 0) not in neighbours(t, (1, 0, 3, 0, 0))
+    assert BASE not in neighbours(t, BASE)
 
 
 def test_adjacency_complement_symmetry(dalpha):
@@ -176,6 +184,26 @@ def test_adjacency_complement_symmetry(dalpha):
             assert ids_a & ids_b == set()
             assert ids_a | ids_b == {r.id for r in regions}
     assert found > 0
+
+
+def test_neighbours_reject_foreign_vertex(dalpha):
+    t, _ = dalpha
+    with pytest.raises(ValueError):
+        neighbours(t, (1, 0, 2, 0))
+
+
+def region_ids(nbrs):
+    return {v: sorted(r.id for r in a) for v, a in nbrs.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_neighbours_match_all_pairs_oracle(seed):
+    t = random_theta(random.Random(seed), max_vertices=60, max_cells=60)
+    for u, expected in all_pairs_neighbours(t).items():
+        got = neighbours(t, u)
+        assert set(got) == set(expected)
+        assert region_ids(got) == region_ids(expected)
 
 
 def test_order_regions_greedy_follows_third_cycle(dalpha):
@@ -437,6 +465,26 @@ def test_order_axioms(dalpha, dalpha_complex, region_idx):
             for a in range(len(chain))
             for b in range(a + 1, len(chain))
         )
+
+
+def oracle_order(c, r):
+    """The region-broken order from ``adjacency`` on every skeleton edge."""
+    order = set()
+    for i, j in c.skeleton_edges():
+        a = adjacency(c.vertices[i], c.vertices[j], c.theta)
+        order.add((j, i) if any(reg.id == r.id for reg in a) else (i, j))
+    return order
+
+
+def test_order_vertices_matches_oracle(dalpha_complex):
+    c = dalpha_complex
+    for r in c.theta.regions:
+        assert order_vertices(c, r) == oracle_order(c, r)
+    rng = random.Random(11)
+    for _ in range(15):
+        c = build_complex(random_theta(rng, max_vertices=60, max_cells=60))
+        for r in c.theta.regions:
+            assert order_vertices(c, r) == oracle_order(c, r)
 
 
 def test_to_json_shape(dalpha_complex):

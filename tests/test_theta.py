@@ -21,6 +21,8 @@ from kakimizu.theta import (
     reduce_bigons,
 )
 
+from oracles import owner_maps
+
 # The five-edge golden example: a two-component theta with weights
 # (1, 0, 2, 0, 1) and these four region delta vectors.
 GOLDEN_WEIGHTS = (1, 0, 2, 0, 1)
@@ -267,10 +269,18 @@ def test_graph_owns_its_regions(maker):
     assert [r.delta(t) for r in t.regions] == [
         r.delta(t) for r in compute_regions(t)
     ]
+
+
+@pytest.mark.parametrize(
+    "maker", [two_edge_theta, nested_theta, dalpha_theta]
+)
+def test_owner_maps(maker):
+    t = maker()
+    plus_owner, minus_owner = owner_maps(t)
     for r in t.regions:
-        assert all(t.plus_owner[eid] == r.id for eid in r.boundary_plus)
-        assert all(t.minus_owner[eid] == r.id for eid in r.boundary_minus)
-    assert set(t.plus_owner) == set(t.minus_owner) == set(t.global_edge_order)
+        assert all(plus_owner[eid] == r.id for eid in r.boundary_plus)
+        assert all(minus_owner[eid] == r.id for eid in r.boundary_minus)
+    assert set(plus_owner) == set(minus_owner) == set(t.global_edge_order)
 
 
 def embedded_deltas(f, t):
