@@ -1,15 +1,16 @@
-"""Reduced integer homology of small simplicial complexes.
+"""Reduced integer homology of simplicial complexes.
 
 Boundary matrices are mostly eliminated with unit pivots in a sparse
-representation, which handles the few-thousand-simplex complexes arising
-here quickly; whatever core survives without a unit entry goes through a
-dense Smith normal form with exact integer arithmetic, so torsion is
-reported exactly.  The chain complex is augmented, so all betti numbers
-below are reduced: a cone has none.
+representation, taken from a priority queue in Markowitz order; whatever
+core survives without a unit entry goes through a dense Smith normal form
+with exact integer arithmetic, so torsion is reported exactly.  The chain
+complex is augmented, so all betti numbers below are reduced: a cone has
+none.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .kcomplex import SimplicialComplex
@@ -105,36 +106,47 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
 def _eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
     """Rank and nontrivial elementary divisors of a sparse integer matrix.
 
-    Unit entries pivot first (choosing a sparse row, then its least-used
-    column, keeps fill low); rows and columns they clear contribute
-    divisor 1.  The unit-free residue is small and goes through
-    ``smith_diagonal``.
+    Unit entries pivot first, in Markowitz order: the row with fewest
+    entries, then its unit entry whose column has fewest entries, keeps
+    fill low.  Rows and columns a unit pivot clears contribute divisor 1.
+    Candidates wait in a priority queue keyed ``(len(row), len(column))``
+    and are re-keyed lazily: a popped key that no longer matches its live
+    row and column goes back with the current key.  An elimination
+    changes only the rows in the pivot column, so only those are queued
+    again; no other row can gain a unit, and any that has one still has
+    an entry, perhaps stale, in the queue.
+    The unit-free residue is small and goes through ``smith_diagonal``.
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    rank = 0
-    while True:
+
+    def key(i: int) -> tuple[int, int, int, int] | None:
+        row = rows.get(i)
+        if row is None:
+            return None
         best = None
-        for i, row in rows.items():
-            units = [j for j, v in row.items() if v in (1, -1)]
-            if not units:
-                continue
-            j = min(units, key=lambda j: len(cols[j]))
-            key = (len(row), len(cols[j]))
-            if best is None or key < best[0]:
-                best = (key, i, j)
-                if key == (1, 1):
-                    break
-        if best is None:
-            break
-        _, pi, pj = best
+        for j, v in row.items():
+            if v in (1, -1) and (best is None or len(cols[j]) < len(cols[best])):
+                best = j
+        return None if best is None else (len(row), len(cols[best]), i, best)
+
+    queue = [k for k in map(key, rows) if k is not None]
+    heapq.heapify(queue)
+    rank = 0
+    while queue:
+        popped = heapq.heappop(queue)
+        live = key(popped[2])
+        if live != popped:
+            if live is not None:
+                heapq.heappush(queue, live)
+            continue
+        _, _, pi, pj = popped
         prow = rows.pop(pi)
         sign = prow[pj]
-        for i in list(cols[pj]):
-            if i == pi:
-                continue
+        changed = [i for i in cols[pj] if i != pi]
+        for i in changed:
             row = rows[i]
             factor = row[pj] * sign
             for j, v in prow.items():
@@ -150,6 +162,10 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
         for j in prow:
             cols[j].discard(pi)
         rank += 1
+        for i in changed:
+            k = key(i)
+            if k is not None:
+                heapq.heappush(queue, k)
     divisors: list[int] = []
     if rows:
         live_rows = sorted(rows)
@@ -167,7 +183,11 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
 
 def _faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
     faces = c.all_simplices()
-    top = max(len(f) for f in faces)
+    top = max((len(f) for f in faces), default=0)
+    if not top:
+        # reduced H_{-1} of the empty complex is Z, and a report indexed
+        # from dimension 0 has no place for it
+        raise ValueError("homology of the empty complex is not reported")
     return [sorted(f for f in faces if len(f) == k) for k in range(1, top + 1)]
 
 

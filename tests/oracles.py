@@ -16,7 +16,11 @@ answer:
 - the cyclic-order simplex enumeration (a second route to the maximal
   simplices, independent of clique search) lives in ``kakimizu.kcomplex``
   and is re-exported here for the tests that compare it against
-  ``build_complex``.
+  ``build_complex``;
+- ``rescan_eliminate`` is the unit-pivot eliminator that rescans every
+  row for the best Markowitz pivot at each step, where
+  ``homology._eliminate`` keeps its candidates in a lazily re-keyed
+  priority queue.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import networkx as nx
 
 from kakimizu.diagram import Diagram
+from kakimizu.homology import smith_diagonal
 from kakimizu.kcomplex import Vertex, enumerate_vertices, region_add
 from kakimizu.kcomplex import cyclic_order_simplices as cyclic_order_maximal_simplices
 from kakimizu.planar import EmbeddedGraph
@@ -38,6 +43,7 @@ __all__ = [
     "networkx_maximal_cliques",
     "order_regions",
     "owner_maps",
+    "rescan_eliminate",
 ]
 
 
@@ -220,3 +226,66 @@ def exhaustive_is_fibred(g: EmbeddedGraph) -> bool:
         return result
 
     return solve(edges, vertices)
+
+
+def rescan_eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
+    """Rank and nontrivial elementary divisors of a sparse integer matrix.
+
+    Unit entries pivot first (choosing a sparse row, then its least-used
+    column, keeps fill low); rows and columns they clear contribute
+    divisor 1.  The unit-free residue is small and goes through
+    ``smith_diagonal``.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    rank = 0
+    while True:
+        best = None
+        for i, row in rows.items():
+            units = [j for j, v in row.items() if v in (1, -1)]
+            if not units:
+                continue
+            j = min(units, key=lambda j: len(cols[j]))
+            key = (len(row), len(cols[j]))
+            if best is None or key < best[0]:
+                best = (key, i, j)
+                if key == (1, 1):
+                    break
+        if best is None:
+            break
+        _, pi, pj = best
+        prow = rows.pop(pi)
+        sign = prow[pj]
+        for i in list(cols[pj]):
+            if i == pi:
+                continue
+            row = rows[i]
+            factor = row[pj] * sign
+            for j, v in prow.items():
+                new = row.get(j, 0) - factor * v
+                if new:
+                    row[j] = new
+                    cols.setdefault(j, set()).add(i)
+                else:
+                    row.pop(j, None)
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            cols[j].discard(pi)
+        rank += 1
+    divisors: list[int] = []
+    if rows:
+        live_rows = sorted(rows)
+        live_cols = sorted({j for row in rows.values() for j in row})
+        cindex = {j: k for k, j in enumerate(live_cols)}
+        dense = [[0] * len(live_cols) for _ in live_rows]
+        for a, i in enumerate(live_rows):
+            for j, v in rows[i].items():
+                dense[a][cindex[j]] = v
+        diag = smith_diagonal(dense)
+        rank += len(diag)
+        divisors = [d for d in diag if d > 1]
+    return rank, divisors

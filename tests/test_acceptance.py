@@ -26,6 +26,7 @@ from kakimizu.diagram import (
     white_region_graph,
 )
 from kakimizu.generate import random_theta_family
+from kakimizu.homology import homology
 from kakimizu.kcomplex import (
     base_vertex,
     build_complex,
@@ -209,6 +210,32 @@ def test_criterion_3_product_decomposition():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     verdict("3 (product decomposition)", elapsed, 60.0)
+
+
+def test_criterion_3_ball_homology_at_scale():
+    """Two 3-edge components of weight 4, both on the sphere: the product
+    of two esd(2, 4) has 15 * 15 vertices and 16 * 16 * C(4, 2) top
+    simplices, and its homology is that of a point."""
+    start = time.perf_counter()
+    t = ThetaGraph(
+        [
+            ThetaComponent(
+                cid,
+                [ThetaEdge(3 * cid + i, w) for i, w in enumerate((2, 1, 1))],
+                Placement(SPHERE, 0, 0),
+            )
+            for cid in range(2)
+        ]
+    )
+    c = build_complex(t)
+    assert len(c.vertices) == 225
+    assert len(c.maximal_simplices) == 1536
+    rep = homology(c)
+    assert rep.is_trivial()
+    assert rep.euler == 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    verdict("3 (ball homology at scale)", elapsed, 5.0)
 
 
 # -- criterion 4: flag property ---------------------------------------------

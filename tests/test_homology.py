@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from oracles import rescan_eliminate
 from kakimizu import homology as homology_module
+from kakimizu.generate import random_theta_family
 from kakimizu.homology import HomologyReport, homology, smith_diagonal
 from kakimizu.homology import _eliminate
-from kakimizu.kcomplex import SimplicialComplex
+from kakimizu.kcomplex import SimplicialComplex, build_complex
 
 
 def complex_on(n_vertices, maximal):
@@ -61,6 +65,28 @@ def test_smith_divisibility_chain():
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
 
+def sparse_of(mat):
+    return {
+        i: {j: v for j, v in enumerate(row) if v}
+        for i, row in enumerate(mat)
+        if any(row)
+    }
+
+
+def rank_and_divisors(mat):
+    diag = smith_diagonal(mat)
+    return len(diag), sorted(d for d in diag if d > 1)
+
+
+def assert_eliminators_agree(mat):
+    """The queue eliminator, the rescanning oracle and the dense Smith form
+    give the same rank and the same non-unit divisors."""
+    expected = rank_and_divisors(mat)
+    for eliminate in (_eliminate, rescan_eliminate):
+        rank, divisors = eliminate(sparse_of(mat))
+        assert (rank, sorted(divisors)) == expected
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_sparse_elimination_matches_dense(seed):
     rng = random.Random(1000 + seed)
@@ -70,15 +96,71 @@ def test_sparse_elimination_matches_dense(seed):
         [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
         for _ in range(rows)
     ]
-    sparse = {
-        i: {j: v for j, v in enumerate(row) if v}
-        for i, row in enumerate(mat)
-        if any(row)
-    }
-    rank, divisors = _eliminate(sparse)
-    diag = smith_diagonal(mat)
-    assert rank == len(diag)
-    assert sorted(divisors) == sorted(d for d in diag if d > 1)
+    assert_eliminators_agree(mat)
+
+
+def test_queue_elimination_reaches_the_residue(monkeypatch):
+    """Pivoting on the only unit entry hands the second row a unit, which
+    must be pivoted in turn; a Z/3 + Z/3 core is left for the Smith form."""
+    mat = [
+        [1, 1, 0, 0],
+        [2, 3, 0, 0],
+        [0, 0, 3, 0],
+        [0, 2, 0, 3],
+    ]
+    residues = []
+
+    def recording(rows):
+        residues.append(rows)
+        return smith_diagonal(rows)
+
+    monkeypatch.setattr(homology_module, "smith_diagonal", recording)
+    assert _eliminate(sparse_of(mat)) == (4, [3, 3])
+    assert residues == [[[3, 0], [0, 3]]]
+    assert rank_and_divisors(mat) == (4, [3, 3])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices of three kinds: sparse with units, unit-free
+    (all the work falls to the Smith form), and a diagonal with torsion
+    hidden by random unimodular row and column operations."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["sparse", "unit-free", "torsion"]))
+    if kind != "torsion":
+        values = [0, 0, 0, 1, -1, 2, -3] if kind == "sparse" else [0, 0, 2, -2, 3, 6]
+        return [[draw(st.sampled_from(values)) for _ in range(n)] for _ in range(m)]
+    mat = [[0] * n for _ in range(m)]
+    for k in range(min(m, n)):
+        mat[k][k] = draw(st.sampled_from([0, 1, 1, 2, 3, 4, 6]))
+    for _ in range(draw(st.integers(0, 10))):
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        if draw(st.booleans()) and m > 1:
+            a, b = draw(st.permutations(range(m)))[:2]
+            mat[a] = [x + c * y for x, y in zip(mat[a], mat[b])]
+        elif n > 1:
+            a, b = draw(st.permutations(range(n)))[:2]
+            for row in mat:
+                row[a] += c * row[b]
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_eliminators_agree_on_random_matrices(mat):
+    assert_eliminators_agree(mat)
+
+
+def test_eliminators_agree_on_theta_boundaries():
+    for t in random_theta_family(77, 20, max_vertices=30, max_cells=30):
+        by_dim = homology_module._faces_by_dim(build_complex(t))
+        for lower, upper in zip(by_dim, by_dim[1:]):
+            rows = homology_module._boundary(lower, upper)
+            assert_eliminators_agree(
+                [[rows.get(i, {}).get(j, 0) for j in range(len(upper))]
+                 for i in range(len(lower))]
+            )
 
 
 # -- homology of known complexes -------------------------------------------
@@ -148,6 +230,13 @@ def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
     monkeypatch.setattr(homology_module, "_boundary", unsigned)
     with pytest.raises(AssertionError):
         homology(path)
+
+
+def test_empty_complex_is_refused():
+    # reduced homology of the empty complex is Z in degree -1, which a
+    # report indexed from dimension 0 cannot hold
+    with pytest.raises(ValueError, match="empty complex"):
+        homology(SimplicialComplex(vertices=[], maximal_simplices=[]))
 
 
 def test_report_json_fields():
