@@ -76,14 +76,6 @@ class SimplicialComplex:
             out.update(itertools.combinations(s, 2))
         return out
 
-    def all_simplices(self) -> set[tuple[int, ...]]:
-        """Every face of every maximal simplex, including the empty one."""
-        out: set[tuple[int, ...]] = set()
-        for s in self.maximal_simplices:
-            for size in range(len(s) + 1):
-                out.update(itertools.combinations(s, size))
-        return out
-
     def to_json(self) -> dict:
         return {
             "edge_order": list(self.theta.global_edge_order) if self.theta else [],
@@ -117,7 +109,8 @@ def enumerate_vertices(t: ThetaGraph) -> list[Vertex]:
         tuple(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*per_comp)
     )
-    assert len(vertices) == predicted_vertex_count(t)
+    if len(vertices) != predicted_vertex_count(t):
+        raise AssertionError("vertex count differs from the closed form")
     return vertices
 
 

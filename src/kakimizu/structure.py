@@ -75,12 +75,14 @@ def esd(n: int, m: int) -> SimplicialComplex:
     if m < 1:
         raise ValueError("m must be positive")
     vertices = sorted(itertools.combinations_with_replacement(range(n + 1), m))
-    assert len(vertices) == comb(n + m, n)
+    if len(vertices) != comb(n + m, n):
+        raise AssertionError("vertex count differs from C(n+m, n)")
     index = {v: i for i, v in enumerate(vertices)}
     maximal = {
         tuple(sorted(index[c] for c in cols)) for cols in colour_schemes(n, m, n)
     }
-    assert len(maximal) == m**n
+    if len(maximal) != m**n:
+        raise AssertionError("top simplex count differs from m^n")
     return SimplicialComplex(
         vertices=list(vertices),
         maximal_simplices=sorted(list(s) for s in maximal),
@@ -205,7 +207,8 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
         (u1, v1), (u2, v2) = product.vertices[i], product.vertices[j]
         forward = leq(c1, o1, u1, u2) and leq(c2, o2, v1, v2)
         backward = leq(c1, o1, u2, u1) and leq(c2, o2, v2, v1)
-        assert forward != backward, "product pairs must be strictly comparable"
+        if forward == backward:
+            raise AssertionError("product pairs must be strictly comparable")
         order.add((i, j) if forward else (j, i))
     product.order = frozenset(order)
     return product

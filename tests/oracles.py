@@ -20,16 +20,23 @@ answer:
 - ``rescan_eliminate`` is the unit-pivot eliminator that rescans every
   row for the best Markowitz pivot at each step, where
   ``homology._eliminate`` keeps its candidates in a lazily re-keyed
-  priority queue.
+  priority queue;
+- ``matrix_homology`` builds every boundary matrix of the augmented chain
+  complex from the set of all faces, checks that consecutive boundaries
+  compose to zero by multiplying them out, and eliminates each matrix on
+  its own, where ``homology.homology`` first pairs cells off by
+  coreduction and eliminates only the residue.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import networkx as nx
 
 from kakimizu.diagram import Diagram
-from kakimizu.homology import smith_diagonal
-from kakimizu.kcomplex import Vertex, enumerate_vertices, region_add
+from kakimizu.homology import HomologyReport, _eliminate, smith_diagonal
+from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices, region_add
 from kakimizu.kcomplex import cyclic_order_simplices as cyclic_order_maximal_simplices
 from kakimizu.planar import EmbeddedGraph
 from kakimizu.theta import Region, ThetaGraph
@@ -37,9 +44,14 @@ from kakimizu.theta import Region, ThetaGraph
 __all__ = [
     "adjacency",
     "all_pairs_neighbours",
+    "all_simplices",
+    "boundary",
     "bfs_two_edge_cut",
     "cyclic_order_maximal_simplices",
+    "compose",
     "exhaustive_is_fibred",
+    "faces_by_dim",
+    "matrix_homology",
     "networkx_maximal_cliques",
     "order_regions",
     "owner_maps",
@@ -289,3 +301,82 @@ def rescan_eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
         rank += len(diag)
         divisors = [d for d in diag if d > 1]
     return rank, divisors
+
+
+def all_simplices(c: SimplicialComplex) -> set[tuple[int, ...]]:
+    """Every face of every maximal simplex, including the empty one."""
+    out: set[tuple[int, ...]] = set()
+    for s in c.maximal_simplices:
+        for size in range(len(s) + 1):
+            out.update(itertools.combinations(s, size))
+    return out
+
+
+def faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
+    """The non-empty faces of ``c``, one sorted list per dimension."""
+    faces = all_simplices(c)
+    top = max((len(f) for f in faces), default=0)
+    if not top:
+        raise ValueError("homology of the empty complex is not reported")
+    return [sorted(f for f in faces if len(f) == k) for k in range(1, top + 1)]
+
+
+def boundary(
+    lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]
+) -> dict[int, dict[int, int]]:
+    """Signed incidence of ``upper`` faces over ``lower``, as sparse rows."""
+    index = {f: i for i, f in enumerate(lower)}
+    rows: dict[int, dict[int, int]] = {}
+    for j, f in enumerate(upper):
+        for omit in range(len(f)):
+            sub = f[:omit] + f[omit + 1 :]
+            i = index[sub]
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, 0) + (-1) ** omit
+            if not row[j]:
+                del row[j]
+    return rows
+
+
+def compose(
+    a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]
+) -> dict[int, dict[int, int]]:
+    """The product of two sparse matrices, without zero entries."""
+    out: dict[int, dict[int, int]] = {}
+    for i, row in a.items():
+        acc: dict[int, int] = {}
+        for k, v in row.items():
+            for j, w in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + v * w
+        acc = {j: x for j, x in acc.items() if x}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def matrix_homology(c: SimplicialComplex) -> HomologyReport:
+    """Reduced homology with every boundary matrix eliminated on its own."""
+    by_dim = faces_by_dim(c)
+    f_counts = [len(fs) for fs in by_dim]
+    euler = sum((-1) ** k * f_counts[k] for k in range(len(f_counts)))
+
+    # boundaries[k] maps k-chains to (k-1)-chains; dimension -1 is the
+    # augmentation by the empty simplex
+    boundaries: list[dict[int, dict[int, int]]] = [
+        {0: {j: 1 for j in range(f_counts[0])}}
+    ]
+    for k in range(1, len(by_dim)):
+        boundaries.append(boundary(by_dim[k - 1], by_dim[k]))
+    for k in range(1, len(boundaries)):
+        if compose(boundaries[k - 1], boundaries[k]):
+            raise AssertionError("the boundary of a boundary is not zero")
+
+    results = [_eliminate({i: dict(r) for i, r in b.items()}) for b in boundaries]
+    betti = []
+    torsion = []
+    for k in range(len(by_dim)):
+        out_rank = results[k][0]
+        in_rank, in_div = results[k + 1] if k + 1 < len(boundaries) else (0, [])
+        betti.append(f_counts[k] - out_rank - in_rank)
+        torsion.append(list(in_div))
+    return HomologyReport(betti=betti, torsion=torsion, euler=euler)

@@ -1,19 +1,27 @@
 """Integer homology: Smith form against sympy, and known complexes."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import rescan_eliminate
+from oracles import boundary, faces_by_dim, matrix_homology, rescan_eliminate
+from test_acceptance import family50
 from kakimizu import homology as homology_module
-from kakimizu.generate import random_theta_family
+from kakimizu.generate import random_theta, random_theta_family
 from kakimizu.homology import HomologyReport, homology, smith_diagonal
-from kakimizu.homology import _eliminate
+from kakimizu.homology import _coreduce, _eliminate, _faces_by_dim, _lattice
 from kakimizu.kcomplex import SimplicialComplex, build_complex
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def complex_on(n_vertices, maximal):
@@ -154,9 +162,9 @@ def test_eliminators_agree_on_random_matrices(mat):
 
 def test_eliminators_agree_on_theta_boundaries():
     for t in random_theta_family(77, 20, max_vertices=30, max_cells=30):
-        by_dim = homology_module._faces_by_dim(build_complex(t))
+        by_dim = faces_by_dim(build_complex(t))
         for lower, upper in zip(by_dim, by_dim[1:]):
-            rows = homology_module._boundary(lower, upper)
+            rows = boundary(lower, upper)
             assert_eliminators_agree(
                 [[rows.get(i, {}).get(j, 0) for j in range(len(upper))]
                  for i in range(len(lower))]
@@ -194,42 +202,168 @@ def test_hollow_tetrahedron_is_a_sphere():
     assert rep.euler == 2
 
 
+# minimal 6-vertex triangulation of the projective plane
+PROJECTIVE_PLANE = [
+    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 5], [0, 3, 4],
+    [1, 2, 3], [1, 2, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5],
+]
+# an 8-vertex dunce hat: contractible, but no edge is free
+DUNCE_HAT = [
+    [0, 1, 3], [0, 1, 6], [0, 1, 7], [0, 2, 3], [0, 2, 4], [0, 2, 5],
+    [0, 4, 5], [0, 6, 7], [1, 2, 4], [1, 2, 6], [1, 2, 7], [1, 3, 4],
+    [2, 3, 7], [2, 5, 6], [3, 4, 5], [3, 5, 7], [5, 6, 7],
+]
+
+
+def edge_use(faces):
+    use = {}
+    for f in faces:
+        for e in itertools.combinations(f, 2):
+            use[e] = use.get(e, 0) + 1
+    return use
+
+
 def test_projective_plane_torsion():
-    # minimal 6-vertex triangulation of the projective plane
-    faces = [
-        [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 5], [0, 3, 4],
-        [1, 2, 3], [1, 2, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5],
-    ]
     # sanity: a closed surface (every edge in exactly two triangles) with
     # euler characteristic 1 is the projective plane
-    edge_use = {}
-    for f in faces:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                edge_use[(f[i], f[j])] = edge_use.get((f[i], f[j]), 0) + 1
-    assert len(edge_use) == 15 and set(edge_use.values()) == {2}
-    rep = homology(complex_on(6, faces))
+    use = edge_use(PROJECTIVE_PLANE)
+    assert len(use) == 15 and set(use.values()) == {2}
+    rep = homology(complex_on(6, PROJECTIVE_PLANE))
     assert rep.euler == 1
     assert rep.betti == [0, 0, 0]
     assert rep.torsion[1] == [2]
     assert not rep.is_trivial()
 
 
+def test_dunce_hat_is_acyclic():
+    # no edge lies in a single triangle, so no triangle collapses
+    assert 1 not in edge_use(DUNCE_HAT).values()
+    rep = homology(complex_on(8, DUNCE_HAT))
+    assert rep.is_trivial()
+    assert rep.euler == 1
+
+
+# -- coreduction against the per-matrix oracle -------------------------------
+
+
+def residue_cells(c):
+    """How many cells coreduction leaves for the eliminator."""
+    dims, facets, _ = _lattice(_faces_by_dim(c))
+    return sum(_coreduce(dims[0].start, facets))
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes on up to 8 vertices, from up to 10 random simplices of up
+    to 5 vertices each; some listed simplices may lie in others."""
+    n = draw(st.integers(1, 8))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)
+    return complex_on(n, draw(st.lists(simplex, min_size=1, max_size=10)))
+
+
+@st.composite
+def theta_balls(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return build_complex(random_theta(rng, max_vertices=100, max_cells=100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_complexes(), theta_balls()))
+@example(complex_on(6, PROJECTIVE_PLANE))
+@example(complex_on(8, DUNCE_HAT))
+def test_coreduction_matches_matrix_homology(c):
+    assert homology(c) == matrix_homology(c)
+
+
+def test_coreduction_pairs_off_every_theta_ball():
+    for t in family50():
+        assert residue_cells(build_complex(t)) == 0
+
+
+@pytest.mark.parametrize(
+    "n, faces, left, smith",
+    [(6, PROJECTIVE_PLANE, 10, True), (8, DUNCE_HAT, 18, False)],
+    ids=["rp2", "dunce-hat"],
+)
+def test_coreduction_residue_is_eliminated(monkeypatch, n, faces, left, smith):
+    """Coreduction stalls on the projective plane and on the dunce hat, so
+    their homology comes from the eliminator, and the projective plane's
+    torsion from the Smith form."""
+    c = complex_on(n, faces)
+    assert residue_cells(c) == left
+
+    def record(name):
+        original = getattr(homology_module, name)
+        seen = []
+
+        def recording(rows):
+            if rows:
+                seen.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(homology_module, name, recording)
+        return seen
+
+    eliminated, smith_calls = record("_eliminate"), record("smith_diagonal")
+    report = homology(c)
+    assert eliminated
+    assert bool(smith_calls) == smith
+    assert report == matrix_homology(c)
+
+
 def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
     """A 500-edge path is a contractible complex; with the signs dropped
-    from its boundary matrices, the check that the boundary of a boundary
-    vanishes must fire, however many faces there are."""
+    from its facets, the check that the boundary of a boundary vanishes
+    must fire, however many faces there are."""
     path = complex_on(501, [[i, i + 1] for i in range(500)])
     assert homology(path).is_trivial()
-    signed = homology_module._boundary
+    signed = homology_module._facet_signs
 
-    def unsigned(lower, upper):
-        rows = signed(lower, upper)
-        return {i: {j: abs(v) for j, v in row.items()} for i, row in rows.items()}
+    def unsigned(size):
+        return [abs(s) for s in signed(size)]
 
-    monkeypatch.setattr(homology_module, "_boundary", unsigned)
+    monkeypatch.setattr(homology_module, "_facet_signs", unsigned)
     with pytest.raises(AssertionError):
         homology(path)
+
+
+def test_boundary_of_boundary_checks_face_ids(monkeypatch):
+    """An edge of a triangle that names a wrong vertex leaves the signs
+    right, but the triangle's codimension-2 faces no longer cancel."""
+    lattice = homology_module._lattice
+
+    def corrupted(by_dim):
+        dims, facets, signs = lattice(by_dim)
+        first_edge = facets[dims[1].start]
+        first_edge[0] = dims[0].stop - 1  # the last vertex instead of the first
+        return dims, facets, signs
+
+    monkeypatch.setattr(homology_module, "_lattice", corrupted)
+    with pytest.raises(AssertionError, match="dimension 2"):
+        homology(complex_on(3, [[0, 1, 2]]))
+
+
+def test_boundary_of_boundary_checked_under_optimisation():
+    """``python -O`` strips assert statements; the check must still fire."""
+    script = (
+        "from kakimizu import homology as h\n"
+        "from kakimizu.kcomplex import SimplicialComplex\n"
+        "signed = h._facet_signs\n"
+        "h._facet_signs = lambda size: [abs(s) for s in signed(size)]\n"
+        "path = SimplicialComplex(vertices=list(range(501)),\n"
+        "    maximal_simplices=[[i, i + 1] for i in range(500)])\n"
+        "try:\n"
+        "    h.homology(path)\n"
+        "except AssertionError as e:\n"
+        "    print('raised:', e)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: the boundary of a boundary is not zero")
 
 
 def test_empty_complex_is_refused():
