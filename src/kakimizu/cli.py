@@ -145,7 +145,15 @@ def cmd_product(args) -> tuple[int, dict]:
     return EXIT_OK, prod.to_json()
 
 
+def _at_least_one(name: str, value: int) -> None:
+    """A sweep over fewer than one case checks nothing, so refuse it."""
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 def cmd_verify_esd(args) -> tuple[int, dict]:
+    _at_least_one("max-n", args.max_n)
+    _at_least_one("max-m", args.max_m)
     checked = []
     all_ok = True
     for n in range(1, args.max_n + 1):
@@ -194,6 +202,7 @@ def cmd_surface(args) -> tuple[int, dict]:
 
 def cmd_selftest(args) -> tuple[int, dict]:
     seed = _resolve_seed(args.seed)
+    _at_least_one("count", args.count)
     failures = []
     family = random_theta_family(seed, args.count)
     for i, t in enumerate(family):

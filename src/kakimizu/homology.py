@@ -193,7 +193,8 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
 def _faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
     """The non-empty faces of ``c``, one sorted list per dimension, found
     from the top down: the faces of one size are the maximal simplices of
-    that size and the facets of the faces one size up."""
+    that size and the facets of the faces one size up.  Each maximal
+    simplex is sorted first, so a face has one name however it is listed."""
     top = max(map(len, c.maximal_simplices), default=0)
     if not top:
         # reduced H_{-1} of the empty complex is Z, and a report indexed
@@ -203,7 +204,7 @@ def _faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
     upper: list[tuple[int, ...]] = []
     for size in range(top, 0, -1):
         faces = set(chain.from_iterable(map(combinations, upper, repeat(size))))
-        faces.update(tuple(s) for s in c.maximal_simplices if len(s) == size)
+        faces.update(tuple(sorted(s)) for s in c.maximal_simplices if len(s) == size)
         upper = by_dim[size - 1] = sorted(faces)
     return by_dim
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 from .generate import predicted_vertex_count
 from .theta import Region, ThetaGraph
@@ -201,47 +202,41 @@ def cyclic_order_simplices(t: ThetaGraph) -> set[frozenset]:
 
     A set of vertices spans a maximal simplex when some ordering of all
     regions, added one at a time, walks through exactly those vertices and
-    returns to its start.  The start is determined by the current vertex
-    and the regions still unused (their deltas sum to the remaining
-    displacement), so walk completions can be memoized without it.  The
-    flag property says this agrees with ``build_complex``; the test suite
-    compares the two.
+    returns to its start.  Rotating a closed walk only moves its start, so
+    every simplex is reached by a walk whose first move is region 0: a
+    depth-first search from each vertex through the orderings of the other
+    regions, keeping only steps that land on vertices, finds each simplex
+    once.  The flag property says this agrees with ``build_complex``; the
+    test suite compares the two.
     """
     if not t.components:
         return {frozenset({()})}
+    # every component has at least two edges, hence at least two regions
     deltas = [r.delta(t) for r in t.regions]
-    m = len(deltas)
     vset = set(enumerate_vertices(t))
-    memo: dict[tuple[Vertex, int], frozenset] = {}
+    out: set[frozenset] = set()
+    path: list[Vertex] = []
 
-    def step(v: Vertex, d: tuple[int, ...]) -> Vertex:
-        return tuple(a + b for a, b in zip(v, d))
-
-    def completions(v: Vertex, used: int) -> frozenset:
-        key = (v, used)
-        if key in memo:
-            return memo[key]
-        remaining = [i for i in range(m) if not used >> i & 1]
+    def extend(v: Vertex, remaining: list[int]) -> None:
         if len(remaining) == 1:
             # the last region closes the walk back to its start
-            w = step(v, deltas[remaining[0]])
-            out = frozenset({frozenset()}) if w in vset else frozenset()
-        else:
-            acc = set()
-            for r in remaining:
-                w = step(v, deltas[r])
-                if w in vset:
-                    for tail in completions(w, used | 1 << r):
-                        acc.add(tail | {w})
-            out = frozenset(acc)
-        memo[key] = out
-        return out
+            if tuple(map(add, v, deltas[remaining[0]])) in vset:
+                out.add(frozenset(path))
+            return
+        for r in remaining:
+            w = tuple(map(add, v, deltas[r]))
+            if w in vset:
+                path.append(w)
+                extend(w, [s for s in remaining if s != r])
+                path.pop()
 
-    orbits: set[frozenset] = set()
+    rest = list(range(1, len(deltas)))
     for u in vset:
-        for tail in completions(u, 0):
-            orbits.add(tail | {u})
-    return orbits
+        w = tuple(map(add, u, deltas[0]))
+        if w in vset:
+            path[:] = [u, w]
+            extend(w, rest)
+    return out
 
 
 def distance(c: SimplicialComplex, u, v) -> int:

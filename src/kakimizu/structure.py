@@ -53,14 +53,34 @@ def colour_schemes(n: int, m: int, l: int):
     """All m-row matrices of l+1 distinct monotone columns over {0..n}
     whose row-major reading sequence is weakly increasing.
 
-    Yields each matrix as its list of columns.
+    Yields each matrix as its list of columns, in the lexicographic order
+    of the reading sequences.  Each row is weakly increasing, so the
+    columns are componentwise ordered and they are distinct exactly when
+    every neighbouring pair differs in some row.  The sequence grows one
+    entry at a time, tracking the neighbouring pairs still equal; each
+    needs its own strict step inside a later or the current row, so a
+    branch whose last value is x stops once more than n - x pairs remain.
     """
     width = l + 1
-    for seq in itertools.combinations_with_replacement(range(n + 1), m * width):
-        rows = [seq[i * width : (i + 1) * width] for i in range(m)]
-        cols = [tuple(r[j] for r in rows) for j in range(width)]
-        if len(set(cols)) == width:
-            yield cols
+    size = m * width
+    seq: list[int] = []
+
+    def grow(x: int, equal: int):
+        pos = len(seq)
+        if pos == size:
+            if not equal:
+                yield [tuple(seq[j::width]) for j in range(width)]
+            return
+        col = pos % width
+        for y in range(x, n + 1):
+            left = equal & ~(1 << (col - 1)) if col and y > x else equal
+            if left.bit_count() > n - y:
+                break  # a larger y leaves no fewer pairs and less room
+            seq.append(y)
+            yield from grow(y, left)
+            seq.pop()
+
+    yield from grow(0, (1 << l) - 1)
 
 
 def esd(n: int, m: int) -> SimplicialComplex:
@@ -144,6 +164,12 @@ def validate_order(c: SimplicialComplex) -> frozenset:
     """Check the order carried by ``c`` against the order axioms:
     antisymmetry, support exactly the adjacent pairs, and transitivity
     (hence totality) on every simplex."""
+    return _ordered_chains(c)[0]
+
+
+def _ordered_chains(c: SimplicialComplex) -> tuple[frozenset, list[list[int]]]:
+    """``validate_order`` together with every maximal simplex read as a
+    chain in the order, each computed once."""
     if c.order is None:
         raise ValueError("complex carries no vertex order")
     order = frozenset(c.order)
@@ -154,9 +180,7 @@ def validate_order(c: SimplicialComplex) -> frozenset:
     edges = {frozenset(e) for e in c.skeleton_edges()}
     if support != edges:
         raise ValueError("order violates axioms")
-    for s in c.maximal_simplices:
-        _chain(s, order)
-    return order
+    return order, [_chain(s, order) for s in c.maximal_simplices]
 
 
 def _staircases(p: int, q: int):
@@ -182,17 +206,17 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
     through the grid of pairs.  The result carries the componentwise
     order, so products can be iterated.
     """
-    o1 = validate_order(c1)
-    o2 = validate_order(c2)
+    o1, chains1 = _ordered_chains(c1)
+    o2, chains2 = _ordered_chains(c2)
     product = SimplicialComplex(
         vertices=sorted((u, v) for u in c1.vertices for v in c2.vertices),
         maximal_simplices=[],
     )
+    chains2 = [[c2.vertices[i] for i in ch] for ch in chains2]
     maximal = set()
-    for s1 in c1.maximal_simplices:
-        chain1 = [c1.vertices[i] for i in _chain(s1, o1)]
-        for s2 in c2.maximal_simplices:
-            chain2 = [c2.vertices[i] for i in _chain(s2, o2)]
+    for ch in chains1:
+        chain1 = [c1.vertices[i] for i in ch]
+        for chain2 in chains2:
             p, q = len(chain1) - 1, len(chain2) - 1
             for path in _staircases(p, q):
                 pairs = [(chain1[a], chain2[b]) for a, b in path]

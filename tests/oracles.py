@@ -13,10 +13,13 @@ answer:
 - ``bfs_two_edge_cut`` finds a separating pair of arcs by a connectivity
   search on the diagram with each pair of arcs removed, where
   ``diagram._two_edge_cut`` reads the pair off the faces;
-- the cyclic-order simplex enumeration (a second route to the maximal
-  simplices, independent of clique search) lives in ``kakimizu.kcomplex``
-  and is re-exported here for the tests that compare it against
-  ``build_complex``;
+- ``cyclic_order_maximal_simplices`` memoizes the completions of every
+  region walk from every start, finding each maximal simplex once per
+  rotation of its walk, where ``kcomplex.cyclic_order_simplices`` walks
+  only from region 0 and finds each once;
+- ``exhaustive_colour_schemes`` filters every weakly increasing sequence
+  for distinct columns, where ``structure.colour_schemes`` grows the
+  sequence and prunes branches that can no longer separate their columns;
 - ``rescan_eliminate`` is the unit-pivot eliminator that rescans every
   row for the best Markowitz pivot at each step, where
   ``homology._eliminate`` keeps its candidates in a lazily re-keyed
@@ -37,7 +40,6 @@ import networkx as nx
 from kakimizu.diagram import Diagram
 from kakimizu.homology import HomologyReport, _eliminate, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices, region_add
-from kakimizu.kcomplex import cyclic_order_simplices as cyclic_order_maximal_simplices
 from kakimizu.planar import EmbeddedGraph
 from kakimizu.theta import Region, ThetaGraph
 
@@ -49,6 +51,7 @@ __all__ = [
     "bfs_two_edge_cut",
     "cyclic_order_maximal_simplices",
     "compose",
+    "exhaustive_colour_schemes",
     "exhaustive_is_fibred",
     "faces_by_dim",
     "matrix_homology",
@@ -157,6 +160,54 @@ def all_pairs_neighbours(t: ThetaGraph) -> dict[Vertex, dict[Vertex, list[Region
     return out
 
 
+def cyclic_order_maximal_simplices(t: ThetaGraph) -> set[frozenset]:
+    """Maximal simplices found from their definition, not from cliques.
+
+    A set of vertices spans a maximal simplex when some ordering of all
+    regions, added one at a time, walks through exactly those vertices and
+    returns to its start.  The start is determined by the current vertex
+    and the regions still unused (their deltas sum to the remaining
+    displacement), so walk completions can be memoized without it.  Every
+    start is tried, so each simplex is found once per rotation of its walk;
+    ``kcomplex.cyclic_order_simplices`` roots the walk at region 0 instead.
+    """
+    if not t.components:
+        return {frozenset({()})}
+    deltas = [r.delta(t) for r in t.regions]
+    m = len(deltas)
+    vset = set(enumerate_vertices(t))
+    memo: dict[tuple[Vertex, int], frozenset] = {}
+
+    def step(v: Vertex, d: tuple[int, ...]) -> Vertex:
+        return tuple(a + b for a, b in zip(v, d))
+
+    def completions(v: Vertex, used: int) -> frozenset:
+        key = (v, used)
+        if key in memo:
+            return memo[key]
+        remaining = [i for i in range(m) if not used >> i & 1]
+        if len(remaining) == 1:
+            # the last region closes the walk back to its start
+            w = step(v, deltas[remaining[0]])
+            out = frozenset({frozenset()}) if w in vset else frozenset()
+        else:
+            acc = set()
+            for r in remaining:
+                w = step(v, deltas[r])
+                if w in vset:
+                    for tail in completions(w, used | 1 << r):
+                        acc.add(tail | {w})
+            out = frozenset(acc)
+        memo[key] = out
+        return out
+
+    orbits: set[frozenset] = set()
+    for u in vset:
+        for tail in completions(u, 0):
+            orbits.add(tail | {u})
+    return orbits
+
+
 def bfs_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
     """The first pair of arcs, in label order, whose removal disconnects the
     crossings, found by a depth-first search for each pair."""
@@ -188,6 +239,20 @@ def networkx_maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:
     g.add_nodes_from(adj)
     g.add_edges_from((i, j) for i in adj for j in adj[i])
     return sorted(sorted(c) for c in nx.find_cliques(g))
+
+
+def exhaustive_colour_schemes(n: int, m: int, l: int):
+    """All m-row matrices of l+1 distinct monotone columns over {0..n}
+    whose row-major reading sequence is weakly increasing.
+
+    Yields each matrix as its list of columns.
+    """
+    width = l + 1
+    for seq in itertools.combinations_with_replacement(range(n + 1), m * width):
+        rows = [seq[i * width : (i + 1) * width] for i in range(m)]
+        cols = [tuple(r[j] for r in rows) for j in range(width)]
+        if len(set(cols)) == width:
+            yield cols
 
 
 def exhaustive_is_fibred(g: EmbeddedGraph) -> bool:

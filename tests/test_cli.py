@@ -147,6 +147,22 @@ def test_verify_esd_sweep(capsys):
     assert all(entry["isomorphic"] for entry in doc["checked"])
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["selftest", "--count", "-2"], "count must be positive"),
+        (["selftest", "--count", "0"], "count must be positive"),
+        (["verify-esd", "--max-n", "0"], "max-n must be positive"),
+        (["verify-esd", "--max-m", "-1"], "max-m must be positive"),
+    ],
+)
+def test_empty_sweeps_are_refused(capsys, argv, message):
+    code, doc, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert doc == {"error": message}
+    assert err == ""
+
+
 def test_product_counts(capsys):
     code, doc, _ = run(capsys, "product", fx("dalpha.theta.json"))
     assert code == EXIT_OK

@@ -181,6 +181,18 @@ def test_single_simplex_is_trivial():
     assert rep.betti == [0, 0, 0, 0]
 
 
+def test_unsorted_simplex_names_its_faces_once():
+    # the disk of two triangles on the edge {1, 2}, the second listed
+    # against vertex order
+    c = SimplicialComplex(
+        vertices=[0, 1, 2, 3], maximal_simplices=[[0, 1, 2], [2, 1, 3]]
+    )
+    rep = homology(c)
+    assert rep.is_trivial()
+    assert rep.euler == 1
+    assert rep.betti == [0, 0, 0]
+
+
 def test_two_points():
     rep = homology(complex_on(2, [[0], [1]]))
     assert rep.betti == [1]

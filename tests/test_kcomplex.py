@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu.families import dalpha_graph
-from kakimizu.generate import random_theta
+from kakimizu.generate import predicted_cell_count, random_theta
 from kakimizu.kcomplex import (
     SimplicialComplex,
     _maximal_cliques,
     base_vertex,
     build_complex,
+    cyclic_order_simplices,
     distance,
     enumerate_vertices,
     neighbours,
@@ -36,6 +37,7 @@ from kakimizu.theta import (
 from oracles import (
     adjacency,
     all_pairs_neighbours,
+    cyclic_order_maximal_simplices,
     networkx_maximal_cliques,
     order_regions,
 )
@@ -437,6 +439,60 @@ def test_random_region_cycles_are_maximal_simplices(dalpha, dalpha_complex):
         if walks >= 30:
             break
     assert walks >= 30
+
+
+# (edge count, total weight) per component: the theta-ball and theta-build
+# shapes of the benchmark
+BENCH_SHAPES = [
+    [(3, 6)], [(3, 10)], [(4, 3)], [(4, 4)], [(4, 5)], [(5, 2)], [(5, 3)],
+    [(6, 2)], [(2, 3), (3, 2)], [(2, 4), (3, 3)], [(2, 5), (2, 5)],
+    [(2, 6), (2, 6)], [(3, 2), (3, 2)], [(3, 3), (2, 2)], [(3, 4), (2, 3)],
+    [(2, 4), (4, 2)], [(2, 2), (2, 2), (2, 2)], [(2, 2), (2, 3), (2, 2)],
+    [(2, 3), (2, 3), (2, 3)], [(2, 5), (2, 2), (2, 4)],
+    [(3, 30)], [(4, 12)], [(3, 24)], [(2, 10), (3, 8)], [(2, 20), (2, 20)],
+]
+
+
+def shaped_theta(rng, shape):
+    """A theta graph of the given shape with seeded weights and nesting."""
+    comps = []
+    eid = 0
+    for cid, (k, m) in enumerate(shape):
+        weights = [0] * k
+        for _ in range(m):
+            weights[rng.randrange(k)] += 1
+        edges = [ThetaEdge(eid + j, w) for j, w in enumerate(weights)]
+        eid += k
+        if cid == 0 or rng.random() < 0.3:
+            placement = Placement(SPHERE, 0, rng.randrange(k))
+        else:
+            parent = rng.randrange(cid)
+            parent_face = rng.randrange(shape[parent][0])
+            placement = Placement(parent, parent_face, rng.randrange(k))
+        comps.append(ThetaComponent(cid, edges, placement))
+    return ThetaGraph(comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rooted_walk_matches_memoized_oracle(seed):
+    t = random_theta(random.Random(seed))
+    assert cyclic_order_simplices(t) == cyclic_order_maximal_simplices(t)
+
+
+def test_rooted_walk_on_two_edges():
+    # the smallest graph with edges: two regions, a walk of two moves
+    t = small_theta([[1, 0]])
+    expected = {frozenset({(1, 0), (0, 1)})}
+    assert cyclic_order_simplices(t) == cyclic_order_maximal_simplices(t) == expected
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES, ids=str)
+def test_rooted_walk_on_benchmark_shapes(shape):
+    t = shaped_theta(random.Random(str(shape)), shape)
+    walk = cyclic_order_simplices(t)
+    assert walk == cyclic_order_maximal_simplices(t)
+    assert len(walk) == predicted_cell_count(t)
 
 
 # -- vertex orders ---------------------------------------------------------

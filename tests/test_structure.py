@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from conftest import load_text
+from oracles import exhaustive_colour_schemes
 from kakimizu import structure
 from kakimizu.diagram import black_region_graph
 from kakimizu.families import dalpha_graph
@@ -91,6 +92,15 @@ def test_esd_counts(n, m):
     assert c.is_pure() and c.dim == n
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_colour_schemes_match_exhaustive_filter(n):
+    for m in range(1, 6):
+        for l in range(n + 1):
+            assert list(colour_schemes(n, m, l)) == list(
+                exhaustive_colour_schemes(n, m, l)
+            )
+
+
 def test_colour_scheme_columns_are_vertices():
     verts = set(esd(2, 3).vertices)
     for scheme in colour_schemes(2, 3, 2):
@@ -172,6 +182,23 @@ def test_product_with_point():
     assert len(p.vertices) == len(a.vertices)
     assert len(p.maximal_simplices) == len(a.maximal_simplices)
     assert p.dim == a.dim
+
+
+def test_product_reads_each_chain_once(monkeypatch):
+    a = order_by_first_region(single_component([10, 10]))
+    b = order_by_first_region(single_component([5, 5, 0]))
+    calls = 0
+    chain = structure._chain
+
+    def counting(simplex, order):
+        nonlocal calls
+        calls += 1
+        return chain(simplex, order)
+
+    monkeypatch.setattr(structure, "_chain", counting)
+    p = ordered_product(a, b)
+    assert len(p.maximal_simplices) == 20 * 100 * comb(3, 1)
+    assert calls == len(a.maximal_simplices) + len(b.maximal_simplices) == 120
 
 
 def test_product_requires_order():
