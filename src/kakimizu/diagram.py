@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .planar import Edge, EmbeddedGraph
+from .planar import Edge, EmbeddedGraph, face_index
 
 __all__ = [
     "Crossing",
@@ -90,8 +90,8 @@ class Diagram:
             lab: i for i, comp in enumerate(self.components) for lab in comp
         }
         self.map = self._build_map()
-        self.faces = self.map.trace_faces()
-        self.face_of = {h: i for i, f in enumerate(self.faces) for h in f}
+        self.faces = self.map.trace_faces()  # raises if not spherical
+        self.face_of = face_index(self.faces)
 
     # -- construction helpers ---------------------------------------------
 
@@ -217,7 +217,6 @@ class Diagram:
         for lab in sorted(self.arms):
             (c1, p1), (c2, p2) = self.arms[lab]
             assert darts[(c1, p1)] == (lab, 0) and darts[(c2, p2)] == (lab, 1)
-        g.trace_faces()  # raises if not spherical
         self._darts = darts
         return g
 
@@ -260,15 +259,13 @@ class Diagram:
         return 1 if next(iter(self.over_in_first.values())) else 0
 
     def black_faces(self) -> list[int]:
-        par = self.smoothing_parity()
-        return [
-            i
-            for i in range(len(self.faces))
-            if all(pos % 2 == par for _, pos in self.face_corners(i))
-        ]
+        return self._faces_of_parity(self.smoothing_parity())
 
     def white_faces(self) -> list[int]:
-        par = 1 - self.smoothing_parity()
+        return self._faces_of_parity(1 - self.smoothing_parity())
+
+    def _faces_of_parity(self, par: int) -> list[int]:
+        """Faces all of whose corners have index parity ``par``."""
         return [
             i
             for i in range(len(self.faces))
@@ -371,43 +368,55 @@ def _two_edge_cut(d: Diagram) -> tuple[int, int] | None:
     return min(((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None)
 
 
-def _white_smooth(d: Diagram, cid: int) -> tuple[Diagram | None, int]:
-    """Smooth crossing ``cid`` respecting orientation.
+def _smoothing_is_prime(d: Diagram, cid: int) -> bool:
+    """Whether smoothing crossing ``cid`` respecting orientation leaves a
+    diagram that splits off no circle and has no separating pair of arcs.
 
-    This is the cut used on a crossing of a white region: the two white
-    corners at the crossing merge and the crossing disappears.  Returns the
-    resulting diagram (None if fewer than 2 crossings remain) and the number
-    of crossing-free circles that split off.
+    The smoothing is read off the faces ``d`` already has.  It joins two
+    pairs of neighbouring arms: the corner between each joined pair stays a
+    face, the other two corners merge into one face, and the arcs through a
+    joined pair become one arc (a pair carrying one label closes into a
+    circle).  Every other face and arc is unchanged, so by the rule of
+    :func:`_two_edge_cut` the smoothed diagram has a separating pair of arcs
+    exactly when two of its arcs border the same two faces after the merge.
+
+    A face meeting ``cid`` in both merged corners makes the crossing a cut
+    vertex: the smoothing then splits off a circle or disconnects the
+    diagram.  Reduced diagrams, the only ones the cuttable-region search
+    runs on, have no such face, so there every smoothing stays connected.
     """
     c = d.by_id[cid]
-    if d.over_in_first[cid]:
-        pairs = [(c.pd[UNDER_IN], c.pd[OVER_B]), (c.pd[OVER_A], c.pd[UNDER_OUT])]
-    else:
-        pairs = [(c.pd[UNDER_IN], c.pd[OVER_A]), (c.pd[OVER_B], c.pd[UNDER_OUT])]
-    # merge each label pair; equal labels mean a circle splits off
-    dropped = 0
+    m = 0 if d.over_in_first[cid] else 1  # the first merged corner
+    pairs = [(c.pd[(m + 1) % 4], c.pd[(m + 2) % 4]), (c.pd[(m + 3) % 4], c.pd[m])]
     rename: dict[int, int] = {}
-    for x, y in pairs:
-        if x == y:
-            dropped += 1
-        else:
-            rename[max(x, y)] = min(x, y)
 
     def resolve(lab: int) -> int:
         while lab in rename:
             lab = rename[lab]
         return lab
 
-    new = []
-    for other in d.crossings:
-        if other.id == cid:
-            continue
-        new.append((other.id, tuple(resolve(x) for x in other.pd)))
-    if len(new) < 2:
-        return None, dropped
-    relabel = {lab: i + 1 for i, lab in enumerate(sorted({x for _, pd in new for x in pd}))}
-    out = Diagram([Crossing(i, tuple(relabel[x] for x in pd)) for i, pd in new])
-    return out, dropped
+    for x, y in pairs:
+        x, y = resolve(x), resolve(y)
+        if x == y:
+            return False  # a circle splits off
+        rename[max(x, y)] = min(x, y)
+    if d.n == 2:
+        # 1 crossing left: nothing can be on both sides of a curve
+        return True
+    a, b = d.corner_face(cid, m), d.corner_face(cid, m + 2)
+    if a == b:
+        return False
+    seen: set[frozenset] = set()
+    for lab in d.arms:
+        if lab in rename:
+            continue  # joined into the arc of a smaller label
+        sides = frozenset(
+            a if f == b else f for f in (d.face_of[(lab, 0)], d.face_of[(lab, 1)])
+        )
+        if sides in seen:
+            return False
+        seen.add(sides)
+    return True
 
 
 def _cuttable_white_region_exists(d: Diagram) -> tuple[bool, str]:
@@ -415,22 +424,10 @@ def _cuttable_white_region_exists(d: Diagram) -> tuple[bool, str]:
 
     A region is cuttable when smoothing any one of its crossings leaves a
     diagram that is connected, splits off no circle, and has no separating
-    pair of arcs.
+    pair of arcs (:func:`_smoothing_is_prime`).
     """
     for f in d.white_faces():
-        ok = True
-        for cid, _pos in d.face_corners(f):
-            smoothed, dropped = _white_smooth(d, cid)
-            if dropped:
-                ok = False
-                break
-            if smoothed is None:
-                # 1 or 0 crossings left: nothing can be on both sides of a curve
-                continue
-            if smoothed.map.component_count() != 1 or _two_edge_cut(smoothed):
-                ok = False
-                break
-        if ok:
+        if all(_smoothing_is_prime(d, cid) for cid, _pos in d.face_corners(f)):
             return True, f"white region {f} is cuttable"
     return False, "no cuttable white region"
 

@@ -6,8 +6,8 @@ traced from this data alone.  Following a directed edge into its head, the
 face boundary continues along the rotation predecessor of the arriving end;
 this keeps every face on the left of its (anticlockwise) boundary walk.  On
 the sphere the count of traced faces then satisfies F = E - V + 1 + C, where
-C is the number of connected components, and we assert this after every
-surgery.
+C is the number of connected components, and every trace asserts this, so
+the map a surgery leaves is checked before anything reads it.
 
 Edges carry a transverse orientation.  Rather than naming the two sides, we
 store the flag ``pos_left``: the positive side of the edge is the one on the
@@ -29,6 +29,7 @@ __all__ = [
     "Edge",
     "EmbeddedGraph",
     "HalfEdge",
+    "face_index",
 ]
 
 # A dart is one end of an edge: (edge id, end) with end 0 at u and end 1 at v.
@@ -65,6 +66,12 @@ class Edge:
         raise ValueError(f"vertex {vertex} not an endpoint of edge {self.id}")
 
 
+def face_index(faces: list[list[HalfEdge]]) -> dict[HalfEdge, int]:
+    """Map each half-edge of traced ``faces`` to the index of the face on
+    its left."""
+    return {h: i for i, cycle in enumerate(faces) for h in cycle}
+
+
 class EmbeddedGraph:
     """A multigraph embedded in the sphere, with oriented edges.
 
@@ -85,17 +92,6 @@ class EmbeddedGraph:
             raise ValueError(f"duplicate vertex {v}")
         self.rotation[v] = []
         self.orientation[v] = orientation
-
-    def add_edge_at_end(self, edge: Edge) -> None:
-        """Append an edge whose darts go at the end of both rotation lists.
-
-        Only safe while building a graph whose rotations are written out
-        explicitly afterwards, or for leaves; prefer :meth:`insert_edge` when
-        the embedding matters.
-        """
-        self._register(edge)
-        self.rotation[edge.u].append((edge.id, 0))
-        self.rotation[edge.v].append((edge.id, 1))
 
     def insert_edge(self, edge: Edge, after_u: Dart, after_v: Dart) -> None:
         """Insert an edge whose u-dart follows ``after_u`` anticlockwise at u
@@ -226,14 +222,6 @@ class EmbeddedGraph:
                     f"expected {expected}"
                 )
         return faces
-
-    def face_index(self) -> dict[HalfEdge, int]:
-        """Map each half-edge to the index of the face on its left."""
-        index: dict[HalfEdge, int] = {}
-        for i, cycle in enumerate(self.trace_faces()):
-            for h in cycle:
-                index[h] = i
-        return index
 
     def positive_face(self, eid: int, face_of: dict[HalfEdge, int]) -> int:
         edge = self.edges[eid]

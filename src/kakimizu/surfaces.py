@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram
 from .kcomplex import base_vertex, neighbours
+from .planar import HalfEdge, face_index
 from .theta import Region, ThetaGraph, merge_classes
 
 __all__ = [
@@ -167,11 +168,10 @@ def _out_strands(d: Diagram, cid: int) -> tuple[int, int]:
     return pair
 
 
-def _face_regions(t: ThetaGraph) -> dict[int, Region]:
-    """Map each face of the source graph to its region of the cut-apart
-    theta graph, matching by signed boundary."""
+def _face_regions(t: ThetaGraph, face_of: dict[HalfEdge, int]) -> dict[int, Region]:
+    """Map each face of the source graph, indexed by ``face_of``, to its
+    region of the cut-apart theta graph, matching by signed boundary."""
     f = t.source
-    face_of = f.face_index()
     theta_edges = set(t.global_edge_order)
 
     classes = merge_classes(
@@ -249,8 +249,8 @@ def p_arcs(
     if in_a:
         if t.source is None:
             raise ValueError("theta graph does not carry its source graph")
-        face_regions = _face_regions(t)
-        face_of = t.source.face_index()
+        face_of = face_index(t.source.trace_faces())
+        face_regions = _face_regions(t, face_of)
 
     def sigma_of_region(region: Region) -> int:
         return 1 if region.id in in_a else -1

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, black_region_graph
-from .planar import Edge, EmbeddedGraph
+from .planar import Dart, Edge, EmbeddedGraph, face_index
 
 __all__ = [
     "Region",
@@ -211,15 +211,6 @@ def parse_theta(text: str) -> ThetaGraph:
 # -- bigon reduction -------------------------------------------------------
 
 
-def _bigon_faces(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
-    """Faces bounded by exactly two distinct edges, as (face, e, e')."""
-    out = []
-    for i, cycle in enumerate(g.trace_faces()):
-        if len(cycle) == 2 and cycle[0][0] != cycle[1][0]:
-            out.append((i, cycle[0][0], cycle[1][0]))
-    return out
-
-
 def reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
     """Merge parallel edges bounding bigons until none remain.
 
@@ -229,11 +220,14 @@ def reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
     """
     g = g.copy()
     while True:
-        bigons = _bigon_faces(g)
-        if not bigons:
+        faces = g.trace_faces()
+        bigon = next(
+            (c for c in faces if len(c) == 2 and c[0][0] != c[1][0]), None
+        )
+        if bigon is None:
             return g
-        face_of = g.face_index()
-        _, a, b = bigons[0]
+        face_of = face_index(faces)
+        a, b = bigon[0][0], bigon[1][0]
         keep, drop = (a, b) if a < b else (b, a)
         ek, ed = g.edges[keep], g.edges[drop]
         if {ek.u, ek.v} != {ed.u, ed.v}:
@@ -265,13 +259,15 @@ def _face_corners(g: EmbeddedGraph, cycle: list) -> list[tuple[int, tuple[int, i
     return [(g.dart_vertex(h), h) for h in cycle[1:] + cycle[:1]]
 
 
-def _arc_candidates(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
-    """All (face, corner index, corner index) positions where an arc parallel
-    to an existing edge could be added without creating a bigon."""
-    pairs = {k for k, ids in g.parallel_classes().items()}
-    faces = g.trace_faces()
+def _arc_candidates(
+    g: EmbeddedGraph,
+) -> list[tuple[tuple[int, Dart], tuple[int, Dart]]]:
+    """All pairs of corners of one face, in (face, corner) order, across
+    which an arc parallel to an existing edge could be added without
+    creating a bigon."""
+    pairs = set(g.parallel_classes())
     out = []
-    for fi, cycle in enumerate(faces):
+    for cycle in g.trace_faces():
         corners = _face_corners(g, cycle)
         length = len(corners)
         for i in range(length):
@@ -281,7 +277,7 @@ def _arc_candidates(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
                     continue
                 if (j - i) % length < 2 or (i - j) % length < 2:
                     continue  # one side of the split would be a bigon
-                out.append((fi, i, j))
+                out.append((corners[i], corners[j]))
     return out
 
 
@@ -295,7 +291,8 @@ def augment_flype_arcs(
     is a bigon.  At most one arc is added per face corner pair.  Candidates
     are processed in canonical (face, corner) order, or shuffled when
     ``rng`` is given; the outcome is the same graph either way, which the
-    test suite checks by isomorphism.
+    test suite checks by isomorphism.  Each candidate search traces, and
+    Euler-checks, the map the previous arc left, the final map included.
     """
     g = g.copy()
     for e in g.edges.values():
@@ -313,17 +310,13 @@ def augment_flype_arcs(
         if rng is not None:
             cands = cands[:]
             rng.shuffle(cands)
-        fi, i, j = cands[0]
-        cycle = g.trace_faces()[fi]
-        corners = _face_corners(g, cycle)
-        (u, dart_u), (v, dart_v) = corners[i], corners[j]
+        (u, dart_u), (v, dart_v) = cands[0]
         eid = max(g.edges) + 1
         if g.orientation[u] == 1:
             edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=True)
         else:
             edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
         g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
-        g.trace_faces()  # assert still spherical
 
 
 # -- theta extraction ------------------------------------------------------
@@ -353,37 +346,31 @@ def _wedge_of_face(
     """Assign every face of ``g`` to a wedge of the component ``eids``.
 
     Wedge j is seeded by the positive face of the j-th edge (equally the
-    negative face of the j+1-st) and grows across all edges outside the
-    component; the component's circle is the only barrier on the sphere, so
-    the assignment is total, and any conflict means the embedding is broken.
+    negative face of the j+1-st), and faces merge across all edges outside
+    the component; the component's circle is the only barrier on the
+    sphere, so each merged class holds exactly one wedge's seeds, and a
+    class with two or none means the embedding is broken.
     """
     k = len(eids)
-    wedge: dict[int, int] = {}
-    for j, eid in enumerate(eids):
-        for f, w in (
-            (g.positive_face(eid, face_of), j),
-            (g.negative_face(eid, face_of), (j - 1) % k),
-        ):
-            if wedge.setdefault(f, w) != w:
-                raise ValueError("component wedges are inconsistent")
     in_comp = set(eids)
-    changed = True
-    while changed:
-        changed = False
-        for eid in g.edges:
-            if eid in in_comp:
-                continue
-            f1, f2 = face_of[(eid, 0)], face_of[(eid, 1)]
-            for a, b in ((f1, f2), (f2, f1)):
-                if a in wedge and b not in wedge:
-                    wedge[b] = wedge[a]
-                    changed = True
-                elif a in wedge and b in wedge and wedge[a] != wedge[b]:
-                    raise ValueError("component wedges are inconsistent")
-    n_faces = len(set(face_of.values()))
-    if len(wedge) != n_faces:
+    classes = merge_classes(
+        sorted(set(face_of.values())),
+        (
+            (face_of[(eid, 0)], face_of[(eid, 1)])
+            for eid in g.edges
+            if eid not in in_comp
+        ),
+    )
+    class_of = {f: i for i, members in enumerate(classes) for f in members}
+    seeds: list[set[int]] = [set() for _ in classes]
+    for j, eid in enumerate(eids):
+        seeds[class_of[g.positive_face(eid, face_of)]].add(j)
+        seeds[class_of[g.negative_face(eid, face_of)]].add((j - 1) % k)
+    if any(len(ws) > 1 for ws in seeds):
+        raise ValueError("component wedges are inconsistent")
+    if not all(seeds):
         raise ValueError("wedge assignment did not cover the sphere")
-    return wedge
+    return {f: w for members, (w,) in zip(classes, seeds) for f in members}
 
 
 def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
@@ -405,7 +392,7 @@ def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
         t.source = f
         return t
 
-    face_of = f.face_index()
+    face_of = face_index(f.trace_faces())
     ordered_eids: list[list[int]] = []
     weights: dict[int, int] = {}
     for (u, v), eids in classes:

@@ -17,3 +17,19 @@ def load_text(name: str) -> str:
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES
+
+
+@pytest.fixture
+def trace_calls(monkeypatch) -> list:
+    """Counts ``EmbeddedGraph.trace_faces`` calls: one entry per call."""
+    from kakimizu.planar import EmbeddedGraph
+
+    calls: list = []
+    original = EmbeddedGraph.trace_faces
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(EmbeddedGraph, "trace_faces", counting)
+    return calls

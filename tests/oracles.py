@@ -13,6 +13,10 @@ answer:
 - ``bfs_two_edge_cut`` finds a separating pair of arcs by a connectivity
   search on the diagram with each pair of arcs removed, where
   ``diagram._two_edge_cut`` reads the pair off the faces;
+- ``white_smooth`` smooths a crossing by building the whole smoothed
+  diagram, on which a connectivity search and ``_two_edge_cut`` run again,
+  where ``diagram._smoothing_is_prime`` reads the smoothing off the faces
+  of the diagram it starts from;
 - ``cyclic_order_maximal_simplices`` memoizes the completions of every
   region walk from every start, finding each maximal simplex once per
   rotation of its walk, where ``kcomplex.cyclic_order_simplices`` walks
@@ -37,7 +41,14 @@ import itertools
 
 import networkx as nx
 
-from kakimizu.diagram import Diagram
+from kakimizu.diagram import (
+    OVER_A,
+    OVER_B,
+    UNDER_IN,
+    UNDER_OUT,
+    Crossing,
+    Diagram,
+)
 from kakimizu.homology import HomologyReport, _eliminate, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices, region_add
 from kakimizu.planar import EmbeddedGraph
@@ -59,6 +70,7 @@ __all__ = [
     "order_regions",
     "owner_maps",
     "rescan_eliminate",
+    "white_smooth",
 ]
 
 
@@ -230,6 +242,45 @@ def bfs_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
             if len(seen) < d.n:
                 return (a, b)
     return None
+
+
+def white_smooth(d: Diagram, cid: int) -> tuple[Diagram | None, int]:
+    """Smooth crossing ``cid`` respecting orientation.
+
+    This is the cut used on a crossing of a white region: the two white
+    corners at the crossing merge and the crossing disappears.  Returns the
+    resulting diagram (None if fewer than 2 crossings remain) and the number
+    of crossing-free circles that split off.
+    """
+    c = d.by_id[cid]
+    if d.over_in_first[cid]:
+        pairs = [(c.pd[UNDER_IN], c.pd[OVER_B]), (c.pd[OVER_A], c.pd[UNDER_OUT])]
+    else:
+        pairs = [(c.pd[UNDER_IN], c.pd[OVER_A]), (c.pd[OVER_B], c.pd[UNDER_OUT])]
+    # merge each label pair; equal labels mean a circle splits off
+    dropped = 0
+    rename: dict[int, int] = {}
+    for x, y in pairs:
+        if x == y:
+            dropped += 1
+        else:
+            rename[max(x, y)] = min(x, y)
+
+    def resolve(lab: int) -> int:
+        while lab in rename:
+            lab = rename[lab]
+        return lab
+
+    new = []
+    for other in d.crossings:
+        if other.id == cid:
+            continue
+        new.append((other.id, tuple(resolve(x) for x in other.pd)))
+    if len(new) < 2:
+        return None, dropped
+    relabel = {lab: i + 1 for i, lab in enumerate(sorted({x for _, pd in new for x in pd}))}
+    out = Diagram([Crossing(i, tuple(relabel[x] for x in pd)) for i, pd in new])
+    return out, dropped
 
 
 def networkx_maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:

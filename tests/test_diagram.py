@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu.diagram import (
+    _smoothing_is_prime,
     _two_edge_cut,
-    _white_smooth,
     black_region_graph,
     is_fibred,
     parse_diagram,
@@ -19,6 +19,7 @@ from kakimizu.diagram import (
 )
 from kakimizu.families import (
     book,
+    build_graph,
     cube_graph,
     dalpha_graph,
     granny_graph,
@@ -27,7 +28,7 @@ from kakimizu.families import (
 from kakimizu.medial import medial
 
 from conftest import FIXTURES
-from oracles import bfs_two_edge_cut
+from oracles import bfs_two_edge_cut, white_smooth
 
 HOPF = '{"crossings":[{"id":0,"pd":[1,3,2,4]},{"id":1,"pd":[3,1,4,2]}]}'
 
@@ -101,7 +102,23 @@ def test_validate_kink_not_reduced():
     assert any("not reduced" in m for m in r.messages)
 
 
-def test_two_edge_cut_matches_bfs_oracle():
+def bridged_books():
+    """Two 3-edge books joined by a bridge: its medial has a nugatory
+    crossing with crossings on both sides."""
+    return build_graph(
+        classes={0: 1, 1: -1, 2: 1, 3: -1},
+        endpoints={
+            **{i: (0, 1) for i in range(3)},
+            **{i: (2, 3) for i in range(3, 6)},
+            6: (0, 3),  # the bridge
+        },
+        rotations={0: [0, 1, 2, 6], 1: [2, 1, 0], 2: [3, 4, 5], 3: [5, 4, 3, 6]},
+    )
+
+
+def oracle_diagrams():
+    """The fixture diagrams and medials of the hand-built graphs, reduced
+    or not."""
     diagrams = [
         parse_diagram(p.read_text())
         for p in sorted(FIXTURES.glob("*.json"))
@@ -109,11 +126,16 @@ def test_two_edge_cut_matches_bfs_oracle():
     ]
     graphs = [book(k) for k in range(2, 12)]
     graphs += [granny_graph(), pendant_book(), cube_graph(), dalpha_graph()]
-    diagrams += [medial(g) for g in graphs]
+    graphs.append(bridged_books())
+    return diagrams + [medial(g) for g in graphs]
+
+
+def test_two_edge_cut_matches_bfs_oracle():
+    diagrams = oracle_diagrams()
     cases = list(diagrams)
     for d in diagrams:
         for c in d.crossings:
-            smoothed, _ = _white_smooth(d, c.id)
+            smoothed, _ = white_smooth(d, c.id)
             if smoothed is not None:
                 cases.append(smoothed)
     cases = [d for d in cases if d.map.component_count() == 1]
@@ -121,6 +143,40 @@ def test_two_edge_cut_matches_bfs_oracle():
     assert cuts == [bfs_two_edge_cut(d) for d in cases]
     assert sum(cut is not None for cut in cuts) >= 10
     assert sum(cut is None for cut in cuts) >= 10
+
+
+def rebuilt_smoothing_is_prime(d, cid):
+    """The verdict on the smoothed diagram built in full."""
+    smoothed, dropped = white_smooth(d, cid)
+    if dropped:
+        return False
+    if smoothed is None:
+        return True
+    return smoothed.map.component_count() == 1 and _two_edge_cut(smoothed) is None
+
+
+def test_smoothing_judgement_matches_rebuilt_diagram():
+    diagrams = oracle_diagrams() + [medial(book(k)) for k in range(12, 31)]
+    verdicts = []
+    for d in diagrams:
+        for c in d.crossings:
+            want = rebuilt_smoothing_is_prime(d, c.id)
+            assert _smoothing_is_prime(d, c.id) == want, (d.crossings, c.id)
+            verdicts.append(want)
+    assert sum(verdicts) >= 10 and len(verdicts) - sum(verdicts) >= 10
+
+
+def test_diagram_traces_its_map_once(trace_calls):
+    parse_diagram(HOPF)
+    assert len(trace_calls) == 1
+
+
+def test_validate_traces_nothing(trace_calls):
+    d = parse_diagram((FIXTURES / "cube.json").read_text())
+    trace_calls.clear()
+    # all flags hold, so the cuttable-region search smooths crossings
+    assert validate(d).all_ok()
+    assert trace_calls == []
 
 
 # One strand passing over the other twice: a valid oriented 2-crossing

@@ -1,0 +1,85 @@
+"""Golden CLI output: every recorded command prints what it printed before.
+
+``golden_cli.json`` maps each command line (fixture paths relative to the
+repository root) to the sha256 of its exit code, stdout and stderr.  A
+change meant to keep the CLI byte-identical must leave every hash as it is.
+When a change alters some output on purpose, regenerate the file with
+``PYTHONPATH=src python tests/test_golden_cli.py`` and list the commands
+whose hashes moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from kakimizu.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+
+FIXTURE_NAMES = [
+    "cube.json",
+    "dalpha.json",
+    "dalpha.theta.json",
+    "granny.json",
+    "hopf.json",
+    "nugatory.json",
+    "torus24.json",
+    "trefoil.json",
+]
+PER_FIXTURE = [
+    ["validate"],
+    ["theta"],
+    ["seifert"],
+    ["fibred"],
+    ["complex"],
+    ["product"],
+    ["verify-product"],
+    ["analyze", "--homology", "--ball", "--flag-check", "--metric", "0", "1"],
+    ["surface", "--vertex", "0"],
+]
+STANDALONE = [
+    ["esd", "--n", "3", "--m", "3"],
+    ["verify-esd"],
+    ["selftest", "--count", "10"],
+]
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for name in FIXTURE_NAMES:
+        for sub in PER_FIXTURE:
+            out.append([sub[0], f"fixtures/{name}", *sub[1:]])
+    return out + STANDALONE
+
+
+def output_hash(argv: list[str]) -> str:
+    """sha256 of the exit code, stdout and stderr of one in-process run."""
+    resolved = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(resolved)
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", commands(), ids=" ".join)
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.delenv("KAKIMIZU_SEED", raising=False)
+    golden = json.loads(GOLDEN.read_text())
+    assert output_hash(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    os.environ.pop("KAKIMIZU_SEED", None)
+    table = {" ".join(argv): output_hash(argv) for argv in commands()}
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(table)} hashes to {GOLDEN.name}\n")

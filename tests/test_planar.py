@@ -3,7 +3,7 @@
 import pytest
 
 from kakimizu.families import book, build_graph, cube_graph, dalpha_graph
-from kakimizu.planar import Edge, EmbeddedGraph
+from kakimizu.planar import Edge, EmbeddedGraph, face_index
 
 
 def triangle():
@@ -30,7 +30,7 @@ def test_euler_formula_families():
 
 def test_face_index_covers_both_sides():
     g = cube_graph()
-    face_of = g.face_index()
+    face_of = face_index(g.trace_faces())
     for eid in g.edges:
         left, right = face_of[(eid, 0)], face_of[(eid, 1)]
         assert left != right  # no edge borders the same square twice
@@ -38,7 +38,7 @@ def test_face_index_covers_both_sides():
 
 def test_positive_and_negative_faces_differ_by_flag():
     g = book(3)
-    face_of = g.face_index()
+    face_of = face_index(g.trace_faces())
     for eid, e in g.edges.items():
         assert g.positive_face(eid, face_of) == face_of[(eid, 0 if e.pos_left else 1)]
         assert g.negative_face(eid, face_of) != g.positive_face(eid, face_of)
@@ -67,7 +67,7 @@ def test_loops_rejected():
     g = EmbeddedGraph()
     g.add_vertex(0)
     with pytest.raises(ValueError):
-        g.add_edge_at_end(Edge(id=0, u=0, v=0))
+        g.insert_edge(Edge(id=0, u=0, v=0), after_u=(0, 0), after_v=(0, 0))
 
 
 def test_bad_embedding_rejected():

@@ -6,7 +6,10 @@ import random
 import networkx as nx
 import pytest
 
+from kakimizu.diagram import black_region_graph
 from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
+from kakimizu.medial import medial
+from kakimizu.planar import face_index
 from kakimizu.theta import (
     Placement,
     Region,
@@ -19,6 +22,7 @@ from kakimizu.theta import (
     extract_theta,
     parse_theta,
     reduce_bigons,
+    theta_pipeline,
 )
 
 from oracles import owner_maps
@@ -143,6 +147,22 @@ def test_augment_requires_orientation():
     g.orientation = {v: 0 for v in g.vertex_ids()}
     with pytest.raises(ValueError, match="orientation"):
         augment_flype_arcs(g)
+
+
+@pytest.mark.parametrize("make, traces", [(lambda: book(10), 12), (dalpha_graph, 7)])
+def test_pipeline_traces_once_per_merge_and_arc(make, traces, trace_calls):
+    d = medial(make())
+    black = black_region_graph(d)
+    reduced = reduce_bigons(black)
+    augmented = augment_flype_arcs(reduced)
+    trace_calls.clear()
+    t = theta_pipeline(d)
+    merges = len(black.edges) - len(reduced.edges)
+    arcs = len(augmented.edges) - len(reduced.edges)
+    # the black graph, each merge, each arc, and the final map of the
+    # reduction, of the augmentation and, when it has components, of the
+    # extraction
+    assert len(trace_calls) == 1 + merges + arcs + 2 + bool(t.components) == traces
 
 
 # -- extract_theta ---------------------------------------------------------
@@ -286,7 +306,7 @@ def test_owner_maps(maker):
 def embedded_deltas(f, t):
     """Region deltas read directly off the embedding of F(D): faces merge
     across every edge that is not a theta edge."""
-    face_of = f.face_index()
+    face_of = face_index(f.trace_faces())
     theta_edges = set(t.global_edge_order)
     parent = {}
 
