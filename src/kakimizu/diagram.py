@@ -159,7 +159,8 @@ class Diagram:
         result = {}
         for c in self.crossings:
             root, p = find(c.id)
-            assert root is None
+            if root is not None:
+                raise AssertionError(f"crossing {c.id} left unoriented")
             result[c.id] = p == 0
         return result
 
@@ -199,24 +200,17 @@ class Diagram:
         g = EmbeddedGraph()
         for c in self.crossings:
             g.add_vertex(c.id)
-        ends_seen: dict[int, int] = {}
-        # Register edges first (in label order), then write rotations in pd
-        # order so rotation position == pd position at every crossing.
+        # Register edges (in label order), each from its first arm to its
+        # second, then write rotations in pd order so rotation position ==
+        # pd position at every crossing.
         darts: dict[tuple[int, int], tuple[int, int]] = {}
-        for c in self.crossings:
-            for pos, lab in enumerate(c.pd):
-                end = ends_seen.get(lab, 0)
-                ends_seen[lab] = end + 1
-                darts[(c.id, pos)] = (lab, end)
         for lab in sorted(self.arms):
             (c1, p1), (c2, p2) = self.arms[lab]
             g.edges[lab] = Edge(id=lab, u=c1, v=c2)
+            darts[(c1, p1)] = (lab, 0)
+            darts[(c2, p2)] = (lab, 1)
         for c in self.crossings:
             g.rotation[c.id] = [darts[(c.id, pos)] for pos in range(4)]
-        # also check 1..2n ends are coherent with Edge u/v assignment
-        for lab in sorted(self.arms):
-            (c1, p1), (c2, p2) = self.arms[lab]
-            assert darts[(c1, p1)] == (lab, 0) and darts[(c2, p2)] == (lab, 1)
         self._darts = darts
         return g
 

@@ -8,15 +8,12 @@ Mrozek and Batko, *Coreduction homology algorithm*, 2009): a cell whose
 boundary on the cells still alive is a single facet is deleted together
 with that facet.  On the complexes of theta graphs this pairs off every
 cell.  Whatever survives keeps its original boundary restricted to the
-survivors; those matrices are mostly eliminated with unit pivots in a
-sparse representation, taken from a priority queue in Markowitz order, and
-any core left without a unit entry goes through a dense Smith normal form
-with exact integer arithmetic, so torsion is reported exactly.
+survivors, and each of those matrices goes through a dense Smith normal
+form with exact integer arithmetic, so torsion is reported exactly.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
@@ -110,84 +107,6 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
         diag.append(abs(p))
         top += 1
     return diag
-
-
-def _eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
-    """Rank and nontrivial elementary divisors of a sparse integer matrix.
-
-    Unit entries pivot first, in Markowitz order: the row with fewest
-    entries, then its unit entry whose column has fewest entries, keeps
-    fill low.  Rows and columns a unit pivot clears contribute divisor 1.
-    Candidates wait in a priority queue keyed ``(len(row), len(column))``
-    and are re-keyed lazily: a popped key that no longer matches its live
-    row and column goes back with the current key.  An elimination
-    changes only the rows in the pivot column, so only those are queued
-    again; no other row can gain a unit, and any that has one still has
-    an entry, perhaps stale, in the queue.
-    The unit-free residue is small and goes through ``smith_diagonal``.
-    """
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-
-    def key(i: int) -> tuple[int, int, int, int] | None:
-        row = rows.get(i)
-        if row is None:
-            return None
-        best = None
-        for j, v in row.items():
-            if v in (1, -1) and (best is None or len(cols[j]) < len(cols[best])):
-                best = j
-        return None if best is None else (len(row), len(cols[best]), i, best)
-
-    queue = [k for k in map(key, rows) if k is not None]
-    heapq.heapify(queue)
-    rank = 0
-    while queue:
-        popped = heapq.heappop(queue)
-        live = key(popped[2])
-        if live != popped:
-            if live is not None:
-                heapq.heappush(queue, live)
-            continue
-        _, _, pi, pj = popped
-        prow = rows.pop(pi)
-        sign = prow[pj]
-        changed = [i for i in cols[pj] if i != pi]
-        for i in changed:
-            row = rows[i]
-            factor = row[pj] * sign
-            for j, v in prow.items():
-                new = row.get(j, 0) - factor * v
-                if new:
-                    row[j] = new
-                    cols.setdefault(j, set()).add(i)
-                else:
-                    row.pop(j, None)
-                    cols[j].discard(i)
-            if not row:
-                del rows[i]
-        for j in prow:
-            cols[j].discard(pi)
-        rank += 1
-        for i in changed:
-            k = key(i)
-            if k is not None:
-                heapq.heappush(queue, k)
-    divisors: list[int] = []
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({j for row in rows.values() for j in row})
-        cindex = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for a, i in enumerate(live_rows):
-            for j, v in rows[i].items():
-                dense[a][cindex[j]] = v
-        diag = smith_diagonal(dense)
-        rank += len(diag)
-        divisors = [d for d in diag if d > 1]
-    return rank, divisors
 
 
 def _faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
@@ -320,20 +239,26 @@ def homology(c: SimplicialComplex) -> HomologyReport:
     live = _coreduce(dims[0].start, facets)
 
     # the residue's boundary is the original one restricted to live cells;
-    # results[k] is the rank and divisors of the boundary out of dimension
-    # k, and the empty face is dead, so vertices bound nothing
-    results = [(0, [])]
+    # diags[k] is the Smith diagonal of the boundary out of dimension k,
+    # and the empty face is dead, so vertices bound nothing
+    survivors = [list(compress(ids, live[ids.start : ids.stop])) for ids in dims]
+    diags: list[list[int]] = [[]]
     for k in range(1, len(dims)):
-        rows: dict[int, dict[int, int]] = {}
-        for g in compress(dims[k], live[dims[k].start : dims[k].stop]):
-            for f, s in zip(facets[g], signs[k]):
-                if live[f]:
-                    rows.setdefault(f, {})[g] = s
-        results.append(_eliminate(rows))
-    results.append((0, []))
-    live_counts = [live[ids.start : ids.stop].count(1) for ids in dims]
+        lower, upper = survivors[k - 1], survivors[k]
+        diag: list[int] = []
+        if lower and upper:
+            row = {f: i for i, f in enumerate(lower)}
+            dense = [[0] * len(upper) for _ in lower]
+            for j, g in enumerate(upper):
+                for f, s in zip(facets[g], signs[k]):
+                    if live[f]:
+                        dense[row[f]][j] = s
+            diag = smith_diagonal(dense)
+        diags.append(diag)
+    diags.append([])
     betti = [
-        live_counts[k] - results[k][0] - results[k + 1][0] for k in range(len(by_dim))
+        len(survivors[k]) - len(diags[k]) - len(diags[k + 1])
+        for k in range(len(by_dim))
     ]
-    torsion = [results[k + 1][1] for k in range(len(by_dim))]
+    torsion = [[d for d in diags[k + 1] if d > 1] for k in range(len(by_dim))]
     return HomologyReport(betti=betti, torsion=torsion, euler=euler)

@@ -345,7 +345,8 @@ def split_theta(t: ThetaGraph) -> SplitReport:
     by_region = {r.id: sorted({cid for cid, _ in r.faces}) for r in t.regions}
     region_id = min(r for r, cs in by_region.items() if len(cs) >= 2)
     region = t.regions[region_id]
-    assert region.id == region_id
+    if region.id != region_id:
+        raise AssertionError(f"region {region_id} is not at index {region_id}")
 
     tree = _incidence_tree(t)
     walks = [_walk(tree, ("c", cid), ("r", region_id)) for cid in by_region[region_id]]

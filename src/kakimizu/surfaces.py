@@ -115,7 +115,8 @@ def flype_set_for_edge(t: ThetaGraph, u: tuple[int, ...], a: list[Region]) -> Fl
             j = (i + 1) % comp.k
             while seq[j] == 0:
                 j = (j + 1) % comp.k
-            assert seq[j] == 1
+            if seq[j] != 1:
+                raise AssertionError("a -1 label is not followed by a +1")
             circles.append(
                 FlypeCircle(comp.id, crossing_edge.id, comp.edges[j].id)
             )
@@ -154,17 +155,12 @@ class PArcConfig:
         }
 
 
-def _in_strands(d: Diagram, cid: int) -> tuple[int, int]:
+def _strands(d: Diagram, cid: int, inward: bool) -> tuple[int, int]:
+    """The two labels entering crossing ``cid``, or the two leaving it."""
     pd = d.by_id[cid].pd
-    pair = tuple(pd[p] for p in range(4) if d.arm_is_in(cid, p))
-    assert len(pair) == 2
-    return pair
-
-
-def _out_strands(d: Diagram, cid: int) -> tuple[int, int]:
-    pd = d.by_id[cid].pd
-    pair = tuple(pd[p] for p in range(4) if not d.arm_is_in(cid, p))
-    assert len(pair) == 2
+    pair = tuple(pd[p] for p in range(4) if d.arm_is_in(cid, p) == inward)
+    if len(pair) != 2:
+        raise AssertionError(f"crossing {cid} has {len(pair)} strands one way")
     return pair
 
 
@@ -184,7 +180,8 @@ def _face_regions(t: ThetaGraph, face_of: dict[HalfEdge, int]) -> dict[int, Regi
     )
 
     by_delta = {r.delta(t): r for r in t.regions}
-    assert len(by_delta) == len(t.regions)
+    if len(by_delta) != len(t.regions):
+        raise AssertionError("two regions have the same signed boundary")
     out: dict[int, Region] = {}
     for members in classes:
         delta = []
@@ -242,7 +239,7 @@ def p_arcs(
     """
     if convention not in ("positive", "negative"):
         raise ValueError("convention must be 'positive' or 'negative'")
-    theta_edges = set(t.global_edge_order) if t.components else set()
+    theta_edges = set(t.global_edge_order)
     in_a = set(fs.region_ids)
     face_regions: dict[int, Region] = {}
     face_of = {}
@@ -251,51 +248,42 @@ def p_arcs(
             raise ValueError("theta graph does not carry its source graph")
         face_of = face_index(t.source.trace_faces())
         face_regions = _face_regions(t, face_of)
+    uniform = 1 if convention == "positive" else -1
 
     def sigma_of_region(region: Region) -> int:
         return 1 if region.id in in_a else -1
-
-    def sigma_uniform() -> int:
-        return 1 if convention == "positive" else -1
 
     arcs: list[tuple[int, int]] = []
     sides: dict[int, str] = {}
     flype_arcs: list[tuple[int, tuple[int, int]]] = []
 
     def corner_arc(cid: int, sigma: int) -> None:
-        if sigma > 0:
-            sides[cid] = "negative"
-            arcs.append(_in_strands(d, cid))
-        else:
-            sides[cid] = "positive"
-            arcs.append(_out_strands(d, cid))
+        sides[cid] = "negative" if sigma > 0 else "positive"
+        arcs.append(_strands(d, cid, inward=sigma > 0))
 
-    if t.source is not None:
-        edge_ids = sorted(t.source.edges)
-        graph = t.source
-    else:
-        edge_ids = []
-        graph = None
-
+    graph = t.source
     if graph is None:
         # no theta structure at all: every crossing by convention
         for c in d.crossings:
-            corner_arc(c.id, sigma_uniform())
+            corner_arc(c.id, uniform)
     else:
-        for eid in edge_ids:
+        for eid in sorted(graph.edges):
             e = graph.edges[eid]
             chain = e.crossings
-            assert len(chain) == e.weight
+            if len(chain) != e.weight:
+                raise AssertionError(f"edge {eid} carries {len(chain)} crossings")
             delta = fs.labels.get(eid, 0) if eid in theta_edges else 0
             if delta == -1:
                 # one crossing leaves: the circle passes through the last
                 # crossing of the stack and the rest hug their positive side
-                assert chain, "crossing edge must carry a crossing"
+                if not chain:
+                    raise AssertionError(f"crossing edge {eid} carries no crossing")
                 for cid in chain[:-1]:
                     corner_arc(cid, -1)
                 sides[chain[-1]] = "flype"
                 for a, b in zip(chain, chain[1:]):
-                    assert set(_out_strands(d, a)) == set(_in_strands(d, b))
+                    if set(_strands(d, a, False)) != set(_strands(d, b, True)):
+                        raise AssertionError(f"crossings {a} and {b} do not stack")
             elif delta == 1:
                 # a crossing arrives: the circle crosses the corridor at its
                 # negative end and every present crossing hugs its positive
@@ -303,7 +291,7 @@ def p_arcs(
                 for cid in chain:
                     corner_arc(cid, -1)
                 if chain:
-                    pair = _in_strands(d, chain[0])
+                    pair = _strands(d, chain[0], inward=True)
                 else:
                     pair = (
                         _arc_strand(d, t, eid, e.u),
@@ -315,20 +303,19 @@ def p_arcs(
                 if not chain:
                     continue
                 if in_a:
+                    pos_r = face_regions[graph.positive_face(eid, face_of)]
+                    neg_r = face_regions[graph.negative_face(eid, face_of)]
+                    sigma = sigma_of_region(pos_r)
                     if eid in theta_edges:
                         # both sides of the corridor have the same status
-                        pos_r = face_regions[graph.positive_face(eid, face_of)]
-                        neg_r = face_regions[graph.negative_face(eid, face_of)]
-                        s_pos, s_neg = sigma_of_region(pos_r), sigma_of_region(neg_r)
-                        assert s_pos == s_neg, "zero-labelled edge lies on one side"
-                        sigma = s_pos
-                    else:
-                        pos_r = face_regions[graph.positive_face(eid, face_of)]
-                        neg_r = face_regions[graph.negative_face(eid, face_of)]
-                        assert pos_r is neg_r, "edge inside a region"
-                        sigma = sigma_of_region(pos_r)
+                        if sigma != sigma_of_region(neg_r):
+                            raise AssertionError(
+                                f"zero-labelled edge {eid} separates the two sides"
+                            )
+                    elif pos_r is not neg_r:
+                        raise AssertionError(f"edge {eid} is not inside a region")
                 else:
-                    sigma = sigma_uniform()
+                    sigma = uniform
                 for cid in chain:
                     corner_arc(cid, sigma)
 
@@ -356,7 +343,8 @@ def _check_arcs(d: Diagram, config: PArcConfig) -> None:
         fa = d.face_of[(lab, 0)]
         fb = d.face_of[(lab, 1)]
         in_w = [x for x in (fa, fb) if x in whites]
-        assert len(in_w) == 1
+        if len(in_w) != 1:
+            raise AssertionError(f"strand {lab} does not border one white face")
         return in_w[0]
 
     for a, b in config.arcs:

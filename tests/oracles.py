@@ -24,15 +24,16 @@ answer:
 - ``exhaustive_colour_schemes`` filters every weakly increasing sequence
   for distinct columns, where ``structure.colour_schemes`` grows the
   sequence and prunes branches that can no longer separate their columns;
-- ``rescan_eliminate`` is the unit-pivot eliminator that rescans every
-  row for the best Markowitz pivot at each step, where
-  ``homology._eliminate`` keeps its candidates in a lazily re-keyed
-  priority queue;
+- ``rescan_eliminate`` is ``matrix_homology``'s eliminator: it pivots on
+  unit entries, rescanning every row for the best Markowitz pivot at each
+  step, and hands the unit-free rest to ``homology.smith_diagonal``; the
+  tests check it against ``smith_diagonal`` on the whole matrix;
 - ``matrix_homology`` builds every boundary matrix of the augmented chain
   complex from the set of all faces, checks that consecutive boundaries
   compose to zero by multiplying them out, and eliminates each matrix on
-  its own, where ``homology.homology`` first pairs cells off by
-  coreduction and eliminates only the residue.
+  its own with ``rescan_eliminate``, where ``homology.homology`` first
+  pairs cells off by coreduction and gives only the residue to the Smith
+  form.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from kakimizu.diagram import (
     Crossing,
     Diagram,
 )
-from kakimizu.homology import HomologyReport, _eliminate, smith_diagonal
+from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices, region_add
 from kakimizu.planar import EmbeddedGraph
 from kakimizu.theta import Region, ThetaGraph
@@ -487,7 +488,9 @@ def matrix_homology(c: SimplicialComplex) -> HomologyReport:
         if compose(boundaries[k - 1], boundaries[k]):
             raise AssertionError("the boundary of a boundary is not zero")
 
-    results = [_eliminate({i: dict(r) for i, r in b.items()}) for b in boundaries]
+    results = [
+        rescan_eliminate({i: dict(r) for i, r in b.items()}) for b in boundaries
+    ]
     betti = []
     torsion = []
     for k in range(len(by_dim)):

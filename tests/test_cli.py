@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report shapes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from kakimizu.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kakimizu"
 
 
 def run(capsys, *argv):
@@ -333,6 +335,20 @@ def test_import_leaves_networkx_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_library_has_no_bare_asserts():
+    """``python -O`` strips assert statements, so library invariants raise
+    ``AssertionError`` explicitly."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert bare == []
 
 
 def test_malformed_document(capsys, tmp_path):

@@ -15,11 +15,13 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from oracles import boundary, faces_by_dim, matrix_homology, rescan_eliminate
 from test_acceptance import family50
+from test_kcomplex import BENCH_SHAPES, shaped_theta
 from kakimizu import homology as homology_module
 from kakimizu.generate import random_theta, random_theta_family
 from kakimizu.homology import HomologyReport, homology, smith_diagonal
-from kakimizu.homology import _coreduce, _eliminate, _faces_by_dim, _lattice
+from kakimizu.homology import _coreduce, _faces_by_dim, _lattice
 from kakimizu.kcomplex import SimplicialComplex, build_complex
+from kakimizu.theta import SPHERE, Placement, ThetaComponent, ThetaEdge, ThetaGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -87,12 +89,10 @@ def rank_and_divisors(mat):
 
 
 def assert_eliminators_agree(mat):
-    """The queue eliminator, the rescanning oracle and the dense Smith form
-    give the same rank and the same non-unit divisors."""
-    expected = rank_and_divisors(mat)
-    for eliminate in (_eliminate, rescan_eliminate):
-        rank, divisors = eliminate(sparse_of(mat))
-        assert (rank, sorted(divisors)) == expected
+    """The rescanning eliminator and the dense Smith form give the same
+    rank and the same non-unit divisors."""
+    rank, divisors = rescan_eliminate(sparse_of(mat))
+    assert (rank, sorted(divisors)) == rank_and_divisors(mat)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -105,27 +105,6 @@ def test_sparse_elimination_matches_dense(seed):
         for _ in range(rows)
     ]
     assert_eliminators_agree(mat)
-
-
-def test_queue_elimination_reaches_the_residue(monkeypatch):
-    """Pivoting on the only unit entry hands the second row a unit, which
-    must be pivoted in turn; a Z/3 + Z/3 core is left for the Smith form."""
-    mat = [
-        [1, 1, 0, 0],
-        [2, 3, 0, 0],
-        [0, 0, 3, 0],
-        [0, 2, 0, 3],
-    ]
-    residues = []
-
-    def recording(rows):
-        residues.append(rows)
-        return smith_diagonal(rows)
-
-    monkeypatch.setattr(homology_module, "smith_diagonal", recording)
-    assert _eliminate(sparse_of(mat)) == (4, [3, 3])
-    assert residues == [[[3, 0], [0, 3]]]
-    assert rank_and_divisors(mat) == (4, [3, 3])
 
 
 @st.composite
@@ -287,39 +266,48 @@ def test_coreduction_matches_matrix_homology(c):
     assert homology(c) == matrix_homology(c)
 
 
+def sphere_theta(*components):
+    """Theta components with the given edge weights, all on the sphere."""
+    comps, eid = [], 0
+    for cid, weights in enumerate(components):
+        edges = [ThetaEdge(eid + i, w) for i, w in enumerate(weights)]
+        eid += len(weights)
+        comps.append(ThetaComponent(cid, edges, Placement(SPHERE, 0, 0)))
+    return ThetaGraph(comps)
+
+
 def test_coreduction_pairs_off_every_theta_ball():
-    for t in family50():
+    """No cell is left on the acceptance family, on the benchmark's shapes,
+    or on the 225- and 441-vertex balls of the ROADMAP baseline."""
+    shapes = [shaped_theta(random.Random(str(s)), s) for s in BENCH_SHAPES]
+    for t in [*family50(), *shapes]:
         assert residue_cells(build_complex(t)) == 0
+    for weights, n in [((2, 1, 1), 225), ((3, 1, 1), 441)]:
+        c = build_complex(sphere_theta(weights, weights))
+        assert len(c.vertices) == n
+        assert residue_cells(c) == 0
 
 
 @pytest.mark.parametrize(
-    "n, faces, left, smith",
-    [(6, PROJECTIVE_PLANE, 10, True), (8, DUNCE_HAT, 18, False)],
+    "n, faces, left",
+    [(6, PROJECTIVE_PLANE, 10), (8, DUNCE_HAT, 18)],
     ids=["rp2", "dunce-hat"],
 )
-def test_coreduction_residue_is_eliminated(monkeypatch, n, faces, left, smith):
+def test_coreduction_residue_is_eliminated(monkeypatch, n, faces, left):
     """Coreduction stalls on the projective plane and on the dunce hat, so
-    their homology comes from the eliminator, and the projective plane's
-    torsion from the Smith form."""
+    their homology, the projective plane's torsion included, comes from the
+    Smith form of the residue; it is called on non-empty matrices only."""
     c = complex_on(n, faces)
     assert residue_cells(c) == left
+    seen = []
 
-    def record(name):
-        original = getattr(homology_module, name)
-        seen = []
+    def recording(rows):
+        seen.append(rows)
+        return smith_diagonal(rows)
 
-        def recording(rows):
-            if rows:
-                seen.append(rows)
-            return original(rows)
-
-        monkeypatch.setattr(homology_module, name, recording)
-        return seen
-
-    eliminated, smith_calls = record("_eliminate"), record("smith_diagonal")
+    monkeypatch.setattr(homology_module, "smith_diagonal", recording)
     report = homology(c)
-    assert eliminated
-    assert bool(smith_calls) == smith
+    assert seen and all(rows and rows[0] for rows in seen)
     assert report == matrix_homology(c)
 
 
