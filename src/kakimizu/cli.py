@@ -2,14 +2,17 @@
 
 One tool with subcommands; every report is JSON with sorted keys, so a
 given (input, flags, seed) always produces byte-identical output.  Exit
-codes: 0 success, 1 validation or computation failure on the input data,
-2 usage error.  The environment variable KAKIMIZU_SEED overrides --seed
-wherever a seed is accepted.
+codes: 0 success, 1 validation or computation failure on the input data
+(or a broken library invariant, reported as ``internal_error``), 2 usage
+error.  The environment variable KAKIMIZU_SEED overrides --seed wherever a
+seed is accepted.  The argument parser is built on first use and then kept
+for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,6 +232,7 @@ def cmd_selftest(args) -> tuple[int, dict]:
 # -- parser and dispatch ----------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kakimizu",
@@ -328,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
             code, doc = args.handler(args)
         except ValueError as exc:
             code, doc = EXIT_INVALID, {"error": str(exc)}
+        except AssertionError as exc:
+            code, doc = EXIT_INVALID, {"internal_error": str(exc)}
         _emit(doc, args)
     except OSError as exc:
         sys.stderr.write(f"kakimizu: {exc}\n")

@@ -4,10 +4,12 @@ A graph embedded in the sphere is recorded combinatorially: at each vertex we
 list the cyclic (anticlockwise) order of the edge ends meeting it.  Faces are
 traced from this data alone.  Following a directed edge into its head, the
 face boundary continues along the rotation predecessor of the arriving end;
-this keeps every face on the left of its (anticlockwise) boundary walk.  On
-the sphere the count of traced faces then satisfies F = E - V + 1 + C, where
-C is the number of connected components, and every trace asserts this, so
-the map a surgery leaves is checked before anything reads it.
+this keeps every face on the left of its (anticlockwise) boundary walk.  A
+trace reads each rotation list once and follows each half-edge once, so it
+costs O(E log E), the log for sorting the half-edges.  On the sphere the
+count of traced faces then satisfies F = E - V + 1 + C, where C is the
+number of connected components, and every trace asserts this, so the map a
+surgery leaves is checked before anything reads it.
 
 Edges carry a transverse orientation.  Rather than naming the two sides, we
 store the flag ``pos_left``: the positive side of the edge is the one on the
@@ -144,10 +146,6 @@ class EmbeddedGraph:
         edge = self.edges[h[0]]
         return edge.v if h[1] == 0 else edge.u
 
-    def rotation_prev(self, dart: Dart) -> Dart:
-        rot = self.rotation[self.dart_vertex(dart)]
-        return rot[(rot.index(dart) - 1) % len(rot)]
-
     def component_count(self) -> int:
         seen: set[int] = set()
         count = 0
@@ -173,42 +171,33 @@ class EmbeddedGraph:
 
     # -- faces ------------------------------------------------------------
 
-    def next_in_face(self, h: HalfEdge) -> HalfEdge:
-        """The successor of half-edge ``h`` on the face to its left.
-
-        Arriving at the head of ``h``, the left face occupies the wedge
-        whose anticlockwise-upper boundary is the arriving end, so its
-        boundary leaves along the rotation predecessor of that end.
-        """
-        eid, direction = h
-        # The arriving end is the head of h: end 1 when walking u -> v.
-        arrival: Dart = (eid, 1) if direction == 0 else (eid, 0)
-        return self.rotation_prev(arrival)
-
     def trace_faces(self) -> list[list[HalfEdge]]:
         """All faces, each an anticlockwise cycle of half-edges.
 
-        Faces are rotated to start at their lexicographically least half-edge
-        and the list is sorted by that key, so face indices are reproducible.
+        Arriving at the head of a half-edge, the face on its left leaves
+        along the rotation predecessor of the arriving end.  One sweep over
+        the half-edges in sorted order starts a face at each one not yet
+        traced; that start is the least half-edge of its face, so every face
+        begins at its lexicographically least half-edge and the list comes
+        out sorted by it, which keeps face indices reproducible.
         """
-        remaining: set[HalfEdge] = set()
-        for eid in self.edges:
-            remaining.add((eid, 0))
-            remaining.add((eid, 1))
+        prev: dict[Dart, Dart] = {}
+        for rot in self.rotation.values():
+            for i, dart in enumerate(rot):
+                prev[dart] = rot[i - 1]
+        seen: set[HalfEdge] = set()
         faces: list[list[HalfEdge]] = []
-        while remaining:
-            h = min(remaining)
-            cycle: list[HalfEdge] = []
-            cur = h
-            while True:
-                cycle.append(cur)
-                remaining.discard(cur)
-                cur = self.next_in_face(cur)
-                if cur == h:
-                    break
-            pivot = cycle.index(min(cycle))
-            faces.append(cycle[pivot:] + cycle[:pivot])
-        faces.sort(key=lambda c: c[0])
+        for eid in sorted(self.edges):
+            for start in ((eid, 0), (eid, 1)):
+                cycle: list[HalfEdge] = []
+                h = start
+                while h not in seen:
+                    seen.add(h)
+                    cycle.append(h)
+                    # the arriving end is the head of h: end 1 walking u -> v
+                    h = prev[(h[0], 1 - h[1])]
+                if cycle:
+                    faces.append(cycle)
         if self.edges:
             # Each connected component must close up spherically.  The traced
             # walks do not merge across components: a disconnected graph on

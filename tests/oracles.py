@@ -28,6 +28,12 @@ answer:
   unit entries, rescanning every row for the best Markowitz pivot at each
   step, and hands the unit-free rest to ``homology.smith_diagonal``; the
   tests check it against ``smith_diagonal`` on the whole matrix;
+- ``min_pivot_trace_faces`` traces the faces of a planar map by taking
+  the least untraced half-edge with ``min`` for every face, stepping with
+  ``next_in_face`` and ``rotation_prev`` (a ``list.index`` per step), then
+  rotating each face to its least half-edge and sorting the list, where
+  ``EmbeddedGraph.trace_faces`` makes one sorted sweep with a dict of
+  rotation predecessors;
 - ``matrix_homology`` builds every boundary matrix of the augmented chain
   complex from the set of all faces, checks that consecutive boundaries
   compose to zero by multiplying them out, and eliminates each matrix on
@@ -52,7 +58,7 @@ from kakimizu.diagram import (
 )
 from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices, region_add
-from kakimizu.planar import EmbeddedGraph
+from kakimizu.planar import Dart, EmbeddedGraph, HalfEdge
 from kakimizu.theta import Region, ThetaGraph
 
 __all__ = [
@@ -67,10 +73,13 @@ __all__ = [
     "exhaustive_is_fibred",
     "faces_by_dim",
     "matrix_homology",
+    "min_pivot_trace_faces",
+    "next_in_face",
     "networkx_maximal_cliques",
     "order_regions",
     "owner_maps",
     "rescan_eliminate",
+    "rotation_prev",
     "white_smooth",
 ]
 
@@ -355,6 +364,63 @@ def exhaustive_is_fibred(g: EmbeddedGraph) -> bool:
         return result
 
     return solve(edges, vertices)
+
+
+def rotation_prev(g: EmbeddedGraph, dart: Dart) -> Dart:
+    rot = g.rotation[g.dart_vertex(dart)]
+    return rot[(rot.index(dart) - 1) % len(rot)]
+
+
+def next_in_face(g: EmbeddedGraph, h: HalfEdge) -> HalfEdge:
+    """The successor of half-edge ``h`` on the face to its left.
+
+    Arriving at the head of ``h``, the left face occupies the wedge
+    whose anticlockwise-upper boundary is the arriving end, so its
+    boundary leaves along the rotation predecessor of that end.
+    """
+    eid, direction = h
+    # The arriving end is the head of h: end 1 when walking u -> v.
+    arrival: Dart = (eid, 1) if direction == 0 else (eid, 0)
+    return rotation_prev(g, arrival)
+
+
+def min_pivot_trace_faces(g: EmbeddedGraph) -> list[list[HalfEdge]]:
+    """All faces, each an anticlockwise cycle of half-edges.
+
+    Faces are rotated to start at their lexicographically least half-edge
+    and the list is sorted by that key, so face indices are reproducible.
+    """
+    remaining: set[HalfEdge] = set()
+    for eid in g.edges:
+        remaining.add((eid, 0))
+        remaining.add((eid, 1))
+    faces: list[list[HalfEdge]] = []
+    while remaining:
+        h = min(remaining)
+        cycle: list[HalfEdge] = []
+        cur = h
+        while True:
+            cycle.append(cur)
+            remaining.discard(cur)
+            cur = next_in_face(g, cur)
+            if cur == h:
+                break
+        pivot = cycle.index(min(cycle))
+        faces.append(cycle[pivot:] + cycle[:pivot])
+    faces.sort(key=lambda c: c[0])
+    if g.edges:
+        # Each connected component must close up spherically.  The traced
+        # walks do not merge across components: a disconnected graph on
+        # the sphere has E - V + 1 + C faces but E - V + 2C boundary
+        # walks, one pair of walks bounding each shared face.
+        with_edges = {v for v in g.rotation if g.rotation[v]}
+        expected = len(g.edges) - len(with_edges) + 2 * g._edge_components()
+        if len(faces) != expected:
+            raise ValueError(
+                f"embedding is not spherical: {len(faces)} faces, "
+                f"expected {expected}"
+            )
+    return faces
 
 
 def rescan_eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:

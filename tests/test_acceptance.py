@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 from conftest import load_text
-from oracles import exhaustive_is_fibred
+from oracles import exhaustive_is_fibred, min_pivot_trace_faces
 from kakimizu.diagram import (
     black_region_graph,
     is_fibred,
@@ -25,6 +25,7 @@ from kakimizu.diagram import (
     seifert,
     white_region_graph,
 )
+from kakimizu.families import book
 from kakimizu.generate import random_theta_family
 from kakimizu.homology import homology
 from kakimizu.kcomplex import (
@@ -36,6 +37,8 @@ from kakimizu.kcomplex import (
     neighbours,
     region_add,
 )
+from kakimizu.medial import medial
+from kakimizu.planar import EmbeddedGraph
 from kakimizu.structure import (
     ball_report,
     component_product,
@@ -53,6 +56,7 @@ from kakimizu.theta import (
     augment_flype_arcs,
     extract_theta,
     reduce_bigons,
+    theta_pipeline,
 )
 
 DIAGRAM_FIXTURES = [
@@ -88,7 +92,7 @@ def single_component(k, m):
 
 
 def verdict(label, elapsed, budget=None):
-    inside = f"{elapsed:.2f}s" + (f" < {budget:.0f}s budget" if budget else "")
+    inside = f"{elapsed:.2f}s" + (f" < {budget:g}s budget" if budget else "")
     print(f"criterion {label}: PASS ({inside})")
 
 
@@ -236,6 +240,22 @@ def test_criterion_3_ball_homology_at_scale():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     verdict("3 (ball homology at scale)", elapsed, 5.0)
+
+
+def test_criterion_3_diagram_to_theta_at_scale(monkeypatch):
+    """The 400-crossing (2, 400) torus diagram reaches its theta graph
+    within budget, and on book(60) the pipeline's theta graph is the one
+    it gives when every face trace is the min-per-face oracle's."""
+    start = time.perf_counter()
+    t = theta_pipeline(medial(book(400)))
+    elapsed = time.perf_counter() - start
+    assert t.components == []
+    assert elapsed < 1.5
+    verdict("3 (diagram to theta at scale)", elapsed, 1.5)
+    d = medial(book(60))
+    want = theta_pipeline(d).to_json()
+    monkeypatch.setattr(EmbeddedGraph, "trace_faces", min_pivot_trace_faces)
+    assert theta_pipeline(d).to_json() == want
 
 
 # -- criterion 4: flag property ---------------------------------------------

@@ -375,3 +375,66 @@ def test_malformed_document(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
+
+
+# -- the parser is built once per process -----------------------------------
+
+
+def test_import_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    code = "import kakimizu.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_two_runs_build_the_parser_once(capsys):
+    from kakimizu import cli
+
+    cli._parser.cache_clear()
+    run(capsys, "esd", "--n", "1", "--m", "1")
+    run(capsys, "esd", "--n", "2", "--m", "1")
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
+    """Call for call, a run sequence through the cached parser prints and
+    exits as it does through a parser built afresh for every call."""
+    from kakimizu import cli
+
+    analyze = ["analyze", fx("dalpha.theta.json"), "--metric", "0", "7"]
+    sequence = [analyze, ["frobnicate"], ["esd"], ["--help"], analyze]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cached = outcomes()
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = outcomes()
+    assert cached == fresh
+    assert [r[0] for r in cached] == [EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert cached[0] == cached[4]
+
+
+def test_internal_error_is_a_json_report(capsys, monkeypatch):
+    def broken(c):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr("kakimizu.structure.homology", broken)
+    code = main(["analyze", "--homology", fx("dalpha.theta.json")])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert json.loads(captured.out) == {"internal_error": "boom"}
+    assert captured.err == ""

@@ -2,8 +2,13 @@
 
 import pytest
 
+from conftest import FIXTURES
+from oracles import min_pivot_trace_faces
+from kakimizu.diagram import black_region_graph, parse_diagram
 from kakimizu.families import book, build_graph, cube_graph, dalpha_graph
+from kakimizu.medial import medial
 from kakimizu.planar import Edge, EmbeddedGraph, face_index
+from kakimizu.theta import theta_pipeline
 
 
 def triangle():
@@ -85,3 +90,112 @@ def test_parallel_classes():
     groups = g.parallel_classes()
     assert groups[(0, 1)] == [1, 2, 3]
     assert groups[(0, 2)] == [0]
+
+
+# -- the sweep trace against the min-per-face oracle -------------------------
+
+
+def hub_graph(chains):
+    """Two hubs, 0 anticlockwise and 1 clockwise, joined by paths of odd
+    length listed anticlockwise at hub 0; a doubled path has a second copy
+    of its first edge."""
+    classes = {0: 1, 1: -1}
+    endpoints = {}
+    rotations = {0: [], 1: []}
+    for length, doubled in chains:
+        inner = list(range(len(classes), len(classes) + length - 1))
+        path = [0, *inner, 1]
+        for i, v in enumerate(inner, 1):
+            classes[v] = 1 if i % 2 == 0 else -1
+        steps = []
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            ids = list(range(len(endpoints), len(endpoints) + 1 + (doubled and i == 0)))
+            for eid in ids:
+                endpoints[eid] = (a, b) if classes[a] == 1 else (b, a)
+            steps.append(ids)
+        rotations[0] += steps[0]
+        rotations[1][:0] = steps[-1][::-1]
+        for i, v in enumerate(inner, 1):
+            rotations[v] = steps[i - 1][::-1] + steps[i]
+    return build_graph(classes, endpoints, rotations)
+
+
+HUB_CHAINS = [
+    [(3, True), (1, False), (3, False)],
+    [(3, True), (1, True), (5, False), (1, False), (3, True)],
+    [(5, True), (1, False), (1, False), (7, False), (1, True), (3, False)],
+]
+
+
+@pytest.fixture
+def checked_traces(monkeypatch):
+    """Makes every ``trace_faces`` call also run the oracle trace on the
+    same map and compare the face lists, order included; collects the
+    traced maps."""
+    traced = []
+    sweep = EmbeddedGraph.trace_faces
+
+    def checking(self):
+        faces = sweep(self)
+        assert faces == min_pivot_trace_faces(self)
+        traced.append(self)
+        return faces
+
+    monkeypatch.setattr(EmbeddedGraph, "trace_faces", checking)
+    return traced
+
+
+def test_trace_matches_oracle_on_fixture_maps():
+    names = sorted(p.name for p in FIXTURES.glob("*.json"))
+    names = [n for n in names if not n.endswith(".theta.json")]
+    assert len(names) == 7
+    for name in names:
+        d = parse_diagram((FIXTURES / name).read_text())
+        for g in (d.map, black_region_graph(d)):
+            assert g.trace_faces() == min_pivot_trace_faces(g)
+
+
+@pytest.mark.parametrize("k", range(2, 31))
+def test_trace_matches_oracle_through_book_pipeline(k, checked_traces):
+    theta_pipeline(medial(book(k)))
+    assert len(checked_traces) >= 4
+
+
+@pytest.mark.parametrize("chains", HUB_CHAINS)
+def test_trace_matches_oracle_through_hub_pipeline(chains, checked_traces):
+    theta_pipeline(medial(hub_graph(chains)))
+    assert len(checked_traces) >= 4
+
+
+def test_trace_matches_oracle_with_isolated_vertex():
+    g = triangle()
+    g.add_vertex(7)
+    faces = g.trace_faces()
+    assert faces == min_pivot_trace_faces(g)
+    assert len(faces) == 2
+
+
+def test_trace_matches_oracle_on_disconnected_graph():
+    # a triangle and a separate book(3) on vertices 10, 11
+    g = triangle()
+    g.add_vertex(10, 1)
+    g.add_vertex(11, -1)
+    for eid in (20, 21, 22):
+        g.edges[eid] = Edge(id=eid, u=10, v=11)
+    g.rotation[10] = [(20, 0), (21, 0), (22, 0)]
+    g.rotation[11] = [(22, 1), (21, 1), (20, 1)]
+    faces = g.trace_faces()
+    assert faces == min_pivot_trace_faces(g)
+    # 2 + 3 boundary walks; the two components share one face of the sphere
+    assert len(faces) == 5
+
+
+def test_non_spherical_error_matches_oracle():
+    g = book(3)
+    g.rotation[1] = [(0, 1), (1, 1), (2, 1)]
+    with pytest.raises(ValueError) as oracle_error:
+        min_pivot_trace_faces(g)
+    with pytest.raises(ValueError) as error:
+        g.trace_faces()
+    assert str(error.value) == str(oracle_error.value)
+    assert "not spherical" in str(error.value)
