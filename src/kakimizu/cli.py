@@ -28,9 +28,9 @@ from .diagram import (
 from .generate import random_theta_family
 from .kcomplex import (
     build_complex,
-    cyclic_order_simplices,
     distance,
     enumerate_vertices,
+    flag_check,
 )
 from .structure import ball_report, component_product, esd, theta_to_esd_map, verify_iso
 from .surfaces import realize_vertex
@@ -122,10 +122,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
             if not report.ok():
                 code = EXIT_INVALID
     if args.flag_check:
-        cliques = {
-            frozenset(c.vertices[i] for i in s) for s in c.maximal_simplices
-        }
-        doc["flag_check"] = cliques == cyclic_order_simplices(t)
+        doc["flag_check"] = flag_check(c)
         if not doc["flag_check"]:
             code = EXIT_INVALID
     if args.metric is not None:
@@ -215,10 +212,7 @@ def cmd_selftest(args) -> tuple[int, dict]:
             failures.append({"instance": i, "check": "product"})
         if not ball_report(t, c).ok():
             failures.append({"instance": i, "check": "ball"})
-        cliques = {
-            frozenset(c.vertices[j] for j in s) for s in c.maximal_simplices
-        }
-        if cliques != cyclic_order_simplices(t):
+        if not flag_check(c):
             failures.append({"instance": i, "check": "flag"})
     doc = {
         "seed": seed,

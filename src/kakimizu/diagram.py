@@ -25,6 +25,7 @@ From this single structure everything else is derived combinatorially:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .planar import Edge, EmbeddedGraph, face_index
@@ -298,11 +299,12 @@ def parse_diagram(text: str) -> Diagram:
             raise ValueError(f"crossing {cid}: pd must be 4 integers")
         labels.extend(pd)
         crossings.append((cid, tuple(pd)))
-    distinct = sorted(set(labels))
+    counts = Counter(labels)
+    distinct = sorted(counts)
     for lab in distinct:
-        if labels.count(lab) != 2:
+        if counts[lab] != 2:
             raise ValueError(
-                f"label multiplicity: label {lab} appears {labels.count(lab)} time(s)"
+                f"label multiplicity: label {lab} appears {counts[lab]} time(s)"
             )
     if distinct != list(range(1, len(distinct) + 1)):
         rank = {lab: i + 1 for i, lab in enumerate(distinct)}

@@ -4,12 +4,12 @@ Vertices are the nonnegative integer weightings of the theta edges whose
 per-component totals match the input weights.  Adding a region to a vertex
 raises the weight by 1 on each edge the region meets only on its negative
 side and lowers it on each edge met only on the positive side; this is
-defined only when no weight would go negative.  Two vertices are adjacent
-when one is obtained from the other by adding a proper non-empty set of
-regions one at a time, every intermediate vector again a vertex; the
-neighbours of a vertex are found by walking those additions from it.  The
-complex is flag, so its simplices are exactly the cliques of this
-neighbour graph.
+defined only when no weight would go negative.  A maximal simplex is the
+set of vertices met by adding every region once, in some order, staying on
+vertices; the region deltas sum to zero, so the walk closes.  Two vertices
+are adjacent when a proper part of such a walk joins them.  The complex is
+flag, so its maximal simplices are also the maximal cliques of this
+neighbour graph; ``flag_check`` confirms that by an independent search.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ __all__ = [
     "SimplicialComplex",
     "base_vertex",
     "build_complex",
-    "cyclic_order_simplices",
     "distance",
     "enumerate_vertices",
+    "flag_check",
     "neighbours",
     "order_vertices",
-    "ordered_by",
     "region_add",
 ]
 
@@ -188,55 +187,58 @@ def _maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:
 
 
 def build_complex(t: ThetaGraph) -> SimplicialComplex:
-    """All vertices, with maximal simplices as maximal cliques of the
-    neighbour graph; the complex is flag, so this is the whole complex."""
-    vertices = enumerate_vertices(t)
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = {i: {index[w] for w in neighbours(t, v)} for i, v in enumerate(vertices)}
-    simplices = sorted(sorted(c) for c in _maximal_cliques(adj))
-    return SimplicialComplex(vertices=vertices, maximal_simplices=simplices, theta=t)
+    """All vertices, with each maximal simplex found from its definition as
+    a closed walk through all regions.
 
-
-def cyclic_order_simplices(t: ThetaGraph) -> set[frozenset]:
-    """Maximal simplices found from their definition, not from cliques.
-
-    A set of vertices spans a maximal simplex when some ordering of all
-    regions, added one at a time, walks through exactly those vertices and
-    returns to its start.  Rotating a closed walk only moves its start, so
-    every simplex is reached by a walk whose first move is region 0: a
-    depth-first search from each vertex through the orderings of the other
-    regions, keeping only steps that land on vertices, finds each simplex
-    once.  The flag property says this agrees with ``build_complex``; the
-    test suite compares the two.
+    Rotating a closed walk only moves its start, so every simplex is reached
+    by a walk whose first move is region 0: a depth-first search from each
+    vertex through the orderings of the other regions, keeping only steps
+    that land on vertices, finds each simplex once.  The empty graph has
+    one vertex, which is its only simplex.
     """
+    vertices = enumerate_vertices(t)
     if not t.components:
-        return {frozenset({()})}
+        return SimplicialComplex(vertices=vertices, maximal_simplices=[[0]], theta=t)
     # every component has at least two edges, hence at least two regions
     deltas = [r.delta(t) for r in t.regions]
-    vset = set(enumerate_vertices(t))
-    out: set[frozenset] = set()
-    path: list[Vertex] = []
+    index = {v: i for i, v in enumerate(vertices)}
+    simplices: list[list[int]] = []
+    path: list[int] = []
 
     def extend(v: Vertex, remaining: list[int]) -> None:
         if len(remaining) == 1:
-            # the last region closes the walk back to its start
-            if tuple(map(add, v, deltas[remaining[0]])) in vset:
-                out.add(frozenset(path))
+            # the deltas sum to zero, so the last region closes the walk
+            simplices.append(sorted(path))
             return
         for r in remaining:
-            w = tuple(map(add, v, deltas[r]))
-            if w in vset:
-                path.append(w)
-                extend(w, [s for s in remaining if s != r])
+            j = index.get(tuple(map(add, v, deltas[r])))
+            if j is not None:
+                path.append(j)
+                extend(vertices[j], [s for s in remaining if s != r])
                 path.pop()
 
     rest = list(range(1, len(deltas)))
-    for u in vset:
-        w = tuple(map(add, u, deltas[0]))
-        if w in vset:
-            path[:] = [u, w]
-            extend(w, rest)
-    return out
+    for i, u in enumerate(vertices):
+        j = index.get(tuple(map(add, u, deltas[0])))
+        if j is not None:
+            path[:] = [i, j]
+            extend(vertices[j], rest)
+    simplices.sort()
+    return SimplicialComplex(vertices=vertices, maximal_simplices=simplices, theta=t)
+
+
+def flag_check(c: SimplicialComplex) -> bool:
+    """Whether the maximal simplices of a complex built from a theta graph
+    are exactly the maximal cliques of its neighbour graph, as the flag
+    property says; the clique search is independent of the region walk."""
+    if c.theta is None:
+        raise ValueError("complex does not carry a theta graph")
+    adj = {
+        i: {c.index(w) for w in neighbours(c.theta, v)}
+        for i, v in enumerate(c.vertices)
+    }
+    cliques = sorted(sorted(s) for s in _maximal_cliques(adj))
+    return cliques == sorted(sorted(s) for s in c.maximal_simplices)
 
 
 def distance(c: SimplicialComplex, u, v) -> int:
@@ -262,25 +264,29 @@ def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
     carrying vertex i to vertex j omits ``r``.
 
     Within a simplex the vertices sit on a cycle of single-region moves;
-    dropping the moves through ``r`` breaks every cycle into a line, giving
+    dropping the move through ``r`` breaks every cycle into a line, giving
     a relation that is antisymmetric, defined exactly on adjacent pairs,
-    and transitive on every simplex.
+    and transitive on every simplex.  Each move lands on the only vertex of
+    the simplex that its region reaches, so the lines are read off the
+    maximal simplices.
     """
     if c.theta is None:
         raise ValueError("complex does not carry a theta graph")
-    return {
-        (i, c.index(w))
-        for i, v in enumerate(c.vertices)
-        for w, a in neighbours(c.theta, v).items()
-        if all(reg.id != r.id for reg in a)
-    }
-
-
-def ordered_by(c: SimplicialComplex, r: Region) -> SimplicialComplex:
-    """Copy of ``c`` carrying the vertex order broken at region ``r``."""
-    return SimplicialComplex(
-        vertices=c.vertices,
-        maximal_simplices=c.maximal_simplices,
-        theta=c.theta,
-        order=frozenset(order_vertices(c, r)),
-    )
+    deltas = [reg.delta(c.theta) for reg in c.theta.regions]
+    cut = r.delta(c.theta)
+    index = c._index
+    # each vertex -> the vertices one region away, with that region's delta
+    reach = [
+        {index[w]: d for d in deltas if (w := tuple(map(add, v, d))) in index}
+        for v in c.vertices
+    ]
+    out: set[tuple[int, int]] = set()
+    for s in c.maximal_simplices:
+        # each region delta -> the one move it makes inside the simplex
+        moves = {d: (i, j) for i in s for j, d in reach[i].items() if j in s}
+        step = dict(moves.values())
+        line = [moves[cut][1]]
+        while len(line) < len(s):
+            line.append(step[line[-1]])
+        out.update(itertools.combinations(line, 2))
+    return out

@@ -114,11 +114,8 @@ def theta_to_esd_map(t: ThetaGraph) -> dict[tuple, tuple]:
     subdivision vertices: list each edge position as often as its weight."""
     if len(t.components) != 1:
         raise ValueError("theta graph must have a single component")
-    k = t.components[0].k
-    out = {}
-    for u in enumerate_vertices(t):
-        out[u] = tuple(j for j in range(k) for _ in range(u[j]))
-    return out
+    vertices = enumerate_vertices(t)
+    return {u: tuple(j for j, w in enumerate(u) for _ in range(w)) for u in vertices}
 
 
 # -- isomorphism checking ---------------------------------------------------
@@ -134,11 +131,8 @@ def verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:
         return False
     m1 = {frozenset(f[c1.vertices[i]] for i in s) for s in c1.maximal_simplices}
     m2 = {frozenset(c2.vertices[i] for i in s) for s in c2.maximal_simplices}
-    return (
-        m1 == m2
-        and len(m1) == len(c1.maximal_simplices)
-        and len(m2) == len(c2.maximal_simplices)
-    )
+    n1, n2 = len(c1.maximal_simplices), len(c2.maximal_simplices)
+    return m1 == m2 and len(m1) == n1 == n2
 
 
 # -- ordered products -------------------------------------------------------
@@ -147,9 +141,7 @@ def verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:
 def _chain(simplex, order) -> list[int]:
     """The vertices of a simplex sorted by a total order, verifying that
     the order really is total and transitive on the simplex."""
-    ranks = {}
-    for v in simplex:
-        ranks[v] = sum(1 for u in simplex if u != v and (u, v) in order)
+    ranks = {v: sum(1 for u in simplex if u != v and (u, v) in order) for v in simplex}
     if sorted(ranks.values()) != list(range(len(simplex))):
         raise ValueError("order violates axioms")
     chain = sorted(simplex, key=lambda v: ranks[v])

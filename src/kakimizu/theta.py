@@ -461,15 +461,11 @@ class Region:
     boundary_minus: set[int] = field(default_factory=set)
 
     def delta(self, t: ThetaGraph) -> tuple[int, ...]:
-        out = []
-        for eid in t.global_edge_order:
-            if eid in self.boundary_plus:
-                out.append(1)
-            elif eid in self.boundary_minus:
-                out.append(-1)
-            else:
-                out.append(0)
-        return tuple(out)
+        # compute_regions never puts an edge on both sides of one region
+        return tuple(
+            (eid in self.boundary_plus) - (eid in self.boundary_minus)
+            for eid in t.global_edge_order
+        )
 
 
 def merge_classes(items: list, pairs) -> list[set]:

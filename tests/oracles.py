@@ -19,8 +19,8 @@ answer:
   of the diagram it starts from;
 - ``cyclic_order_maximal_simplices`` memoizes the completions of every
   region walk from every start, finding each maximal simplex once per
-  rotation of its walk, where ``kcomplex.cyclic_order_simplices`` walks
-  only from region 0 and finds each once;
+  rotation of its walk, where ``kcomplex.build_complex`` walks only from
+  region 0 and finds each once;
 - ``exhaustive_colour_schemes`` filters every weakly increasing sequence
   for distinct columns, where ``structure.colour_schemes`` grows the
   sequence and prunes branches that can no longer separate their columns;
@@ -191,7 +191,7 @@ def cyclic_order_maximal_simplices(t: ThetaGraph) -> set[frozenset]:
     and the regions still unused (their deltas sum to the remaining
     displacement), so walk completions can be memoized without it.  Every
     start is tried, so each simplex is found once per rotation of its walk;
-    ``kcomplex.cyclic_order_simplices`` roots the walk at region 0 instead.
+    ``kcomplex.build_complex`` roots the walk at region 0 instead.
     """
     if not t.components:
         return {frozenset({()})}

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kakimizu.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from kakimizu.kcomplex import build_complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kakimizu"
@@ -177,6 +178,66 @@ def test_verify_product(capsys):
     assert code == EXIT_OK
     assert doc["isomorphic"] is True
     assert doc["ball"]["ok"] is True
+
+
+# -- the builder and the flag check -----------------------------------------
+
+
+def test_builder_needs_no_neighbour_graph(capsys, monkeypatch):
+    """The complex comes from the region walk alone: the neighbour graph and
+    the clique search are left to the flag check."""
+    from kakimizu import kcomplex
+    from kakimizu.theta import parse_theta
+
+    commands = [
+        ("complex", fx("dalpha.theta.json")),
+        ("product", fx("dalpha.theta.json")),
+        ("verify-product", fx("dalpha.theta.json")),
+        ("verify-esd",),
+    ]
+    before = [run(capsys, *argv) for argv in commands]
+    t = parse_theta((FIXTURES / "dalpha.theta.json").read_text())
+    built = kcomplex.build_complex(t).to_json()
+
+    def refuse(*args):
+        raise AssertionError("the neighbour graph was used")
+
+    monkeypatch.setattr(kcomplex, "neighbours", refuse)
+    monkeypatch.setattr(kcomplex, "_maximal_cliques", refuse)
+    assert kcomplex.build_complex(t).to_json() == built
+    after = [run(capsys, *argv) for argv in commands]
+    assert after == before
+    assert all(code == EXIT_OK for code, _, _ in after)
+
+
+def drop_first_simplex(monkeypatch):
+    """Make the CLI build every complex without its first maximal simplex."""
+    from kakimizu import cli
+
+    def dropping(t):
+        c = build_complex(t)
+        c.maximal_simplices = c.maximal_simplices[1:]
+        return c
+
+    monkeypatch.setattr(cli, "build_complex", dropping)
+
+
+def test_flag_check_failure_exits_invalid(capsys, monkeypatch):
+    drop_first_simplex(monkeypatch)
+    code, doc, _ = run(capsys, "analyze", "--flag-check", fx("dalpha.theta.json"))
+    assert code == EXIT_INVALID
+    assert doc["flag_check"] is False
+
+
+def test_selftest_reports_flag_failures(capsys, monkeypatch):
+    drop_first_simplex(monkeypatch)
+    # seed 0 starts with complexes of 24, 81 and 27 top simplices, so each
+    # keeps some after the drop
+    code, doc, _ = run(capsys, "selftest", "--seed", "0", "--count", "3")
+    assert code == EXIT_INVALID
+    assert doc["all_ok"] is False
+    flags = [f for f in doc["failures"] if f["check"] == "flag"]
+    assert flags == [{"instance": i, "check": "flag"} for i in range(3)]
 
 
 def test_fibred_trefoil(capsys):

@@ -51,6 +51,12 @@ def test_parse_label_multiplicity():
     bad = '{"crossings":[{"id":0,"pd":[5,5,5,2]},{"id":1,"pd":[2,1,1,3]}]}'
     with pytest.raises(ValueError, match="label multiplicity"):
         parse_diagram(bad)
+    # labels 6 and 10 are both wrong: the smaller raw label is reported,
+    # before labels are renumbered (6 would become 3)
+    two_bad = '{"crossings":[{"id":0,"pd":[10,10,10,4]},{"id":1,"pd":[4,2,2,6]}]}'
+    with pytest.raises(ValueError) as exc:
+        parse_diagram(two_bad)
+    assert str(exc.value) == "label multiplicity: label 6 appears 1 time(s)"
 
 
 def test_parse_malformed():

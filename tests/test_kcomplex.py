@@ -1,4 +1,5 @@
-"""Vertex enumeration, region moves, neighbours, cliques, and orders."""
+"""Vertex enumeration, region moves, neighbours, the region walk, cliques,
+the flag check, and orders."""
 
 import itertools
 import random
@@ -15,9 +16,9 @@ from kakimizu.kcomplex import (
     _maximal_cliques,
     base_vertex,
     build_complex,
-    cyclic_order_simplices,
     distance,
     enumerate_vertices,
+    flag_check,
     neighbours,
     order_vertices,
     region_add,
@@ -473,26 +474,68 @@ def shaped_theta(rng, shape):
     return ThetaGraph(comps)
 
 
+def vertex_sets(c):
+    """The maximal simplices of ``c`` as sets of vertices, none repeated."""
+    out = {frozenset(c.vertices[i] for i in s) for s in c.maximal_simplices}
+    assert len(out) == len(c.maximal_simplices)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_rooted_walk_matches_memoized_oracle(seed):
     t = random_theta(random.Random(seed))
-    assert cyclic_order_simplices(t) == cyclic_order_maximal_simplices(t)
+    assert vertex_sets(build_complex(t)) == cyclic_order_maximal_simplices(t)
 
 
 def test_rooted_walk_on_two_edges():
     # the smallest graph with edges: two regions, a walk of two moves
     t = small_theta([[1, 0]])
     expected = {frozenset({(1, 0), (0, 1)})}
-    assert cyclic_order_simplices(t) == cyclic_order_maximal_simplices(t) == expected
+    assert vertex_sets(build_complex(t)) == cyclic_order_maximal_simplices(t) == expected
+
+
+def test_rooted_walk_on_the_empty_graph():
+    t = ThetaGraph([])
+    assert vertex_sets(build_complex(t)) == cyclic_order_maximal_simplices(t)
 
 
 @pytest.mark.parametrize("shape", BENCH_SHAPES, ids=str)
 def test_rooted_walk_on_benchmark_shapes(shape):
     t = shaped_theta(random.Random(str(shape)), shape)
-    walk = cyclic_order_simplices(t)
+    walk = vertex_sets(build_complex(t))
     assert walk == cyclic_order_maximal_simplices(t)
     assert len(walk) == predicted_cell_count(t)
+
+
+# -- the flag check --------------------------------------------------------
+
+
+def test_flag_check_passes_on_built_complexes(dalpha_complex):
+    assert flag_check(dalpha_complex)
+    assert flag_check(build_complex(ThetaGraph([])))
+    rng = random.Random(7)
+    for _ in range(20):
+        assert flag_check(build_complex(random_theta(rng, max_vertices=60, max_cells=60)))
+
+
+def test_flag_check_fails_on_tampered_complexes(dalpha_complex):
+    c = dalpha_complex
+
+    def tampered(simplices):
+        return SimplicialComplex(c.vertices, simplices, theta=c.theta)
+
+    first, *rest = c.maximal_simplices
+    assert not flag_check(tampered(rest))
+    # a proper face in place of its simplex is no maximal clique either
+    assert not flag_check(tampered([first[:-1], *rest]))
+    assert not flag_check(tampered([first, first, *rest]))
+
+
+def test_flag_check_needs_a_theta_graph():
+    c = SimplicialComplex(vertices=[(0,)], maximal_simplices=[[0]])
+    with pytest.raises(ValueError, match="theta graph"):
+        flag_check(c)
 
 
 # -- vertex orders ---------------------------------------------------------

@@ -15,7 +15,7 @@ from kakimizu.kcomplex import (
     SimplicialComplex,
     base_vertex,
     build_complex,
-    ordered_by,
+    order_vertices,
 )
 from kakimizu.medial import medial
 from kakimizu.structure import (
@@ -154,6 +154,16 @@ def test_verify_iso_rejects_wrong_simplices():
 
 
 # -- ordered products -------------------------------------------------------
+
+
+def ordered_by(c, r):
+    """Copy of ``c`` carrying the vertex order broken at region ``r``."""
+    return SimplicialComplex(
+        vertices=c.vertices,
+        maximal_simplices=c.maximal_simplices,
+        theta=c.theta,
+        order=frozenset(order_vertices(c, r)),
+    )
 
 
 def order_by_first_region(t):
