@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from kakimizu import cli, kcomplex
 from kakimizu.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
-from kakimizu.kcomplex import build_complex
+from kakimizu.theta import parse_theta
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kakimizu"
@@ -186,9 +187,6 @@ def test_verify_product(capsys):
 def test_builder_needs_no_neighbour_graph(capsys, monkeypatch):
     """The complex comes from the region walk alone: the neighbour graph and
     the clique search are left to the flag check."""
-    from kakimizu import kcomplex
-    from kakimizu.theta import parse_theta
-
     commands = [
         ("complex", fx("dalpha.theta.json")),
         ("product", fx("dalpha.theta.json")),
@@ -212,10 +210,9 @@ def test_builder_needs_no_neighbour_graph(capsys, monkeypatch):
 
 def drop_first_simplex(monkeypatch):
     """Make the CLI build every complex without its first maximal simplex."""
-    from kakimizu import cli
 
     def dropping(t):
-        c = build_complex(t)
+        c = kcomplex.build_complex(t)
         c.maximal_simplices = c.maximal_simplices[1:]
         return c
 
