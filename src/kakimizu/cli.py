@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .diagram import (
@@ -307,8 +309,79 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_INTS = {int, bool}
+_SEQS = {list, tuple}
+
+
+class _Unmirrored(Exception):
+    """A value ``_dumps`` does not write itself."""
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    Lists of ints and lists of non-empty int lists, the bulk of a complex,
+    are written by the C encoder and re-indented by ``str.replace``; a
+    document with a non-string key or a value of another type goes to
+    ``json.dumps`` whole.
+    """
+    out: list[str] = []
+    try:
+        _write(doc, "\n", out)
+    except _Unmirrored:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``nl`` is a newline plus the
+    indentation of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or isinstance(o, (int, float)):
+        out.append(_compact(o))
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        if not o:
+            out.append("[]")
+        elif set(map(type, o)) <= _INTS:
+            out.append("[" + inner + _compact(o)[1:-1].replace(",", "," + inner) + nl + "]")
+        elif (
+            set(map(type, o)) <= _SEQS
+            and all(o)
+            and set(map(type, itertools.chain.from_iterable(o))) <= _INTS
+        ):
+            deeper = inner + "  "
+            body = _compact(o)[2:-2].replace(",", "," + deeper)
+            body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+            out.append("[" + inner + "[" + deeper + body + inner + "]" + nl + "]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        if set(map(type, o)) != {str}:
+            raise _Unmirrored
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise _Unmirrored
+
+
 def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

@@ -9,7 +9,15 @@ set of vertices met by adding every region once, in some order, staying on
 vertices; the region deltas sum to zero, so the walk closes.  Two vertices
 are adjacent when a proper part of such a walk joins them.  The complex is
 flag, so its maximal simplices are also the maximal cliques of this
-neighbour graph; ``flag_check`` confirms that by an independent search.
+neighbour graph.
+
+Every single-region move of a complex is looked up once, in its move
+table ``SimplicialComplex.moves``.  The rooted walk of ``build_complex``,
+the per-simplex lines of ``order_vertices`` and the neighbour search of
+``flag_check`` all read that table instead of adding tuples; ``neighbours``
+runs the same region-set search over ``region_add``.  What ``flag_check``
+keeps independent of the walk is the clique search: Bron-Kerbosch over the
+neighbour graph, compared with the walk's simplices.
 """
 
 from __future__ import annotations
@@ -63,6 +71,19 @@ class SimplicialComplex:
     @cached_property
     def _index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def moves(self) -> list[tuple[int | None, ...]]:
+        """``moves[i][r]`` is the index of ``vertices[i]`` plus the delta of
+        region r, or None where that point is not a vertex."""
+        if self.theta is None:
+            raise ValueError("complex does not carry a theta graph")
+        index = self._index
+        columns = [
+            [index.get(tuple(map(add, v, d))) for v in self.vertices]
+            for d in (r.delta(self.theta) for r in self.theta.regions)
+        ]
+        return list(zip(*columns)) if columns else [()] * len(self.vertices)
 
     def index(self, v) -> int:
         try:
@@ -130,6 +151,33 @@ def region_add(v: Vertex, r: Region, t: ThetaGraph) -> Vertex | None:
     return tuple(out)
 
 
+def _region_sets(start, step, n: int) -> dict:
+    """Every point reached from ``start`` by adding a proper non-empty set of
+    the ``n`` regions one at a time, mapped to that set as a bit mask.
+
+    ``step(p)`` lists, region by region, the point one move from ``p``, or
+    None where the move leaves the vertices.  The search visits each region
+    set at most once.
+    """
+    full = (1 << n) - 1
+    out = {}
+    seen = {0}
+    stack = [(0, start)]
+    while stack:
+        used, p = stack.pop()
+        bit = 1
+        for q in step(p):
+            if q is not None:
+                nxt = used | bit
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if nxt != full:
+                        out[q] = nxt
+                        stack.append((nxt, q))
+            bit <<= 1
+    return out
+
+
 def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
     """Every vertex adjacent to ``u``, mapped to the regions carrying ``u``
     to it.
@@ -143,46 +191,44 @@ def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
     if len(u) != t.n_edges:
         raise ValueError("vertex does not match the theta graph")
     regions = t.regions
-    full = (1 << len(regions)) - 1
-    out: dict[Vertex, list[Region]] = {}
-    seen = {0}
-    stack = [(0, tuple(u))]
-    while stack:
-        used, v = stack.pop()
-        for i, r in enumerate(regions):
-            nxt = used | 1 << i
-            if nxt in seen:
-                continue
-            w = region_add(v, r, t)
-            if w is None:
-                continue
-            seen.add(nxt)
-            if nxt != full:
-                out[w] = [s for j, s in enumerate(regions) if nxt >> j & 1]
-                stack.append((nxt, w))
-    return out
+    reached = _region_sets(
+        tuple(u), lambda v: [region_add(v, r, t) for r in regions], len(regions)
+    )
+    return {
+        w: [r for j, r in enumerate(regions) if used >> j & 1]
+        for w, used in reached.items()
+    }
 
 
 # -- the complex -----------------------------------------------------------
 
 
-def _maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:
-    """Every maximal clique of the graph, by Bron-Kerbosch with the pivot
-    rule of Tomita, Tanaka & Takahashi (TCS 363, 2006)."""
+def _maximal_cliques(adj: list[set[int]]) -> list[list[int]]:
+    """Every maximal clique of the graph on vertices 0..n-1 with neighbour
+    sets ``adj``, by Bron-Kerbosch with the pivot rule of Tomita, Tanaka &
+    Takahashi (TCS 363, 2006), rooted at each vertex in index order with its
+    later neighbours as candidates and its earlier ones as done (Eppstein,
+    Loffler & Strash, ISAAC 2010)."""
     out: list[list[int]] = []
 
     def expand(clique: list[int], cand: set[int], done: set[int]) -> None:
-        if not cand and not done:
-            out.append(clique)
+        if not cand:
+            if not done:
+                out.append(clique)
             return
-        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
+        most = -1
+        for u in cand | done:
+            k = len(cand & adj[u])
+            if k > most:
+                most, pivot = k, u
         for v in cand - adj[pivot]:
             expand(clique + [v], cand & adj[v], done & adj[v])
             cand.remove(v)
             done.add(v)
 
-    if adj:
-        expand([], set(adj), set())
+    for v, nbrs in enumerate(adj):
+        done = {u for u in nbrs if u < v}
+        expand([v], nbrs - done, done)
     return out
 
 
@@ -193,38 +239,48 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
     Rotating a closed walk only moves its start, so every simplex is reached
     by a walk whose first move is region 0: a depth-first search from each
     vertex through the orderings of the other regions, keeping only steps
-    that land on vertices, finds each simplex once.  The empty graph has
+    that land on vertices (read off the move table), finds each simplex
+    once.  The empty graph has
     one vertex, which is its only simplex.
     """
-    vertices = enumerate_vertices(t)
+    c = SimplicialComplex(enumerate_vertices(t), [], theta=t)
+    simplices = c.maximal_simplices
     if not t.components:
-        return SimplicialComplex(vertices=vertices, maximal_simplices=[[0]], theta=t)
+        simplices.append([0])
+        return c
     # every component has at least two edges, hence at least two regions
-    deltas = [r.delta(t) for r in t.regions]
-    index = {v: i for i, v in enumerate(vertices)}
-    simplices: list[list[int]] = []
+    moves = c.moves
     path: list[int] = []
 
-    def extend(v: Vertex, remaining: list[int]) -> None:
+    def extend(i: int, remaining: list[int]) -> None:
         if len(remaining) == 1:
             # the deltas sum to zero, so the last region closes the walk
             simplices.append(sorted(path))
             return
+        row = moves[i]
         for r in remaining:
-            j = index.get(tuple(map(add, v, deltas[r])))
+            j = row[r]
             if j is not None:
                 path.append(j)
-                extend(vertices[j], [s for s in remaining if s != r])
+                extend(j, [s for s in remaining if s != r])
                 path.pop()
 
-    rest = list(range(1, len(deltas)))
-    for i, u in enumerate(vertices):
-        j = index.get(tuple(map(add, u, deltas[0])))
+    rest = list(range(1, len(t.regions)))
+    for i, row in enumerate(moves):
+        j = row[0]
         if j is not None:
             path[:] = [i, j]
-            extend(vertices[j], rest)
+            extend(j, rest)
     simplices.sort()
-    return SimplicialComplex(vertices=vertices, maximal_simplices=simplices, theta=t)
+    return c
+
+
+def _neighbour_sets(c: SimplicialComplex) -> list[set[int]]:
+    """The neighbour graph of a theta complex: the indices adjacent to each
+    vertex, by the region-set search over the move table."""
+    step = c.moves.__getitem__
+    n = len(c.theta.regions)
+    return [set(_region_sets(i, step, n)) for i in range(len(c.vertices))]
 
 
 def flag_check(c: SimplicialComplex) -> bool:
@@ -233,11 +289,7 @@ def flag_check(c: SimplicialComplex) -> bool:
     property says; the clique search is independent of the region walk."""
     if c.theta is None:
         raise ValueError("complex does not carry a theta graph")
-    adj = {
-        i: {c.index(w) for w in neighbours(c.theta, v)}
-        for i, v in enumerate(c.vertices)
-    }
-    cliques = sorted(sorted(s) for s in _maximal_cliques(adj))
+    cliques = sorted(sorted(s) for s in _maximal_cliques(_neighbour_sets(c)))
     return cliques == sorted(sorted(s) for s in c.maximal_simplices)
 
 
@@ -273,19 +325,25 @@ def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
     if c.theta is None:
         raise ValueError("complex does not carry a theta graph")
     deltas = [reg.delta(c.theta) for reg in c.theta.regions]
-    cut = r.delta(c.theta)
-    index = c._index
-    # each vertex -> the vertices one region away, with that region's delta
-    reach = [
-        {index[w]: d for d in deltas if (w := tuple(map(add, v, d))) in index}
-        for v in c.vertices
-    ]
+    try:
+        cut = deltas.index(r.delta(c.theta))
+    except ValueError:
+        raise ValueError(
+            f"region {r.id} is not a region of the complex's theta graph"
+        ) from None
+    moves = c.moves
     out: set[tuple[int, int]] = set()
     for s in c.maximal_simplices:
-        # each region delta -> the one move it makes inside the simplex
-        moves = {d: (i, j) for i in s for j, d in reach[i].items() if j in s}
-        step = dict(moves.values())
-        line = [moves[cut][1]]
+        members = set(s)
+        # each vertex -> the one vertex of the simplex a region moves it to
+        step = {}
+        for i in s:
+            for k, j in enumerate(moves[i]):
+                if j in members:
+                    step[i] = j
+                    if k == cut:
+                        first = j
+        line = [first]
         while len(line) < len(s):
             line.append(step[line[-1]])
         out.update(itertools.combinations(line, 2))

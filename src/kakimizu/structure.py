@@ -373,9 +373,9 @@ def _transport_order(
 ) -> SimplicialComplex:
     """Order a product complex by carrying a region-broken order of the
     isomorphic weight-vector complex across the isomorphism ``f``."""
+    to_product = [product.index(f[v]) for v in k.vertices]
     order = frozenset(
-        (product.index(f[k.vertices[i]]), product.index(f[k.vertices[j]]))
-        for i, j in order_vertices(k, region)
+        (to_product[i], to_product[j]) for i, j in order_vertices(k, region)
     )
     return SimplicialComplex(
         vertices=product.vertices,

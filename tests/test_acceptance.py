@@ -38,6 +38,7 @@ from kakimizu.kcomplex import (
     build_complex,
     distance,
     enumerate_vertices,
+    flag_check,
     neighbours,
     region_add,
 )
@@ -274,6 +275,30 @@ def test_criterion_4_flag_property():
         assert c.maximal_simplices == networkx_maximal_cliques(adj)
     elapsed = time.perf_counter() - start
     verdict("4 (flag property)", elapsed)
+
+
+def test_criterion_4_flag_check_at_scale():
+    """The 675-vertex product of (2,1,1), (2,1,1) and (1,1), all on the
+    sphere: its 15,360 top simplices are the maximal cliques of its
+    neighbour graph."""
+    t = ThetaGraph(
+        [
+            ThetaComponent(
+                cid,
+                [ThetaEdge(3 * cid + i, w) for i, w in enumerate(ws)],
+                Placement(SPHERE, 0, 0),
+            )
+            for cid, ws in enumerate([(2, 1, 1), (2, 1, 1), (1, 1)])
+        ]
+    )
+    c = build_complex(t)
+    assert len(c.vertices) == 675
+    assert len(c.maximal_simplices) == 15360
+    start = time.perf_counter()
+    assert flag_check(c)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5
+    verdict("4 (flag check at scale)", elapsed, 1.5)
 
 
 # -- criterion 5: Euler-characteristic identity ------------------------------

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakimizu import cli, kcomplex
 from kakimizu.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
@@ -201,6 +203,7 @@ def test_builder_needs_no_neighbour_graph(capsys, monkeypatch):
         raise AssertionError("the neighbour graph was used")
 
     monkeypatch.setattr(kcomplex, "neighbours", refuse)
+    monkeypatch.setattr(kcomplex, "_region_sets", refuse)
     monkeypatch.setattr(kcomplex, "_maximal_cliques", refuse)
     assert kcomplex.build_complex(t).to_json() == built
     after = [run(capsys, *argv) for argv in commands]
@@ -345,6 +348,56 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == EXIT_OK
     assert captured.out == ""
     assert json.loads(target.read_text())["s"] == 2
+
+
+def reference_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+ints = st.integers() | st.integers(min_value=-(2**80), max_value=2**80)
+scalars = (
+    st.none()
+    | st.booleans()
+    | ints
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F) | st.sampled_from("\u00e9\u2211\U0001f600\"\\"))
+)
+# the shapes the emitter writes without recursing: int lists, and int lists
+# of int lists, including empty ones (``torsion``) and tuples
+int_rows = (
+    st.lists(ints)
+    | st.lists(st.booleans() | ints).map(tuple)
+    | st.lists(st.lists(ints, max_size=4), max_size=5)
+    | st.lists(st.lists(ints, min_size=1, max_size=4).map(tuple), max_size=5)
+    | st.lists(st.lists(st.floats() | ints, min_size=1, max_size=3), max_size=3)
+)
+documents = st.recursive(
+    scalars | int_rows,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_emitter_matches_json_dumps(doc):
+    assert cli._dumps(doc) == reference_dumps(doc)
+
+
+def test_emitter_defers_non_string_keys_to_json_dumps():
+    doc = {"a": [[1, 2]], "b": {1: [3], 2: "x"}}
+    assert cli._dumps(doc) == reference_dumps(doc)
+    # a key json.dumps accepts but does not keep as it is
+    assert cli._dumps({True: None}) == reference_dumps({True: None}) == '{\n  "true": null\n}'
+
+
+def test_emitter_defers_unknown_values_to_json_dumps():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._dumps({"a": [1, {2}]})
 
 
 # -- error paths ------------------------------------------------------------

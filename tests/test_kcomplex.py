@@ -14,6 +14,7 @@ from kakimizu.generate import predicted_cell_count, random_theta
 from kakimizu.kcomplex import (
     SimplicialComplex,
     _maximal_cliques,
+    _neighbour_sets,
     base_vertex,
     build_complex,
     distance,
@@ -310,7 +311,7 @@ def neighbour_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(neighbour_sets())
 def test_maximal_cliques_match_networkx(adj):
-    ours = sorted(sorted(c) for c in _maximal_cliques(adj))
+    ours = sorted(sorted(c) for c in _maximal_cliques([adj[i] for i in range(len(adj))]))
     assert ours == networkx_maximal_cliques(adj)
 
 
@@ -538,6 +539,75 @@ def test_flag_check_needs_a_theta_graph():
         flag_check(c)
 
 
+def neighbour_vertex_sets(c):
+    return {
+        c.vertices[i]: {c.vertices[j] for j in s}
+        for i, s in enumerate(_neighbour_sets(c))
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_flag_check_neighbours_match_all_pairs_oracle(seed):
+    t = random_theta(random.Random(seed), max_vertices=60, max_cells=60)
+    expected = {u: set(nbrs) for u, nbrs in all_pairs_neighbours(t).items()}
+    assert neighbour_vertex_sets(build_complex(t)) == expected
+
+
+def test_flag_check_neighbours_on_dalpha(dalpha, dalpha_complex):
+    t, _ = dalpha
+    expected = {u: set(nbrs) for u, nbrs in all_pairs_neighbours(t).items()}
+    assert neighbour_vertex_sets(dalpha_complex) == expected
+
+
+# -- the move table --------------------------------------------------------
+
+
+def assert_moves_match_region_add(c):
+    """``moves[i][r]`` is the index of ``region_add(vertices[i], r)``, and
+    None exactly where that is None."""
+    t = c.theta
+    assert len(c.moves) == len(c.vertices)
+    for v, row in zip(c.vertices, c.moves):
+        assert len(row) == len(t.regions)
+        for r, j in zip(t.regions, row):
+            w = region_add(v, r, t)
+            assert (j is None) == (w is None)
+            if w is not None:
+                assert c.vertices[j] == w
+
+
+def test_moves_match_region_add_on_dalpha(dalpha_complex):
+    assert_moves_match_region_add(dalpha_complex)
+
+
+def test_moves_on_the_empty_graph():
+    c = build_complex(ThetaGraph([]))
+    assert c.moves == [()]
+    assert_moves_match_region_add(c)
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES, ids=str)
+def test_moves_match_region_add_on_benchmark_shapes(shape):
+    assert_moves_match_region_add(build_complex(shaped_theta(random.Random(str(shape)), shape)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_moves_match_region_add_on_random_graphs(seed):
+    t = random_theta(random.Random(seed), max_vertices=200, max_cells=200)
+    c = build_complex(t)
+    assert_moves_match_region_add(c)
+    # a complex that only shares the vertices and graph has the same table
+    assert SimplicialComplex(c.vertices, [], theta=t).moves == c.moves
+
+
+def test_moves_need_a_theta_graph():
+    c = SimplicialComplex(vertices=[(0,)], maximal_simplices=[[0]])
+    with pytest.raises(ValueError, match="theta graph"):
+        c.moves
+
+
 # -- vertex orders ---------------------------------------------------------
 
 
@@ -584,6 +654,14 @@ def test_order_vertices_matches_oracle(dalpha_complex):
         c = build_complex(random_theta(rng, max_vertices=60, max_cells=60))
         for r in c.theta.regions:
             assert order_vertices(c, r) == oracle_order(c, r)
+
+
+def test_order_vertices_rejects_foreign_region(dalpha_complex):
+    foreign = small_theta([(1, 1)]).regions[0]
+    with pytest.raises(ValueError, match="not a region"):
+        order_vertices(dalpha_complex, foreign)
+    with pytest.raises(ValueError, match="not a region"):
+        order_vertices(build_complex(ThetaGraph([])), foreign)
 
 
 def test_to_json_shape(dalpha_complex):
