@@ -5,7 +5,9 @@ crossings and edges are the strand arcs between them.  Each crossing records
 the labels of its four incident arcs anticlockwise starting at the incoming
 under-strand (PD convention), so positions 0 and 2 are the under-strand (in,
 out) and positions 1 and 3 carry the over-strand.  Strand orientations are
-recovered by propagating the in/out constraints around the diagram.
+read off one walk along each strand, which enters a crossing at arm p and
+leaves it at arm p+2; the walk keeps the direction in which the strand's
+under-passages enter at position 0.
 
 From this single structure everything else is derived combinatorially:
 
@@ -28,7 +30,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .planar import Edge, EmbeddedGraph, face_index
+from .planar import Edge, EmbeddedGraph, HalfEdge, face_index
 
 __all__ = [
     "Crossing",
@@ -55,8 +57,8 @@ class Crossing:
 class Diagram:
     """A PD-coded link diagram with orientations resolved.
 
-    Raises ``ValueError`` on structurally invalid input (bad labels, open
-    strands, inconsistent orientations, non-spherical face tracing).
+    Raises ``ValueError`` on structurally invalid input (bad labels,
+    inconsistent orientations, non-spherical face tracing).
     """
 
     def __init__(self, crossings: list[Crossing]):
@@ -85,85 +87,62 @@ class Diagram:
             raise ValueError("labels must be 1..2n")
         self.arms = arms
 
-        self.over_in_first = self._orient()
-        self.components = self._trace_components()
-        self.component_of = {
-            lab: i for i, comp in enumerate(self.components) for lab in comp
-        }
+        self.over_in_first, self.components = self._walk_strands()
         self.map = self._build_map()
         self.faces = self.map.trace_faces()  # raises if not spherical
         self.face_of = face_index(self.faces)
+        # Corner k of a crossing is the wedge between arms k and k+1.  A face
+        # arriving along arm p leaves along arm p-1, so half-edge (lab, way),
+        # which arrives along arm arms[lab][1 - way], turns in corner p-1.
+        self.corners: dict[HalfEdge, tuple[int, int]] = {
+            (lab, way): (ends[1 - way][0], (ends[1 - way][1] - 1) % 4)
+            for lab, ends in arms.items()
+            for way in (0, 1)
+        }
 
     # -- construction helpers ---------------------------------------------
 
-    def _orient(self) -> dict[int, bool]:
-        """Decide, per crossing, whether the over-strand enters at position 1.
+    def _walk_strands(self) -> tuple[dict[int, bool], list[list[int]]]:
+        """Orient every strand by walking it once.
 
-        Each arm is "in" or "out": the under-strand fixes positions 0 (in)
-        and 2 (out), and each arc must have exactly one in end.  This is a
-        parity constraint system over one boolean per crossing, solved by
-        union-find with parities; components not forced by any under-arm get
-        the value True at their smallest crossing id.
+        A strand entering a crossing at arm p leaves at arm p+2 and enters
+        the next crossing at the far end of that arc.  With valid labels
+        every arm is paired twice, so the strands are disjoint cycles.  A
+        component is kept in the direction in which its under-passages
+        enter at position 0, or, passing under nowhere, in which it enters
+        its least crossing at position 1.  Returns whether each crossing's
+        over-strand enters at position 1, and the components as label lists
+        in travel order from their least labels.
         """
-        # Union-find over crossing ids plus the constant node None (= True).
-        parent: dict[object, object] = {None: None}
-        parity: dict[object, int] = {None: 0}
-
-        def find(x: object) -> tuple[object, int]:
-            path = []
-            p = 0
-            while parent.setdefault(x, x) != x:
-                path.append(x)
-                p ^= parity.setdefault(x, 0)
-                x = parent[x]
-            acc = p
-            for y in path:
-                oldp = parity[y]
-                parent[y] = x
-                parity[y] = acc
-                acc ^= oldp
-            return x, p
-
-        def union(a: object, pa: int, b: object, pb: int, rel: int) -> None:
-            # impose (value(a) ^ pa) == (value(b) ^ pb) ^ rel
-            ra, qa = find(a)
-            rb, qb = find(b)
-            want = pa ^ pb ^ rel
-            if ra == rb:
-                if qa ^ qb != want:
-                    raise ValueError("inconsistent strand orientations")
-                return
-            if rb is None:
-                ra, rb, qa, qb = rb, ra, qb, qa
-            parent[rb] = ra
-            parity[rb] = qa ^ qb ^ want
-
-        # literal for "arm is an in end": (node, parity); value = node ^ parity
-        def lit(arm: tuple[int, int]) -> tuple[object, int]:
-            cid, pos = arm
-            if pos == UNDER_IN:
-                return None, 0
-            if pos == UNDER_OUT:
-                return None, 1
-            if pos == OVER_A:
-                return cid, 0
-            return cid, 1
-
-        for ends in self.arms.values():
-            (na, pa), (nb, pb) = lit(ends[0]), lit(ends[1])
-            # exactly one in end: values differ
-            union(na, pa, nb, pb, 1)
-        for c in self.crossings:
-            root, _ = find(c.id)
-            if root is not None:
-                union(None, 0, c.id, 0, 0)  # free component: choose True
-        result = {}
-        for c in self.crossings:
-            root, p = find(c.id)
-            if root is not None:
-                raise AssertionError(f"crossing {c.id} left unoriented")
-            result[c.id] = p == 0
-        return result
+        over_in_first: dict[int, bool] = {}
+        components = []
+        seen: set[int] = set()
+        for start in sorted(self.arms):
+            if start in seen:
+                continue
+            # labels in walk order, and the arms at which the walk enters
+            # crossings; it starts by arriving along ``start`` at its first arm
+            labels, entries = [], []
+            lab, (cid, pos) = start, self.arms[start][0]
+            while True:
+                labels.append(lab)
+                entries.append((cid, pos))
+                out = pos ^ 2
+                lab = self.by_id[cid].pd[out]
+                if lab == start:
+                    break
+                a, b = self.arms[lab]
+                cid, pos = b if a == (cid, out) else a
+            seen.update(labels)
+            unders = {pos for _, pos in entries if pos % 2 == 0}
+            if len(unders) == 2:
+                raise ValueError("inconsistent strand orientations")
+            forward = unders == {UNDER_IN} or (not unders and min(entries)[1] == OVER_A)
+            for cid, pos in entries:
+                if pos % 2:
+                    over_in_first[cid] = (pos == OVER_A) == forward
+            components.append(labels if forward else labels[:1] + labels[:0:-1])
+        return over_in_first, components
 
     def arm_is_in(self, cid: int, pos: int) -> bool:
         if pos == UNDER_IN:
@@ -171,31 +150,6 @@ class Diagram:
         if pos == UNDER_OUT:
             return False
         return (pos == OVER_A) == self.over_in_first[cid]
-
-    def _trace_components(self) -> list[list[int]]:
-        """Oriented strand cycles, as lists of labels in travel order."""
-        in_arm = {}
-        for lab, ends in self.arms.items():
-            ins = [a for a in ends if self.arm_is_in(*a)]
-            if len(ins) != 1:
-                raise ValueError("inconsistent strand orientations")
-            in_arm[lab] = ins[0]
-        comps = []
-        seen: set[int] = set()
-        for start in sorted(self.arms):
-            if start in seen:
-                continue
-            cycle = []
-            lab = start
-            while lab not in seen:
-                seen.add(lab)
-                cycle.append(lab)
-                cid, pos = in_arm[lab]
-                lab = self.by_id[cid].pd[(pos + 2) % 4]
-            if lab != start:
-                raise ValueError("strand does not close up")
-            comps.append(cycle)
-        return comps
 
     def _build_map(self) -> EmbeddedGraph:
         g = EmbeddedGraph()
@@ -212,30 +166,17 @@ class Diagram:
             darts[(c2, p2)] = (lab, 1)
         for c in self.crossings:
             g.rotation[c.id] = [darts[(c.id, pos)] for pos in range(4)]
-        self._darts = darts
         return g
 
     # -- corner utilities --------------------------------------------------
 
     def corner_face(self, cid: int, corner: int) -> int:
         """Face in the corner between arms ``corner`` and ``corner+1``."""
-        return self.face_of[self._darts[(cid, corner)]]
+        return self.face_of[self.map.rotation[cid][corner]]
 
     def face_corners(self, face_idx: int) -> list[tuple[int, int]]:
-        """Corners (crossing id, corner index) of a face, in boundary order.
-
-        Corner k of a crossing is the wedge between arms k and k+1; a face
-        entering a crossing leaves it along the arm bounding that wedge from
-        below, so the corner index is the departing arm's position.
-        """
-        corners = []
-        for h in self.faces[face_idx]:
-            lab, direction = h
-            head = self.map.half_edge_head(h)
-            arrival = (lab, 1) if direction == 0 else (lab, 0)
-            pos = self.map.rotation[head].index(arrival)
-            corners.append((head, (pos - 1) % 4))
-        return corners
+        """Corners (crossing id, corner index) of a face, in boundary order."""
+        return [self.corners[h] for h in self.faces[face_idx]]
 
     def is_alternating(self) -> bool:
         return all(
@@ -616,11 +557,10 @@ def _region_graph(d: Diagram, colour: str) -> EmbeddedGraph:
             raise ValueError("corner colouring failed")
         if colour == "black":
             u, v = f_high, f_low  # u anticlockwise, v clockwise
-            pos_left = True  # positive side on the left walking u -> v
         else:
             u, v = min(f_low, f_high), max(f_low, f_high)
-            pos_left = True
-        g.edges[c.id] = Edge(id=c.id, u=u, v=v, weight=1, crossings=(c.id,), pos_left=pos_left)
+        # the positive side is on the left walking u -> v (Edge's default)
+        g.edges[c.id] = Edge(id=c.id, u=u, v=v, weight=1, crossings=(c.id,))
 
     # rotation: crossings in boundary order around each region (this is the
     # anticlockwise order at the vertex placed inside the region)

@@ -3,6 +3,8 @@ import pathlib
 
 import pytest
 
+from kakimizu.families import build_graph
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -33,3 +35,38 @@ def trace_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(EmbeddedGraph, "trace_faces", counting)
     return calls
+
+
+# -- hub graphs -----------------------------------------------------------
+
+
+def hub_graph(chains):
+    """Two hubs, 0 anticlockwise and 1 clockwise, joined by paths of odd
+    length listed anticlockwise at hub 0; a doubled path has a second copy
+    of its first edge."""
+    classes = {0: 1, 1: -1}
+    endpoints = {}
+    rotations = {0: [], 1: []}
+    for length, doubled in chains:
+        inner = list(range(len(classes), len(classes) + length - 1))
+        path = [0, *inner, 1]
+        for i, v in enumerate(inner, 1):
+            classes[v] = 1 if i % 2 == 0 else -1
+        steps = []
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            ids = list(range(len(endpoints), len(endpoints) + 1 + (doubled and i == 0)))
+            for eid in ids:
+                endpoints[eid] = (a, b) if classes[a] == 1 else (b, a)
+            steps.append(ids)
+        rotations[0] += steps[0]
+        rotations[1][:0] = steps[-1][::-1]
+        for i, v in enumerate(inner, 1):
+            rotations[v] = steps[i - 1][::-1] + steps[i]
+    return build_graph(classes, endpoints, rotations)
+
+
+HUB_CHAINS = [
+    [(3, True), (1, False), (3, False)],
+    [(3, True), (1, True), (5, False), (1, False), (3, True)],
+    [(5, True), (1, False), (1, False), (7, False), (1, True), (3, False)],
+]

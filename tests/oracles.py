@@ -10,6 +10,12 @@ answer:
   two-colouring of the regions, fixed by the owners of each theta edge,
   and then orders the region set greedily; ``all_pairs_neighbours`` runs it
   on every pair of vertices, which ``kcomplex.neighbours`` must match;
+- ``union_find_orientation`` orients the strands of a PD code by solving
+  the in/out constraints of every arc as a parity union-find and then
+  traces the components, where ``Diagram`` walks each strand once;
+  ``rotation_face_corners`` finds each corner of a face with a
+  ``list.index`` in the rotation at the crossing, where
+  ``Diagram.face_corners`` reads a table built with the diagram;
 - ``bfs_two_edge_cut`` finds a separating pair of arcs by a connectivity
   search on the diagram with each pair of arcs removed, where
   ``diagram._two_edge_cut`` reads the pair off the faces;
@@ -79,7 +85,9 @@ __all__ = [
     "order_regions",
     "owner_maps",
     "rescan_eliminate",
+    "rotation_face_corners",
     "rotation_prev",
+    "union_find_orientation",
     "white_smooth",
 ]
 
@@ -228,6 +236,145 @@ def cyclic_order_maximal_simplices(t: ThetaGraph) -> set[frozenset]:
         for tail in completions(u, 0):
             orbits.add(tail | {u})
     return orbits
+
+
+def union_find_orientation(
+    crossings: list[Crossing],
+) -> tuple[dict[int, bool], list[list[int]]]:
+    """Strand orientations of a PD code by solving the in/out constraints.
+
+    Returns what ``Diagram`` computes by walking the strands: per crossing,
+    whether the over-strand enters at position 1, and the oriented strand
+    cycles.  The labels must already be valid (each of 1..2n twice).
+    """
+    crossings = sorted(crossings, key=lambda c: c.id)
+    by_id = {c.id: c for c in crossings}
+    arms: dict[int, list[tuple[int, int]]] = {}
+    for c in crossings:
+        for pos, lab in enumerate(c.pd):
+            arms.setdefault(lab, []).append((c.id, pos))
+    over_in_first = _orient(crossings, arms)
+    return over_in_first, _trace_components(by_id, arms, over_in_first)
+
+
+def _orient(crossings: list[Crossing], arms: dict) -> dict[int, bool]:
+    """Decide, per crossing, whether the over-strand enters at position 1.
+
+    Each arm is "in" or "out": the under-strand fixes positions 0 (in)
+    and 2 (out), and each arc must have exactly one in end.  This is a
+    parity constraint system over one boolean per crossing, solved by
+    union-find with parities; components not forced by any under-arm get
+    the value True at their smallest crossing id.
+    """
+    # Union-find over crossing ids plus the constant node None (= True).
+    parent: dict[object, object] = {None: None}
+    parity: dict[object, int] = {None: 0}
+
+    def find(x: object) -> tuple[object, int]:
+        path = []
+        p = 0
+        while parent.setdefault(x, x) != x:
+            path.append(x)
+            p ^= parity.setdefault(x, 0)
+            x = parent[x]
+        acc = p
+        for y in path:
+            oldp = parity[y]
+            parent[y] = x
+            parity[y] = acc
+            acc ^= oldp
+        return x, p
+
+    def union(a: object, pa: int, b: object, pb: int, rel: int) -> None:
+        # impose (value(a) ^ pa) == (value(b) ^ pb) ^ rel
+        ra, qa = find(a)
+        rb, qb = find(b)
+        want = pa ^ pb ^ rel
+        if ra == rb:
+            if qa ^ qb != want:
+                raise ValueError("inconsistent strand orientations")
+            return
+        if rb is None:
+            ra, rb, qa, qb = rb, ra, qb, qa
+        parent[rb] = ra
+        parity[rb] = qa ^ qb ^ want
+
+    # literal for "arm is an in end": (node, parity); value = node ^ parity
+    def lit(arm: tuple[int, int]) -> tuple[object, int]:
+        cid, pos = arm
+        if pos == UNDER_IN:
+            return None, 0
+        if pos == UNDER_OUT:
+            return None, 1
+        if pos == OVER_A:
+            return cid, 0
+        return cid, 1
+
+    for ends in arms.values():
+        (na, pa), (nb, pb) = lit(ends[0]), lit(ends[1])
+        # exactly one in end: values differ
+        union(na, pa, nb, pb, 1)
+    for c in crossings:
+        root, _ = find(c.id)
+        if root is not None:
+            union(None, 0, c.id, 0, 0)  # free component: choose True
+    result = {}
+    for c in crossings:
+        root, p = find(c.id)
+        if root is not None:
+            raise AssertionError(f"crossing {c.id} left unoriented")
+        result[c.id] = p == 0
+    return result
+
+
+def _trace_components(
+    by_id: dict[int, Crossing], arms: dict, over_in_first: dict[int, bool]
+) -> list[list[int]]:
+    """Oriented strand cycles, as lists of labels in travel order."""
+
+    def arm_is_in(cid: int, pos: int) -> bool:
+        if pos == UNDER_IN:
+            return True
+        if pos == UNDER_OUT:
+            return False
+        return (pos == OVER_A) == over_in_first[cid]
+
+    in_arm = {}
+    for lab, ends in arms.items():
+        ins = [a for a in ends if arm_is_in(*a)]
+        if len(ins) != 1:
+            raise ValueError("inconsistent strand orientations")
+        in_arm[lab] = ins[0]
+    comps = []
+    seen: set[int] = set()
+    for start in sorted(arms):
+        if start in seen:
+            continue
+        cycle = []
+        lab = start
+        while lab not in seen:
+            seen.add(lab)
+            cycle.append(lab)
+            cid, pos = in_arm[lab]
+            lab = by_id[cid].pd[(pos + 2) % 4]
+        if lab != start:
+            raise ValueError("strand does not close up")
+        comps.append(cycle)
+    return comps
+
+
+def rotation_face_corners(d: Diagram, face_idx: int) -> list[tuple[int, int]]:
+    """Corners (crossing id, corner index) of a face, in boundary order,
+    each found by searching the rotation at the crossing a half-edge
+    arrives at, where ``Diagram.face_corners`` reads a table built once."""
+    corners = []
+    for h in d.faces[face_idx]:
+        lab, direction = h
+        head = d.map.half_edge_head(h)
+        arrival = (lab, 1) if direction == 0 else (lab, 0)
+        pos = d.map.rotation[head].index(arrival)
+        corners.append((head, (pos - 1) % 4))
+    return corners
 
 
 def bfs_two_edge_cut(d: Diagram) -> tuple[int, int] | None:

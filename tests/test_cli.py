@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu import cli, kcomplex
+from kakimizu import cli, kcomplex, structure
 from kakimizu.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from kakimizu.theta import parse_theta
 
@@ -181,6 +181,30 @@ def test_verify_product(capsys):
     assert code == EXIT_OK
     assert doc["isomorphic"] is True
     assert doc["ball"]["ok"] is True
+
+
+def test_verify_product_builds_one_component_complex_once(capsys, monkeypatch, tmp_path):
+    """A one-component graph is its own product: the complex is built once
+    and still checked against itself and as a ball."""
+    doc = {"components": [{
+        "id": 0,
+        "edges": [{"id": 0, "weight": 2}, {"id": 1, "weight": 1}, {"id": 2, "weight": 1}],
+        "placement": {"parent": "sphere", "parent_face": 0, "outer_face": 0},
+    }]}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    before = run(capsys, "verify-product", str(path))
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return kcomplex.build_complex(t)
+
+    monkeypatch.setattr(cli, "build_complex", counting)
+    monkeypatch.setattr(structure, "build_complex", counting)
+    assert run(capsys, "verify-product", str(path)) == before
+    assert len(calls) == 1
+    assert before[0] == EXIT_OK and before[1]["isomorphic"] is True
 
 
 # -- the builder and the flag check -----------------------------------------

@@ -1,5 +1,6 @@
 """Diagrams: parsing, validation flags, Seifert data, region graphs."""
 
+import functools
 import json
 import random
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu.diagram import (
+    Crossing,
+    Diagram,
     _smoothing_is_prime,
     _two_edge_cut,
     black_region_graph,
@@ -27,8 +30,13 @@ from kakimizu.families import (
 )
 from kakimizu.medial import medial
 
-from conftest import FIXTURES
-from oracles import bfs_two_edge_cut, white_smooth
+from conftest import FIXTURES, HUB_CHAINS, hub_graph
+from oracles import (
+    bfs_two_edge_cut,
+    rotation_face_corners,
+    union_find_orientation,
+    white_smooth,
+)
 
 HOPF = '{"crossings":[{"id":0,"pd":[1,3,2,4]},{"id":1,"pd":[3,1,4,2]}]}'
 
@@ -230,6 +238,115 @@ def test_flags_stable_under_relabeling():
         trimmed = dict(expected)
         trimmed.pop("messages")
         assert got == trimmed
+
+
+# -- strand walk and corner table -----------------------------------------
+
+
+@functools.cache
+def walk_bases():
+    """The oracle diagrams and the hub-graph medials."""
+    return tuple(oracle_diagrams() + [medial(hub_graph(c)) for c in HUB_CHAINS])
+
+
+def variant(d, switched, reversed_components):
+    """The crossings of ``d`` with the crossings in ``switched`` changed and
+    the components (indices into ``d.components``) in
+    ``reversed_components`` reversed, each pd rotated to start at the
+    incoming under-strand."""
+    component = {lab: i for i, comp in enumerate(d.components) for lab in comp}
+    out = []
+    for c in d.crossings:
+        shift = (1 if d.over_in_first[c.id] else 3) if c.id in switched else 0
+        if component[c.pd[shift]] in reversed_components:
+            shift += 2
+        shift %= 4
+        out.append(Crossing(c.id, c.pd[shift:] + c.pd[:shift]))
+    return out
+
+
+def walked(crossings):
+    """Orientations and components from ``Diagram``, or its error."""
+    try:
+        d = Diagram(crossings)
+    except ValueError as exc:
+        return str(exc)
+    return d.over_in_first, d.components
+
+
+def solved(crossings):
+    """Orientations and components from the union-find, or its error."""
+    try:
+        return union_find_orientation(crossings)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_inconsistent_orientations_rejected():
+    bad = '{"crossings":[{"id":0,"pd":[1,2,3,4]},{"id":1,"pd":[1,3,2,4]}]}'
+    with pytest.raises(ValueError, match="inconsistent strand orientations"):
+        parse_diagram(bad)
+
+
+def test_component_passing_over_everywhere():
+    # strand 3 -> 4 passes over at both crossings: it enters crossing 0,
+    # its least, at position 1
+    d = parse_diagram(POKE)
+    assert d.over_in_first == {0: True, 1: False}
+    assert d.components == [[1, 2], [3, 4]]
+
+
+def test_strand_walk_matches_union_find():
+    for d in walk_bases():
+        assert walked(d.crossings) == solved(d.crossings)
+
+
+def test_strand_walk_matches_union_find_over_everywhere():
+    """Each component free of self-crossings, switched to pass over at
+    every crossing it meets, in both directions."""
+    cases = 0
+    for d in walk_bases():
+        for i, comp in enumerate(d.components):
+            labels = set(comp)
+            under = {c.id for c in d.crossings if c.pd[0] in labels}
+            over = {c.id for c in d.crossings if c.pd[1] in labels}
+            if under & over:
+                continue
+            for flipped in ((), (i,)):
+                crossings = variant(d, under, flipped)
+                assert walked(crossings) == solved(crossings)
+                cases += 1
+    assert cases >= 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_strand_walk_matches_union_find_on_variants(data):
+    d = data.draw(st.sampled_from(walk_bases()))
+    ids = [c.id for c in d.crossings]
+    switched = data.draw(st.sets(st.sampled_from(ids)))
+    flipped = data.draw(st.sets(st.sampled_from(range(len(d.components)))))
+    crossings = variant(d, switched, flipped)
+    got = walked(crossings)
+    assert not isinstance(got, str)
+    assert got == solved(crossings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_strand_walk_errors_match_union_find(data):
+    """Rotating each pd at random mostly breaks the orientations; the walk
+    and the union-find must agree on which rotations do."""
+    d = data.draw(st.sampled_from(walk_bases()))
+    shifts = data.draw(st.lists(st.integers(0, 3), min_size=d.n, max_size=d.n))
+    crossings = [Crossing(c.id, c.pd[k:] + c.pd[:k]) for c, k in zip(d.crossings, shifts)]
+    assert walked(crossings) == solved(crossings)
+
+
+def test_face_corners_match_rotation_search():
+    for d in walk_bases():
+        for i in range(len(d.faces)):
+            assert d.face_corners(i) == rotation_face_corners(d, i)
 
 
 # -- Seifert ---------------------------------------------------------------
