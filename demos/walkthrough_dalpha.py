@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from kakimizu.diagram import black_region_graph, parse_diagram, seifert, validate
-from kakimizu.kcomplex import base_vertex, build_complex, neighbours, region_add
+from kakimizu.kcomplex import build_complex, distance
 from kakimizu.structure import ball_report
 from kakimizu.surfaces import realize_vertex
 from kakimizu.theta import augment_flype_arcs, extract_theta, reduce_bigons
@@ -35,25 +35,24 @@ def simplex_cycles(c, idx):
 
     A maximal simplex can be traversed as a closed walk that starts at any
     of its vertices and adds every region exactly once; each such walk is a
-    permutation of the regions whose partial sums stay inside the simplex.
-    Returns the walks as vertex tuples (start omitted from the end).
+    permutation of the regions whose moves, read off the complex's move
+    table, stay inside the simplex.  Returns the walks as vertex tuples
+    (start omitted from the end).
     """
     simplex = c.maximal_simplices[idx]
-    members = {c.vertices[i] for i in simplex}
     cycles = set()
-    for start_idx in simplex:
-        start = c.vertices[start_idx]
-        for perm in itertools.permutations(c.theta.regions):
+    for start in simplex:
+        for perm in itertools.permutations(range(len(c.theta.regions))):
             walk = [start]
-            v = start
+            i = start
             for r in perm:
-                v = region_add(v, r, c.theta)
-                if v is None or v not in members:
+                i = c.moves[i][r]
+                if i not in simplex:
                     break
-                walk.append(v)
+                walk.append(i)
             else:
-                if v == start:
-                    cycles.add(tuple(walk[:-1]))
+                if i == start:
+                    cycles.add(tuple(c.vertices[j] for j in walk[:-1]))
     return cycles
 
 
@@ -83,7 +82,7 @@ def main():
     print(f"theta: component edge counts {counts}, weights {weights}")
     assert counts == (2, 3)
 
-    u0 = base_vertex(t)
+    u0 = t.weights()
     print(f"base vertex: {u0}")
     assert u0 == (1, 0, 2, 0, 1)
 
@@ -103,7 +102,7 @@ def main():
         from_base = sorted(w for w in cycles if w[0] == u0)
         print(f"  simplex {i}: cycle {' -> '.join(map(str, from_base[0]))} -> back")
 
-    nbrs = neighbours(t, u0)
+    nbrs = [v for v in c.vertices if distance(c, u0, v) == 1]
     print(f"flype neighbours of base: {len(nbrs)}")
     assert len(nbrs) == 6
 

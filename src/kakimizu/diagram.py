@@ -472,27 +472,32 @@ def _circles(d: Diagram) -> list[list[int]]:
     return circles
 
 
-def _circle_black_face(d: Diagram, circle: list[int]) -> int:
-    """The black region bounded by a Seifert circle.
+def _circle_black_faces(d: Diagram, circles: list[list[int]]) -> list[int]:
+    """The black region bounded by each Seifert circle.
 
     In a special diagram each circle hugs the corners of a single black
-    face; this is asserted, not assumed.
+    face; this is asserted, not assumed.  One pass over the smoothing
+    corners files each corner's face under the circle of its labels.
     """
     par = d.smoothing_parity()
-    faces = set()
-    label_set = set(circle)
+    circle_of = {lab: i for i, circle in enumerate(circles) for lab in circle}
+    faces: list[set[int]] = [set() for _ in circles]
+    split = [False] * len(circles)
     for c in d.crossings:
         for corner in (par, par + 2):
             # The circle hugging this smoothing corner uses the labels at
             # arms corner and corner+1, which always lie on one circle.
-            a, b = c.pd[corner], c.pd[(corner + 1) % 4]
-            if a in label_set or b in label_set:
-                if not (a in label_set and b in label_set):
-                    raise ValueError("smoothing corner splits a Seifert circle")
-                faces.add(d.corner_face(c.id, corner))
-    if len(faces) != 1:
-        raise ValueError("Seifert circle is not innermost; diagram not special")
-    return faces.pop()
+            i, j = circle_of[c.pd[corner]], circle_of[c.pd[(corner + 1) % 4]]
+            if i == j:
+                faces[i].add(d.corner_face(c.id, corner))
+            else:
+                split[i] = split[j] = True
+    for broken, hugged in zip(split, faces):
+        if broken:
+            raise ValueError("smoothing corner splits a Seifert circle")
+        if len(hugged) != 1:
+            raise ValueError("Seifert circle is not innermost; diagram not special")
+    return [min(hugged) for hugged in faces]
 
 
 def seifert(d: Diagram) -> SeifertData:
@@ -505,7 +510,7 @@ def seifert(d: Diagram) -> SeifertData:
     white = d.white_faces()
     if sorted(black + white) != list(range(len(d.faces))):
         raise ValueError("checkerboard colouring failed")
-    bounded = [_circle_black_face(d, c) for c in circles]
+    bounded = _circle_black_faces(d, circles)
     if sorted(bounded) != sorted(black):
         raise ValueError("Seifert circles do not bound the black regions")
     chi = s - d.n

@@ -12,12 +12,14 @@ flag, so its maximal simplices are also the maximal cliques of this
 neighbour graph.
 
 Every single-region move of a complex is looked up once, in its move
-table ``SimplicialComplex.moves``.  The rooted walk of ``build_complex``,
-the per-simplex lines of ``order_vertices`` and the neighbour search of
-``flag_check`` all read that table instead of adding tuples; ``neighbours``
-runs the same region-set search over ``region_add``.  What ``flag_check``
-keeps independent of the walk is the clique search: Bron-Kerbosch over the
-neighbour graph, compared with the walk's simplices.
+table ``SimplicialComplex.moves``; the rooted walk of ``build_complex`` and
+the neighbour search of ``flag_check`` read that table.  What
+``flag_check`` keeps independent of the walk is the clique search:
+Bron-Kerbosch over the neighbour graph, compared with the walk's simplices.
+
+Two vertices differ by a sum of region deltas whose coefficients, the
+``heights``, give the skeleton distance (Przytycki & Schultens, Trans. AMS
+364, 2012), the region set of a move and, by a flow, the vertex orders.
 """
 
 from __future__ import annotations
@@ -25,21 +27,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, mul, sub
 
 from .generate import predicted_vertex_count
 from .theta import Region, ThetaGraph
 
 __all__ = [
     "SimplicialComplex",
-    "base_vertex",
     "build_complex",
     "distance",
     "enumerate_vertices",
     "flag_check",
-    "neighbours",
+    "heights",
     "order_vertices",
-    "region_add",
 ]
 
 Vertex = tuple[int, ...]
@@ -108,24 +108,16 @@ class SimplicialComplex:
 # -- vertices --------------------------------------------------------------
 
 
-def base_vertex(t: ThetaGraph) -> Vertex:
-    return t.weights()
-
-
 def _compositions(total: int, parts: int):
-    """All ways to write ``total`` as an ordered sum of ``parts`` >= 0."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All ways to write ``total`` as an ordered sum of ``parts`` >= 0, in
+    lexicographic order: by stars and bars, the gaps between ``parts - 1``
+    weakly increasing cuts of 0..total."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def enumerate_vertices(t: ThetaGraph) -> list[Vertex]:
-    per_comp = [
-        sorted(_compositions(c.total_weight(), c.k)) for c in t.components
-    ]
+    per_comp = [list(_compositions(c.total_weight(), c.k)) for c in t.components]
     vertices = sorted(
         tuple(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*per_comp)
@@ -138,66 +130,29 @@ def enumerate_vertices(t: ThetaGraph) -> list[Vertex]:
 # -- region moves ----------------------------------------------------------
 
 
-def region_add(v: Vertex, r: Region, t: ThetaGraph) -> Vertex | None:
-    """``v`` shifted by the region's delta, or None where undefined."""
-    out = list(v)
-    for eid in r.boundary_minus:
-        i = t.edge_position[eid]
-        if out[i] == 0:
-            return None
-        out[i] -= 1
-    for eid in r.boundary_plus:
-        out[t.edge_position[eid]] += 1
-    return tuple(out)
+def _region_sets(moves: list, start: int) -> set[int]:
+    """Every vertex reached from vertex ``start`` by adding a proper
+    non-empty set of the regions one at a time, read off the move table.
 
-
-def _region_sets(start, step, n: int) -> dict:
-    """Every point reached from ``start`` by adding a proper non-empty set of
-    the ``n`` regions one at a time, mapped to that set as a bit mask.
-
-    ``step(p)`` lists, region by region, the point one move from ``p``, or
-    None where the move leaves the vertices.  The search visits each region
-    set at most once.
+    The search visits each region set, a bit mask, at most once.  The
+    region deltas sum to zero and span a space of dimension one less than
+    their number, so distinct proper non-empty sets reach distinct vertices
+    and the search costs O(deg * R) lookups.
     """
-    full = (1 << n) - 1
-    out = {}
+    full = (1 << len(moves[start])) - 1
+    out = set()
     seen = {0}
     stack = [(0, start)]
     while stack:
-        used, p = stack.pop()
-        bit = 1
-        for q in step(p):
-            if q is not None:
-                nxt = used | bit
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if nxt != full:
-                        out[q] = nxt
-                        stack.append((nxt, q))
-            bit <<= 1
+        used, i = stack.pop()
+        for r, j in enumerate(moves[i]):
+            nxt = used | 1 << r
+            if j is not None and nxt not in seen:
+                seen.add(nxt)
+                if nxt != full:
+                    out.add(j)
+                    stack.append((nxt, j))
     return out
-
-
-def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
-    """Every vertex adjacent to ``u``, mapped to the regions carrying ``u``
-    to it.
-
-    A depth-first walk adds one region at a time, staying on vertices, and
-    visits each region set at most once.  The region deltas sum to zero and
-    span a space of dimension one less than their number, so distinct
-    proper non-empty sets reach distinct vertices and the walk costs
-    O(deg(u) * R) additions.
-    """
-    if len(u) != t.n_edges:
-        raise ValueError("vertex does not match the theta graph")
-    regions = t.regions
-    reached = _region_sets(
-        tuple(u), lambda v: [region_add(v, r, t) for r in regions], len(regions)
-    )
-    return {
-        w: [r for j, r in enumerate(regions) if used >> j & 1]
-        for w, used in reached.items()
-    }
 
 
 # -- the complex -----------------------------------------------------------
@@ -278,73 +233,109 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
 def _neighbour_sets(c: SimplicialComplex) -> list[set[int]]:
     """The neighbour graph of a theta complex: the indices adjacent to each
     vertex, by the region-set search over the move table."""
-    step = c.moves.__getitem__
-    n = len(c.theta.regions)
-    return [set(_region_sets(i, step, n)) for i in range(len(c.vertices))]
+    moves = c.moves
+    return [_region_sets(moves, i) for i in range(len(moves))]
 
 
 def flag_check(c: SimplicialComplex) -> bool:
     """Whether the maximal simplices of a complex built from a theta graph
     are exactly the maximal cliques of its neighbour graph, as the flag
-    property says; the clique search is independent of the region walk."""
-    if c.theta is None:
-        raise ValueError("complex does not carry a theta graph")
+    property says; the clique search is independent of the region walk.
+    The move table refuses a complex without a theta graph."""
     cliques = sorted(sorted(s) for s in _maximal_cliques(_neighbour_sets(c)))
     return cliques == sorted(sorted(s) for s in c.maximal_simplices)
 
 
+# -- the region potential -------------------------------------------------
+
+
+def _region_tree(t: ThetaGraph, root: int):
+    """A breadth-first spanning tree of the region graph, whose edges are
+    the theta edges, each joining the regions on its two sides.
+
+    Returns the tree as (region, parent, edge position) steps away from
+    ``root``, and per edge position the ids of the regions holding that
+    edge in their positive and in their negative boundary.
+    """
+    plus = {e: r.id for r in t.regions for e in r.boundary_plus}
+    minus = {e: r.id for r in t.regions for e in r.boundary_minus}
+    plus, minus = ([side[e] for e in t.global_edge_order] for side in (plus, minus))
+    pos = t.edge_position
+    at = [[pos[e] for e in (*r.boundary_plus, *r.boundary_minus)] for r in t.regions]
+    steps = [(root, root, -1)]
+    seen = {root}
+    for p, _, _ in steps:
+        for i in at[p]:
+            s = plus[i] + minus[i] - p
+            if s not in seen:
+                seen.add(s)
+                steps.append((s, p, i))
+    if len(steps) != len(t.regions):
+        raise AssertionError("the region graph is disconnected")
+    return steps[1:], plus, minus
+
+
+def heights(t: ThetaGraph, u, v) -> list[int]:
+    """The region heights carrying vertex ``u`` to vertex ``v``: one integer
+    per region, indexed by region id, the least 0, with
+    ``v - u = sum(h[r] * delta(r))``.
+
+    Each theta edge changes by the height of the region holding it in its
+    positive boundary less that of the one holding it in its negative.  A
+    walk over the region graph from region 0 fixes the heights and every
+    other edge checks them; the deltas sum to zero, so the least height
+    fixes the shift.
+    """
+    if len(u) != t.n_edges or len(v) != t.n_edges:
+        raise ValueError("vertex does not match the theta graph")
+    if not t.regions:
+        return []
+    steps, plus, minus = _region_tree(t, 0)
+    change = list(map(sub, v, u))
+    h = [0] * len(t.regions)
+    for s, p, i in steps:
+        h[s] = h[p] + change[i] if s == plus[i] else h[p] - change[i]
+    if any(h[a] - h[b] != d for a, b, d in zip(plus, minus, change)):
+        raise AssertionError("region heights misfit a theta edge")
+    low = min(h)
+    return [x - low for x in h]
+
+
 def distance(c: SimplicialComplex, u, v) -> int:
-    """Edge distance in the 1-skeleton, by breadth-first search."""
-    adj: dict[int, set[int]] = {i: set() for i in range(len(c.vertices))}
-    for i, j in c.skeleton_edges():
-        adj[i].add(j)
-        adj[j].add(i)
-    target = c.index(v)
-    frontier = seen = {c.index(u)}
-    d = 0
-    while target not in frontier:
-        frontier = {j for i in frontier for j in adj[i]} - seen
-        if not frontier:
-            raise ValueError("complex is disconnected")
-        seen = seen | frontier
-        d += 1
-    return d
+    """Edge distance in the 1-skeleton: the greatest region height carrying
+    ``u`` to ``v``.  Raises ValueError unless both are vertices."""
+    if c.theta is None:
+        raise ValueError("complex does not carry a theta graph")
+    c.index(u)
+    c.index(v)
+    return max(heights(c.theta, u, v), default=0)
 
 
 def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
     """Orient each edge: ``i`` comes before ``j`` when the region set
     carrying vertex i to vertex j omits ``r``.
 
-    Within a simplex the vertices sit on a cycle of single-region moves;
-    dropping the move through ``r`` breaks every cycle into a line, giving
-    a relation that is antisymmetric, defined exactly on adjacent pairs,
-    and transitive on every simplex.  Each move lands on the only vertex of
-    the simplex that its region reaches, so the lines are read off the
-    maximal simplices.
+    Key each vertex by the sum of its heights over a base vertex, with the
+    height of ``r`` held at 0: a move by a region set A raises the key by
+    |A| when A omits ``r`` and lowers it otherwise, so each maximal simplex
+    sorted by key is a chain.  The key is linear in the weights, with the
+    flow across each theta edge as its coefficient when every other region
+    sends one unit to ``r`` along a spanning tree of the region graph.
     """
     if c.theta is None:
         raise ValueError("complex does not carry a theta graph")
-    deltas = [reg.delta(c.theta) for reg in c.theta.regions]
-    try:
-        cut = deltas.index(r.delta(c.theta))
-    except ValueError:
-        raise ValueError(
-            f"region {r.id} is not a region of the complex's theta graph"
-        ) from None
-    moves = c.moves
+    t = c.theta
+    cut = next((reg.id for reg in t.regions if reg.delta(t) == r.delta(t)), None)
+    if cut is None:
+        raise ValueError(f"region {r.id} is not a region of the complex's theta graph")
+    steps, plus, _ = _region_tree(t, cut)
+    size = [1] * len(t.regions)
+    flow = [0] * t.n_edges
+    for s, p, i in reversed(steps):
+        flow[i] = size[s] if s == plus[i] else -size[s]
+        size[p] += size[s]
+    key = [sum(map(mul, flow, v)) for v in c.vertices]
     out: set[tuple[int, int]] = set()
     for s in c.maximal_simplices:
-        members = set(s)
-        # each vertex -> the one vertex of the simplex a region moves it to
-        step = {}
-        for i in s:
-            for k, j in enumerate(moves[i]):
-                if j in members:
-                    step[i] = j
-                    if k == cut:
-                        first = j
-        line = [first]
-        while len(line) < len(s):
-            line.append(step[line[-1]])
-        out.update(itertools.combinations(line, 2))
+        out.update(itertools.combinations(sorted(s, key=key.__getitem__), 2))
     return out

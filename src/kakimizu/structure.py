@@ -60,27 +60,28 @@ def colour_schemes(n: int, m: int, l: int):
     entry at a time, tracking the neighbouring pairs still equal; each
     needs its own strict step inside a later or the current row, so a
     branch whose last value is x stops once more than n - x pairs remain.
+    The search keeps its own stack, so it needs no deep recursion.
     """
     width = l + 1
     size = m * width
     seq: list[int] = []
-
-    def grow(x: int, equal: int):
-        pos = len(seq)
-        if pos == size:
-            if not equal:
-                yield [tuple(seq[j::width]) for j in range(width)]
-            return
+    masks = [(1 << l) - 1]  # masks[p]: the pairs still equal before entry p
+    y = 0  # the next value to try at entry len(seq)
+    while True:
+        pos, equal = len(seq), masks[-1]
+        if pos == size and not equal:
+            yield [tuple(seq[j::width]) for j in range(width)]
         col = pos % width
-        for y in range(x, n + 1):
-            left = equal & ~(1 << (col - 1)) if col and y > x else equal
-            if left.bit_count() > n - y:
-                break  # a larger y leaves no fewer pairs and less room
+        left = equal & ~(1 << (col - 1)) if col and y > seq[-1] else equal
+        # a larger y leaves no fewer pairs and less room
+        if pos < size and y <= n and left.bit_count() <= n - y:
             seq.append(y)
-            yield from grow(y, left)
-            seq.pop()
-
-    yield from grow(0, (1 << l) - 1)
+            masks.append(left)
+        elif seq:
+            y = seq.pop() + 1
+            masks.pop()
+        else:
+            return
 
 
 def esd(n: int, m: int) -> SimplicialComplex:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import Diagram
-from .kcomplex import base_vertex, neighbours
+from .kcomplex import heights
 from .planar import HalfEdge, face_index
 from .theta import Region, ThetaGraph, merge_classes
 
@@ -401,15 +401,16 @@ def realize_vertex(
     d: Diagram, t: ThetaGraph, v: tuple[int, ...], convention: str = "positive"
 ) -> dict:
     """Flype set, P-arcs, curve counts, and Euler characteristic for a
-    vertex at distance at most 1 from the base vertex."""
-    base = base_vertex(t)
-    if tuple(v) == base:
-        fs = FlypeSet(base=base, region_ids=(), labels={}, circles=[])
+    vertex at distance at most 1 from the base vertex, whose regions at
+    height 1 make the flype set."""
+    base = t.weights()
+    h = heights(t, base, v)
+    if max(h, default=0) > 1:
+        raise ValueError("vertex is not within distance 1 of the base vertex")
+    if any(h):
+        fs = flype_set_for_edge(t, base, [r for r in t.regions if h[r.id]])
     else:
-        a = neighbours(t, base).get(tuple(v))
-        if a is None:
-            raise ValueError("vertex is not within distance 1 of the base vertex")
-        fs = flype_set_for_edge(t, base, a)
+        fs = FlypeSet(base=base, region_ids=(), labels={}, circles=[])
     config = p_arcs(d, t, fs, convention=convention)
     n_a, n_b = trace_curves(d, config)
     return {

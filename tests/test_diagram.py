@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from kakimizu.diagram import (
     Crossing,
     Diagram,
+    _circle_black_faces,
+    _circles,
     _smoothing_is_prime,
     _two_edge_cut,
     black_region_graph,
@@ -34,6 +37,7 @@ from conftest import FIXTURES, HUB_CHAINS, hub_graph
 from oracles import (
     bfs_two_edge_cut,
     rotation_face_corners,
+    scan_circle_black_face,
     union_find_orientation,
     white_smooth,
 )
@@ -377,6 +381,34 @@ def test_chi_equals_s_minus_n_everywhere():
         data = seifert(d)
         assert data.chi == data.s - d.n
         assert data.s == len(data.black_regions)
+
+
+def test_circle_black_faces_match_per_circle_scan():
+    checked = 0
+    for d in walk_bases():
+        if not d.is_special():
+            continue
+        circles = _circles(d)
+        try:
+            expected = [scan_circle_black_face(d, c) for c in circles]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _circle_black_faces(d, circles)
+            continue
+        assert _circle_black_faces(d, circles) == expected
+        checked += 1
+    assert checked >= len(HUB_CHAINS)
+
+
+def test_seifert_is_linear_on_many_circles():
+    # one long doubled chain: 1,606 crossings and about as many circles
+    d = medial(hub_graph([(1601, True), (1, False), (3, False)]))
+    assert d.n == 1606
+    start = time.perf_counter()
+    data = seifert(d)
+    elapsed = time.perf_counter() - start
+    assert data.s == len(data.black_regions) > 1500
+    assert elapsed < 0.2, f"seifert took {elapsed:.3f} s"
 
 
 # -- region graphs ---------------------------------------------------------

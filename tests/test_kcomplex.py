@@ -1,5 +1,5 @@
 """Vertex enumeration, region moves, neighbours, the region walk, cliques,
-the flag check, and orders."""
+the flag check, region heights, the metric, and orders."""
 
 import itertools
 import random
@@ -13,16 +13,15 @@ from kakimizu.families import dalpha_graph
 from kakimizu.generate import predicted_cell_count, random_theta
 from kakimizu.kcomplex import (
     SimplicialComplex,
+    _compositions,
     _maximal_cliques,
     _neighbour_sets,
-    base_vertex,
     build_complex,
     distance,
     enumerate_vertices,
     flag_check,
-    neighbours,
+    heights,
     order_vertices,
-    region_add,
 )
 from kakimizu.theta import (
     Placement,
@@ -39,9 +38,12 @@ from kakimizu.theta import (
 from oracles import (
     adjacency,
     all_pairs_neighbours,
+    bfs_distance,
     cyclic_order_maximal_simplices,
+    neighbours,
     networkx_maximal_cliques,
     order_regions,
+    region_add,
 )
 
 BASE = (1, 0, 2, 0, 1)
@@ -96,7 +98,7 @@ def small_theta(weights_per_comp):
 
 def test_base_vertex(dalpha):
     t, _ = dalpha
-    assert base_vertex(t) == BASE
+    assert t.weights() == BASE
 
 
 def test_enumerate_dalpha(dalpha):
@@ -115,6 +117,22 @@ def test_enumerate_single_component():
 
 def test_enumerate_empty():
     assert enumerate_vertices(ThetaGraph([])) == [()]
+
+
+def test_enumerate_long_component():
+    # one composition per edge; deeper than the interpreter's recursion limit
+    t = small_theta([(1,) + (0,) * 1099])
+    vs = enumerate_vertices(t)
+    assert len(vs) == 1100
+    assert vs == sorted(vs) and vs[-1] == t.weights()
+
+
+@pytest.mark.parametrize("total,parts", [(0, 1), (3, 1), (0, 4), (4, 3), (5, 5)])
+def test_compositions_are_every_sorted_tuple(total, parts):
+    every = [
+        p for p in itertools.product(range(total + 1), repeat=parts) if sum(p) == total
+    ]
+    assert list(_compositions(total, parts)) == every
 
 
 # -- region moves ----------------------------------------------------------
@@ -315,40 +333,74 @@ def test_maximal_cliques_match_networkx(adj):
     assert ours == networkx_maximal_cliques(adj)
 
 
-# -- metric ----------------------------------------------------------------
+# -- region heights and the metric -----------------------------------------
 
 
-def bfs_distances(c, source_idx):
-    dist = {source_idx: 0}
-    frontier = [source_idx]
-    adj = {}
-    for i, j in c.skeleton_edges():
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adj.get(i, ()):
-                if j not in dist:
-                    dist[j] = dist[i] + 1
-                    nxt.append(j)
-        frontier = nxt
-    return dist
+def assert_heights_carry(t, u, v):
+    h = heights(t, u, v)
+    assert len(h) == len(t.regions) and min(h, default=0) == 0
+    moved = list(u)
+    for r in t.regions:
+        for k, d in enumerate(r.delta(t)):
+            moved[k] += h[r.id] * d
+    assert tuple(moved) == tuple(v)
+    return h
+
+
+def test_heights_on_dalpha(dalpha, dalpha_complex):
+    t, regions = dalpha
+    assert heights(t, BASE, BASE) == [0] * len(regions)
+    h = assert_heights_carry(t, BASE, (0, 1, 3, 0, 0))
+    assert {r.delta(t) for r in regions if h[r.id] == 1} == {R_A, R_B}
+    for v in dalpha_complex.vertices:
+        assert_heights_carry(t, BASE, v)
+
+
+def test_heights_of_neighbours_are_their_region_sets(dalpha_complex):
+    t = dalpha_complex.theta
+    for u in dalpha_complex.vertices:
+        for v, a in neighbours(t, u).items():
+            h = heights(t, u, v)
+            assert [r.id for r in t.regions if h[r.id]] == [r.id for r in a]
+            assert max(h) == 1
+
+
+def test_heights_reject_foreign_and_unrelated_vectors(dalpha):
+    t, _ = dalpha
+    with pytest.raises(ValueError, match="does not match"):
+        heights(t, BASE, (1, 0, 2, 0))
+    with pytest.raises(ValueError, match="does not match"):
+        heights(t, (1, 0, 2, 0), BASE)
+    # different component totals: no region sum carries one to the other
+    with pytest.raises(AssertionError, match="misfit"):
+        heights(t, BASE, (1, 0, 2, 0, 2))
+
+
+def test_heights_on_the_empty_graph():
+    assert heights(ThetaGraph([]), (), ()) == []
+    c = build_complex(ThetaGraph([]))
+    assert distance(c, (), ()) == 0
 
 
 def test_distance_examples(dalpha_complex):
     c = dalpha_complex
     assert distance(c, BASE, (1, 0, 3, 0, 0)) == 1
     assert distance(c, BASE, BASE) == 0
-    hand = bfs_distances(c, c.index((1, 0, 3, 0, 0)))
-    assert distance(c, (1, 0, 3, 0, 0), (0, 1, 0, 0, 3)) == hand[
-        c.index((0, 1, 0, 0, 3))
-    ]
+    assert distance(c, (1, 0, 3, 0, 0), (0, 1, 0, 0, 3)) == bfs_distance(
+        c, (1, 0, 3, 0, 0), (0, 1, 0, 0, 3)
+    )
 
 
 def test_distance_disconnected_generic_complex():
     c = SimplicialComplex([0, 1], [[0], [1]])
     with pytest.raises(ValueError, match="disconnected"):
+        bfs_distance(c, 0, 1)
+
+
+def test_distance_needs_a_theta_graph():
+    c = SimplicialComplex([0, 1], [[0, 1]])
+    assert bfs_distance(c, 0, 1) == 1
+    with pytest.raises(ValueError, match="theta graph"):
         distance(c, 0, 1)
 
 
@@ -367,7 +419,7 @@ def test_index_and_distance_reject_non_vertices(dalpha_complex):
 def test_metric_axioms(dalpha_complex):
     c = dalpha_complex
     n = len(c.vertices)
-    table = [bfs_distances(c, i) for i in range(n)]
+    table = [[distance(c, u, v) for v in c.vertices] for u in c.vertices]
     for i in range(n):
         assert table[i][i] == 0
         for j in range(n):
@@ -375,6 +427,25 @@ def test_metric_axioms(dalpha_complex):
             assert (table[i][j] == 0) == (i == j)
             for k in range(n):
                 assert table[i][k] <= table[i][j] + table[j][k]
+
+
+def assert_distance_matches_bfs(c):
+    for u in c.vertices:
+        for v in c.vertices:
+            assert distance(c, u, v) == bfs_distance(c, u, v)
+
+
+def test_distance_matches_bfs_on_dalpha(dalpha_complex):
+    assert_distance_matches_bfs(dalpha_complex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_distance_matches_bfs_on_random_graphs(seed):
+    # one to three components, nested or side by side
+    assert_distance_matches_bfs(
+        build_complex(random_theta(random.Random(seed), max_vertices=60, max_cells=60))
+    )
 
 
 # -- the cyclic simplex rule as an oracle ----------------------------------
@@ -654,6 +725,14 @@ def test_order_vertices_matches_oracle(dalpha_complex):
         c = build_complex(random_theta(rng, max_vertices=60, max_cells=60))
         for r in c.theta.regions:
             assert order_vertices(c, r) == oracle_order(c, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_order_vertices_matches_oracle_on_random_graphs(seed):
+    c = build_complex(random_theta(random.Random(seed), max_vertices=60, max_cells=60))
+    for r in c.theta.regions:
+        assert order_vertices(c, r) == oracle_order(c, r)
 
 
 def test_order_vertices_rejects_foreign_region(dalpha_complex):

@@ -13,7 +13,6 @@ from kakimizu.families import dalpha_graph
 from kakimizu.generate import random_theta_family
 from kakimizu.kcomplex import (
     SimplicialComplex,
-    base_vertex,
     build_complex,
     order_vertices,
 )

@@ -4,7 +4,7 @@ import pytest
 
 from kakimizu.diagram import black_region_graph, seifert
 from kakimizu.families import book, dalpha_graph
-from kakimizu.kcomplex import base_vertex, build_complex, neighbours
+from kakimizu.kcomplex import build_complex
 from kakimizu.medial import medial
 from kakimizu.surfaces import (
     FlypeSet,
@@ -20,6 +20,8 @@ from kakimizu.theta import (
     extract_theta,
     reduce_bigons,
 )
+
+from oracles import neighbours
 
 
 def pipeline(graph):
@@ -44,7 +46,7 @@ def dalpha():
 
 
 def empty_set(t):
-    base = base_vertex(t) if t.components else ()
+    base = t.weights()
     return FlypeSet(base=base, region_ids=(), labels={}, circles=[])
 
 
@@ -100,7 +102,7 @@ def region_by_delta(t, delta):
 
 def test_flype_set_single_circle(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
     fs = flype_set_for_edge(t, u, [r_a])
     assert len(fs.circles) == 1
@@ -114,7 +116,7 @@ def test_flype_set_single_circle(dalpha):
 
 def test_flype_set_two_circles(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
     r_b = region_by_delta(t, (-1, 1, 0, 0, 0))
     fs = flype_set_for_edge(t, u, [r_a, r_b])
@@ -124,7 +126,7 @@ def test_flype_set_two_circles(dalpha):
 
 def test_flype_set_requires_movable_crossing(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     # this region subtracts from a weight-0 edge at the base vertex
     r_c = region_by_delta(t, (1, -1, -1, 1, 0))
     with pytest.raises(ValueError):
@@ -133,7 +135,7 @@ def test_flype_set_requires_movable_crossing(dalpha):
 
 def test_flype_set_json(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
     doc = flype_set_for_edge(t, u, [r_a]).to_json()
     assert doc["base"] == list(u)
@@ -147,7 +149,7 @@ def test_flype_set_json(dalpha):
 def test_all_neighbor_realizations_satisfy_identity(dalpha):
     d, t = dalpha
     s = seifert(d).s
-    u = base_vertex(t)
+    u = t.weights()
     neighbors = neighbours(t, u)
     assert len(neighbors) == 6
     for v in [u, *neighbors]:
@@ -158,7 +160,7 @@ def test_all_neighbor_realizations_satisfy_identity(dalpha):
 
 def test_neighbor_realization_structure(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     v = sorted(neighbours(t, u))[0]
     result = realize_vertex(d, t, v)
     config = result["p_arcs"]
@@ -177,7 +179,7 @@ def test_neighbor_realization_structure(dalpha):
 
 def test_arcs_stay_in_white_regions(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     whites = set(d.white_faces())
 
     def white_of(lab):
@@ -192,9 +194,17 @@ def test_arcs_stay_in_white_regions(dalpha):
             assert white_of(a) == white_of(b)
 
 
+def test_realized_flype_sets_match_the_neighbour_walk(dalpha):
+    # the region set read off the heights is the one the walk finds
+    d, t = dalpha
+    for v, a in neighbours(t, t.weights()).items():
+        fs = realize_vertex(d, t, v)["flype_set"]
+        assert fs["regions"] == sorted(r.id for r in a)
+
+
 def test_realize_vertex_rejects_distant(dalpha):
     d, t = dalpha
-    u = base_vertex(t)
+    u = t.weights()
     c = build_complex(t)
     near = {u, *neighbours(t, u)}
     far = next(v for v in c.vertices if v not in near)

@@ -9,6 +9,7 @@ import pytest
 from kakimizu.diagram import black_region_graph
 from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
 from kakimizu.medial import medial
+from kakimizu import theta
 from kakimizu.planar import face_index
 from kakimizu.theta import (
     Placement,
@@ -147,6 +148,33 @@ def test_augment_requires_orientation():
     g.orientation = {v: 0 for v in g.vertex_ids()}
     with pytest.raises(ValueError, match="orientation"):
         augment_flype_arcs(g)
+
+
+def test_augment_guard_fires_within_the_room_of_the_input(monkeypatch):
+    base = reduce_bigons(dalpha_graph())
+    room = 3 * len(base.rotation) - 6 - len(base.edges)
+    first = theta._arc_candidates(base)[0]
+    calls = []
+
+    def stuck(g):
+        # the same corner pair, forever: only the guard can stop the loop
+        calls.append(g)
+        if len(calls) > 4 * room + 16:
+            pytest.fail("the augmentation guard never fired")
+        return [first]
+
+    monkeypatch.setattr(theta, "_arc_candidates", stuck)
+    with pytest.raises(AssertionError, match="more arcs"):
+        augment_flype_arcs(base)
+    assert len(calls) == room + 1
+
+
+def test_augmented_maps_keep_within_the_edge_bound():
+    for g in [book(10), cube_graph(), dalpha_graph(), granny_graph()]:
+        reduced = reduce_bigons(g)
+        f = augment_flype_arcs(reduced)
+        assert len(f.rotation) == len(reduced.rotation)
+        assert len(f.edges) <= max(3 * len(f.rotation) - 6, len(reduced.edges))
 
 
 @pytest.mark.parametrize("make, traces", [(lambda: book(10), 12), (dalpha_graph, 7)])
