@@ -267,14 +267,8 @@ class ValidationReport:
     messages: list[str] = field(default_factory=list)
 
     def all_ok(self) -> bool:
-        return (
-            self.connected
-            and self.alternating
-            and self.special
-            and self.reduced
-            and self.prime
-            and self.cuttable_region_exists
-        )
+        flags = (self.connected, self.alternating, self.special, self.reduced, self.prime)
+        return all(flags) and self.cuttable_region_exists
 
     def to_json(self) -> dict:
         return {
@@ -530,26 +524,33 @@ def seifert(d: Diagram) -> SeifertData:
 # -- region graphs ---------------------------------------------------------
 
 
-def _region_graph(d: Diagram, colour: str) -> EmbeddedGraph:
-    if not d.is_special():
-        raise ValueError("diagram is not special alternating")
-    par = d.smoothing_parity() if colour == "black" else 1 - d.smoothing_parity()
-    faces = d.black_faces() if colour == "black" else d.white_faces()
-    face_set = set(faces)
+def _region_graph(
+    d: Diagram, colour: str
+) -> tuple[EmbeddedGraph, list[list[HalfEdge]]]:
+    """The region graph of ``colour`` with its traced faces."""
+    par = d.smoothing_parity()  # raises unless the diagram is special
+    if colour != "black":
+        par = 1 - par
+    # a special diagram is alternating: each face meets its crossings in
+    # corners of one parity, so the first corner gives the face's colour
+    corners = {
+        f: d.face_corners(f)
+        for f, cycle in enumerate(d.faces)
+        if d.corners[cycle[0]][1] % 2 == par
+    }
 
     g = EmbeddedGraph()
-    corner_class: dict[int, int] = {}
-    if colour == "black":
-        # Of the two black corners at a crossing, the one at index par+2 is
-        # traversed by its Seifert circle in the same direction as the face
-        # boundary walk: that region's circle runs anticlockwise.
-        for f in faces:
-            classes = {1 if pos == par + 2 else -1 for _, pos in d.face_corners(f)}
+    for f, cs in corners.items():
+        cls = 0
+        if colour == "black":
+            # Of the two black corners at a crossing, the one at index par+2
+            # is traversed by its Seifert circle in the same direction as the
+            # face boundary walk: that region's circle runs anticlockwise.
+            classes = {1 if pos == par + 2 else -1 for _, pos in cs}
             if len(classes) != 1:
                 raise ValueError("black regions are not consistently oriented")
-            corner_class[f] = classes.pop()
-    for f in faces:
-        g.add_vertex(f, corner_class.get(f, 0))
+            cls = classes.pop()
+        g.add_vertex(f, cls)
 
     for c in d.crossings:
         f_low = d.corner_face(c.id, par)
@@ -558,7 +559,7 @@ def _region_graph(d: Diagram, colour: str) -> EmbeddedGraph:
             raise ValueError(
                 f"crossing {c.id} joins a region to itself; reduce the diagram first"
             )
-        if f_low not in face_set or f_high not in face_set:
+        if f_low not in corners or f_high not in corners:
             raise ValueError("corner colouring failed")
         if colour == "black":
             u, v = f_high, f_low  # u anticlockwise, v clockwise
@@ -569,27 +570,21 @@ def _region_graph(d: Diagram, colour: str) -> EmbeddedGraph:
 
     # rotation: crossings in boundary order around each region (this is the
     # anticlockwise order at the vertex placed inside the region)
-    for f in faces:
-        rot = []
-        for cid, pos in d.face_corners(f):
-            if pos % 2 != par % 2:
-                raise ValueError("corner colouring failed")
-            rot.append((cid, 0 if g.edges[cid].u == f else 1))
-        g.rotation[f] = rot
-    g.trace_faces()  # sanity: spherical embedding
-    return g
+    for f, cs in corners.items():
+        g.rotation[f] = [(cid, 0 if g.edges[cid].u == f else 1) for cid, _ in cs]
+    return g, g.trace_faces()  # raises unless the embedding is spherical
 
 
 def black_region_graph(d: Diagram) -> EmbeddedGraph:
     """The graph with a vertex in each black region and an edge through each
     crossing, embedded by the diagram, with oriented vertices and edge sides."""
-    return _region_graph(d, "black")
+    return _region_graph(d, "black")[0]
 
 
 def white_region_graph(d: Diagram) -> EmbeddedGraph:
     """The graph with a vertex in each white region and an edge through each
     crossing (the fibredness graph)."""
-    return _region_graph(d, "white")
+    return _region_graph(d, "white")[0]
 
 
 # -- fibredness reduction --------------------------------------------------
@@ -606,26 +601,10 @@ def is_fibred(g: EmbeddedGraph) -> bool:
     vertices: set[int] = set(g.rotation)
     changed = True
     while changed:
-        changed = False
-        kept = []
-        for u, v in edges:
-            if u == v:
-                changed = True  # delete loop
-            else:
-                kept.append((u, v))
-        edges = kept
-        deg: dict[int, int] = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        target = next(
-            (
-                (u, v)
-                for u, v in edges
-                if deg[u] == 2 or deg[v] == 2
-            ),
-            None,
-        )
+        kept = [(u, v) for u, v in edges if u != v]  # delete loops
+        changed, edges = len(kept) < len(edges), kept
+        deg = Counter(x for edge in edges for x in edge)
+        target = next(((u, v) for u, v in edges if deg[u] == 2 or deg[v] == 2), None)
         if target is not None:
             u, v = target
             if deg[v] != 2:

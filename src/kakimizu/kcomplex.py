@@ -163,27 +163,32 @@ def _maximal_cliques(adj: list[set[int]]) -> list[list[int]]:
     sets ``adj``, by Bron-Kerbosch with the pivot rule of Tomita, Tanaka &
     Takahashi (TCS 363, 2006), rooted at each vertex in index order with its
     later neighbours as candidates and its earlier ones as done (Eppstein,
-    Loffler & Strash, ISAAC 2010)."""
+    Loffler & Strash, ISAAC 2010).  The search keeps its own stack."""
     out: list[list[int]] = []
-
-    def expand(clique: list[int], cand: set[int], done: set[int]) -> None:
-        if not cand:
-            if not done:
-                out.append(clique)
-            return
-        most = -1
-        for u in cand | done:
-            k = len(cand & adj[u])
-            if k > most:
-                most, pivot = k, u
-        for v in cand - adj[pivot]:
-            expand(clique + [v], cand & adj[v], done & adj[v])
-            cand.remove(v)
-            done.add(v)
-
     for v, nbrs in enumerate(adj):
         done = {u for u in nbrs if u < v}
-        expand([v], nbrs - done, done)
+        stack = [([v], nbrs - done, done)]
+        while stack:
+            clique, cand, done = stack.pop()
+            if not cand:
+                if not done:
+                    out.append(clique)
+                continue
+            most = -1
+            for u in cand | done:
+                k = len(cand & adj[u])
+                if k > most:
+                    most, pivot = k, u
+            # a branch leaves the candidates for the done set before the
+            # next one is drawn; a branch without candidates is a leaf
+            for w in cand - adj[pivot]:
+                near = adj[w]
+                if sub := cand & near:
+                    stack.append((clique + [w], sub, done & near))
+                elif done.isdisjoint(near):
+                    out.append(clique + [w])
+                cand.remove(w)
+                done.add(w)
     return out
 
 
@@ -195,7 +200,8 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
     by a walk whose first move is region 0: a depth-first search from each
     vertex through the orderings of the other regions, keeping only steps
     that land on vertices (read off the move table), finds each simplex
-    once.  The empty graph has
+    once.  The search keeps its own stack, so a component with thousands of
+    regions does not exhaust Python's recursion limit.  The empty graph has
     one vertex, which is its only simplex.
     """
     c = SimplicialComplex(enumerate_vertices(t), [], theta=t)
@@ -205,27 +211,25 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
         return c
     # every component has at least two edges, hence at least two regions
     moves = c.moves
-    path: list[int] = []
-
-    def extend(i: int, remaining: list[int]) -> None:
+    # walks (vertex reached, regions left, vertices so far), depth first
+    rest = list(range(1, len(t.regions)))
+    stack = [(j, rest, [i, j]) for i, row in enumerate(moves) if (j := row[0]) is not None]
+    while stack:
+        i, remaining, path = stack.pop()
         if len(remaining) == 1:
-            # the deltas sum to zero, so the last region closes the walk
             simplices.append(sorted(path))
-            return
+            continue
         row = moves[i]
+        last = len(remaining) == 2
         for r in remaining:
             j = row[r]
-            if j is not None:
-                path.append(j)
-                extend(j, [s for s in remaining if s != r])
-                path.pop()
-
-    rest = list(range(1, len(t.regions)))
-    for i, row in enumerate(moves):
-        j = row[0]
-        if j is not None:
-            path[:] = [i, j]
-            extend(j, rest)
+            if j is None:
+                continue
+            if last:
+                # the deltas sum to zero, so the last region closes the walk
+                simplices.append(sorted(path + [j]))
+            else:
+                stack.append((j, [s for s in remaining if s != r], path + [j]))
     simplices.sort()
     return c
 

@@ -8,8 +8,9 @@ this keeps every face on the left of its (anticlockwise) boundary walk.  A
 trace reads each rotation list once and follows each half-edge once, so it
 costs O(E log E), the log for sorting the half-edges.  On the sphere the
 count of traced faces then satisfies F = E - V + 1 + C, where C is the
-number of connected components, and every trace asserts this, so the map a
-surgery leaves is checked before anything reads it.
+number of connected components, and every trace asserts this.  The surgeries
+of :mod:`kakimizu.theta` update only the faces they touch, each checked
+locally, and every stage there ends with one full trace.
 
 Edges carry a transverse orientation.  Rather than naming the two sides, we
 store the flag ``pos_left``: the positive side of the edge is the one on the
@@ -25,7 +26,7 @@ two classes, and cyclic edge orders of theta graphs are read at the +1 end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "Edge",
@@ -79,7 +80,8 @@ class EmbeddedGraph:
 
     The embedding is the rotation system ``rotation``: for each vertex, the
     anticlockwise cyclic list of darts.  All structural operations keep the
-    rotation lists and the edge dict consistent and re-check Euler's formula.
+    rotation lists and the edge dict consistent; ``trace_faces`` checks
+    Euler's formula.
     """
 
     def __init__(self) -> None:
@@ -123,7 +125,8 @@ class EmbeddedGraph:
     def copy(self) -> "EmbeddedGraph":
         g = EmbeddedGraph()
         g.orientation = dict(self.orientation)
-        g.edges = {eid: replace(e) for eid, e in self.edges.items()}
+        g.edges = {i: Edge(i, e.u, e.v, e.weight, e.pos_left, e.crossings)
+                   for i, e in self.edges.items()}
         g.rotation = {v: list(r) for v, r in self.rotation.items()}
         return g
 
@@ -147,9 +150,10 @@ class EmbeddedGraph:
         return edge.v if h[1] == 0 else edge.u
 
     def component_count(self) -> int:
+        edges = self.edges
         seen: set[int] = set()
         count = 0
-        for start in self.vertex_ids():
+        for start in self.rotation:
             if start in seen:
                 continue
             count += 1
@@ -157,8 +161,9 @@ class EmbeddedGraph:
             seen.add(start)
             while stack:
                 v = stack.pop()
-                for eid, _end in self.rotation[v]:
-                    w = self.edges[eid].other(v)
+                for eid, end in self.rotation[v]:
+                    e = edges[eid]
+                    w = e.u if end else e.v  # the far end of the dart
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)

@@ -246,7 +246,7 @@ def p_arcs(
     if in_a:
         if t.source is None:
             raise ValueError("theta graph does not carry its source graph")
-        face_of = face_index(t.source.trace_faces())
+        face_of = t.face_of or face_index(t.source.trace_faces())
         face_regions = _face_regions(t, face_of)
     uniform = 1 if convention == "positive" else -1
 

@@ -8,7 +8,9 @@ weight-0 edge may be drawn parallel to an existing edge through a face,
 provided the complement still has no bigon region, and this is repeated
 until no further arc fits.  Arcs record where equivalent flype circles can
 run.  The result F(D) is well defined: processing candidates in any order
-gives the same graph.
+gives the same graph.  Each stage traces its map once, at its end, with the
+global Euler check, and hands the faces on; in between, a merge joins two
+faces and an arc splits one, each updating only those faces.
 
 The theta graph keeps only the essential part of F(D): for every pair of
 vertices joined by at least two edges, the ordered list of those edges with
@@ -26,12 +28,14 @@ surface complex.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, black_region_graph
-from .planar import Dart, Edge, EmbeddedGraph, face_index
+from .diagram import Diagram, _region_graph
+from .planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
 
 __all__ = [
     "Region",
@@ -87,18 +91,18 @@ class ThetaGraph:
 
     ``crossings`` (in-memory only, never serialized) maps edge ids to the
     diagram crossings stacked along the edge, when the graph came from a
-    diagram; ``source`` keeps the F(D) graph for the same reason.
-    ``regions`` are the regions of the cut-apart graph.
+    diagram; ``source`` keeps the F(D) graph for the same reason, and
+    ``face_of`` its face index.  ``regions`` are the regions of the
+    cut-apart graph.
     """
 
     def __init__(self, components: list[ThetaComponent]):
         self.components = sorted(components, key=lambda c: c.id)
         self.crossings: dict[int, tuple[int, ...]] = {}
         self.source: EmbeddedGraph | None = None
+        self.face_of: dict[HalfEdge, int] | None = None
         self._validate()
-        self.global_edge_order: list[int] = [
-            e.id for comp in self.components for e in comp.edges
-        ]
+        self.global_edge_order = [e.id for comp in self.components for e in comp.edges]
         self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
         self.regions = compute_regions(self)
 
@@ -135,8 +139,7 @@ class ThetaGraph:
                 raise ValueError(f"component {comp.id}: parent_face out of range")
         # forest check: walking up parents must terminate at SPHERE
         for comp in self.components:
-            slow = comp
-            seen = set()
+            slow, seen = comp, set()
             while slow.placement.parent != SPHERE:
                 if slow.id in seen:
                     raise ValueError("placement contains a cycle")
@@ -148,10 +151,7 @@ class ThetaGraph:
         return len(self.global_edge_order)
 
     def component_by_id(self, cid: int) -> ThetaComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return {c.id: c for c in self.components}[cid]
 
     def weights(self) -> tuple[int, ...]:
         w = {e.id: e.weight for c in self.components for e in c.edges}
@@ -210,6 +210,14 @@ def parse_theta(text: str) -> ThetaGraph:
 
 # -- bigon reduction -------------------------------------------------------
 
+Faces = list[list[HalfEdge]]
+
+
+def _rooted(cycle: list) -> list:
+    """A face walk restarted at its least half-edge, as traces give it."""
+    i = cycle.index(min(cycle))
+    return cycle[i:] + cycle[:i]
+
 
 def reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
     """Merge parallel edges bounding bigons until none remain.
@@ -218,67 +226,80 @@ def reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
     the crossing chains concatenate in transverse order, so the chain of the
     final edge lists its crossings from the negative side to the positive.
     """
-    g = g.copy()
-    while True:
-        faces = g.trace_faces()
-        bigon = next(
-            (c for c in faces if len(c) == 2 and c[0][0] != c[1][0]), None
-        )
-        if bigon is None:
-            return g
-        face_of = face_index(faces)
-        a, b = bigon[0][0], bigon[1][0]
-        keep, drop = (a, b) if a < b else (b, a)
-        ek, ed = g.edges[keep], g.edges[drop]
-        if {ek.u, ek.v} != {ed.u, ed.v}:
-            raise ValueError("bigon edges are not parallel")
-        keep_pos = g.positive_face(keep, face_of)
-        drop_pos = g.positive_face(drop, face_of)
-        drop_neg = g.negative_face(drop, face_of)
-        if keep_pos == drop_neg:
-            # drop sits on keep's positive side: its crossings come after
-            ek.crossings = ek.crossings + ed.crossings
-        elif g.negative_face(keep, face_of) == drop_pos:
-            ek.crossings = ed.crossings + ek.crossings
-        else:
-            raise ValueError("bigon edges have incoherent sides")
-        ek.weight += ed.weight
-        g.remove_edge(drop)
+    return _reduce_bigons(g.copy(), g.trace_faces())[0]
+
+
+def _reduce_bigons(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces]:
+    """:func:`reduce_bigons` in place on ``g`` and its traced ``faces``;
+    returns ``g`` with its traced faces.
+
+    Bigons merge in the order of their least half-edges.  A merge puts the
+    kept half-edge in place of the dropped edge's far half-edge, in the face
+    across the dropped edge; that face keeps its length and now starts below
+    the merged bigon, so when it is a bigon too it merges next, and no other
+    face becomes a bigon.
+    """
+    where = {h: (i, k) for i, cycle in enumerate(faces) for k, h in enumerate(cycle)}
+    dropped: set[int] = set()
+    for b in range(len(faces)):
+        while faces[b] and len(faces[b]) == 2 and faces[b][0][0] != faces[b][1][0]:
+            (keep, dk), (drop, dd) = sorted(faces[b])
+            ek, ed = g.edges[keep], g.edges[drop]
+            if {ek.u, ek.v} != {ed.u, ed.v}:
+                raise ValueError("bigon edges are not parallel")
+            side = {h: where[h][0] for h in ((keep, 0), (keep, 1), (drop, 0), (drop, 1))}
+            if g.positive_face(keep, side) == g.negative_face(drop, side):
+                # drop sits on keep's positive side: its crossings come after
+                ek.crossings = ek.crossings + ed.crossings
+            elif g.negative_face(keep, side) == g.positive_face(drop, side):
+                ek.crossings = ed.crossings + ek.crossings
+            else:
+                raise ValueError("bigon edges have incoherent sides")
+            ek.weight += ed.weight
+            del g.edges[drop], where[(drop, dd)]  # its darts go at the end
+            dropped.add(drop)
+            x, k = where.pop((drop, 1 - dd))
+            if x == b:
+                raise AssertionError("a bigon merge must join two distinct faces")
+            faces[x][k] = (keep, dk)
+            where[(keep, dk)] = (x, k)
+            faces[b], b = None, x
+    for rot in g.rotation.values():
+        rot[:] = [dart for dart in rot if dart[0] not in dropped]
+    traced = g.trace_faces()
+    if sorted(_rooted(cycle) for cycle in faces if cycle) != traced:
+        raise AssertionError("bigon merges disagree with the traced faces")
+    return g, traced
 
 
 # -- flype-arc augmentation ------------------------------------------------
 
 
-def _face_corners(g: EmbeddedGraph, cycle: list) -> list[tuple[int, tuple[int, int]]]:
-    """Corners of a face as (vertex, dart after which an arc would insert).
-
-    The corner between consecutive boundary half-edges sits at their common
-    vertex; a new dart belongs immediately anticlockwise after the departing
-    half-edge, which is itself the dart it leaves along.
-    """
-    return [(g.dart_vertex(h), h) for h in cycle[1:] + cycle[:1]]
-
-
-def _arc_candidates(
-    g: EmbeddedGraph,
+def _face_arc_candidates(
+    g: EmbeddedGraph, cycle: list[HalfEdge], near: dict[int, set[int]]
 ) -> list[tuple[tuple[int, Dart], tuple[int, Dart]]]:
-    """All pairs of corners of one face, in (face, corner) order, across
-    which an arc parallel to an existing edge could be added without
-    creating a bigon."""
-    pairs = set(g.parallel_classes())
-    out = []
-    for cycle in g.trace_faces():
-        corners = _face_corners(g, cycle)
-        length = len(corners)
-        for i in range(length):
-            for j in range(length):
-                u, v = corners[i][0], corners[j][0]
-                if u >= v or (u, v) not in pairs:
-                    continue
-                if (j - i) % length < 2 or (i - j) % length < 2:
-                    continue  # one side of the split would be a bigon
-                out.append((corners[i], corners[j]))
-    return out
+    """The pairs of corners of one face, ``cycle`` from its least half-edge,
+    in corner order, across which an arc parallel to an existing edge could
+    be added without creating a bigon; ``near`` holds each vertex's
+    neighbours.  Corners are indexed by vertex, so each corner meets only
+    the corners of the face at its neighbours."""
+    if len(cycle) < 4:
+        return []  # two corners of a triangle are neighbours both ways round
+    # The corner before each half-edge sits at its tail; a new dart belongs
+    # immediately anticlockwise after the departing half-edge, which is
+    # itself the dart it leaves along.
+    edges = g.edges
+    corners = [(edges[h[0]].v if h[1] else edges[h[0]].u, h) for h in cycle[1:] + cycle[:1]]
+    at: dict[int, list[int]] = {}
+    for i, (u, _) in enumerate(corners):
+        at.setdefault(u, []).append(i)
+    on_face, length = set(at), len(corners)
+    return [
+        (corners[i], corners[j])
+        for i, (u, _) in enumerate(corners)
+        for j in sorted(j for v in near[u] & on_face if v > u for j in at[v])
+        if (j - i) % length >= 2 and (i - j) % length >= 2
+    ]
 
 
 def augment_flype_arcs(
@@ -291,32 +312,74 @@ def augment_flype_arcs(
     is a bigon.  At most one arc is added per face corner pair.  Candidates
     are processed in canonical (face, corner) order, or shuffled when
     ``rng`` is given; the outcome is the same graph either way, which the
-    test suite checks by isomorphism.  Each candidate search traces, and
-    Euler-checks, the map the previous arc left, the final map included.
+    test suite checks by isomorphism.
     """
-    g = g.copy()
+    return _augment_flype_arcs(g.copy(), g.trace_faces(), rng)[0]
+
+
+def _augment_flype_arcs(
+    g: EmbeddedGraph, faces: Faces, rng: random.Random | None = None
+) -> tuple[EmbeddedGraph, Faces]:
+    """:func:`augment_flype_arcs` in place on ``g`` and its traced
+    ``faces``; returns ``g`` with its traced faces.
+
+    Each face keeps its candidate list.  An arc splits the one face whose
+    corners it joins, and only the two new faces get new lists: arcs add no
+    vertex pair, and every other face keeps its walk and corners.
+    """
+    near: dict[int, set[int]] = {v: set() for v in g.rotation}
     for e in g.edges.values():
-        for w in (e.u, e.v):
-            if g.orientation.get(w) not in (1, -1):
-                raise ValueError("vertices must carry orientation classes")
+        if g.orientation.get(e.u) not in (1, -1) or g.orientation.get(e.v) not in (1, -1):
+            raise ValueError("vertices must carry orientation classes")
+        near[e.u].add(e.v)
+        near[e.v].add(e.u)
     # no arc makes a bigon, and a map without 2-gon faces has at most
     # 3V - 6 edges, so that bounds the arcs the input has room for
     room = 3 * len(g.rotation) - 6 - len(g.edges)
-    while cands := _arc_candidates(g):
+    cycles = dict(enumerate(faces))
+    face_of = face_index(faces)
+    cands = {f: arcs for f, c in cycles.items() if (arcs := _face_arc_candidates(g, c, near))}
+    queue = sorted((cycles[f][0], f) for f in cands)
+    fresh = itertools.count(len(faces))
+    eid = max(g.edges, default=-1) + 1
+    while cands:
         if room <= 0:
             raise AssertionError("augmentation added more arcs than the map holds")
         room -= 1
-        if rng is not None:
-            cands = cands[:]
-            rng.shuffle(cands)
-        (u, dart_u), (v, dart_v) = cands[0]
-        eid = max(g.edges) + 1
-        if g.orientation[u] == 1:
-            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=True)
+        if rng is None:
+            while queue[0][1] not in cands:
+                del queue[0]
+            (u, dart_u), (v, dart_v) = cands[queue[0][1]][0]
         else:
-            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
+            # the whole list in (face, corner) order, as a full retrace has it
+            pool = [c for _, f in sorted((cycles[f][0], f) for f in cands) for c in cands[f]]
+            rng.shuffle(pool)
+            (u, dart_u), (v, dart_v) = pool[0]
+        f = face_of[dart_u]
+        if face_of[dart_v] != f:
+            raise AssertionError("an arc must join two corners of one face")
+        edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=g.orientation[u] == 1)
         g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
-    return g
+        # the walk arriving at u now leaves along the arc and comes back
+        # along the face from dart_v on; the arc's other half-edge closes
+        # the face from dart_u on
+        cands.pop(f, None)
+        cycle = cycles.pop(f)
+        a = cycle.index(dart_u)
+        ring = cycle[a:] + cycle[:a]
+        k = ring.index(dart_v)
+        for part in ([(eid, 0), *ring[k:]], [(eid, 1), *ring[:k]]):
+            f = next(fresh)
+            cycle = cycles[f] = _rooted(part)
+            face_of.update(dict.fromkeys(cycle, f))
+            if arcs := _face_arc_candidates(g, cycle, near):
+                cands[f] = arcs
+                insort(queue, (cycle[0], f))
+        eid += 1
+    traced = g.trace_faces()
+    if sorted(cycles.values()) != traced:
+        raise AssertionError("arc splits disagree with the traced faces")
+    return g, traced
 
 
 # -- theta extraction ------------------------------------------------------
@@ -326,12 +389,7 @@ def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
     """The endpoint from which every edge of the class has its positive side
     on the left."""
     def all_left(x: int) -> bool:
-        ok = True
-        for eid in eids:
-            e = g.edges[eid]
-            left_of_x = e.pos_left if e.u == x else not e.pos_left
-            ok = ok and left_of_x
-        return ok
+        return all((g.edges[eid].u == x) == g.edges[eid].pos_left for eid in eids)
 
     if all_left(u):
         return u
@@ -340,9 +398,7 @@ def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
     raise ValueError(f"edges {eids} have incoherent transverse sides")
 
 
-def _wedge_of_face(
-    g: EmbeddedGraph, eids: list[int], face_of: dict
-) -> dict[int, int]:
+def _wedge_of_face(g: EmbeddedGraph, eids: list[int], face_of: dict) -> dict[int, int]:
     """Assign every face of ``g`` to a wedge of the component ``eids``.
 
     Wedge j is seeded by the positive face of the j-th edge (equally the
@@ -353,14 +409,8 @@ def _wedge_of_face(
     """
     k = len(eids)
     in_comp = set(eids)
-    classes = merge_classes(
-        sorted(set(face_of.values())),
-        (
-            (face_of[(eid, 0)], face_of[(eid, 1)])
-            for eid in g.edges
-            if eid not in in_comp
-        ),
-    )
+    across = ((face_of[(e, 0)], face_of[(e, 1)]) for e in g.edges if e not in in_comp)
+    classes = merge_classes(sorted(set(face_of.values())), across)
     class_of = {f: i for i, members in enumerate(classes) for f in members}
     seeds: list[set[int]] = [set() for _ in classes]
     for j, eid in enumerate(eids):
@@ -381,73 +431,61 @@ def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
     anticlockwise rotation at the endpoint from which all positive sides lie
     to the left).  The placement forest describes how the cut-apart circles
     nest, seen from a point placed in the positive face of the first edge of
-    the first component.
+    the first component.  ``t.face_of`` keeps the face index of ``f`` when
+    the graph has components.
     """
-    classes = [
-        (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
-    ]
-    classes.sort(key=lambda item: min(item[1]))
+    return _extract_theta(f, None)
+
+
+def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
+    """:func:`extract_theta` on the traced ``faces`` of ``f``, traced here
+    when None."""
+    classes = sorted(
+        ((pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2),
+        key=lambda item: min(item[1]),
+    )
     if not classes:
         t = ThetaGraph([])
         t.source = f
         return t
 
-    face_of = face_index(f.trace_faces())
+    face_of = face_index(f.trace_faces() if faces is None else faces)
     ordered_eids: list[list[int]] = []
-    weights: dict[int, int] = {}
     for (u, v), eids in classes:
-        x = _component_x_end(f, u, v, eids)
-        rot = [eid for eid, _end in f.rotation[x] if eid in set(eids)]
-        start = rot.index(min(rot))
-        cyc = rot[start:] + rot[:start]
-        ordered_eids.append(cyc)
-        for eid in eids:
-            w = f.edges[eid].weight
-            weights[eid] = w
-
-    wedges = [ _wedge_of_face(f, eids, face_of) for eids in ordered_eids ]
-    seats = [ f.positive_face(eids[0], face_of) for eids in ordered_eids ]
+        x, members = _component_x_end(f, u, v, eids), set(eids)
+        ordered_eids.append(_rooted([eid for eid, _ in f.rotation[x] if eid in members]))
+    wedges = [_wedge_of_face(f, eids, face_of) for eids in ordered_eids]
+    seats = [f.positive_face(eids[0], face_of) for eids in ordered_eids]
     p_face = seats[0]
-
-    comps: list[ThetaComponent] = []
     n = len(ordered_eids)
-    anc: list[list[int]] = []
-    for i in range(n):
-        anc.append(
-            [j for j in range(n) if j != i and wedges[j][seats[i]] != wedges[j][p_face]]
-        )
-    for i in range(n):
+    anc = [
+        [j for j in range(n) if j != i and wedges[j][seats[i]] != wedges[j][p_face]]
+        for i in range(n)
+    ]
+    comps: list[ThetaComponent] = []
+    for i, ((pair, _), eids) in enumerate(zip(classes, ordered_eids)):
         if not anc[i]:
             placement = Placement(SPHERE, 0, wedges[i][p_face])
         else:
-            depths = sorted(anc[i], key=lambda j: len(anc[j]))
             if len({len(anc[j]) for j in anc[i]}) != len(anc[i]):
                 raise ValueError("nesting of components is not a chain")
-            parent = depths[-1]
-            placement = Placement(
-                parent, wedges[parent][seats[i]], wedges[i][p_face]
-            )
-        pair = classes[i][0]
-        comps.append(
-            ThetaComponent(
-                id=i,
-                edges=[ThetaEdge(eid, weights[eid]) for eid in ordered_eids[i]],
-                placement=placement,
-                vertices=pair,
-            )
-        )
+            parent = max(anc[i], key=lambda j: len(anc[j]))
+            placement = Placement(parent, wedges[parent][seats[i]], wedges[i][p_face])
+        edges = [ThetaEdge(eid, f.edges[eid].weight) for eid in eids]
+        comps.append(ThetaComponent(i, edges, placement, vertices=pair))
     t = ThetaGraph(comps)
-    t.crossings = {
-        eid: f.edges[eid].crossings for eids in ordered_eids for eid in eids
-    }
-    t.source = f
+    t.crossings = {eid: f.edges[eid].crossings for eids in ordered_eids for eid in eids}
+    t.source, t.face_of = f, face_of
     return t
 
 
 def theta_pipeline(d: Diagram) -> ThetaGraph:
     """Diagram to theta graph: black regions, bigon reduction, arc
-    augmentation, theta extraction."""
-    return extract_theta(augment_flype_arcs(reduce_bigons(black_region_graph(d))))
+    augmentation, theta extraction.  Each stage hands its traced faces to
+    the next, so the map is traced once per stage."""
+    g, faces = _region_graph(d, "black")
+    g, faces = _reduce_bigons(g, faces)
+    return _extract_theta(*_augment_flype_arcs(g, faces))
 
 
 # -- regions ---------------------------------------------------------------
@@ -513,10 +551,7 @@ def compute_regions(t: ThetaGraph) -> list[Region]:
         raise ValueError(
             f"placement inconsistent: {len(regions)} regions, expected {expected}"
         )
-    member: dict[tuple[int, int], Region] = {}
-    for r in regions:
-        for lf in r.faces:
-            member[lf] = r
+    member = {lf: r for r in regions for lf in r.faces}
     for c in t.components:
         for j, e in enumerate(c.edges):
             pos = member[(c.id, j)]

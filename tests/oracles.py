@@ -40,6 +40,12 @@ answer:
 - ``exhaustive_colour_schemes`` filters every weakly increasing sequence
   for distinct columns, where ``structure.colour_schemes`` grows the
   sequence and prunes branches that can no longer separate their columns;
+- ``retrace_reduce_bigons``, ``retrace_arc_candidates`` and
+  ``retrace_augment_flype_arcs`` retrace, and Euler-check, the whole map
+  after every bigon merge and every arc, and rescan every face for a bigon
+  or for arc candidates, where ``theta.reduce_bigons`` and
+  ``theta.augment_flype_arcs`` trace once per stage and update only the
+  faces each surgery touches;
 - ``rescan_eliminate`` is ``matrix_homology``'s eliminator: it pivots on
   unit entries, rescanning every row for the best Markowitz pivot at each
   step, and hands the unit-free rest to ``homology.smith_diagonal``; the
@@ -61,6 +67,7 @@ answer:
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 
@@ -74,7 +81,7 @@ from kakimizu.diagram import (
 )
 from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
-from kakimizu.planar import Dart, EmbeddedGraph, HalfEdge
+from kakimizu.planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
 from kakimizu.theta import Region, ThetaGraph
 
 __all__ = [
@@ -98,6 +105,9 @@ __all__ = [
     "owner_maps",
     "region_add",
     "rescan_eliminate",
+    "retrace_arc_candidates",
+    "retrace_augment_flype_arcs",
+    "retrace_reduce_bigons",
     "rotation_face_corners",
     "rotation_prev",
     "scan_circle_black_face",
@@ -660,6 +670,111 @@ def min_pivot_trace_faces(g: EmbeddedGraph) -> list[list[HalfEdge]]:
                 f"expected {expected}"
             )
     return faces
+
+
+def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
+    """Merge parallel edges bounding bigons until none remain.
+
+    The surviving edge of each merge keeps the lower id; weights add, and
+    the crossing chains concatenate in transverse order, so the chain of the
+    final edge lists its crossings from the negative side to the positive.
+    """
+    g = g.copy()
+    while True:
+        faces = g.trace_faces()
+        bigon = next(
+            (c for c in faces if len(c) == 2 and c[0][0] != c[1][0]), None
+        )
+        if bigon is None:
+            return g
+        face_of = face_index(faces)
+        a, b = bigon[0][0], bigon[1][0]
+        keep, drop = (a, b) if a < b else (b, a)
+        ek, ed = g.edges[keep], g.edges[drop]
+        if {ek.u, ek.v} != {ed.u, ed.v}:
+            raise ValueError("bigon edges are not parallel")
+        keep_pos = g.positive_face(keep, face_of)
+        drop_pos = g.positive_face(drop, face_of)
+        drop_neg = g.negative_face(drop, face_of)
+        if keep_pos == drop_neg:
+            # drop sits on keep's positive side: its crossings come after
+            ek.crossings = ek.crossings + ed.crossings
+        elif g.negative_face(keep, face_of) == drop_pos:
+            ek.crossings = ed.crossings + ek.crossings
+        else:
+            raise ValueError("bigon edges have incoherent sides")
+        ek.weight += ed.weight
+        g.remove_edge(drop)
+
+
+def _face_corners(g: EmbeddedGraph, cycle: list) -> list[tuple[int, tuple[int, int]]]:
+    """Corners of a face as (vertex, dart after which an arc would insert).
+
+    The corner between consecutive boundary half-edges sits at their common
+    vertex; a new dart belongs immediately anticlockwise after the departing
+    half-edge, which is itself the dart it leaves along.
+    """
+    return [(g.dart_vertex(h), h) for h in cycle[1:] + cycle[:1]]
+
+
+def retrace_arc_candidates(
+    g: EmbeddedGraph,
+) -> list[tuple[tuple[int, Dart], tuple[int, Dart]]]:
+    """All pairs of corners of one face, in (face, corner) order, across
+    which an arc parallel to an existing edge could be added without
+    creating a bigon."""
+    pairs = set(g.parallel_classes())
+    out = []
+    for cycle in g.trace_faces():
+        corners = _face_corners(g, cycle)
+        length = len(corners)
+        for i in range(length):
+            for j in range(length):
+                u, v = corners[i][0], corners[j][0]
+                if u >= v or (u, v) not in pairs:
+                    continue
+                if (j - i) % length < 2 or (i - j) % length < 2:
+                    continue  # one side of the split would be a bigon
+                out.append((corners[i], corners[j]))
+    return out
+
+
+def retrace_augment_flype_arcs(
+    g: EmbeddedGraph, rng: random.Random | None = None
+) -> EmbeddedGraph:
+    """Add weight-0 arcs parallel to existing edges until no more fit.
+
+    An arc through a face is admissible when the face has both endpoints of
+    an existing edge on its boundary and neither side of the split it makes
+    is a bigon.  At most one arc is added per face corner pair.  Candidates
+    are processed in canonical (face, corner) order, or shuffled when
+    ``rng`` is given; the outcome is the same graph either way, which the
+    test suite checks by isomorphism.  Each candidate search traces, and
+    Euler-checks, the map the previous arc left, the final map included.
+    """
+    g = g.copy()
+    for e in g.edges.values():
+        for w in (e.u, e.v):
+            if g.orientation.get(w) not in (1, -1):
+                raise ValueError("vertices must carry orientation classes")
+    # no arc makes a bigon, and a map without 2-gon faces has at most
+    # 3V - 6 edges, so that bounds the arcs the input has room for
+    room = 3 * len(g.rotation) - 6 - len(g.edges)
+    while cands := retrace_arc_candidates(g):
+        if room <= 0:
+            raise AssertionError("augmentation added more arcs than the map holds")
+        room -= 1
+        if rng is not None:
+            cands = cands[:]
+            rng.shuffle(cands)
+        (u, dart_u), (v, dart_v) = cands[0]
+        eid = max(g.edges) + 1
+        if g.orientation[u] == 1:
+            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=True)
+        else:
+            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
+        g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
+    return g
 
 
 def rescan_eliminate(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:

@@ -3,6 +3,7 @@ the flag check, region heights, the metric, and orders."""
 
 import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -125,6 +126,25 @@ def test_enumerate_long_component():
     vs = enumerate_vertices(t)
     assert len(vs) == 1100
     assert vs == sorted(vs) and vs[-1] == t.weights()
+
+
+def test_walk_and_clique_search_keep_their_own_stacks():
+    # 60 regions and 60 pairwise adjacent vertices: the region walk and the
+    # clique search each go 60 levels deep, under a limit of 40 frames more
+    # than the test already uses
+    t = small_theta([(1,) + (0,) * 59])
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        c = build_complex(t)
+        flag = flag_check(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(c.vertices) == 60 and len(c.maximal_simplices) == 1
+    assert flag
 
 
 @pytest.mark.parametrize("total,parts", [(0, 1), (3, 1), (0, 4), (4, 3), (5, 5)])

@@ -6,11 +6,14 @@ import random
 import networkx as nx
 import pytest
 
-from kakimizu.diagram import black_region_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kakimizu.diagram import black_region_graph, parse_diagram
 from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
 from kakimizu.medial import medial
 from kakimizu import theta
-from kakimizu.planar import face_index
+from kakimizu.planar import EmbeddedGraph, face_index
 from kakimizu.theta import (
     Placement,
     Region,
@@ -26,7 +29,8 @@ from kakimizu.theta import (
     theta_pipeline,
 )
 
-from oracles import owner_maps
+from conftest import FIXTURES, HUB_CHAINS, hub_graph, load_text
+from oracles import owner_maps, retrace_augment_flype_arcs, retrace_reduce_bigons
 
 # The five-edge golden example: a two-component theta with weights
 # (1, 0, 2, 0, 1) and these four region delta vectors.
@@ -153,20 +157,27 @@ def test_augment_requires_orientation():
 def test_augment_guard_fires_within_the_room_of_the_input(monkeypatch):
     base = reduce_bigons(dalpha_graph())
     room = 3 * len(base.rotation) - 6 - len(base.edges)
-    first = theta._arc_candidates(base)[0]
-    calls = []
+    inserted = []
+    insert = EmbeddedGraph.insert_edge
 
-    def stuck(g):
-        # the same corner pair, forever: only the guard can stop the loop
-        calls.append(g)
-        if len(calls) > 4 * room + 16:
+    def counting(g, edge, after_u, after_v):
+        inserted.append(edge.id)
+        if len(inserted) > 4 * room + 16:
             pytest.fail("the augmentation guard never fired")
-        return [first]
+        insert(g, edge, after_u, after_v)
 
-    monkeypatch.setattr(theta, "_arc_candidates", stuck)
+    def stuck(g, cycle, near):
+        # an arc across the first two corners of every face: it splits off
+        # a bigon, and both faces offer the same again, so only the guard
+        # can stop the loop
+        first, second = cycle[1], cycle[2 % len(cycle)]
+        return [((g.dart_vertex(first), first), (g.dart_vertex(second), second))]
+
+    monkeypatch.setattr(EmbeddedGraph, "insert_edge", counting)
+    monkeypatch.setattr(theta, "_face_arc_candidates", stuck)
     with pytest.raises(AssertionError, match="more arcs"):
         augment_flype_arcs(base)
-    assert len(calls) == room + 1
+    assert len(inserted) == room
 
 
 def test_augmented_maps_keep_within_the_edge_bound():
@@ -177,20 +188,78 @@ def test_augmented_maps_keep_within_the_edge_bound():
         assert len(f.edges) <= max(3 * len(f.rotation) - 6, len(reduced.edges))
 
 
-@pytest.mark.parametrize("make, traces", [(lambda: book(10), 12), (dalpha_graph, 7)])
-def test_pipeline_traces_once_per_merge_and_arc(make, traces, trace_calls):
+@pytest.mark.parametrize(
+    "make",
+    [lambda: book(10), dalpha_graph, lambda: hub_graph(HUB_CHAINS[2])],
+    ids=["book10", "dalpha", "hub"],
+)
+def test_pipeline_traces_once_per_stage(make, trace_calls):
     d = medial(make())
     black = black_region_graph(d)
     reduced = reduce_bigons(black)
-    augmented = augment_flype_arcs(reduced)
+    assert len(black.edges) > len(reduced.edges)  # the reduction merges
     trace_calls.clear()
+    theta_pipeline(d)
+    # the black graph, the reduced map and the augmented map, whatever the
+    # number of merges and arcs; the extraction reads the augmented faces
+    assert len(trace_calls) == 3
+
+
+# -- the local stages against the retracing oracles --------------------------
+
+
+def map_state(g):
+    """Everything an embedded graph holds, for exact comparison."""
+    edges = {eid: vars(e) for eid, e in sorted(g.edges.items())}
+    return edges, g.rotation, g.orientation
+
+
+def assert_stages_match_oracles(d, seeds=()):
+    black = black_region_graph(d)
+    reduced = retrace_reduce_bigons(black)
+    before = repr(map_state(black)), repr(map_state(reduced))
+    assert map_state(reduce_bigons(black)) == map_state(reduced)
+    augmented = retrace_augment_flype_arcs(reduced)
+    assert map_state(augment_flype_arcs(reduced)) == map_state(augmented)
+    assert (repr(map_state(black)), repr(map_state(reduced))) == before  # inputs kept
+    for seed in seeds:
+        want = retrace_augment_flype_arcs(reduced, random.Random(seed))
+        got = augment_flype_arcs(reduced, random.Random(seed))
+        assert map_state(got) == map_state(want), f"order seed {seed}"
+    want = extract_theta(augmented)
     t = theta_pipeline(d)
-    merges = len(black.edges) - len(reduced.edges)
-    arcs = len(augmented.edges) - len(reduced.edges)
-    # the black graph, each merge, each arc, and the final map of the
-    # reduction, of the augmentation and, when it has components, of the
-    # extraction
-    assert len(trace_calls) == 1 + merges + arcs + 2 + bool(t.components) == traces
+    assert json.dumps(t.to_json()) == json.dumps(want.to_json())
+    assert t.crossings == want.crossings
+    assert map_state(t.source) == map_state(augmented)
+    if t.components:
+        assert t.face_of == face_index(augmented.trace_faces())
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.stem for p in FIXTURES.glob("*.json") if not p.name.endswith(".theta.json")),
+)
+def test_stages_match_oracles_on_fixtures(name):
+    assert_stages_match_oracles(parse_diagram(load_text(f"{name}.json")), range(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 120))
+def test_stages_match_oracles_on_books(k):
+    assert_stages_match_oracles(medial(book(k)))
+
+
+chains = st.lists(
+    st.tuples(st.integers(0, 10).map(lambda x: 2 * x + 1), st.booleans()),
+    min_size=1,
+    max_size=8,
+).filter(lambda cs: sum(length + doubled for length, doubled in cs) >= 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains, st.lists(st.integers(0, 2**32 - 1), max_size=2))
+def test_stages_match_oracles_on_hub_medials(chains, seeds):
+    assert_stages_match_oracles(medial(hub_graph(chains)), seeds)
 
 
 # -- extract_theta ---------------------------------------------------------
