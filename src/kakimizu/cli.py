@@ -251,44 +251,67 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json"], default="json")
         p.add_argument("-o", "--output", default=None, help="write to file")
 
-    # (name, help, handler, whether it reads an input document)
-    commands = [
-        ("validate", "check a diagram document", cmd_validate, True),
-        ("seifert", "Seifert circles and counts", cmd_seifert, True),
-        ("theta", "diagram to theta graph", cmd_theta, True),
-        ("complex", "surface complex of a diagram or theta", cmd_complex, True),
-        ("analyze", "reports on the surface complex", cmd_analyze, True),
-        ("esd", "edgewise subdivision of a simplex", cmd_esd, False),
-        ("product", "product complex over the components", cmd_product, True),
-        ("verify-esd", "subdivision theorem sweep", cmd_verify_esd, False),
-        ("verify-product", "product theorem on one input", cmd_verify_product, True),
-        ("fibred", "fibredness from the white-region graph", cmd_fibred, True),
-        ("surface", "surface realization at a vertex", cmd_surface, True),
-        ("selftest", "randomized property suites", cmd_selftest, False),
-    ]
-    subs = {}
-    for name, text, handler, with_input in commands:
-        p = subs[name] = sub.add_parser(name, help=text)
-        common(p, with_input)
-        p.set_defaults(handler=handler)
+    p = sub.add_parser("validate", help="check a diagram document")
+    common(p)
+    p.set_defaults(handler=cmd_validate)
 
-    p = subs["analyze"]
+    p = sub.add_parser("seifert", help="Seifert circles and counts")
+    common(p)
+    p.set_defaults(handler=cmd_seifert)
+
+    p = sub.add_parser("theta", help="diagram to theta graph")
+    common(p)
+    p.set_defaults(handler=cmd_theta)
+
+    p = sub.add_parser("complex", help="surface complex of a diagram or theta")
+    common(p)
+    p.set_defaults(handler=cmd_complex)
+
+    p = sub.add_parser("analyze", help="reports on the surface complex")
+    common(p)
     p.add_argument("--homology", action="store_true")
     p.add_argument("--flag-check", action="store_true")
     p.add_argument("--ball", action="store_true")
     p.add_argument("--metric", nargs=2, type=int, metavar=("U", "V"))
-    p = subs["esd"]
+    p.set_defaults(handler=cmd_analyze)
+
+    p = sub.add_parser("esd", help="edgewise subdivision of a simplex")
+    common(p, with_input=False)
     p.add_argument("--n", type=int, required=True, help="simplex dimension")
     p.add_argument("--m", type=int, required=True, help="subdivision degree")
-    p = subs["verify-esd"]
+    p.set_defaults(handler=cmd_esd)
+
+    p = sub.add_parser("product", help="product complex over the components")
+    common(p)
+    p.set_defaults(handler=cmd_product)
+
+    p = sub.add_parser("verify-esd", help="subdivision theorem sweep")
+    common(p, with_input=False)
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-m", type=int, default=4)
-    p = subs["surface"]
+    p.set_defaults(handler=cmd_verify_esd)
+
+    p = sub.add_parser("verify-product", help="product theorem on one input")
+    common(p)
+    p.set_defaults(handler=cmd_verify_product)
+
+    p = sub.add_parser("fibred", help="fibredness from the white-region graph")
+    common(p)
+    p.set_defaults(handler=cmd_fibred)
+
+    p = sub.add_parser("surface", help="surface realization at a vertex")
+    common(p)
     p.add_argument("--vertex", type=int, required=True, help="vertex index")
-    p.add_argument("--convention", choices=["positive", "negative"], default="positive")
-    p = subs["selftest"]
+    p.add_argument(
+        "--convention", choices=["positive", "negative"], default="positive"
+    )
+    p.set_defaults(handler=cmd_surface)
+
+    p = sub.add_parser("selftest", help="randomized property suites")
+    common(p, with_input=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
+    p.set_defaults(handler=cmd_selftest)
 
     return parser
 

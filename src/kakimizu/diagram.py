@@ -267,8 +267,14 @@ class ValidationReport:
     messages: list[str] = field(default_factory=list)
 
     def all_ok(self) -> bool:
-        flags = (self.connected, self.alternating, self.special, self.reduced, self.prime)
-        return all(flags) and self.cuttable_region_exists
+        return (
+            self.connected
+            and self.alternating
+            and self.special
+            and self.reduced
+            and self.prime
+            and self.cuttable_region_exists
+        )
 
     def to_json(self) -> dict:
         return {
@@ -601,10 +607,26 @@ def is_fibred(g: EmbeddedGraph) -> bool:
     vertices: set[int] = set(g.rotation)
     changed = True
     while changed:
-        kept = [(u, v) for u, v in edges if u != v]  # delete loops
-        changed, edges = len(kept) < len(edges), kept
-        deg = Counter(x for edge in edges for x in edge)
-        target = next(((u, v) for u, v in edges if deg[u] == 2 or deg[v] == 2), None)
+        changed = False
+        kept = []
+        for u, v in edges:
+            if u == v:
+                changed = True  # delete loop
+            else:
+                kept.append((u, v))
+        edges = kept
+        deg: dict[int, int] = {}
+        for u, v in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        target = next(
+            (
+                (u, v)
+                for u, v in edges
+                if deg[u] == 2 or deg[v] == 2
+            ),
+            None,
+        )
         if target is not None:
             u, v = target
             if deg[v] != 2:

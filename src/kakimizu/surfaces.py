@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram
 from .kcomplex import heights
-from .planar import HalfEdge, face_index
+from .planar import HalfEdge
 from .theta import Region, ThetaGraph, merge_classes
 
 __all__ = [
@@ -244,9 +244,9 @@ def p_arcs(
     face_regions: dict[int, Region] = {}
     face_of = {}
     if in_a:
-        if t.source is None:
+        if t.face_of is None:
             raise ValueError("theta graph does not carry its source graph")
-        face_of = t.face_of or face_index(t.source.trace_faces())
+        face_of = t.face_of
         face_regions = _face_regions(t, face_of)
     uniform = 1 if convention == "positive" else -1
 

@@ -102,7 +102,9 @@ class ThetaGraph:
         self.source: EmbeddedGraph | None = None
         self.face_of: dict[HalfEdge, int] | None = None
         self._validate()
-        self.global_edge_order = [e.id for comp in self.components for e in comp.edges]
+        self.global_edge_order: list[int] = [
+            e.id for comp in self.components for e in comp.edges
+        ]
         self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
         self.regions = compute_regions(self)
 
@@ -139,7 +141,8 @@ class ThetaGraph:
                 raise ValueError(f"component {comp.id}: parent_face out of range")
         # forest check: walking up parents must terminate at SPHERE
         for comp in self.components:
-            slow, seen = comp, set()
+            slow = comp
+            seen = set()
             while slow.placement.parent != SPHERE:
                 if slow.id in seen:
                     raise ValueError("placement contains a cycle")
@@ -151,7 +154,10 @@ class ThetaGraph:
         return len(self.global_edge_order)
 
     def component_by_id(self, cid: int) -> ThetaComponent:
-        return {c.id: c for c in self.components}[cid]
+        for c in self.components:
+            if c.id == cid:
+                return c
+        raise KeyError(cid)
 
     def weights(self) -> tuple[int, ...]:
         w = {e.id: e.weight for c in self.components for e in c.edges}
@@ -329,8 +335,9 @@ def _augment_flype_arcs(
     """
     near: dict[int, set[int]] = {v: set() for v in g.rotation}
     for e in g.edges.values():
-        if g.orientation.get(e.u) not in (1, -1) or g.orientation.get(e.v) not in (1, -1):
-            raise ValueError("vertices must carry orientation classes")
+        for w in (e.u, e.v):
+            if g.orientation.get(w) not in (1, -1):
+                raise ValueError("vertices must carry orientation classes")
         near[e.u].add(e.v)
         near[e.v].add(e.u)
     # no arc makes a bigon, and a map without 2-gon faces has at most
@@ -358,7 +365,10 @@ def _augment_flype_arcs(
         f = face_of[dart_u]
         if face_of[dart_v] != f:
             raise AssertionError("an arc must join two corners of one face")
-        edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=g.orientation[u] == 1)
+        if g.orientation[u] == 1:
+            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=True)
+        else:
+            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
         g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
         # the walk arriving at u now leaves along the arc and comes back
         # along the face from dart_v on; the arc's other half-edge closes
@@ -389,7 +399,12 @@ def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
     """The endpoint from which every edge of the class has its positive side
     on the left."""
     def all_left(x: int) -> bool:
-        return all((g.edges[eid].u == x) == g.edges[eid].pos_left for eid in eids)
+        ok = True
+        for eid in eids:
+            e = g.edges[eid]
+            left_of_x = e.pos_left if e.u == x else not e.pos_left
+            ok = ok and left_of_x
+        return ok
 
     if all_left(u):
         return u
@@ -398,7 +413,9 @@ def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
     raise ValueError(f"edges {eids} have incoherent transverse sides")
 
 
-def _wedge_of_face(g: EmbeddedGraph, eids: list[int], face_of: dict) -> dict[int, int]:
+def _wedge_of_face(
+    g: EmbeddedGraph, eids: list[int], face_of: dict
+) -> dict[int, int]:
     """Assign every face of ``g`` to a wedge of the component ``eids``.
 
     Wedge j is seeded by the positive face of the j-th edge (equally the
@@ -409,8 +426,14 @@ def _wedge_of_face(g: EmbeddedGraph, eids: list[int], face_of: dict) -> dict[int
     """
     k = len(eids)
     in_comp = set(eids)
-    across = ((face_of[(e, 0)], face_of[(e, 1)]) for e in g.edges if e not in in_comp)
-    classes = merge_classes(sorted(set(face_of.values())), across)
+    classes = merge_classes(
+        sorted(set(face_of.values())),
+        (
+            (face_of[(eid, 0)], face_of[(eid, 1)])
+            for eid in g.edges
+            if eid not in in_comp
+        ),
+    )
     class_of = {f: i for i, members in enumerate(classes) for f in members}
     seeds: list[set[int]] = [set() for _ in classes]
     for j, eid in enumerate(eids):
@@ -440,10 +463,10 @@ def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
 def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
     """:func:`extract_theta` on the traced ``faces`` of ``f``, traced here
     when None."""
-    classes = sorted(
-        ((pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2),
-        key=lambda item: min(item[1]),
-    )
+    classes = [
+        (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
+    ]
+    classes.sort(key=lambda item: min(item[1]))
     if not classes:
         t = ThetaGraph([])
         t.source = f
@@ -451,30 +474,52 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
 
     face_of = face_index(f.trace_faces() if faces is None else faces)
     ordered_eids: list[list[int]] = []
+    weights: dict[int, int] = {}
     for (u, v), eids in classes:
-        x, members = _component_x_end(f, u, v, eids), set(eids)
-        ordered_eids.append(_rooted([eid for eid, _ in f.rotation[x] if eid in members]))
-    wedges = [_wedge_of_face(f, eids, face_of) for eids in ordered_eids]
-    seats = [f.positive_face(eids[0], face_of) for eids in ordered_eids]
+        x = _component_x_end(f, u, v, eids)
+        rot = [eid for eid, _end in f.rotation[x] if eid in set(eids)]
+        start = rot.index(min(rot))
+        cyc = rot[start:] + rot[:start]
+        ordered_eids.append(cyc)
+        for eid in eids:
+            w = f.edges[eid].weight
+            weights[eid] = w
+
+    wedges = [ _wedge_of_face(f, eids, face_of) for eids in ordered_eids ]
+    seats = [ f.positive_face(eids[0], face_of) for eids in ordered_eids ]
     p_face = seats[0]
-    n = len(ordered_eids)
-    anc = [
-        [j for j in range(n) if j != i and wedges[j][seats[i]] != wedges[j][p_face]]
-        for i in range(n)
-    ]
+
     comps: list[ThetaComponent] = []
-    for i, ((pair, _), eids) in enumerate(zip(classes, ordered_eids)):
+    n = len(ordered_eids)
+    anc: list[list[int]] = []
+    for i in range(n):
+        anc.append(
+            [j for j in range(n) if j != i and wedges[j][seats[i]] != wedges[j][p_face]]
+        )
+    for i in range(n):
         if not anc[i]:
             placement = Placement(SPHERE, 0, wedges[i][p_face])
         else:
+            depths = sorted(anc[i], key=lambda j: len(anc[j]))
             if len({len(anc[j]) for j in anc[i]}) != len(anc[i]):
                 raise ValueError("nesting of components is not a chain")
-            parent = max(anc[i], key=lambda j: len(anc[j]))
-            placement = Placement(parent, wedges[parent][seats[i]], wedges[i][p_face])
-        edges = [ThetaEdge(eid, f.edges[eid].weight) for eid in eids]
-        comps.append(ThetaComponent(i, edges, placement, vertices=pair))
+            parent = depths[-1]
+            placement = Placement(
+                parent, wedges[parent][seats[i]], wedges[i][p_face]
+            )
+        pair = classes[i][0]
+        comps.append(
+            ThetaComponent(
+                id=i,
+                edges=[ThetaEdge(eid, weights[eid]) for eid in ordered_eids[i]],
+                placement=placement,
+                vertices=pair,
+            )
+        )
     t = ThetaGraph(comps)
-    t.crossings = {eid: f.edges[eid].crossings for eids in ordered_eids for eid in eids}
+    t.crossings = {
+        eid: f.edges[eid].crossings for eids in ordered_eids for eid in eids
+    }
     t.source, t.face_of = f, face_of
     return t
 
@@ -551,7 +596,10 @@ def compute_regions(t: ThetaGraph) -> list[Region]:
         raise ValueError(
             f"placement inconsistent: {len(regions)} regions, expected {expected}"
         )
-    member = {lf: r for r in regions for lf in r.faces}
+    member: dict[tuple[int, int], Region] = {}
+    for r in regions:
+        for lf in r.faces:
+            member[lf] = r
     for c in t.components:
         for j, e in enumerate(c.edges):
             pos = member[(c.id, j)]

@@ -1,5 +1,7 @@
 """Flype circles, P-arc configurations, and the Euler-count identity."""
 
+import json
+
 import pytest
 
 from kakimizu.diagram import black_region_graph, seifert
@@ -18,6 +20,7 @@ from kakimizu.theta import (
     augment_flype_arcs,
     compute_regions,
     extract_theta,
+    parse_theta,
     reduce_bigons,
 )
 
@@ -141,6 +144,16 @@ def test_flype_set_json(dalpha):
     assert doc["base"] == list(u)
     assert len(doc["circles"]) == 1
     assert set(doc["circles"][0]) == {"component", "crossing_edge", "arc_edge"}
+
+
+def test_p_arcs_needs_the_source_faces(dalpha):
+    d, t = dalpha
+    r_a = region_by_delta(t, (0, 0, 1, 0, -1))
+    fs = flype_set_for_edge(t, t.weights(), [r_a])
+    parsed = parse_theta(json.dumps(t.to_json()))
+    assert parsed.face_of is None
+    with pytest.raises(ValueError, match="source graph"):
+        p_arcs(d, parsed, fs)
 
 
 # -- realizations -----------------------------------------------------------
