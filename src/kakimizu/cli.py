@@ -32,8 +32,8 @@ from .kcomplex import (
     SimplicialComplex,
     build_complex,
     distance,
-    enumerate_vertices,
     flag_check,
+    vertex_at,
 )
 from .structure import ball_report, component_product, esd, theta_to_esd_map, verify_iso
 from .surfaces import realize_vertex
@@ -202,10 +202,7 @@ def cmd_fibred(args) -> tuple[int, dict]:
 def cmd_surface(args) -> tuple[int, dict]:
     d = parse_diagram(_read_input(args.input))
     t = theta_pipeline(d)
-    vertices = enumerate_vertices(t)
-    if not 0 <= args.vertex < len(vertices):
-        raise ValueError(f"vertex index {args.vertex} out of range")
-    doc = realize_vertex(d, t, vertices[args.vertex], convention=args.convention)
+    doc = realize_vertex(d, t, vertex_at(t, args.vertex), convention=args.convention)
     doc["vertex_index"] = args.vertex
     return EXIT_OK, doc
 

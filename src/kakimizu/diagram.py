@@ -601,39 +601,33 @@ def is_fibred(g: EmbeddedGraph) -> bool:
 
     Moves: delete a loop; contract an edge incident to a valence-2 vertex.
     The reduction is confluent, so a single greedy pass decides it: the
-    graphs that reduce are exactly the "trees of loops".
+    graphs that reduce are exactly the "trees of loops".  Valence-2 vertices
+    wait in a worklist; folding one into a neighbour relinks one edge end,
+    dropping the edge if it became a loop, so each contraction costs O(1).
     """
-    edges: list[tuple[int, int]] = [(e.u, e.v) for e in g.edges.values()]
-    vertices: set[int] = set(g.rotation)
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for u, v in edges:
-            if u == v:
-                changed = True  # delete loop
-            else:
-                kept.append((u, v))
-        edges = kept
-        deg: dict[int, int] = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        target = next(
-            (
-                (u, v)
-                for u, v in edges
-                if deg[u] == 2 or deg[v] == 2
-            ),
-            None,
-        )
-        if target is not None:
-            u, v = target
-            if deg[v] != 2:
-                u, v = v, u
-            # contract this one edge, folding v into u
-            edges.remove(target)
-            edges = [(u if a == v else a, u if b == v else b) for a, b in edges]
-            vertices.discard(v)
-            changed = True
-    return len(vertices) == 1 and not edges
+    ends: dict[int, list[int]] = {}  # edge id -> its two end vertices
+    incident: dict[int, set[int]] = {v: set() for v in g.rotation}
+    for eid, e in g.edges.items():
+        if e.u != e.v:
+            ends[eid] = [e.u, e.v]
+            incident[e.u].add(eid)
+            incident[e.v].add(eid)
+    work = [v for v, es in incident.items() if len(es) == 2]
+    while work:
+        v = work.pop()
+        if len(incident.get(v, ())) != 2:
+            continue
+        gone, kept = incident.pop(v)
+        a, b = ends.pop(gone)
+        u = b if a == v else a  # v folds into u
+        incident[u].discard(gone)
+        side = ends[kept]
+        side[side.index(v)] = u
+        if side[0] == side[1]:  # the kept edge became a loop
+            del ends[kept]
+            incident[u].discard(kept)
+        else:
+            incident[u].add(kept)
+        if len(incident[u]) == 2:
+            work.append(u)
+    return len(incident) == 1 and not ends

@@ -10,6 +10,11 @@ with that facet.  On the complexes of theta graphs this pairs off every
 cell.  Whatever survives keeps its original boundary restricted to the
 survivors, and each of those matrices goes through a dense Smith normal
 form with exact integer arithmetic, so torsion is reported exactly.
+
+Cells are integer ids, and the facets of the k-cells sit in one flat list
+per dimension, k + 1 ids per cell, so ``flat[k][i::k + 1]`` is the i-th
+facet of every k-cell.  The ids and the coreduction order are those of
+per-cell facet lists, so the same cells survive.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
-from operator import itemgetter
 
 from .kcomplex import SimplicialComplex
 
@@ -137,29 +141,31 @@ def _facet_signs(size: int) -> list[int]:
 
 def _lattice(
     by_dim: list[list[tuple[int, ...]]],
-) -> tuple[list[range], list[list[int]], list[list[int]]]:
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Global cell ids and signed facets of the augmented chain complex.
 
     Cell 0 is the empty face, then come the vertices, the edges and so on,
-    each dimension in the order of ``by_dim``.  Returns the ids of each
-    dimension from 0 up, the ids of each cell's facets in ``combinations``
-    order, and per dimension the signs of those facets.
+    each dimension in the order of ``by_dim``.  Returns the id of the first
+    cell of each dimension from 0 up, followed by the cell count; per
+    dimension k one flat list of the ids of the facets of every k-cell,
+    k + 1 per cell in ``combinations`` order; and per dimension the signs
+    of those facets.
     """
-    dims: list[range] = []
-    facets: list[list[int]] = [[]]
+    offsets = [1]
+    flat: list[list[int]] = []
     lower = {(): 0}
     for size, faces in enumerate(by_dim, 1):
-        get = lower.__getitem__
-        ids = range(len(facets), len(facets) + len(faces))
-        facets.extend([list(map(get, combinations(f, size - 1))) for f in faces])
-        dims.append(ids)
+        facets = chain.from_iterable(map(combinations, faces, repeat(size - 1)))
+        flat.append(list(map(lower.__getitem__, facets)))
+        ids = range(offsets[-1], offsets[-1] + len(faces))
+        offsets.append(ids.stop)
         lower = dict(zip(faces, ids))
     signs = [_facet_signs(size) for size in range(1, len(by_dim) + 1)]
-    return dims, facets, signs
+    return offsets, flat, signs
 
 
 def _check_boundary_squared(
-    dims: list[range], facets: list[list[int]], signs: list[list[int]]
+    offsets: list[int], flat: list[list[int]], signs: list[list[int]]
 ) -> None:
     """Raise unless the codimension-2 faces of every cell cancel.
 
@@ -169,30 +175,30 @@ def _check_boundary_squared(
     the i'-th drop the same two vertices.  In each dimension every pair
     must carry opposite signs and, in every cell, the same face id; then
     each cell's codimension-2 faces cancel pair by pair.  The ids are
-    compared a whole dimension at a time.
+    compared a whole column of the flat facet lists at a time.
     """
-    for k in range(1, len(dims)):
+    for k in range(1, len(flat)):
         size = k + 1
         where: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for i, f in enumerate(combinations(range(size), size - 1)):
             for j, h in enumerate(combinations(f, size - 2)):
                 where.setdefault(h, []).append((i, j))
-        cells = facets[dims[k].start : dims[k].stop]
-        # below[i][x]: the facets of the i-th facet of the x-th cell
-        below = [
-            list(map(facets.__getitem__, map(itemgetter(i), cells)))
-            for i in range(size)
-        ]
+        # column i: the i-th facet of every k-cell; below[j][f]: the j-th
+        # facet of the (k-1)-cell f, padded so that a global id indexes it
+        column = [flat[k][i::size] for i in range(size)]
+        pad = [0] * offsets[k - 1]
+        below = [(pad + flat[k - 1][j::k]).__getitem__ for j in range(k)]
         for (i, j), (i2, j2) in where.values():
             cancel = signs[k][i] * signs[k - 1][j] == -signs[k][i2] * signs[k - 1][j2]
-            first = list(map(itemgetter(j), below[i]))
-            if not cancel or first != list(map(itemgetter(j2), below[i2])):
+            if not cancel or list(map(below[j], column[i])) != list(
+                map(below[j2], column[i2])
+            ):
                 raise AssertionError(
                     f"the boundary of a boundary is not zero in dimension {k}"
                 )
 
 
-def _coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
+def _coreduce(offsets: list[int], flat: list[list[int]]) -> bytearray:
     """Live flags of the cells left by coreduction.
 
     The empty face pairs with the least vertex; then a cell with exactly
@@ -202,30 +208,34 @@ def _coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
     homology as it was.  Candidates wait in a first-in first-out queue,
     which pairs off far more cells than a stack does.
     """
-    n = len(facets)
+    n = offsets[-1]
     cofacets: list[list[int]] = [[] for _ in range(n)]
-    for g, fs in enumerate(facets):
-        for f in fs:
+    count = [0]  # live facets per cell; the empty face has none
+    dim = bytearray(1)
+    for k, ids in enumerate(flat):
+        cells, size = range(offsets[k], offsets[k + 1]), k + 1
+        for f, g in zip(ids, chain.from_iterable(map(repeat, cells, repeat(size)))):
             cofacets[f].append(g)
-    count = [len(fs) for fs in facets]
+        count += repeat(size, len(cells))
+        dim += bytes([k]) * len(cells)
     live = bytearray(b"\x01") * n
-    queue: deque[int] = deque()
-
-    def kill(x: int) -> None:
-        live[x] = 0
-        for y in cofacets[x]:
-            if live[y]:
-                count[y] -= 1
-                if count[y] == 1:
-                    queue.append(y)
-
-    kill(0)
-    kill(first_vertex)
+    # the least vertex's one facet is the empty face
+    queue = deque([offsets[0]])
     while queue:
         a = queue.popleft()
         if live[a] and count[a] == 1:
-            kill(a)
-            kill(next(f for f in facets[a] if live[f]))
+            k = dim[a]
+            row = (a - offsets[k]) * (k + 1)
+            for b in flat[k][row : row + k + 1]:
+                if live[b]:
+                    break
+            for x in (a, b):
+                live[x] = 0
+                for y in cofacets[x]:
+                    if live[y]:
+                        count[y] -= 1
+                        if count[y] == 1:
+                            queue.append(y)
     return live
 
 
@@ -234,23 +244,28 @@ def homology(c: SimplicialComplex) -> HomologyReport:
     by_dim = _faces_by_dim(c)
     f_counts = [len(fs) for fs in by_dim]
     euler = sum((-1) ** k * f_counts[k] for k in range(len(f_counts)))
-    dims, facets, signs = _lattice(by_dim)
-    _check_boundary_squared(dims, facets, signs)
-    live = _coreduce(dims[0].start, facets)
+    offsets, flat, signs = _lattice(by_dim)
+    del by_dim  # free the face tuples: cells are ids from here on
+    _check_boundary_squared(offsets, flat, signs)
+    live = _coreduce(offsets, flat)
 
     # the residue's boundary is the original one restricted to live cells;
     # diags[k] is the Smith diagonal of the boundary out of dimension k,
     # and the empty face is dead, so vertices bound nothing
-    survivors = [list(compress(ids, live[ids.start : ids.stop])) for ids in dims]
+    survivors = [
+        list(compress(range(lo, hi), live[lo:hi]))
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
     diags: list[list[int]] = [[]]
-    for k in range(1, len(dims)):
+    for k in range(1, len(flat)):
         lower, upper = survivors[k - 1], survivors[k]
         diag: list[int] = []
         if lower and upper:
             row = {f: i for i, f in enumerate(lower)}
             dense = [[0] * len(upper) for _ in lower]
             for j, g in enumerate(upper):
-                for f, s in zip(facets[g], signs[k]):
+                start = (g - offsets[k]) * (k + 1)
+                for f, s in zip(flat[k][start : start + k + 1], signs[k]):
                     if live[f]:
                         dense[row[f]][j] = s
             diag = smith_diagonal(dense)
@@ -258,7 +273,7 @@ def homology(c: SimplicialComplex) -> HomologyReport:
     diags.append([])
     betti = [
         len(survivors[k]) - len(diags[k]) - len(diags[k + 1])
-        for k in range(len(by_dim))
+        for k in range(len(flat))
     ]
-    torsion = [[d for d in diags[k + 1] if d > 1] for k in range(len(by_dim))]
+    torsion = [[d for d in diags[k + 1] if d > 1] for k in range(len(flat))]
     return HomologyReport(betti=betti, torsion=torsion, euler=euler)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from operator import add, mul, sub
 
 from .generate import predicted_vertex_count
@@ -40,6 +41,7 @@ __all__ = [
     "flag_check",
     "heights",
     "order_vertices",
+    "vertex_at",
 ]
 
 Vertex = tuple[int, ...]
@@ -117,14 +119,42 @@ def _compositions(total: int, parts: int):
 
 
 def enumerate_vertices(t: ThetaGraph) -> list[Vertex]:
+    """Every vertex, sorted: a product of sorted lists of equal-length tuples."""
     per_comp = [list(_compositions(c.total_weight(), c.k)) for c in t.components]
-    vertices = sorted(
+    vertices = [
         tuple(itertools.chain.from_iterable(choice))
         for choice in itertools.product(*per_comp)
-    )
+    ]
     if len(vertices) != predicted_vertex_count(t):
         raise AssertionError("vertex count differs from the closed form")
     return vertices
+
+
+def vertex_at(t: ThetaGraph, i: int) -> Vertex:
+    """``enumerate_vertices(t)[i]``, without listing the other vertices.
+
+    The index is a mixed-radix number whose digits are the lexicographic
+    ranks of the per-component compositions, the last component least
+    significant.  A composition is unranked part by part: the ones with a
+    smaller first part come first, C(m - x + p - 1, p - 1) of them for
+    first part x, where p parts are left to share the rest of the weight m.
+    """
+    if not 0 <= i < predicted_vertex_count(t):
+        raise ValueError(f"vertex index {i} out of range")
+    parts: list[list[int]] = []
+    for c in reversed(t.components):
+        m, k = c.total_weight(), c.k
+        i, r = divmod(i, comb(m + k - 1, k - 1))
+        digits = []
+        for left in range(k - 1, 0, -1):
+            x = 0
+            while r >= (n := comb(m - x + left - 1, left - 1)):
+                r -= n
+                x += 1
+            digits.append(x)
+            m -= x
+        parts.append(digits + [m])
+    return tuple(itertools.chain.from_iterable(reversed(parts)))
 
 
 # -- region moves ----------------------------------------------------------

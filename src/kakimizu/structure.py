@@ -130,8 +130,9 @@ def verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:
     image = list(f.values())
     if len(set(image)) != len(image) or set(image) != set(c2.vertices):
         return False
-    m1 = {frozenset(f[c1.vertices[i]] for i in s) for s in c1.maximal_simplices}
-    m2 = {frozenset(c2.vertices[i] for i in s) for s in c2.maximal_simplices}
+    to2 = list(map(c2.index, map(f.__getitem__, c1.vertices)))  # f on indices
+    m1 = {frozenset(map(to2.__getitem__, s)) for s in c1.maximal_simplices}
+    m2 = set(map(frozenset, c2.maximal_simplices))
     n1, n2 = len(c1.maximal_simplices), len(c2.maximal_simplices)
     return m1 == m2 and len(m1) == n1 == n2
 
@@ -197,33 +198,36 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
     Vertices are pairs; each pair of maximal simplices, read as chains in
     the factor orders, contributes one top simplex per monotone staircase
     through the grid of pairs.  The result carries the componentwise
-    order, so products can be iterated.
+    order, so products can be iterated.  The pair of the i-th and the j-th
+    vertex is the product's vertex ``i * len(c2.vertices) + j``, so pairs of
+    sorted, distinct vertex lists come out sorted and distinct too.
     """
     o1, chains1 = _ordered_chains(c1)
     o2, chains2 = _ordered_chains(c2)
+    n2 = len(c2.vertices)
     product = SimplicialComplex(
-        vertices=sorted((u, v) for u in c1.vertices for v in c2.vertices),
+        vertices=[(u, v) for u in c1.vertices for v in c2.vertices],
         maximal_simplices=[],
     )
-    chains2 = [[c2.vertices[i] for i in ch] for ch in chains2]
+    # one int object per vertex, shared by every simplex that holds it
+    ids = list(range(len(product.vertices)))
+    stairs: dict[tuple[int, int], list] = {}
     maximal = set()
-    for ch in chains1:
-        chain1 = [c1.vertices[i] for i in ch]
+    for chain1 in chains1:
+        rows = [i * n2 for i in chain1]
         for chain2 in chains2:
-            p, q = len(chain1) - 1, len(chain2) - 1
-            for path in _staircases(p, q):
-                pairs = [(chain1[a], chain2[b]) for a, b in path]
-                maximal.add(tuple(sorted(product.index(x) for x in pairs)))
+            shape = (len(chain1) - 1, len(chain2) - 1)
+            if shape not in stairs:
+                stairs[shape] = list(_staircases(*shape))
+            for path in stairs[shape]:
+                maximal.add(tuple(sorted([ids[rows[a] + chain2[b]] for a, b in path])))
     product.maximal_simplices = sorted(list(s) for s in maximal)
-
-    def leq(c, o, a, b):
-        return a == b or (c.index(a), c.index(b)) in o
 
     order = set()
     for i, j in product.skeleton_edges():
-        (u1, v1), (u2, v2) = product.vertices[i], product.vertices[j]
-        forward = leq(c1, o1, u1, u2) and leq(c2, o2, v1, v2)
-        backward = leq(c1, o1, u2, u1) and leq(c2, o2, v2, v1)
+        (i1, i2), (j1, j2) = divmod(i, n2), divmod(j, n2)
+        forward = (i1 == j1 or (i1, j1) in o1) and (i2 == j2 or (i2, j2) in o2)
+        backward = (i1 == j1 or (j1, i1) in o1) and (i2 == j2 or (j2, i2) in o2)
         if forward == backward:
             raise AssertionError("product pairs must be strictly comparable")
         order.add((i, j) if forward else (j, i))

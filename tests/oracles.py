@@ -56,6 +56,21 @@ answer:
   rotating each face to its least half-edge and sorting the list, where
   ``EmbeddedGraph.trace_faces`` makes one sorted sweep with a dict of
   rotation predecessors;
+- ``listed_lattice`` and ``listed_coreduce`` keep one facet list and one
+  cofacet list per cell and pair cells off through a ``kill`` helper,
+  where ``homology._lattice`` and ``homology._coreduce`` keep one flat
+  facet list per dimension and find a cell's last live facet in its row;
+- ``tuple_ordered_product`` names product vertices by nested pairs, sorts
+  them and looks every pair up with ``SimplicialComplex.index``, where
+  ``structure.ordered_product`` numbers the pair (i, j) by
+  ``i * len(c2.vertices) + j``; ``tuple_verify_iso`` compares frozensets
+  of vertices, where ``structure.verify_iso`` compares frozensets of
+  vertex indices;
+- ``greedy_is_fibred`` deletes every loop and contracts one valence-2 edge
+  per pass over the whole edge list, where ``diagram.is_fibred`` keeps a
+  worklist of valence-2 vertices; ``vertex_rank`` inverts
+  ``kcomplex.vertex_at`` by counting, like it, the compositions that come
+  before;
 - ``matrix_homology`` builds every boundary matrix of the augmented chain
   complex from the set of all faces, checks that consecutive boundaries
   compose to zero by multiplying them out, and eliminates each matrix on
@@ -68,6 +83,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from math import comb
 
 import networkx as nx
 
@@ -81,6 +98,7 @@ from kakimizu.diagram import (
 )
 from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
+from kakimizu.structure import _ordered_chains, _staircases
 from kakimizu.planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
 from kakimizu.theta import Region, ThetaGraph
 
@@ -96,6 +114,9 @@ __all__ = [
     "exhaustive_colour_schemes",
     "exhaustive_is_fibred",
     "faces_by_dim",
+    "greedy_is_fibred",
+    "listed_coreduce",
+    "listed_lattice",
     "matrix_homology",
     "min_pivot_trace_faces",
     "neighbours",
@@ -111,7 +132,10 @@ __all__ = [
     "rotation_face_corners",
     "rotation_prev",
     "scan_circle_black_face",
+    "tuple_ordered_product",
+    "tuple_verify_iso",
     "union_find_orientation",
+    "vertex_rank",
     "white_smooth",
 ]
 
@@ -919,3 +943,160 @@ def matrix_homology(c: SimplicialComplex) -> HomologyReport:
         betti.append(f_counts[k] - out_rank - in_rank)
         torsion.append(list(in_div))
     return HomologyReport(betti=betti, torsion=torsion, euler=euler)
+
+
+def listed_lattice(
+    by_dim: list[list[tuple[int, ...]]],
+) -> tuple[list[range], list[list[int]]]:
+    """The ids of each dimension's cells, from 0 up, and the facet ids of
+    every cell of the augmented chain complex in ``combinations`` order;
+    cell 0 is the empty face, then come the cells of ``by_dim`` in order."""
+    dims: list[range] = []
+    facets: list[list[int]] = [[]]
+    lower = {(): 0}
+    for size, faces in enumerate(by_dim, 1):
+        get = lower.__getitem__
+        ids = range(len(facets), len(facets) + len(faces))
+        facets.extend([list(map(get, itertools.combinations(f, size - 1))) for f in faces])
+        dims.append(ids)
+        lower = dict(zip(faces, ids))
+    return dims, facets
+
+
+def listed_coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
+    """Live flags after pairing the empty face with ``first_vertex`` and
+    then, first in first out, every cell with one live facet with that
+    facet."""
+    n = len(facets)
+    cofacets: list[list[int]] = [[] for _ in range(n)]
+    for g, fs in enumerate(facets):
+        for f in fs:
+            cofacets[f].append(g)
+    count = [len(fs) for fs in facets]
+    live = bytearray(b"\x01") * n
+    queue: deque[int] = deque()
+
+    def kill(x: int) -> None:
+        live[x] = 0
+        for y in cofacets[x]:
+            if live[y]:
+                count[y] -= 1
+                if count[y] == 1:
+                    queue.append(y)
+
+    kill(0)
+    kill(first_vertex)
+    while queue:
+        a = queue.popleft()
+        if live[a] and count[a] == 1:
+            kill(a)
+            kill(next(f for f in facets[a] if live[f]))
+    return live
+
+
+def tuple_ordered_product(
+    c1: SimplicialComplex, c2: SimplicialComplex
+) -> SimplicialComplex:
+    """The ordered product with nested pairs as vertex names: the sorted
+    pairs, one top simplex per pair of chains and staircase, and the
+    componentwise order, each pair looked up by name."""
+    o1, chains1 = _ordered_chains(c1)
+    o2, chains2 = _ordered_chains(c2)
+    product = SimplicialComplex(
+        vertices=sorted((u, v) for u in c1.vertices for v in c2.vertices),
+        maximal_simplices=[],
+    )
+    chains2 = [[c2.vertices[i] for i in ch] for ch in chains2]
+    maximal = set()
+    for ch in chains1:
+        chain1 = [c1.vertices[i] for i in ch]
+        for chain2 in chains2:
+            p, q = len(chain1) - 1, len(chain2) - 1
+            for path in _staircases(p, q):
+                pairs = [(chain1[a], chain2[b]) for a, b in path]
+                maximal.add(tuple(sorted(product.index(x) for x in pairs)))
+    product.maximal_simplices = sorted(list(s) for s in maximal)
+
+    def leq(c, o, a, b):
+        return a == b or (c.index(a), c.index(b)) in o
+
+    order = set()
+    for i, j in product.skeleton_edges():
+        (u1, v1), (u2, v2) = product.vertices[i], product.vertices[j]
+        forward = leq(c1, o1, u1, u2) and leq(c2, o2, v1, v2)
+        backward = leq(c1, o1, u2, u1) and leq(c2, o2, v2, v1)
+        if forward == backward:
+            raise AssertionError("product pairs must be strictly comparable")
+        order.add((i, j) if forward else (j, i))
+    product.order = frozenset(order)
+    return product
+
+
+def tuple_verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:
+    """Whether ``f`` is a vertex bijection carrying the maximal simplices of
+    ``c1``, as frozensets of vertices, onto those of ``c2``."""
+    if set(f) != set(c1.vertices):
+        return False
+    image = list(f.values())
+    if len(set(image)) != len(image) or set(image) != set(c2.vertices):
+        return False
+    m1 = {frozenset(f[c1.vertices[i]] for i in s) for s in c1.maximal_simplices}
+    m2 = {frozenset(c2.vertices[i] for i in s) for s in c2.maximal_simplices}
+    n1, n2 = len(c1.maximal_simplices), len(c2.maximal_simplices)
+    return m1 == m2 and len(m1) == n1 == n2
+
+
+def greedy_is_fibred(g: EmbeddedGraph) -> bool:
+    """Delete every loop, then contract one edge at a valence-2 vertex,
+    rebuilding the edge list, until neither move applies."""
+    edges: list[tuple[int, int]] = [(e.u, e.v) for e in g.edges.values()]
+    vertices: set[int] = set(g.rotation)
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for u, v in edges:
+            if u == v:
+                changed = True  # delete loop
+            else:
+                kept.append((u, v))
+        edges = kept
+        deg: dict[int, int] = {}
+        for u, v in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        target = next(
+            ((u, v) for u, v in edges if deg[u] == 2 or deg[v] == 2), None
+        )
+        if target is not None:
+            u, v = target
+            if deg[v] != 2:
+                u, v = v, u
+            # contract this one edge, folding v into u
+            edges.remove(target)
+            edges = [(u if a == v else a, u if b == v else b) for a, b in edges]
+            vertices.discard(v)
+            changed = True
+    return len(vertices) == 1 and not edges
+
+
+def vertex_rank(t: ThetaGraph, v: Vertex) -> int:
+    """The index of ``v`` in ``enumerate_vertices(t)``: per component, the
+    compositions before it are counted part by part, and the ranks are read
+    as a mixed-radix number with the last component least significant."""
+    if len(v) != t.n_edges:
+        raise ValueError("vertex does not match the theta graph")
+    rank, at = 0, 0
+    for c in t.components:
+        parts = v[at : at + c.k]
+        at += c.k
+        m, k = c.total_weight(), c.k
+        if min(parts) < 0 or sum(parts) != m:
+            raise ValueError(f"{v!r} is not a vertex")
+        r = 0
+        for j, x in enumerate(parts[:-1]):
+            left = k - 1 - j
+            r += sum(comb(m - y + left - 1, left - 1) for y in range(x))
+            m -= x
+        rank = rank * comb(c.total_weight() + k - 1, k - 1) + r
+    return rank

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,36 @@ def test_surface_does_not_build_the_complex(capsys, monkeypatch):
     code, doc, _ = run(capsys, "surface", fx("dalpha.json"), "--vertex", "20")
     assert code == EXIT_INVALID
     assert "out of range" in doc["error"]
+
+
+def test_surface_unranks_a_vertex_of_a_huge_complex(capsys, tmp_path):
+    """The 1,200-crossing hub diagram of the benchmark's diagram ladder has
+    one theta component of 8 edges and weight 300, so C(307, 7) vertices;
+    its base vertex is realized by rank, without listing the others."""
+    import importlib.util
+    import random
+
+    from kakimizu.medial import medial
+    from oracles import vertex_rank
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", FIXTURES.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    chains = workloads.hub_chains(random.Random(0), 1200, 8, 300)
+    path = tmp_path / "hub1200.json"
+    path.write_text(workloads.diagram_document(medial(workloads.hub_graph(chains)[0])))
+    weights = workloads.hub_theta(chains)
+    _, theta_doc, _ = run(capsys, "theta", str(path))
+    t = parse_theta(json.dumps(theta_doc))
+    assert vertex_rank(t, (300,) + (0,) * 7) == comb(307, 7) - 1
+    idx = vertex_rank(t, tuple(weights))
+    code, doc, _ = run(capsys, "surface", str(path), "--vertex", str(idx))
+    assert code == EXIT_OK
+    assert doc["vertex"] == weights and doc["vertex_index"] == idx
+    code, doc, _ = run(capsys, "surface", str(path), "--vertex", str(comb(307, 7)))
+    assert code == EXIT_INVALID and "out of range" in doc["error"]
 
 
 def test_surface_vertex_out_of_range(capsys):

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import boundary, faces_by_dim, matrix_homology, rescan_eliminate
+from oracles import (
+    boundary,
+    faces_by_dim,
+    listed_coreduce,
+    listed_lattice,
+    matrix_homology,
+    rescan_eliminate,
+)
 from test_acceptance import family50
 from test_kcomplex import BENCH_SHAPES, shaped_theta
 from kakimizu import homology as homology_module
@@ -239,8 +246,8 @@ def test_dunce_hat_is_acyclic():
 
 def residue_cells(c):
     """How many cells coreduction leaves for the eliminator."""
-    dims, facets, _ = _lattice(_faces_by_dim(c))
-    return sum(_coreduce(dims[0].start, facets))
+    offsets, flat, _ = _lattice(_faces_by_dim(c))
+    return sum(_coreduce(offsets, flat))
 
 
 @st.composite
@@ -264,6 +271,21 @@ def theta_balls(draw):
 @example(complex_on(8, DUNCE_HAT))
 def test_coreduction_matches_matrix_homology(c):
     assert homology(c) == matrix_homology(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_complexes(), theta_balls()))
+@example(complex_on(6, PROJECTIVE_PLANE))
+@example(complex_on(8, DUNCE_HAT))
+def test_flat_lattice_and_coreduction_match_listed_oracle(c):
+    """The flat facet lists hold the ids of the per-cell lists, row by row,
+    and coreduction leaves the same cells alive."""
+    by_dim = _faces_by_dim(c)
+    offsets, flat, _ = _lattice(by_dim)
+    dims, facets = listed_lattice(by_dim)
+    assert offsets == [d.start for d in dims] + [dims[-1].stop]
+    assert flat == [list(itertools.chain(*facets[d.start : d.stop])) for d in dims]
+    assert _coreduce(offsets, flat) == listed_coreduce(dims[0].start, facets)
 
 
 def sphere_theta(*components):
@@ -333,10 +355,10 @@ def test_boundary_of_boundary_checks_face_ids(monkeypatch):
     lattice = homology_module._lattice
 
     def corrupted(by_dim):
-        dims, facets, signs = lattice(by_dim)
-        first_edge = facets[dims[1].start]
-        first_edge[0] = dims[0].stop - 1  # the last vertex instead of the first
-        return dims, facets, signs
+        offsets, flat, signs = lattice(by_dim)
+        # the first edge's first facet: the last vertex instead of the first
+        flat[1][0] = offsets[1] - 1
+        return offsets, flat, signs
 
     monkeypatch.setattr(homology_module, "_lattice", corrupted)
     with pytest.raises(AssertionError, match="dimension 2"):

@@ -23,6 +23,7 @@ from kakimizu.kcomplex import (
     flag_check,
     heights,
     order_vertices,
+    vertex_at,
 )
 from kakimizu.theta import (
     Placement,
@@ -45,6 +46,7 @@ from oracles import (
     networkx_maximal_cliques,
     order_regions,
     region_add,
+    vertex_rank,
 )
 
 BASE = (1, 0, 2, 0, 1)
@@ -145,6 +147,30 @@ def test_walk_and_clique_search_keep_their_own_stacks():
         sys.setrecursionlimit(limit)
     assert len(c.vertices) == 60 and len(c.maximal_simplices) == 1
     assert flag
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_vertex_at_unranks_the_enumeration(seed):
+    """Vertex i of the sorted enumeration is unranked without listing the
+    others, and the counting rank of the oracle inverts it."""
+    t = random_theta(random.Random(seed), max_components=3, max_edges=5)
+    vs = enumerate_vertices(t)
+    assert vs == sorted(vs)
+    assert [vertex_at(t, i) for i in range(len(vs))] == vs
+    assert [vertex_rank(t, v) for v in vs] == list(range(len(vs)))
+    for i in (-1, len(vs)):
+        with pytest.raises(ValueError, match=f"vertex index {i} out of range"):
+            vertex_at(t, i)
+
+
+def test_vertex_at_on_the_empty_and_a_huge_graph():
+    assert vertex_at(ThetaGraph([]), 0) == ()
+    # C(307, 7) vertices, far too many to list
+    weights = (41, 0, 77, 3, 0, 90, 1, 88)
+    t = small_theta([weights])
+    assert vertex_at(t, vertex_rank(t, weights)) == weights
+    assert vertex_at(t, 0) == (0,) * 7 + (300,)
 
 
 @pytest.mark.parametrize("total,parts", [(0, 1), (3, 1), (0, 4), (4, 3), (5, 5)])

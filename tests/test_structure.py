@@ -4,13 +4,15 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_text
-from oracles import exhaustive_colour_schemes
+from oracles import exhaustive_colour_schemes, tuple_ordered_product, tuple_verify_iso
 from kakimizu import structure
 from kakimizu.diagram import black_region_graph
 from kakimizu.families import dalpha_graph
-from kakimizu.generate import random_theta_family
+from kakimizu.generate import random_theta, random_theta_family
 from kakimizu.kcomplex import (
     SimplicialComplex,
     build_complex,
@@ -305,6 +307,35 @@ def test_component_product_random_family():
         c = build_complex(t)
         prod, f = component_product(t)
         assert verify_iso(c, prod, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_products_and_isomorphisms_match_tuple_oracles(seed):
+    """Every ordered product that ``component_product`` forms has the
+    vertices, simplices and order of the pair-named oracle, and the
+    isomorphism verdicts agree, also on a map with two images swapped."""
+    t = random_theta(random.Random(seed), max_components=3)
+    formed = []
+
+    def compared(c1, c2):
+        p, q = ordered_product(c1, c2), tuple_ordered_product(c1, c2)
+        assert p.vertices == q.vertices
+        assert p.maximal_simplices == q.maximal_simplices
+        assert p.order == q.order
+        formed.append(p)
+        return p
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "ordered_product", compared)
+        prod, f = component_product(t)
+    assert len(formed) == len(t.components) - 1
+    c = build_complex(t)
+    assert verify_iso(c, prod, f) and tuple_verify_iso(c, prod, f)
+    if len(c.vertices) > 1:
+        u, v = random.Random(seed).sample(c.vertices, 2)
+        swapped = {**f, u: f[v], v: f[u]}
+        assert verify_iso(c, prod, swapped) == tuple_verify_iso(c, prod, swapped)
 
 
 def chain_beside_sibling():
