@@ -19,7 +19,9 @@ Bron-Kerbosch over the neighbour graph, compared with the walk's simplices.
 
 Two vertices differ by a sum of region deltas whose coefficients, the
 ``heights``, give the skeleton distance (Przytycki & Schultens, Trans. AMS
-364, 2012), the region set of a move and, by a flow, the vertex orders.
+364, 2012), the region set of a move and, by a flow, the vertex orders.  A
+vertex order is one integer key per vertex; sorting a simplex by it gives
+the simplex as a chain.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ class SimplicialComplex:
     vertices: list
     maximal_simplices: list[list[int]]
     theta: ThetaGraph | None = None
-    # optional vertex order (set of directed index pairs), e.g. from
-    # order_vertices; products of ordered complexes need it
-    order: frozenset | None = None
+    # optional vertex order, one key per vertex, e.g. from order_vertices;
+    # products of ordered complexes need it
+    key: list[int] | None = None
 
     @property
     def dim(self) -> int:
@@ -92,12 +94,6 @@ class SimplicialComplex:
             return self._index[v]
         except (KeyError, TypeError):
             raise ValueError(f"{v!r} is not a vertex") from None
-
-    def skeleton_edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for s in self.maximal_simplices:
-            out.update(itertools.combinations(s, 2))
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -345,9 +341,9 @@ def distance(c: SimplicialComplex, u, v) -> int:
     return max(heights(c.theta, u, v), default=0)
 
 
-def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
-    """Orient each edge: ``i`` comes before ``j`` when the region set
-    carrying vertex i to vertex j omits ``r``.
+def order_vertices(c: SimplicialComplex, r: Region) -> list[int]:
+    """One key per vertex, ordering adjacent vertices: ``i`` comes before
+    ``j`` when the region set carrying vertex i to vertex j omits ``r``.
 
     Key each vertex by the sum of its heights over a base vertex, with the
     height of ``r`` held at 0: a move by a region set A raises the key by
@@ -368,8 +364,4 @@ def order_vertices(c: SimplicialComplex, r: Region) -> set[tuple[int, int]]:
     for s, p, i in reversed(steps):
         flow[i] = size[s] if s == plus[i] else -size[s]
         size[p] += size[s]
-    key = [sum(map(mul, flow, v)) for v in c.vertices]
-    out: set[tuple[int, int]] = set()
-    for s in c.maximal_simplices:
-        out.update(itertools.combinations(sorted(s, key=key.__getitem__), 2))
-    return out
+    return [sum(map(mul, flow, v)) for v in c.vertices]

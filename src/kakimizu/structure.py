@@ -140,41 +140,18 @@ def verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:
 # -- ordered products -------------------------------------------------------
 
 
-def _chain(simplex, order) -> list[int]:
-    """The vertices of a simplex sorted by a total order, verifying that
-    the order really is total and transitive on the simplex."""
-    ranks = {v: sum(1 for u in simplex if u != v and (u, v) in order) for v in simplex}
-    if sorted(ranks.values()) != list(range(len(simplex))):
-        raise ValueError("order violates axioms")
-    chain = sorted(simplex, key=lambda v: ranks[v])
-    for i, u in enumerate(chain):
-        for v in chain[i + 1 :]:
-            if (u, v) not in order:
-                raise ValueError("order violates axioms")
-    return chain
-
-
-def validate_order(c: SimplicialComplex) -> frozenset:
-    """Check the order carried by ``c`` against the order axioms:
-    antisymmetry, support exactly the adjacent pairs, and transitivity
-    (hence totality) on every simplex."""
-    return _ordered_chains(c)[0]
-
-
-def _ordered_chains(c: SimplicialComplex) -> tuple[frozenset, list[list[int]]]:
-    """``validate_order`` together with every maximal simplex read as a
-    chain in the order, each computed once."""
-    if c.order is None:
+def validate_order(c: SimplicialComplex) -> list[list[int]]:
+    """Every maximal simplex of ``c`` read as a chain in its vertex order,
+    that is sorted by key.  The key must give each vertex one integer and
+    separate the vertices of every simplex; antisymmetry, transitivity and
+    a support of exactly the adjacent pairs then hold by construction."""
+    key = c.key
+    if key is None or len(key) != len(c.vertices):
         raise ValueError("complex carries no vertex order")
-    order = frozenset(c.order)
-    for i, j in order:
-        if i != j and (j, i) in order:
-            raise ValueError("order violates axioms")
-    support = {frozenset(p) for p in order if p[0] != p[1]}
-    edges = {frozenset(e) for e in c.skeleton_edges()}
-    if support != edges:
+    chains = [sorted(s, key=key.__getitem__) for s in c.maximal_simplices]
+    if any(len({key[i] for i in s}) < len(s) for s in chains):
         raise ValueError("order violates axioms")
-    return order, [_chain(s, order) for s in c.maximal_simplices]
+    return chains
 
 
 def _staircases(p: int, q: int):
@@ -197,17 +174,19 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
 
     Vertices are pairs; each pair of maximal simplices, read as chains in
     the factor orders, contributes one top simplex per monotone staircase
-    through the grid of pairs.  The result carries the componentwise
-    order, so products can be iterated.  The pair of the i-th and the j-th
-    vertex is the product's vertex ``i * len(c2.vertices) + j``, so pairs of
-    sorted, distinct vertex lists come out sorted and distinct too.
+    through the grid of pairs.  The result is keyed by the sum of the
+    factor keys, which grows along every staircase, so products can be
+    iterated.  The pair of the i-th and the j-th vertex is the product's
+    vertex ``i * len(c2.vertices) + j``, so pairs of sorted, distinct
+    vertex lists come out sorted and distinct too.
     """
-    o1, chains1 = _ordered_chains(c1)
-    o2, chains2 = _ordered_chains(c2)
+    chains1 = validate_order(c1)
+    chains2 = validate_order(c2)
     n2 = len(c2.vertices)
     product = SimplicialComplex(
         vertices=[(u, v) for u in c1.vertices for v in c2.vertices],
         maximal_simplices=[],
+        key=[a + b for a in c1.key for b in c2.key],
     )
     # one int object per vertex, shared by every simplex that holds it
     ids = list(range(len(product.vertices)))
@@ -222,16 +201,9 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
             for path in stairs[shape]:
                 maximal.add(tuple(sorted([ids[rows[a] + chain2[b]] for a, b in path])))
     product.maximal_simplices = sorted(list(s) for s in maximal)
-
-    order = set()
-    for i, j in product.skeleton_edges():
-        (i1, i2), (j1, j2) = divmod(i, n2), divmod(j, n2)
-        forward = (i1 == j1 or (i1, j1) in o1) and (i2 == j2 or (i2, j2) in o2)
-        backward = (i1 == j1 or (j1, i1) in o1) and (i2 == j2 or (j2, i2) in o2)
-        if forward == backward:
-            raise AssertionError("product pairs must be strictly comparable")
-        order.add((i, j) if forward else (j, i))
-    product.order = frozenset(order)
+    key = product.key
+    if any(len({key[i] for i in s}) < len(s) for s in product.maximal_simplices):
+        raise AssertionError("product pairs must be strictly comparable")
     return product
 
 
@@ -316,14 +288,7 @@ def _branch_theta(t: ThetaGraph, walks: list[dict], region: Region) -> ThetaGrap
             comps_out.append(
                 ThetaComponent(cid, old.edges, placement=pl, vertices=old.vertices)
             )
-    sub = ThetaGraph(comps_out)
-    sub.crossings = {
-        e.id: t.crossings[e.id]
-        for c in comps_out
-        for e in c.edges
-        if e.id in t.crossings
-    }
-    return sub
+    return ThetaGraph(comps_out)
 
 
 def split_theta(t: ThetaGraph) -> SplitReport:
@@ -378,14 +343,13 @@ def _transport_order(
 ) -> SimplicialComplex:
     """Order a product complex by carrying a region-broken order of the
     isomorphic weight-vector complex across the isomorphism ``f``."""
-    to_product = [product.index(f[v]) for v in k.vertices]
-    order = frozenset(
-        (to_product[i], to_product[j]) for i, j in order_vertices(k, region)
-    )
+    key = [0] * len(product.vertices)
+    for v, x in zip(k.vertices, order_vertices(k, region)):
+        key[product.index(f[v])] = x
     return SimplicialComplex(
         vertices=product.vertices,
         maximal_simplices=product.maximal_simplices,
-        order=order,
+        key=key,
     )
 
 

@@ -89,16 +89,14 @@ class ThetaComponent:
 class ThetaGraph:
     """A disjoint union of edge-circles with weights and a nesting forest.
 
-    ``crossings`` (in-memory only, never serialized) maps edge ids to the
-    diagram crossings stacked along the edge, when the graph came from a
-    diagram; ``source`` keeps the F(D) graph for the same reason, and
-    ``face_of`` its face index.  ``regions`` are the regions of the
-    cut-apart graph.
+    ``source`` (in-memory only, never serialized) keeps the F(D) graph when
+    the graph came from a diagram, with the diagram crossings stacked along
+    each of its edges, and ``face_of`` its face index.  ``regions`` are the
+    regions of the cut-apart graph.
     """
 
     def __init__(self, components: list[ThetaComponent]):
         self.components = sorted(components, key=lambda c: c.id)
-        self.crossings: dict[int, tuple[int, ...]] = {}
         self.source: EmbeddedGraph | None = None
         self.face_of: dict[HalfEdge, int] | None = None
         self._validate()
@@ -517,9 +515,6 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
             )
         )
     t = ThetaGraph(comps)
-    t.crossings = {
-        eid: f.edges[eid].crossings for eids in ordered_eids for eid in eids
-    }
     t.source, t.face_of = f, face_of
     return t
 

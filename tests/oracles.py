@@ -61,11 +61,17 @@ answer:
   where ``homology._lattice`` and ``homology._coreduce`` keep one flat
   facet list per dimension and find a cell's last live facet in its row;
 - ``tuple_ordered_product`` names product vertices by nested pairs, sorts
-  them and looks every pair up with ``SimplicialComplex.index``, where
-  ``structure.ordered_product`` numbers the pair (i, j) by
-  ``i * len(c2.vertices) + j``; ``tuple_verify_iso`` compares frozensets
-  of vertices, where ``structure.verify_iso`` compares frozensets of
-  vertex indices;
+  them and looks every pair up with ``SimplicialComplex.index``, and
+  orders them componentwise by the factor relations of ``key_pairs``,
+  where ``structure.ordered_product`` numbers the pair (i, j) by
+  ``i * len(c2.vertices) + j`` and sums the factor keys;
+  ``tuple_verify_iso`` compares frozensets of vertices, where
+  ``structure.verify_iso`` compares frozensets of vertex indices;
+- ``key_pairs`` expands a vertex key into the directed pairs it orders
+  over ``skeleton_edges``, the pairs of vertices sharing a maximal simplex,
+  and ``relation_chains`` reads each maximal simplex as a chain of such a
+  relation by counting predecessors, checking every pair along the chain;
+  the library keeps only the key and sorts by it;
 - ``greedy_is_fibred`` deletes every loop and contracts one valence-2 edge
   per pass over the whole edge list, where ``diagram.is_fibred`` keeps a
   worklist of valence-2 vertices; ``vertex_rank`` inverts
@@ -98,7 +104,7 @@ from kakimizu.diagram import (
 )
 from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
-from kakimizu.structure import _ordered_chains, _staircases
+from kakimizu.structure import _staircases
 from kakimizu.planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
 from kakimizu.theta import Region, ThetaGraph
 
@@ -115,6 +121,7 @@ __all__ = [
     "exhaustive_is_fibred",
     "faces_by_dim",
     "greedy_is_fibred",
+    "key_pairs",
     "listed_coreduce",
     "listed_lattice",
     "matrix_homology",
@@ -124,6 +131,7 @@ __all__ = [
     "networkx_maximal_cliques",
     "order_regions",
     "owner_maps",
+    "relation_chains",
     "region_add",
     "rescan_eliminate",
     "retrace_arc_candidates",
@@ -132,6 +140,7 @@ __all__ = [
     "rotation_face_corners",
     "rotation_prev",
     "scan_circle_black_face",
+    "skeleton_edges",
     "tuple_ordered_product",
     "tuple_verify_iso",
     "union_find_orientation",
@@ -189,11 +198,43 @@ def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
     return out
 
 
+def skeleton_edges(c: SimplicialComplex) -> set[tuple[int, int]]:
+    """Every pair i < j of vertex indices sharing a maximal simplex."""
+    out: set[tuple[int, int]] = set()
+    for s in c.maximal_simplices:
+        out.update(itertools.combinations(sorted(s), 2))
+    return out
+
+
+def key_pairs(c: SimplicialComplex, key: list[int] | None = None) -> frozenset:
+    """The directed pairs (i, j) over the skeleton edges with ``key[i] <
+    key[j]``, by default for the key ``c`` carries.  A tie leaves its edge
+    out, so the support falls short of the skeleton."""
+    key = c.key if key is None else key
+    return frozenset(
+        (i, j) if key[i] < key[j] else (j, i)
+        for i, j in skeleton_edges(c)
+        if key[i] != key[j]
+    )
+
+
+def relation_chains(c: SimplicialComplex, order) -> list[list[int]]:
+    """Each maximal simplex sorted by how many of its vertices come before
+    each vertex in the relation ``order``, checked to be a chain in it."""
+    chains = []
+    for s in c.maximal_simplices:
+        chain = sorted(s, key=lambda v: sum((u, v) in order for u in s))
+        if not all(p in order for p in itertools.combinations(chain, 2)):
+            raise ValueError("order violates axioms")
+        chains.append(chain)
+    return chains
+
+
 def bfs_distance(c: SimplicialComplex, u, v) -> int:
     """Edge distance in the 1-skeleton, by breadth-first search over every
     skeleton edge; raises ValueError when no path joins the two."""
     adj: dict[int, set[int]] = {i: set() for i in range(len(c.vertices))}
-    for i, j in c.skeleton_edges():
+    for i, j in skeleton_edges(c):
         adj[i].add(j)
         adj[j].add(i)
     target = c.index(v)
@@ -996,12 +1037,13 @@ def listed_coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
 
 def tuple_ordered_product(
     c1: SimplicialComplex, c2: SimplicialComplex
-) -> SimplicialComplex:
+) -> tuple[SimplicialComplex, frozenset]:
     """The ordered product with nested pairs as vertex names: the sorted
     pairs, one top simplex per pair of chains and staircase, and the
-    componentwise order, each pair looked up by name."""
-    o1, chains1 = _ordered_chains(c1)
-    o2, chains2 = _ordered_chains(c2)
+    componentwise order of the factor relations, as directed pairs, each
+    pair looked up by name.  The product carries no key."""
+    o1, o2 = key_pairs(c1), key_pairs(c2)
+    chains1, chains2 = relation_chains(c1, o1), relation_chains(c2, o2)
     product = SimplicialComplex(
         vertices=sorted((u, v) for u in c1.vertices for v in c2.vertices),
         maximal_simplices=[],
@@ -1021,15 +1063,14 @@ def tuple_ordered_product(
         return a == b or (c.index(a), c.index(b)) in o
 
     order = set()
-    for i, j in product.skeleton_edges():
+    for i, j in skeleton_edges(product):
         (u1, v1), (u2, v2) = product.vertices[i], product.vertices[j]
         forward = leq(c1, o1, u1, u2) and leq(c2, o2, v1, v2)
         backward = leq(c1, o1, u2, u1) and leq(c2, o2, v2, v1)
         if forward == backward:
             raise AssertionError("product pairs must be strictly comparable")
         order.add((i, j) if forward else (j, i))
-    product.order = frozenset(order)
-    return product
+    return product, frozenset(order)
 
 
 def tuple_verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:

@@ -24,6 +24,7 @@ from oracles import (
     neighbours,
     networkx_maximal_cliques,
     region_add,
+    skeleton_edges,
 )
 from kakimizu.diagram import (
     black_region_graph,
@@ -417,7 +418,7 @@ def test_criterion_8_connectivity_and_metric():
         c = build_complex(t)
         g = nx.Graph()
         g.add_nodes_from(range(len(c.vertices)))
-        g.add_edges_from(c.skeleton_edges())
+        g.add_edges_from(skeleton_edges(c))
         assert nx.is_connected(g)
 
     c = build_complex(pipeline(load("dalpha")))

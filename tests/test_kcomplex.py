@@ -42,10 +42,12 @@ from oracles import (
     all_pairs_neighbours,
     bfs_distance,
     cyclic_order_maximal_simplices,
+    key_pairs,
     neighbours,
     networkx_maximal_cliques,
     order_regions,
     region_add,
+    skeleton_edges,
     vertex_rank,
 )
 
@@ -349,7 +351,7 @@ def test_nested_pair_complex():
 def test_connected(dalpha_complex):
     g = nx.Graph()
     g.add_nodes_from(range(len(dalpha_complex.vertices)))
-    g.add_edges_from(dalpha_complex.skeleton_edges())
+    g.add_edges_from(skeleton_edges(dalpha_complex))
     assert nx.is_connected(g)
 
 
@@ -732,8 +734,8 @@ def test_moves_need_a_theta_graph():
 def test_order_axioms(dalpha, dalpha_complex, region_idx):
     t, regions = dalpha
     c = dalpha_complex
-    order = order_vertices(c, regions[region_idx])
-    edges = c.skeleton_edges()
+    order = key_pairs(c, order_vertices(c, regions[region_idx]))
+    edges = skeleton_edges(c)
     # antisymmetric, and defined exactly once per adjacent pair
     assert all((j, i) not in order for i, j in order)
     assert {tuple(sorted(p)) for p in order} == {tuple(sorted(e)) for e in edges}
@@ -756,7 +758,7 @@ def test_order_axioms(dalpha, dalpha_complex, region_idx):
 def oracle_order(c, r):
     """The region-broken order from ``adjacency`` on every skeleton edge."""
     order = set()
-    for i, j in c.skeleton_edges():
+    for i, j in skeleton_edges(c):
         a = adjacency(c.vertices[i], c.vertices[j], c.theta)
         order.add((j, i) if any(reg.id == r.id for reg in a) else (i, j))
     return order
@@ -765,12 +767,12 @@ def oracle_order(c, r):
 def test_order_vertices_matches_oracle(dalpha_complex):
     c = dalpha_complex
     for r in c.theta.regions:
-        assert order_vertices(c, r) == oracle_order(c, r)
+        assert key_pairs(c, order_vertices(c, r)) == oracle_order(c, r)
     rng = random.Random(11)
     for _ in range(15):
         c = build_complex(random_theta(rng, max_vertices=60, max_cells=60))
         for r in c.theta.regions:
-            assert order_vertices(c, r) == oracle_order(c, r)
+            assert key_pairs(c, order_vertices(c, r)) == oracle_order(c, r)
 
 
 @settings(max_examples=30, deadline=None)
@@ -778,7 +780,21 @@ def test_order_vertices_matches_oracle(dalpha_complex):
 def test_order_vertices_matches_oracle_on_random_graphs(seed):
     c = build_complex(random_theta(random.Random(seed), max_vertices=60, max_cells=60))
     for r in c.theta.regions:
-        assert order_vertices(c, r) == oracle_order(c, r)
+        assert key_pairs(c, order_vertices(c, r)) == oracle_order(c, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_order_vertices_separates_every_simplex(seed):
+    """No two vertices of a maximal simplex share a key, for any region, on
+    graphs of one to three components, so sorting by key breaks no tie."""
+    t = random_theta(random.Random(seed), max_components=3)
+    c = build_complex(t)
+    for r in t.regions:
+        key = order_vertices(c, r)
+        assert len(key) == len(c.vertices)
+        for s in c.maximal_simplices:
+            assert len({key[i] for i in s}) == len(s), (r.id, s)
 
 
 def test_order_vertices_rejects_foreign_region(dalpha_complex):

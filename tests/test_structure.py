@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_text
-from oracles import exhaustive_colour_schemes, tuple_ordered_product, tuple_verify_iso
+from oracles import (
+    exhaustive_colour_schemes,
+    key_pairs,
+    tuple_ordered_product,
+    tuple_verify_iso,
+)
 from kakimizu import structure
 from kakimizu.diagram import black_region_graph
 from kakimizu.families import dalpha_graph
@@ -163,7 +168,7 @@ def ordered_by(c, r):
         vertices=c.vertices,
         maximal_simplices=c.maximal_simplices,
         theta=c.theta,
-        order=frozenset(order_vertices(c, r)),
+        key=order_vertices(c, r),
     )
 
 
@@ -187,7 +192,7 @@ def test_product_of_intervals_is_square():
 def test_product_with_point():
     a = order_by_first_region(single_component([1, 0, 0]))
     point = SimplicialComplex(
-        vertices=[("pt",)], maximal_simplices=[[0]], order=frozenset()
+        vertices=[("pt",)], maximal_simplices=[[0]], key=[0]
     )
     p = ordered_product(a, point)
     assert len(p.vertices) == len(a.vertices)
@@ -198,18 +203,18 @@ def test_product_with_point():
 def test_product_reads_each_chain_once(monkeypatch):
     a = order_by_first_region(single_component([10, 10]))
     b = order_by_first_region(single_component([5, 5, 0]))
-    calls = 0
-    chain = structure._chain
+    assert len(a.maximal_simplices) + len(b.maximal_simplices) == 120
+    validated = []
+    validate = structure.validate_order
 
-    def counting(simplex, order):
-        nonlocal calls
-        calls += 1
-        return chain(simplex, order)
+    def counting(c):
+        validated.append(c)
+        return validate(c)
 
-    monkeypatch.setattr(structure, "_chain", counting)
+    monkeypatch.setattr(structure, "validate_order", counting)
     p = ordered_product(a, b)
     assert len(p.maximal_simplices) == 20 * 100 * comb(3, 1)
-    assert calls == len(a.maximal_simplices) + len(b.maximal_simplices) == 120
+    assert validated == [a, b]
 
 
 def test_product_requires_order():
@@ -218,16 +223,29 @@ def test_product_requires_order():
         ordered_product(plain, plain)
 
 
-def test_validate_order_rejects_broken_relation():
-    c = esd(1, 2)
-    # a relation missing comparability on a skeleton edge
-    broken = SimplicialComplex(
+def keyed(c, key):
+    return SimplicialComplex(
         vertices=list(c.vertices),
         maximal_simplices=list(c.maximal_simplices),
-        order=frozenset({(0, 1)}),
+        key=key,
     )
-    with pytest.raises(ValueError):
-        validate_order(broken)
+
+
+def test_validate_order_rejects_broken_relation():
+    c = esd(1, 2)
+    assert validate_order(keyed(c, [0, 1, 2])) == [[0, 1], [1, 2]]
+    assert validate_order(keyed(c, [2, 1, 0])) == [[1, 0], [2, 1]]
+    # a key tying the two vertices of one edge leaves them incomparable
+    with pytest.raises(ValueError, match="order violates axioms"):
+        validate_order(keyed(c, [0, 1, 1]))
+
+
+@pytest.mark.parametrize(
+    "key", [None, [], [0, 1], [0, 1, 2, 3]], ids=["none", "empty", "short", "long"]
+)
+def test_validate_order_rejects_missing_key(key):
+    with pytest.raises(ValueError, match="carries no vertex order"):
+        validate_order(keyed(esd(1, 2), key))
 
 
 def test_order_vertices_gives_valid_order(dalpha_theta):
@@ -313,16 +331,18 @@ def test_component_product_random_family():
 @given(st.integers(0, 2**32 - 1))
 def test_products_and_isomorphisms_match_tuple_oracles(seed):
     """Every ordered product that ``component_product`` forms has the
-    vertices, simplices and order of the pair-named oracle, and the
-    isomorphism verdicts agree, also on a map with two images swapped."""
+    vertices and simplices of the pair-named oracle, its key gives the
+    oracle's relation and is a valid order, and the isomorphism verdicts
+    agree, also on a map with two images swapped."""
     t = random_theta(random.Random(seed), max_components=3)
     formed = []
 
     def compared(c1, c2):
-        p, q = ordered_product(c1, c2), tuple_ordered_product(c1, c2)
+        p, (q, order) = ordered_product(c1, c2), tuple_ordered_product(c1, c2)
         assert p.vertices == q.vertices
         assert p.maximal_simplices == q.maximal_simplices
-        assert p.order == q.order
+        assert key_pairs(p) == order
+        validate_order(p)
         formed.append(p)
         return p
 

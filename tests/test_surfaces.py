@@ -24,7 +24,7 @@ from kakimizu.theta import (
     reduce_bigons,
 )
 
-from oracles import neighbours
+from oracles import neighbours, skeleton_edges
 
 
 def pipeline(graph):
@@ -233,7 +233,7 @@ def test_neighbors_empty_for_empty_theta(trefoil):
 def test_neighbors_match_skeleton_everywhere(dalpha):
     d, t = dalpha
     c = build_complex(t)
-    skeleton = c.skeleton_edges()
+    skeleton = skeleton_edges(c)
     for i, v in enumerate(c.vertices):
         ball = sorted(
             c.vertices[j]

@@ -229,7 +229,8 @@ def assert_stages_match_oracles(d, seeds=()):
     want = extract_theta(augmented)
     t = theta_pipeline(d)
     assert json.dumps(t.to_json()) == json.dumps(want.to_json())
-    assert t.crossings == want.crossings
+    for eid in want.global_edge_order:
+        assert t.source.edges[eid].crossings == want.source.edges[eid].crossings
     assert map_state(t.source) == map_state(augmented)
     if t.components:
         assert t.face_of == face_index(augmented.trace_faces())
@@ -305,7 +306,7 @@ def test_dalpha_region_deltas_golden():
 
 def test_extract_records_crossing_chains():
     t = dalpha_theta()
-    chains = [t.crossings[eid] for eid in t.global_edge_order]
+    chains = [t.source.edges[eid].crossings for eid in t.global_edge_order]
     assert sorted(len(c) for c in chains) == [0, 0, 1, 1, 2]
     seen = [cid for chain in chains for cid in chain]
     assert len(seen) == len(set(seen)) == 4
