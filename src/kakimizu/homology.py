@@ -1,15 +1,17 @@
 """Reduced integer homology of simplicial complexes.
 
 The chain complex is augmented by the empty face in dimension -1, so all
-betti numbers below are reduced: a cone has none.  Before any matrix is
-built the whole complex is reduced by coreductions (Kaczynski, Mrozek and
-Ślusarek, *Homology computation by reduction of chain complexes*, 1998;
-Mrozek and Batko, *Coreduction homology algorithm*, 2009): a cell whose
-boundary on the cells still alive is a single facet is deleted together
-with that facet.  On the complexes of theta graphs this pairs off every
-cell.  Whatever survives keeps its original boundary restricted to the
-survivors, and each of those matrices goes through a dense Smith normal
-form with exact integer arithmetic, so torsion is reported exactly.
+betti numbers below are reduced: a cone has none.  First dominated
+vertices are deleted, a strong collapse that keeps the homotopy type
+(Boissonnat, Pritam and Pareek, *Strong collapse for persistence*, 2018);
+each theta complex tried collapses to a vertex.  The faces of the rest are
+reduced by coreductions (Kaczynski, Mrozek and Ślusarek, *Homology
+computation by reduction of chain complexes*, 1998; Mrozek and Batko,
+*Coreduction homology algorithm*, 2009): a cell whose boundary on the
+cells still alive is a single facet is deleted together with that facet.
+Whatever survives keeps its original boundary restricted to the survivors,
+and each of those matrices goes through a dense Smith normal form with
+exact integer arithmetic, so torsion is reported exactly.
 
 Cells are integer ids, and the facets of the k-cells sit in one flat list
 per dimension, k + 1 ids per cell, so ``flat[k][i::k + 1]`` is the i-th
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, count, repeat
 
 from .kcomplex import SimplicialComplex
 
@@ -32,7 +34,7 @@ __all__ = ["HomologyReport", "homology", "smith_diagonal"]
 class HomologyReport:
     betti: list[int]  # reduced, indexed by dimension
     torsion: list[list[int]]  # torsion coefficients per dimension
-    euler: int  # alternating sum of face counts
+    euler: int  # alternating sum of face counts; the strong core's is the same
 
     def is_trivial(self) -> bool:
         return all(b == 0 for b in self.betti) and all(
@@ -239,7 +241,65 @@ def _coreduce(offsets: list[int], flat: list[list[int]]) -> bytearray:
     return live
 
 
+def _strong_core(simplices) -> list[frozenset]:
+    """The maximal simplices left once no vertex is dominated.  Vertex v is
+    dominated by w when every maximal simplex that holds v holds w; then v
+    is deleted, each simplex of its star shrinking to its face without v,
+    kept where no live simplex contains it.  This keeps the homotopy type
+    (Barmak and Minian, *Strong homotopy types, nerves and collapses*,
+    2012).  ``star[v]`` holds the ids of the live simplices that hold v, so
+    a simplex lies in a live one exactly when the stars of its vertices
+    meet.  Vertices wait first in, first out."""
+    live: dict[int, frozenset] = {}
+    star: dict[int, set[int]] = {}
+    ids, nowhere = count(), set()
+
+    def inside(s: frozenset) -> set[int]:
+        return set.intersection(*sorted(map(star.get, s, repeat(nowhere)), key=len))
+
+    def add(s: frozenset) -> None:
+        live[i := next(ids)] = s
+        for v in s:
+            star.setdefault(v, set()).add(i)
+
+    # larger first, dropping listed faces; one of the largest size is maximal
+    listed = sorted(dict.fromkeys(map(frozenset, simplices)), key=len, reverse=True)
+    for s in listed:
+        if s and (len(s) == len(listed[0]) or not inside(s)):
+            add(s)
+    queue = deque(sorted(star))
+    while queue and len(star) > 1:
+        v = queue.popleft()
+        mine = star.get(v)
+        if not mine or not any(mine <= star[w] for w in live[min(mine)] - {v}):
+            continue
+        gone = [live.pop(i) for i in mine]
+        del star[v]
+        touched = set().union(*gone) - {v}
+        for w in touched:
+            star[w] -= mine
+        for s in gone:
+            if not inside(s := s - {v}):  # not empty: v is dominated
+                add(s)
+        queue.extend(sorted(touched))
+    return list(live.values())
+
+
 def homology(c: SimplicialComplex) -> HomologyReport:
+    """Reduced homology of ``c``, from the chain complex of its strong core,
+    which has the same homotopy type, hence the same reduced betti numbers,
+    torsion and Euler characteristic; dimensions above its own are empty."""
+    core = _strong_core(c.maximal_simplices)
+    label = {v: i for i, v in enumerate(sorted(set().union(*core)))}
+    core = [sorted(map(label.__getitem__, s)) for s in core]
+    report = _chain_homology(SimplicialComplex(list(range(len(label))), core))
+    pad = max(map(len, c.maximal_simplices)) - len(report.betti)
+    report.betti += [0] * pad
+    report.torsion += [[] for _ in range(pad)]
+    return report
+
+
+def _chain_homology(c: SimplicialComplex) -> HomologyReport:
     """Reduced homology from the augmented chain complex."""
     by_dim = _faces_by_dim(c)
     f_counts = [len(fs) for fs in by_dim]

@@ -81,8 +81,12 @@ answer:
   complex from the set of all faces, checks that consecutive boundaries
   compose to zero by multiplying them out, and eliminates each matrix on
   its own with ``rescan_eliminate``, where ``homology.homology`` first
-  pairs cells off by coreduction and gives only the residue to the Smith
-  form.
+  deletes dominated vertices, then pairs cells off by coreduction and
+  gives only the residue to the Smith form;
+- ``dominated`` decides whether a vertex is dominated by listing the
+  maximal simplices of a complex with a pairwise subset test and trying
+  every other vertex of the star, where ``homology._strong_core`` compares
+  sets of simplex ids.
 """
 
 from __future__ import annotations
@@ -984,6 +988,14 @@ def matrix_homology(c: SimplicialComplex) -> HomologyReport:
         betti.append(f_counts[k] - out_rank - in_rank)
         torsion.append(list(in_div))
     return HomologyReport(betti=betti, torsion=torsion, euler=euler)
+
+
+def dominated(simplices, v) -> bool:
+    """Whether some vertex other than ``v`` lies in every maximal simplex
+    that holds ``v``; a vertex in no simplex is not dominated."""
+    sets = {frozenset(s) for s in simplices}
+    star = [s for s in sets if v in s and not any(s < t for t in sets)]
+    return any(all(w in s for s in star) for w in set().union(*star) - {v})
 
 
 def listed_lattice(

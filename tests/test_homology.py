@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from conftest import load_text
 from oracles import (
     boundary,
+    dominated,
     faces_by_dim,
     listed_coreduce,
     listed_lattice,
@@ -26,9 +28,23 @@ from test_kcomplex import BENCH_SHAPES, shaped_theta
 from kakimizu import homology as homology_module
 from kakimizu.generate import random_theta, random_theta_family
 from kakimizu.homology import HomologyReport, homology, smith_diagonal
-from kakimizu.homology import _coreduce, _faces_by_dim, _lattice
+from kakimizu.homology import (
+    _chain_homology,
+    _check_boundary_squared,
+    _coreduce,
+    _faces_by_dim,
+    _lattice,
+    _strong_core,
+)
 from kakimizu.kcomplex import SimplicialComplex, build_complex
-from kakimizu.theta import SPHERE, Placement, ThetaComponent, ThetaEdge, ThetaGraph
+from kakimizu.theta import (
+    SPHERE,
+    Placement,
+    ThetaComponent,
+    ThetaEdge,
+    ThetaGraph,
+    parse_theta,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -193,9 +209,16 @@ def test_hollow_triangle_is_a_circle():
     assert rep.euler == 0
 
 
+HOLLOW_TETRAHEDRON = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+def cycle(n):
+    """A circle of ``n`` edges; no vertex is dominated when n > 3."""
+    return complex_on(n, [[i, (i + 1) % n] for i in range(n)])
+
+
 def test_hollow_tetrahedron_is_a_sphere():
-    faces = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-    rep = homology(complex_on(4, faces))
+    rep = homology(complex_on(4, HOLLOW_TETRAHEDRON))
     assert rep.betti == [0, 0, 1]
     assert rep.euler == 2
 
@@ -269,8 +292,17 @@ def theta_balls(draw):
 @given(st.one_of(small_complexes(), theta_balls()))
 @example(complex_on(6, PROJECTIVE_PLANE))
 @example(complex_on(8, DUNCE_HAT))
+@example(complex_on(4, HOLLOW_TETRAHEDRON))
+@example(cycle(500))
 def test_coreduction_matches_matrix_homology(c):
-    assert homology(c) == matrix_homology(c)
+    """The strong core has no dominated vertex and each of its simplices
+    lies in a simplex of the input; the homology of the core, the
+    coreduced homology of the whole complex and the per-matrix oracle's
+    agree."""
+    core = _strong_core(c.maximal_simplices)
+    assert all(not dominated(core, v) for v in set().union(*core))
+    assert all(any(s <= set(t) for t in c.maximal_simplices) for s in core)
+    assert homology(c) == _chain_homology(c) == matrix_homology(c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,7 +368,9 @@ def test_coreduction_residue_is_eliminated(monkeypatch, n, faces, left):
 def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
     """A 500-edge path is a contractible complex; with the signs dropped
     from its facets, the check that the boundary of a boundary vanishes
-    must fire, however many faces there are."""
+    must fire, however many faces there are.  ``homology`` collapses the
+    path to a point first, so its lattice goes through the stages by hand;
+    the 500-edge cycle has no dominated vertex and goes end to end."""
     path = complex_on(501, [[i, i + 1] for i in range(500)])
     assert homology(path).is_trivial()
     signed = homology_module._facet_signs
@@ -346,12 +380,16 @@ def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
 
     monkeypatch.setattr(homology_module, "_facet_signs", unsigned)
     with pytest.raises(AssertionError):
-        homology(path)
+        _check_boundary_squared(*_lattice(_faces_by_dim(path)))
+    with pytest.raises(AssertionError):
+        homology(cycle(500))
 
 
 def test_boundary_of_boundary_checks_face_ids(monkeypatch):
     """An edge of a triangle that names a wrong vertex leaves the signs
-    right, but the triangle's codimension-2 faces no longer cancel."""
+    right, but the triangle's codimension-2 faces no longer cancel: on a
+    triangle's lattice, and end to end on the hollow tetrahedron, which
+    has no dominated vertex."""
     lattice = homology_module._lattice
 
     def corrupted(by_dim):
@@ -361,12 +399,16 @@ def test_boundary_of_boundary_checks_face_ids(monkeypatch):
         return offsets, flat, signs
 
     monkeypatch.setattr(homology_module, "_lattice", corrupted)
+    triangle = complex_on(3, [[0, 1, 2]])
     with pytest.raises(AssertionError, match="dimension 2"):
-        homology(complex_on(3, [[0, 1, 2]]))
+        _check_boundary_squared(*corrupted(_faces_by_dim(triangle)))
+    with pytest.raises(AssertionError, match="dimension 2"):
+        homology(complex_on(4, HOLLOW_TETRAHEDRON))
 
 
 def test_boundary_of_boundary_checked_under_optimisation():
-    """``python -O`` strips assert statements; the check must still fire."""
+    """``python -O`` strips assert statements; the check must still fire,
+    on the 500-edge path's lattice and end to end on the 500-edge cycle."""
     script = (
         "from kakimizu import homology as h\n"
         "from kakimizu.kcomplex import SimplicialComplex\n"
@@ -374,10 +416,15 @@ def test_boundary_of_boundary_checked_under_optimisation():
         "h._facet_signs = lambda size: [abs(s) for s in signed(size)]\n"
         "path = SimplicialComplex(vertices=list(range(501)),\n"
         "    maximal_simplices=[[i, i + 1] for i in range(500)])\n"
-        "try:\n"
-        "    h.homology(path)\n"
-        "except AssertionError as e:\n"
-        "    print('raised:', e)\n"
+        "cycle = SimplicialComplex(vertices=list(range(500)),\n"
+        "    maximal_simplices=[[i, (i + 1) % 500] for i in range(500)])\n"
+        "for run in (lambda: h._check_boundary_squared(\n"
+        "        *h._lattice(h._faces_by_dim(path))),\n"
+        "        lambda: h.homology(cycle)):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except AssertionError as e:\n"
+        "        print('raised:', e)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -386,6 +433,20 @@ def test_boundary_of_boundary_checked_under_optimisation():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: the boundary of a boundary is not zero")
+    assert out.stdout.count("raised: the boundary of a boundary is not zero") == 2
+
+
+def test_theta_balls_collapse_to_a_vertex():
+    """The cores of dalpha's theta graph, of the 675-vertex ball of
+    (2,1,1) (2,1,1) (1,1) and of the 8-cube (eight components of weights
+    (1, 0); 256 vertices, 40,320 simplices of dimension 8) are a single
+    vertex, so no face lattice of more than one cell is built for them.
+    This guards the speed of ``homology``, not its answers."""
+    dalpha = parse_theta(load_text("dalpha.theta.json"))
+    cube = sphere_theta(*[(1, 0)] * 8)
+    for t in [dalpha, sphere_theta((2, 1, 1), (2, 1, 1), (1, 1)), cube]:
+        core = _strong_core(build_complex(t).maximal_simplices)
+        assert len(core) == 1 and len(core[0]) == 1
 
 
 def test_empty_complex_is_refused():
