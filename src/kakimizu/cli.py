@@ -27,7 +27,7 @@ from .diagram import (
     validate,
     white_region_graph,
 )
-from .generate import random_theta_family
+from .generate import predicted_vertex_count, random_theta_family
 from .kcomplex import (
     SimplicialComplex,
     build_complex,
@@ -105,10 +105,10 @@ def cmd_complex(args) -> tuple[int, dict]:
 
 def cmd_analyze(args) -> tuple[int, dict]:
     t = _sniff(_read_input(args.input))
-    c = build_complex(t)
     for idx in args.metric or ():
-        if not 0 <= idx < len(c.vertices):
+        if not 0 <= idx < predicted_vertex_count(t):
             raise ValueError(f"vertex index {idx} out of range")
+    c = build_complex(t)
     doc: dict = {
         "vertex_count": len(c.vertices),
         "maximal_simplex_count": len(c.maximal_simplices),
@@ -325,10 +325,10 @@ class _Unmirrored(Exception):
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 
-    Lists of ints and lists of non-empty int lists, the bulk of a complex,
-    are written by the C encoder and re-indented by ``str.replace``; a
-    document with a non-string key or a value of another type goes to
-    ``json.dumps`` whole.
+    Lists nesting non-empty lists to the same depth on every branch down
+    to ints, the bulk of a complex, are written by the C encoder and
+    re-indented by one ``str.replace`` per level; a document with a
+    non-string key or a value of another type goes to ``json.dumps`` whole.
     """
     out: list[str] = []
     try:
@@ -336,6 +336,25 @@ def _dumps(doc) -> str:
     except _Unmirrored:
         return json.dumps(doc, indent=2, sort_keys=True)
     return "".join(out)
+
+
+def _int_depth(o) -> int:
+    """How many levels of non-empty lists lead from ``o`` to ints, the same
+    on every branch, or 0 when they differ or something else is met; each
+    level is read through lazy chains, so nothing is copied."""
+
+    def level(k: int):
+        items = o
+        for _ in range(k):
+            items = itertools.chain.from_iterable(items)
+        return items
+
+    depth = 0
+    while not (kinds := set(map(type, level(depth)))) <= _INTS:
+        if not (kinds <= _SEQS and all(level(depth))):
+            return 0
+        depth += 1
+    return depth + 1
 
 
 def _write(o, nl: str, out: list[str]) -> None:
@@ -346,21 +365,28 @@ def _write(o, nl: str, out: list[str]) -> None:
     elif o is None or isinstance(o, (int, float)):
         out.append(_compact(o))
     elif isinstance(o, (list, tuple)):
-        inner = nl + "  "
         if not o:
             out.append("[]")
-        elif set(map(type, o)) <= _INTS:
-            out.append("[" + inner + _compact(o)[1:-1].replace(",", "," + inner) + nl + "]")
-        elif (
-            set(map(type, o)) <= _SEQS
-            and all(o)
-            and set(map(type, itertools.chain.from_iterable(o))) <= _INTS
-        ):
-            deeper = inner + "  "
-            body = _compact(o)[2:-2].replace(",", "," + deeper)
-            body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-            out.append("[" + inner + "[" + deeper + body + inner + "]" + nl + "]")
+        elif depth := _int_depth(o):
+            # ind[j] starts a line j levels in, so the ints sit at
+            # ind[depth]; where an innermost list ends inside a list k
+            # levels out, k lists close and k open, and the widest such
+            # fences are replaced first, as each holds the narrower ones
+            ind = [nl + "  " * j for j in range(depth + 1)]
+
+            def opens(k: int) -> str:
+                return "".join(ind[j] + "[" for j in range(depth - k, depth)) + ind[depth]
+
+            def closes(k: int) -> str:
+                return "".join(ind[j] + "]" for j in reversed(range(depth - k, depth)))
+
+            body = _compact(o)[depth:-depth].replace(",", "," + ind[depth])
+            for k in range(depth - 1, 0, -1):
+                fence = "]" * k + "," + ind[depth] + "[" * k
+                body = body.replace(fence, closes(k) + "," + opens(k))
+            out.append(opens(depth)[len(nl):] + body + closes(depth))
         else:
+            inner = nl + "  "
             sep = "[" + inner
             for v in o:
                 out.append(sep)

@@ -12,10 +12,13 @@ flag, so its maximal simplices are also the maximal cliques of this
 neighbour graph.
 
 Every single-region move of a complex is looked up once, in its move
-table ``SimplicialComplex.moves``; the rooted walk of ``build_complex`` and
-the neighbour search of ``flag_check`` read that table.  What
-``flag_check`` keeps independent of the walk is the clique search:
-Bron-Kerbosch over the neighbour graph, compared with the walk's simplices.
+table ``SimplicialComplex.moves``, as an integer add: each vertex and each
+region delta is coded as one integer whose digits are the weights.  The
+rooted walk of ``build_complex`` and the neighbour search of
+``flag_check``, which extends the region sets of every vertex together, one
+set size at a time, read that table.  What ``flag_check`` keeps independent
+of the walk is the clique search: Bron-Kerbosch over the neighbour graph,
+compared with the walk's simplices.
 
 Two vertices differ by a sum of region deltas whose coefficients, the
 ``heights``, give the skeleton distance (Przytycki & Schultens, Trans. AMS
@@ -30,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .generate import predicted_vertex_count
 from .theta import Region, ThetaGraph
@@ -79,13 +82,25 @@ class SimplicialComplex:
     @cached_property
     def moves(self) -> list[tuple[int | None, ...]]:
         """``moves[i][r]`` is the index of ``vertices[i]`` plus the delta of
-        region r, or None where that point is not a vertex."""
+        region r, or None where that point is not a vertex.
+
+        Each weight vector v is coded as sum(v[e] * B**(n-1-e)), with B two
+        more than the greatest component weight, and so is each region
+        delta, so a move is one integer add and one lookup.  No point off
+        the vertices takes a vertex's code: a digit of m + 1 stays below B,
+        and a digit of -1 borrows, which raises the digit sum by B - 1 over
+        the total weight that every move keeps.
+        """
         if self.theta is None:
             raise ValueError("complex does not carry a theta graph")
-        index = self._index
+        t = self.theta
+        base = max((c.total_weight() for c in t.components), default=0) + 2
+        place = [base**e for e in reversed(range(t.n_edges))]
+        codes = [sum(map(mul, place, v)) for v in self.vertices]
+        index = {x: i for i, x in enumerate(codes)}
         columns = [
-            [index.get(tuple(map(add, v, d))) for v in self.vertices]
-            for d in (r.delta(self.theta) for r in self.theta.regions)
+            [index.get(x + d) for x in codes]
+            for d in (sum(map(mul, place, r.delta(t))) for r in t.regions)
         ]
         return list(zip(*columns)) if columns else [()] * len(self.vertices)
 
@@ -151,34 +166,6 @@ def vertex_at(t: ThetaGraph, i: int) -> Vertex:
             m -= x
         parts.append(digits + [m])
     return tuple(itertools.chain.from_iterable(reversed(parts)))
-
-
-# -- region moves ----------------------------------------------------------
-
-
-def _region_sets(moves: list, start: int) -> set[int]:
-    """Every vertex reached from vertex ``start`` by adding a proper
-    non-empty set of the regions one at a time, read off the move table.
-
-    The search visits each region set, a bit mask, at most once.  The
-    region deltas sum to zero and span a space of dimension one less than
-    their number, so distinct proper non-empty sets reach distinct vertices
-    and the search costs O(deg * R) lookups.
-    """
-    full = (1 << len(moves[start])) - 1
-    out = set()
-    seen = {0}
-    stack = [(0, start)]
-    while stack:
-        used, i = stack.pop()
-        for r, j in enumerate(moves[i]):
-            nxt = used | 1 << r
-            if j is not None and nxt not in seen:
-                seen.add(nxt)
-                if nxt != full:
-                    out.add(j)
-                    stack.append((nxt, j))
-    return out
 
 
 # -- the complex -----------------------------------------------------------
@@ -261,10 +248,37 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
 
 
 def _neighbour_sets(c: SimplicialComplex) -> list[set[int]]:
-    """The neighbour graph of a theta complex: the indices adjacent to each
-    vertex, by the region-set search over the move table."""
-    moves = c.moves
-    return [_region_sets(moves, i) for i in range(len(moves))]
+    """The neighbour graph of a theta complex: the indices each vertex
+    reaches by adding a proper non-empty set of the regions one at a time,
+    read off the move table one region-set size at a time.
+
+    A level maps each region set reached, a bit mask, to the vertex it
+    reaches from each start that reaches it; the next level extends every
+    such group by one column of the table.  The region deltas sum to zero
+    and span a space of dimension one less than their number, so distinct
+    proper sets reach distinct vertices and the search costs O(deg * R)
+    lookups, made a whole group at a time.
+    """
+    columns = list(zip(*c.moves))
+    out: list[set[int]] = [set() for _ in c.vertices]
+    level = {0: {i: i for i in range(len(out))}}
+    for _ in range(len(columns) - 1):
+        nxt: dict[int, dict[int, int]] = {}
+        for used, group in level.items():
+            for r, col in enumerate(columns):
+                if used >> r & 1 or not (
+                    reached := {s: j for s, i in group.items() if (j := col[i]) is not None}
+                ):
+                    continue
+                if (mask := used | 1 << r) in nxt:
+                    nxt[mask].update(reached)
+                else:
+                    nxt[mask] = reached
+        level = nxt
+        for group in level.values():
+            for s, j in group.items():
+                out[s].add(j)
+    return out
 
 
 def flag_check(c: SimplicialComplex) -> bool:

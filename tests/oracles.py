@@ -8,6 +8,8 @@ answer:
 - networkx's clique search checks the library's own;
 - ``region_add`` adds a region's delta to a weight tuple, where
   ``SimplicialComplex.moves`` looks every move up once per complex;
+  ``tuple_moves`` builds that table by adding each delta to each weight
+  tuple, where ``moves`` adds integer codes;
 - ``adjacency`` decides whether two vertices are adjacent by solving a
   two-colouring of the regions, fixed by the owners of each theta edge,
   and then orders the region set greedily; ``all_pairs_neighbours`` runs it
@@ -15,6 +17,9 @@ answer:
   region at a time with ``region_add``) and the move-table search of
   ``kcomplex.flag_check`` must match, and whose region sets
   ``surfaces.realize_vertex`` must read off the region heights;
+- ``region_sets`` searches the region sets of one start vertex depth
+  first over the move table, where ``kcomplex._neighbour_sets`` extends
+  every start's region sets together, one set size at a time;
 - ``bfs_distance`` is a breadth-first search over every skeleton edge,
   where ``kcomplex.distance`` is the spread of the region heights;
 - ``scan_circle_black_face`` finds the black face of one Seifert circle by
@@ -95,6 +100,7 @@ import itertools
 import random
 from collections import deque
 from math import comb
+from operator import add
 
 import networkx as nx
 
@@ -137,6 +143,7 @@ __all__ = [
     "owner_maps",
     "relation_chains",
     "region_add",
+    "region_sets",
     "rescan_eliminate",
     "retrace_arc_candidates",
     "retrace_augment_flype_arcs",
@@ -145,6 +152,7 @@ __all__ = [
     "rotation_prev",
     "scan_circle_black_face",
     "skeleton_edges",
+    "tuple_moves",
     "tuple_ordered_product",
     "tuple_verify_iso",
     "union_find_orientation",
@@ -199,6 +207,45 @@ def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
                 if nxt != full:
                     out[w] = [s for k, s in enumerate(regions) if nxt >> k & 1]
                     stack.append((nxt, w))
+    return out
+
+
+def tuple_moves(c: SimplicialComplex) -> list[tuple[int | None, ...]]:
+    """``c.moves`` keyed by weight tuples: ``moves[i][r]`` is the index of
+    ``vertices[i]`` plus the delta of region r, or None where that point is
+    not a vertex, one tuple addition per vertex and region."""
+    if c.theta is None:
+        raise ValueError("complex does not carry a theta graph")
+    index = {v: i for i, v in enumerate(c.vertices)}
+    columns = [
+        [index.get(tuple(map(add, v, d))) for v in c.vertices]
+        for d in (r.delta(c.theta) for r in c.theta.regions)
+    ]
+    return list(zip(*columns)) if columns else [()] * len(c.vertices)
+
+
+def region_sets(moves: list, start: int) -> set[int]:
+    """Every vertex reached from vertex ``start`` by adding a proper
+    non-empty set of the regions one at a time, read off the move table.
+
+    The search visits each region set, a bit mask, at most once.  The
+    region deltas sum to zero and span a space of dimension one less than
+    their number, so distinct proper non-empty sets reach distinct vertices
+    and the search costs O(deg * R) lookups.
+    """
+    full = (1 << len(moves[start])) - 1
+    out = set()
+    seen = {0}
+    stack = [(0, start)]
+    while stack:
+        used, i = stack.pop()
+        for r, j in enumerate(moves[i]):
+            nxt = used | 1 << r
+            if j is not None and nxt not in seen:
+                seen.add(nxt)
+                if nxt != full:
+                    out.add(j)
+                    stack.append((nxt, j))
     return out
 
 

@@ -136,6 +136,18 @@ def test_analyze_metric_checked_before_homology(capsys, monkeypatch):
     assert run(capsys, *argv) == expected
 
 
+def test_analyze_metric_checked_before_the_build(capsys, monkeypatch):
+    argv = ["analyze", fx("dalpha.theta.json"), "--flag-check", "--metric", "0", "20"]
+    expected = run(capsys, *argv)
+    assert expected[:2] == (EXIT_INVALID, {"error": "vertex index 20 out of range"})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex was built before the range check")
+
+    monkeypatch.setattr(cli, "build_complex", refuse)
+    assert run(capsys, *argv) == expected
+
+
 # -- structure subcommands --------------------------------------------------
 
 
@@ -235,7 +247,7 @@ def test_builder_needs_no_neighbour_graph(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the neighbour graph was used")
 
-    monkeypatch.setattr(kcomplex, "_region_sets", refuse)
+    monkeypatch.setattr(kcomplex, "_neighbour_sets", refuse)
     monkeypatch.setattr(kcomplex, "_maximal_cliques", refuse)
     assert kcomplex.build_complex(t).to_json() == built
     after = [run(capsys, *argv) for argv in commands]
@@ -448,6 +460,38 @@ documents = st.recursive(
 @given(documents)
 def test_emitter_matches_json_dumps(doc):
     assert cli._dumps(doc) == reference_dumps(doc)
+
+
+def nested_ints(depth):
+    """Lists and tuples of non-empty lists, ``depth`` levels down to ints."""
+    s = ints
+    for _ in range(depth):
+        s = st.lists(s, min_size=1, max_size=3) | st.lists(s, min_size=1, max_size=3).map(tuple)
+    return s
+
+
+uniform_nests = st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), nested_ints(d)))
+mixed_nests = st.recursive(
+    ints,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_nests)
+def test_emitter_writes_uniform_int_nests_in_one_piece(case):
+    depth, doc = case
+    assert cli._int_depth(doc) == depth
+    assert cli._dumps(doc) == reference_dumps(doc)
+    assert cli._dumps({"v": [doc]}) == reference_dumps({"v": [doc]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_nests)
+def test_emitter_matches_json_dumps_on_mixed_int_nests(doc):
+    assert cli._dumps(doc) == reference_dumps(doc)
+    assert cli._dumps({"v": [doc, doc]}) == reference_dumps({"v": [doc, doc]})
 
 
 def test_emitter_defers_non_string_keys_to_json_dumps():

@@ -47,7 +47,9 @@ from oracles import (
     networkx_maximal_cliques,
     order_regions,
     region_add,
+    region_sets,
     skeleton_edges,
+    tuple_moves,
     vertex_rank,
 )
 
@@ -679,6 +681,30 @@ def test_flag_check_neighbours_on_dalpha(dalpha, dalpha_complex):
     assert neighbour_vertex_sets(dalpha_complex) == expected
 
 
+def region_set_oracle(c):
+    moves = tuple_moves(c)
+    return [region_sets(moves, i) for i in range(len(moves))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_neighbour_sets_match_the_region_set_oracle(seed):
+    """The search one region-set size at a time reaches from every vertex
+    what the depth-first search of that vertex's region sets reaches."""
+    t = random_theta(random.Random(seed), max_components=3, max_vertices=200, max_cells=200)
+    c = SimplicialComplex(enumerate_vertices(t), [], theta=t)
+    assert _neighbour_sets(c) == region_set_oracle(c)
+
+
+def test_neighbour_sets_on_sixty_regions():
+    # one 59-simplex: every vertex reaches each other one by one region set
+    t = small_theta([(1,) + (0,) * 59])
+    c = SimplicialComplex(enumerate_vertices(t), [], theta=t)
+    got = _neighbour_sets(c)
+    assert got == region_set_oracle(c)
+    assert got == [set(range(60)) - {i} for i in range(60)]
+
+
 # -- the move table --------------------------------------------------------
 
 
@@ -717,8 +743,31 @@ def test_moves_match_region_add_on_random_graphs(seed):
     t = random_theta(random.Random(seed), max_vertices=200, max_cells=200)
     c = build_complex(t)
     assert_moves_match_region_add(c)
+    assert c.moves == tuple_moves(c)
     # a complex that only shares the vertices and graph has the same table
     assert SimplicialComplex(c.vertices, [], theta=t).moves == c.moves
+
+
+def test_moves_refuse_a_borrow_beside_a_full_weight():
+    """A move that takes a weight of 0 to -1 next to an edge of the full
+    component weight m is where an integer code borrows from the digit of
+    that edge; the table must find no vertex there."""
+    m = 3
+    t = small_theta([(m, 0, 0), (0, m, 0)])
+    c = build_complex(t)
+    assert_moves_match_region_add(c)
+    borrows = [
+        (i, r)
+        for i, v in enumerate(c.vertices)
+        for r, region in enumerate(t.regions)
+        if any(
+            v[e] + d == -1 and v[e - 1] == m
+            for e, d in enumerate(region.delta(t))
+            if e
+        )
+    ]
+    assert borrows
+    assert all(c.moves[i][r] is None for i, r in borrows)
 
 
 def test_moves_need_a_theta_graph():
