@@ -18,9 +18,10 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .diagram import (
+    _diagram_from_doc,
+    decode_document,
     is_fibred,
     parse_diagram,
     seifert,
@@ -43,7 +44,7 @@ from .theta import (
     ThetaComponent,
     ThetaEdge,
     ThetaGraph,
-    parse_theta,
+    _theta_from_doc,
     theta_pipeline,
 )
 
@@ -55,18 +56,16 @@ EXIT_USAGE = 2
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    with open(path) as f:
+        return f.read()
 
 
 def _sniff(text: str) -> ThetaGraph:
     """Accept either a diagram document or a theta document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed document: {exc}") from exc
+    doc = decode_document(text)
     if isinstance(doc, dict) and "components" in doc:
-        return parse_theta(text)
-    return theta_pipeline(parse_diagram(text))
+        return _theta_from_doc(doc)
+    return theta_pipeline(_diagram_from_doc(doc))
 
 
 def _resolve_seed(cli_seed: int) -> int:
@@ -413,7 +412,8 @@ def _write(o, nl: str, out: list[str]) -> None:
 def _emit(doc: dict, args) -> None:
     text = _dumps(doc) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 

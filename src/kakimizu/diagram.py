@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .planar import Edge, EmbeddedGraph, HalfEdge, face_index
+from .record import Record
 
 __all__ = [
     "Crossing",
@@ -48,10 +48,14 @@ __all__ = [
 UNDER_IN, OVER_A, UNDER_OUT, OVER_B = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class Crossing:
-    id: int
-    pd: tuple[int, int, int, int]
+class Crossing(Record):
+    def __init__(self, id: int, pd: tuple[int, int, int, int]):
+        self.id = id
+        self.pd = pd
+
+    def __hash__(self) -> int:
+        # by the fields, so a crossing held in a set or dict must not change
+        return hash((self.id, self.pd))
 
 
 class Diagram:
@@ -209,6 +213,14 @@ class Diagram:
         ]
 
 
+def decode_document(text: str):
+    """``json.loads``, with malformed or too deeply nested JSON a ValueError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed document: {exc}") from exc
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse the diagram JSON schema into a :class:`Diagram`.
 
@@ -216,10 +228,11 @@ def parse_diagram(text: str) -> Diagram:
     with strand labels 1..2n, each appearing exactly twice.  Distinct label
     sets are normalized to 1..2n by rank.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed document: {exc}") from exc
+    return _diagram_from_doc(decode_document(text))
+
+
+def _diagram_from_doc(doc) -> Diagram:
+    """:func:`parse_diagram` on an already decoded document."""
     if not isinstance(doc, dict) or "crossings" not in doc:
         raise ValueError("malformed document: missing 'crossings'")
     raw = doc["crossings"]
@@ -256,15 +269,17 @@ def parse_diagram(text: str) -> Diagram:
 # -- validation ------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    connected: bool
-    alternating: bool
-    special: bool
-    reduced: bool
-    prime: bool
-    cuttable_region_exists: bool
-    messages: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    def __init__(self, connected: bool, alternating: bool, special: bool, reduced: bool,
+                 prime: bool, cuttable_region_exists: bool,
+                 messages: list[str] | None = None):
+        self.connected = connected
+        self.alternating = alternating
+        self.special = special
+        self.reduced = reduced
+        self.prime = prime
+        self.cuttable_region_exists = cuttable_region_exists
+        self.messages = [] if messages is None else messages
 
     def all_ok(self) -> bool:
         return (
@@ -422,14 +437,15 @@ def validate(d: Diagram) -> ValidationReport:
 # -- Seifert's algorithm ---------------------------------------------------
 
 
-@dataclass
-class SeifertData:
-    circles: list[list[int]]
-    s: int
-    black_regions: list[int]
-    white_regions: list[int]
-    chi: int
-    genus_like: int
+class SeifertData(Record):
+    def __init__(self, circles: list[list[int]], s: int, black_regions: list[int],
+                 white_regions: list[int], chi: int, genus_like: int):
+        self.circles = circles
+        self.s = s
+        self.black_regions = black_regions
+        self.white_regions = white_regions
+        self.chi = chi
+        self.genus_like = genus_like
 
     def to_json(self) -> dict:
         return {

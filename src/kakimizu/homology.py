@@ -22,19 +22,19 @@ per-cell facet lists, so the same cells survive.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, repeat
 
 from .kcomplex import SimplicialComplex
+from .record import Record
 
 __all__ = ["HomologyReport", "homology", "smith_diagonal"]
 
 
-@dataclass
-class HomologyReport:
-    betti: list[int]  # reduced, indexed by dimension
-    torsion: list[list[int]]  # torsion coefficients per dimension
-    euler: int  # alternating sum of face counts; the strong core's is the same
+class HomologyReport(Record):
+    def __init__(self, betti: list[int], torsion: list[list[int]], euler: int):
+        self.betti = betti  # reduced, indexed by dimension
+        self.torsion = torsion  # torsion coefficients per dimension
+        self.euler = euler  # alternating sum of face counts; the strong core's is the same
 
     def is_trivial(self) -> bool:
         return all(b == 0 for b in self.betti) and all(

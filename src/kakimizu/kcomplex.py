@@ -30,12 +30,12 @@ the simplex as a chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import mul, sub
 
 from .generate import predicted_vertex_count
+from .record import Record
 from .theta import Region, ThetaGraph
 
 __all__ = [
@@ -52,8 +52,7 @@ __all__ = [
 Vertex = tuple[int, ...]
 
 
-@dataclass
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """A finite complex given by its maximal simplices.
 
     ``vertices`` is canonically sorted and simplices refer to it by index.
@@ -61,12 +60,14 @@ class SimplicialComplex:
     vertex orders later; generic complexes leave it empty.
     """
 
-    vertices: list
-    maximal_simplices: list[list[int]]
-    theta: ThetaGraph | None = None
-    # optional vertex order, one key per vertex, e.g. from order_vertices;
-    # products of ordered complexes need it
-    key: list[int] | None = None
+    def __init__(self, vertices: list, maximal_simplices: list[list[int]],
+                 theta: ThetaGraph | None = None, key: list[int] | None = None):
+        self.vertices = vertices
+        self.maximal_simplices = maximal_simplices
+        self.theta = theta
+        # optional vertex order, one key per vertex, e.g. from order_vertices;
+        # products of ordered complexes need it
+        self.key = key
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,7 @@ two classes, and cyclic edge orders of theta graphs are read at the +1 end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 __all__ = [
     "Edge",
@@ -44,8 +44,7 @@ Dart = tuple[int, int]
 HalfEdge = tuple[int, int]
 
 
-@dataclass
-class Edge:
+class Edge(Record):
     """One edge of an embedded multigraph.
 
     ``crossings`` lists the diagram crossings sitting along the edge, in
@@ -54,12 +53,14 @@ class Edge:
     graphs).
     """
 
-    id: int
-    u: int
-    v: int
-    weight: int = 1
-    pos_left: bool = True
-    crossings: tuple[int, ...] = ()
+    def __init__(self, id: int, u: int, v: int, weight: int = 1, pos_left: bool = True,
+                 crossings: tuple[int, ...] = ()):
+        self.id = id
+        self.u = u
+        self.v = v
+        self.weight = weight
+        self.pos_left = pos_left
+        self.crossings = crossings
 
     def other(self, vertex: int) -> int:
         if vertex == self.u:

@@ -12,8 +12,6 @@ subdivisions, so it triangulates a ball whose dimension is the sum of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 from math import comb
 
 from .homology import HomologyReport, homology
@@ -23,6 +21,7 @@ from .kcomplex import (
     enumerate_vertices,
     order_vertices,
 )
+from .record import Record
 from .theta import (
     SPHERE,
     Placement,
@@ -210,8 +209,7 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
 # -- splitting at a region --------------------------------------------------
 
 
-@dataclass
-class SplitReport:
+class SplitReport(Record):
     """A theta graph cut along a curve inside one region.
 
     ``left`` keeps the lowest component; ``right`` keeps the rest.  The
@@ -219,11 +217,13 @@ class SplitReport:
     so that the factor complexes can be ordered compatibly.
     """
 
-    left: ThetaGraph
-    right: ThetaGraph
-    region: Region
-    left_region: Region
-    right_region: Region
+    def __init__(self, left: ThetaGraph, right: ThetaGraph, region: Region,
+                 left_region: Region, right_region: Region):
+        self.left = left
+        self.right = right
+        self.region = region
+        self.left_region = left_region
+        self.right_region = right_region
 
 
 def _incidence_tree(t: ThetaGraph) -> dict[tuple, list[tuple]]:
@@ -387,13 +387,14 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
 # -- ball structure ---------------------------------------------------------
 
 
-@dataclass
-class BallReport:
-    dimension: int
-    expected_dimension: int
-    pure: bool
-    region_count: int
-    homology: HomologyReport
+class BallReport(Record):
+    def __init__(self, dimension: int, expected_dimension: int, pure: bool,
+                 region_count: int, homology: HomologyReport):
+        self.dimension = dimension
+        self.expected_dimension = expected_dimension
+        self.pure = pure
+        self.region_count = region_count
+        self.homology = homology
 
     def ok(self) -> bool:
         counts = self.region_count == self.dimension + 1 if self.region_count else True

@@ -23,11 +23,10 @@ above and below the projection sphere, giving the Euler characteristic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagram import Diagram
 from .kcomplex import heights
 from .planar import HalfEdge
+from .record import Record
 from .theta import Region, ThetaGraph, merge_classes
 
 __all__ = [
@@ -45,11 +44,11 @@ __all__ = [
 # -- flype sets -------------------------------------------------------------
 
 
-@dataclass
-class FlypeCircle:
-    component: int
-    crossing_edge: int  # the -1 edge: one of its crossings moves away
-    arc_edge: int  # the +1 edge on its positive side: the crossing arrives
+class FlypeCircle(Record):
+    def __init__(self, component: int, crossing_edge: int, arc_edge: int):
+        self.component = component
+        self.crossing_edge = crossing_edge  # the -1 edge: one of its crossings moves away
+        self.arc_edge = arc_edge  # the +1 edge on its positive side: the crossing arrives
 
     def to_json(self) -> dict:
         return {
@@ -59,8 +58,7 @@ class FlypeCircle:
         }
 
 
-@dataclass
-class FlypeSet:
+class FlypeSet(Record):
     """A coherent set of flype circles, together with the side 2-colouring.
 
     ``labels`` records the net weight change of every theta edge; regions
@@ -68,12 +66,16 @@ class FlypeSet:
     negative side.
     """
 
-    base: tuple[int, ...]
-    region_ids: tuple[int, ...]
-    labels: dict[int, int]
-    circles: list[FlypeCircle]
-    positive_side_regions: tuple[int, ...] = ()
-    negative_side_regions: tuple[int, ...] = ()
+    def __init__(self, base: tuple[int, ...], region_ids: tuple[int, ...],
+                 labels: dict[int, int], circles: list[FlypeCircle],
+                 positive_side_regions: tuple[int, ...] = (),
+                 negative_side_regions: tuple[int, ...] = ()):
+        self.base = base
+        self.region_ids = region_ids
+        self.labels = labels
+        self.circles = circles
+        self.positive_side_regions = positive_side_regions
+        self.negative_side_regions = negative_side_regions
 
     def to_json(self) -> dict:
         return {
@@ -135,15 +137,16 @@ def flype_set_for_edge(t: ThetaGraph, u: tuple[int, ...], a: list[Region]) -> Fl
 # -- P-arc configurations ---------------------------------------------------
 
 
-@dataclass
-class PArcConfig:
+class PArcConfig(Record):
     """One P-arc per strand pair; ``crossing_sides`` says which side of
     each crossing its arc hugs ("flype" marks the bare crossings that the
     circles pass through)."""
 
-    arcs: list[tuple[int, int]]
-    crossing_sides: dict[int, str]
-    flype_arcs: list[tuple[int, tuple[int, int]]] = field(default_factory=list)
+    def __init__(self, arcs: list[tuple[int, int]], crossing_sides: dict[int, str],
+                 flype_arcs: list[tuple[int, tuple[int, int]]] | None = None):
+        self.arcs = arcs
+        self.crossing_sides = crossing_sides
+        self.flype_arcs = [] if flype_arcs is None else flype_arcs
 
     def to_json(self) -> dict:
         return {

@@ -29,13 +29,12 @@ surface complex.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from bisect import insort
-from dataclasses import dataclass, field
 
-from .diagram import Diagram, _region_graph
+from .diagram import Diagram, _region_graph, decode_document
 from .planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
+from .record import Record
 
 __all__ = [
     "Region",
@@ -58,25 +57,26 @@ SPHERE = "sphere"
 # -- the theta graph type ---------------------------------------------------
 
 
-@dataclass
-class ThetaEdge:
-    id: int
-    weight: int
+class ThetaEdge(Record):
+    def __init__(self, id: int, weight: int):
+        self.id = id
+        self.weight = weight
 
 
-@dataclass
-class Placement:
-    parent: int | str  # component id, or SPHERE
-    parent_face: int
-    outer_face: int
+class Placement(Record):
+    def __init__(self, parent: int | str, parent_face: int, outer_face: int):
+        self.parent = parent  # component id, or SPHERE
+        self.parent_face = parent_face
+        self.outer_face = outer_face
 
 
-@dataclass
-class ThetaComponent:
-    id: int
-    edges: list[ThetaEdge]  # positive cyclic order
-    placement: Placement
-    vertices: tuple[int, int] | None = None  # F(D) vertex pair, if known
+class ThetaComponent(Record):
+    def __init__(self, id: int, edges: list[ThetaEdge], placement: Placement,
+                 vertices: tuple[int, int] | None = None):
+        self.id = id
+        self.edges = edges  # positive cyclic order
+        self.placement = placement
+        self.vertices = vertices  # F(D) vertex pair, if known
 
     @property
     def k(self) -> int:
@@ -180,10 +180,11 @@ class ThetaGraph:
 
 def parse_theta(text: str) -> ThetaGraph:
     """Parse the theta JSON schema, checking every invariant."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed document: {exc}") from exc
+    return _theta_from_doc(decode_document(text))
+
+
+def _theta_from_doc(doc) -> ThetaGraph:
+    """:func:`parse_theta` on an already decoded document."""
     if not isinstance(doc, dict) or not isinstance(doc.get("components"), list):
         raise ValueError("malformed document: missing 'components'")
 
@@ -531,12 +532,14 @@ def theta_pipeline(d: Diagram) -> ThetaGraph:
 # -- regions ---------------------------------------------------------------
 
 
-@dataclass
-class Region:
-    id: int
-    faces: set[tuple[int, int]]
-    boundary_plus: set[int] = field(default_factory=set)
-    boundary_minus: set[int] = field(default_factory=set)
+class Region(Record):
+    def __init__(self, id: int, faces: set[tuple[int, int]],
+                 boundary_plus: set[int] | None = None,
+                 boundary_minus: set[int] | None = None):
+        self.id = id
+        self.faces = faces
+        self.boundary_plus = set() if boundary_plus is None else boundary_plus
+        self.boundary_minus = set() if boundary_minus is None else boundary_minus
 
     def delta(self, t: ThetaGraph) -> tuple[int, ...]:
         # compute_regions never puts an edge on both sides of one region

@@ -554,6 +554,26 @@ def test_import_leaves_networkx_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """Start-up cost: the CLI's import pulls in none of these modules.  The
+    child runs without site, which on some hosts preloads ``typing``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; before = set(sys.modules); import kakimizu.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    added = set(out.stdout.split())
+    assert "kakimizu.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing", "pathlib"}
+
+
 def test_library_has_no_bare_asserts():
     """``python -O`` strips assert statements, so library invariants raise
     ``AssertionError`` explicitly."""
@@ -587,6 +607,34 @@ def test_malformed_document(capsys, tmp_path):
     bad.write_text(json.dumps(theta))
     code, doc, _ = run(capsys, "complex", str(bad))
     assert code == EXIT_INVALID and "integer" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["seifert"],
+        ["theta"],
+        ["fibred"],
+        ["surface", "--vertex", "0"],
+        ["complex"],
+        ["analyze"],
+        ["product"],
+        ["verify-product"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_document_is_a_json_error(capsys, monkeypatch, argv):
+    """A nesting too deep for the JSON decoder is a malformed document,
+    reported as JSON with exit 1, not a traceback."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+    code = main([argv[0], "-", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert "malformed document" in json.loads(captured.out)["error"]
+    assert captured.err == ""
 
 
 def test_help_exits_zero(capsys):
