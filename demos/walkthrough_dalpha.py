@@ -17,11 +17,11 @@ import itertools
 import json
 from pathlib import Path
 
-from kakimizu.diagram import black_region_graph, parse_diagram, seifert, validate
+from kakimizu.diagram import parse_diagram, seifert, validate
 from kakimizu.kcomplex import build_complex, distance
 from kakimizu.structure import ball_report
 from kakimizu.surfaces import realize_vertex
-from kakimizu.theta import augment_flype_arcs, extract_theta, reduce_bigons
+from kakimizu.theta import theta_pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "dalpha.json"
 
@@ -73,10 +73,7 @@ def main():
     print(f"seifert: s={sd.s} circles, chi={sd.chi}, genus-like={sd.genus_like}")
     assert sd.s == 10
 
-    g = black_region_graph(d)
-    g = reduce_bigons(g)
-    g = augment_flype_arcs(g)
-    t = extract_theta(g)
+    t = theta_pipeline(d)  # black regions, bigons, flype arcs, theta graph
     counts = tuple(len(comp.edges) for comp in t.components)
     weights = [[e.weight for e in comp.edges] for comp in t.components]
     print(f"theta: component edge counts {counts}, weights {weights}")

@@ -427,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             code, doc = args.handler(args)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
+            # an OverflowError is a number too large for an index or a range
             code, doc = EXIT_INVALID, {"error": str(exc)}
         except AssertionError as exc:
             code, doc = EXIT_INVALID, {"internal_error": str(exc)}

@@ -37,7 +37,6 @@ __all__ = [
     "Diagram",
     "SeifertData",
     "ValidationReport",
-    "black_region_graph",
     "is_fibred",
     "parse_diagram",
     "seifert",
@@ -291,17 +290,6 @@ class ValidationReport(Record):
             and self.cuttable_region_exists
         )
 
-    def to_json(self) -> dict:
-        return {
-            "connected": self.connected,
-            "alternating": self.alternating,
-            "special": self.special,
-            "reduced": self.reduced,
-            "prime": self.prime,
-            "cuttable_region_exists": self.cuttable_region_exists,
-            "messages": list(self.messages),
-        }
-
 
 def _two_edge_cut(d: Diagram) -> tuple[int, int] | None:
     """The least pair of arcs whose removal disconnects the crossings, if any.
@@ -447,16 +435,6 @@ class SeifertData(Record):
         self.chi = chi
         self.genus_like = genus_like
 
-    def to_json(self) -> dict:
-        return {
-            "circles": [list(c) for c in self.circles],
-            "s": self.s,
-            "black_regions": list(self.black_regions),
-            "white_regions": list(self.white_regions),
-            "chi": self.chi,
-            "genus_like": self.genus_like,
-        }
-
 
 def _circle_successor(d: Diagram) -> dict[int, int]:
     """Label-to-label successor map of the orientation-respecting smoothing."""
@@ -595,12 +573,6 @@ def _region_graph(
     for f, cs in corners.items():
         g.rotation[f] = [(cid, 0 if g.edges[cid].u == f else 1) for cid, _ in cs]
     return g, g.trace_faces()  # raises unless the embedding is spherical
-
-
-def black_region_graph(d: Diagram) -> EmbeddedGraph:
-    """The graph with a vertex in each black region and an edge through each
-    crossing, embedded by the diagram, with oriented vertices and edge sides."""
-    return _region_graph(d, "black")[0]
 
 
 def white_region_graph(d: Diagram) -> EmbeddedGraph:

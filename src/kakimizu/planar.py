@@ -117,12 +117,6 @@ class EmbeddedGraph:
             raise ValueError(f"loop edge {edge.id} not supported in embeddings")
         self.edges[edge.id] = edge
 
-    def remove_edge(self, eid: int) -> Edge:
-        edge = self.edges.pop(eid)
-        self.rotation[edge.u].remove((eid, 0))
-        self.rotation[edge.v].remove((eid, 1))
-        return edge
-
     def copy(self) -> "EmbeddedGraph":
         g = EmbeddedGraph()
         g.orientation = dict(self.orientation)
@@ -133,14 +127,8 @@ class EmbeddedGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def vertex_ids(self) -> list[int]:
-        return sorted(self.rotation)
-
     def edge_ids(self) -> list[int]:
         return sorted(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
 
     def dart_vertex(self, dart: Dart) -> int:
         edge = self.edges[dart[0]]
@@ -236,9 +224,3 @@ class EmbeddedGraph:
             key = (min(e.u, e.v), max(e.u, e.v))
             groups.setdefault(key, []).append(eid)
         return groups
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EmbeddedGraph(V={len(self.rotation)}, E={len(self.edges)}, "
-            f"edges={sorted(self.edges)})"
-        )

@@ -1,4 +1,4 @@
-"""Field-wise equality and printing for the package's small value classes."""
+"""Field-wise equality, printing and JSON for the package's value classes."""
 
 
 class Record:
@@ -21,3 +21,7 @@ class Record:
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({args})"
+
+    def to_json(self) -> dict:
+        """Each field, in field order, mapped to its value."""
+        return {f: getattr(self, f) for f in self._fields}

@@ -286,7 +286,7 @@ def _branch_theta(t: ThetaGraph, walks: list[dict], region: Region) -> ThetaGrap
                 pl = Placement(parent, faces[parent], faces[cid])
             old = t.component_by_id(cid)
             comps_out.append(
-                ThetaComponent(cid, old.edges, placement=pl, vertices=old.vertices)
+                ThetaComponent(cid, old.edges, placement=pl)
             )
     return ThetaGraph(comps_out)
 
@@ -407,14 +407,7 @@ class BallReport(Record):
         )
 
     def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "expected_dimension": self.expected_dimension,
-            "pure": self.pure,
-            "region_count": self.region_count,
-            "homology": self.homology.to_json(),
-            "ok": self.ok(),
-        }
+        return {**super().to_json(), "homology": self.homology.to_json(), "ok": self.ok()}
 
 
 def ball_report(t: ThetaGraph, c: SimplicialComplex | None = None) -> BallReport:

@@ -50,31 +50,22 @@ class FlypeCircle(Record):
         self.crossing_edge = crossing_edge  # the -1 edge: one of its crossings moves away
         self.arc_edge = arc_edge  # the +1 edge on its positive side: the crossing arrives
 
-    def to_json(self) -> dict:
-        return {
-            "component": self.component,
-            "crossing_edge": self.crossing_edge,
-            "arc_edge": self.arc_edge,
-        }
-
 
 class FlypeSet(Record):
     """A coherent set of flype circles, together with the side 2-colouring.
 
-    ``labels`` records the net weight change of every theta edge; regions
-    in A sit on the positive side of every circle, the rest on the
-    negative side.
+    ``labels`` records the net weight change of every theta edge; the
+    regions of A, ``region_ids``, sit on the positive side of every circle,
+    the rest on the negative side.
     """
 
     def __init__(self, base: tuple[int, ...], region_ids: tuple[int, ...],
                  labels: dict[int, int], circles: list[FlypeCircle],
-                 positive_side_regions: tuple[int, ...] = (),
                  negative_side_regions: tuple[int, ...] = ()):
         self.base = base
         self.region_ids = region_ids
         self.labels = labels
         self.circles = circles
-        self.positive_side_regions = positive_side_regions
         self.negative_side_regions = negative_side_regions
 
     def to_json(self) -> dict:
@@ -83,7 +74,7 @@ class FlypeSet(Record):
             "regions": list(self.region_ids),
             "labels": {str(k): v for k, v in sorted(self.labels.items())},
             "circles": [c.to_json() for c in self.circles],
-            "positive_side_regions": list(self.positive_side_regions),
+            "positive_side_regions": list(self.region_ids),
             "negative_side_regions": list(self.negative_side_regions),
         }
 
@@ -129,7 +120,6 @@ def flype_set_for_edge(t: ThetaGraph, u: tuple[int, ...], a: list[Region]) -> Fl
         region_ids=in_a,
         labels=labels,
         circles=circles,
-        positive_side_regions=in_a,
         negative_side_regions=tuple(sorted(all_ids - set(in_a))),
     )
 

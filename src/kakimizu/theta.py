@@ -29,7 +29,6 @@ surface complex.
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import insort
 
 from .diagram import Diagram, _region_graph, decode_document
@@ -42,12 +41,9 @@ __all__ = [
     "ThetaComponent",
     "ThetaEdge",
     "ThetaGraph",
-    "augment_flype_arcs",
     "compute_regions",
-    "extract_theta",
     "merge_classes",
     "parse_theta",
-    "reduce_bigons",
     "theta_pipeline",
 ]
 
@@ -71,12 +67,10 @@ class Placement(Record):
 
 
 class ThetaComponent(Record):
-    def __init__(self, id: int, edges: list[ThetaEdge], placement: Placement,
-                 vertices: tuple[int, int] | None = None):
+    def __init__(self, id: int, edges: list[ThetaEdge], placement: Placement):
         self.id = id
         self.edges = edges  # positive cyclic order
         self.placement = placement
-        self.vertices = vertices  # F(D) vertex pair, if known
 
     @property
     def k(self) -> int:
@@ -166,12 +160,8 @@ class ThetaGraph:
             "components": [
                 {
                     "id": c.id,
-                    "edges": [{"id": e.id, "weight": e.weight} for e in c.edges],
-                    "placement": {
-                        "parent": c.placement.parent,
-                        "parent_face": c.placement.parent_face,
-                        "outer_face": c.placement.outer_face,
-                    },
+                    "edges": [e.to_json() for e in c.edges],
+                    "placement": c.placement.to_json(),
                 }
                 for c in self.components
             ]
@@ -224,19 +214,13 @@ def _rooted(cycle: list) -> list:
     return cycle[i:] + cycle[:i]
 
 
-def reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Merge parallel edges bounding bigons until none remain.
+def _reduce_bigons(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces]:
+    """Merge parallel edges bounding bigons until none remain, in place on
+    ``g`` and its traced ``faces``; returns ``g`` with its traced faces.
 
     The surviving edge of each merge keeps the lower id; weights add, and
     the crossing chains concatenate in transverse order, so the chain of the
     final edge lists its crossings from the negative side to the positive.
-    """
-    return _reduce_bigons(g.copy(), g.trace_faces())[0]
-
-
-def _reduce_bigons(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces]:
-    """:func:`reduce_bigons` in place on ``g`` and its traced ``faces``;
-    returns ``g`` with its traced faces.
 
     Bigons merge in the order of their least half-edges.  A merge puts the
     kept half-edge in place of the dropped edge's far half-edge, in the face
@@ -307,26 +291,17 @@ def _face_arc_candidates(
     ]
 
 
-def augment_flype_arcs(
-    g: EmbeddedGraph, rng: random.Random | None = None
-) -> EmbeddedGraph:
-    """Add weight-0 arcs parallel to existing edges until no more fit.
+def _augment_flype_arcs(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces]:
+    """Add weight-0 arcs parallel to existing edges until no more fit, in
+    place on ``g`` and its traced ``faces``; returns ``g`` with its traced
+    faces.
 
     An arc through a face is admissible when the face has both endpoints of
     an existing edge on its boundary and neither side of the split it makes
     is a bigon.  At most one arc is added per face corner pair.  Candidates
-    are processed in canonical (face, corner) order, or shuffled when
-    ``rng`` is given; the outcome is the same graph either way, which the
-    test suite checks by isomorphism.
-    """
-    return _augment_flype_arcs(g.copy(), g.trace_faces(), rng)[0]
-
-
-def _augment_flype_arcs(
-    g: EmbeddedGraph, faces: Faces, rng: random.Random | None = None
-) -> tuple[EmbeddedGraph, Faces]:
-    """:func:`augment_flype_arcs` in place on ``g`` and its traced
-    ``faces``; returns ``g`` with its traced faces.
+    are processed in canonical (face, corner) order; any other order gives
+    the same graph, which the test suite checks by isomorphism against
+    shuffled runs of the retracing oracle.
 
     Each face keeps its candidate list.  An arc splits the one face whose
     corners it joins, and only the two new faces get new lists: arcs add no
@@ -352,15 +327,9 @@ def _augment_flype_arcs(
         if room <= 0:
             raise AssertionError("augmentation added more arcs than the map holds")
         room -= 1
-        if rng is None:
-            while queue[0][1] not in cands:
-                del queue[0]
-            (u, dart_u), (v, dart_v) = cands[queue[0][1]][0]
-        else:
-            # the whole list in (face, corner) order, as a full retrace has it
-            pool = [c for _, f in sorted((cycles[f][0], f) for f in cands) for c in cands[f]]
-            rng.shuffle(pool)
-            (u, dart_u), (v, dart_v) = pool[0]
+        while queue[0][1] not in cands:
+            del queue[0]
+        (u, dart_u), (v, dart_v) = cands[queue[0][1]][0]
         f = face_of[dart_u]
         if face_of[dart_v] != f:
             raise AssertionError("an arc must join two corners of one face")
@@ -445,8 +414,9 @@ def _wedge_of_face(
     return {f: w for members, (w,) in zip(classes, seeds) for f in members}
 
 
-def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
-    """Keep the vertex pairs of F(D) joined by at least two edges.
+def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
+    """Keep the vertex pairs of F(D) joined by at least two edges; ``faces``
+    are the traced faces of ``f``.
 
     Components are ordered by their smallest edge id; within a component the
     edges start at the smallest id and follow the positive cyclic order (the
@@ -456,12 +426,6 @@ def extract_theta(f: EmbeddedGraph) -> ThetaGraph:
     the first component.  ``t.face_of`` keeps the face index of ``f`` when
     the graph has components.
     """
-    return _extract_theta(f, None)
-
-
-def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
-    """:func:`extract_theta` on the traced ``faces`` of ``f``, traced here
-    when None."""
     classes = [
         (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
     ]
@@ -471,7 +435,7 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
         t.source = f
         return t
 
-    face_of = face_index(f.trace_faces() if faces is None else faces)
+    face_of = face_index(faces)
     ordered_eids: list[list[int]] = []
     weights: dict[int, int] = {}
     for (u, v), eids in classes:
@@ -506,13 +470,11 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces | None) -> ThetaGraph:
             placement = Placement(
                 parent, wedges[parent][seats[i]], wedges[i][p_face]
             )
-        pair = classes[i][0]
         comps.append(
             ThetaComponent(
                 id=i,
                 edges=[ThetaEdge(eid, weights[eid]) for eid in ordered_eids[i]],
                 placement=placement,
-                vertices=pair,
             )
         )
     t = ThetaGraph(comps)

@@ -16,6 +16,18 @@ def load_text(name: str) -> str:
     return fixture_path(name).read_text()
 
 
+def run_stages(g, *stages):
+    """``g`` through the private diagram-to-theta stages of
+    ``kakimizu.theta`` in turn (``_reduce_bigons``, ``_augment_flype_arcs``,
+    ``_extract_theta``) on a copy, with its faces traced once and handed
+    from stage to stage as ``theta_pipeline`` does; returns the last
+    stage's graph without its faces."""
+    out = (g.copy(), g.trace_faces())
+    for stage in stages:
+        out = stage(*out)
+    return out[0] if isinstance(out, tuple) else out
+
+
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

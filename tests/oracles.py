@@ -48,8 +48,8 @@ answer:
 - ``retrace_reduce_bigons``, ``retrace_arc_candidates`` and
   ``retrace_augment_flype_arcs`` retrace, and Euler-check, the whole map
   after every bigon merge and every arc, and rescan every face for a bigon
-  or for arc candidates, where ``theta.reduce_bigons`` and
-  ``theta.augment_flype_arcs`` trace once per stage and update only the
+  or for arc candidates, where ``theta._reduce_bigons`` and
+  ``theta._augment_flype_arcs`` trace once per stage and update only the
   faces each surgery touches;
 - ``rescan_eliminate`` is ``matrix_homology``'s eliminator: it pivots on
   unit entries, rescanning every row for the best Markowitz pivot at each
@@ -820,7 +820,9 @@ def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
         else:
             raise ValueError("bigon edges have incoherent sides")
         ek.weight += ed.weight
-        g.remove_edge(drop)
+        del g.edges[drop]
+        g.rotation[ed.u].remove((drop, 0))
+        g.rotation[ed.v].remove((drop, 1))
 
 
 def _face_corners(g: EmbeddedGraph, cycle: list) -> list[tuple[int, tuple[int, int]]]:

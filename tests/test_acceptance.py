@@ -16,7 +16,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from conftest import load_text
+from conftest import load_text, run_stages
 from oracles import (
     cyclic_order_maximal_simplices,
     exhaustive_is_fibred,
@@ -24,10 +24,11 @@ from oracles import (
     neighbours,
     networkx_maximal_cliques,
     region_add,
+    retrace_augment_flype_arcs,
     skeleton_edges,
 )
 from kakimizu.diagram import (
-    black_region_graph,
+    _region_graph,
     is_fibred,
     parse_diagram,
     seifert,
@@ -58,9 +59,8 @@ from kakimizu.theta import (
     ThetaComponent,
     ThetaEdge,
     ThetaGraph,
-    augment_flype_arcs,
-    extract_theta,
-    reduce_bigons,
+    _augment_flype_arcs,
+    _reduce_bigons,
     theta_pipeline,
 )
 
@@ -80,10 +80,6 @@ FAMILY_SEED = 20260823
 
 def load(name):
     return parse_diagram(load_text(f"{name}.json"))
-
-
-def pipeline(d):
-    return extract_theta(augment_flype_arcs(reduce_bigons(black_region_graph(d))))
 
 
 @functools.lru_cache(maxsize=1)
@@ -135,7 +131,7 @@ def region_walks_from(c, simplex, start):
 def test_criterion_1_golden_fixture():
     start = time.perf_counter()
     d = load("dalpha")
-    t = pipeline(d)
+    t = theta_pipeline(d)
     assert tuple(len(comp.edges) for comp in t.components) == (2, 3)
     u0 = t.weights()
     assert u0 == (1, 0, 2, 0, 1)
@@ -268,7 +264,7 @@ def test_criterion_3_diagram_to_theta_at_scale(monkeypatch):
 
 def test_criterion_4_flag_property():
     start = time.perf_counter()
-    instances = list(family50()) + [pipeline(load("dalpha"))]
+    instances = list(family50()) + [theta_pipeline(load("dalpha"))]
     for t in instances:
         c = build_complex(t)
         adj = {i: {c.index(w) for w in neighbours(t, v)} for i, v in enumerate(c.vertices)}
@@ -308,7 +304,7 @@ def test_criterion_5_euler_identity():
     start = time.perf_counter()
     for name in ("hopf", "trefoil", "dalpha"):
         d = load(name)
-        t = pipeline(d)
+        t = theta_pipeline(d)
         s = seifert(d).s
         n = len(d.crossings)
         u0 = t.weights()
@@ -387,7 +383,7 @@ def test_criterion_6_region_graph_lemmas():
 
 def as_multigraph(g):
     m = nx.MultiGraph()
-    m.add_nodes_from(g.vertex_ids())
+    m.add_nodes_from(g.rotation)
     for e in g.edges.values():
         m.add_edge(e.u, e.v, weight=e.weight)
     return m
@@ -397,10 +393,11 @@ def test_criterion_7_augmentation_well_defined():
     start = time.perf_counter()
     match_weights = nx.isomorphism.categorical_multiedge_match("weight", -1)
     for name in DIAGRAM_FIXTURES:
-        base = reduce_bigons(black_region_graph(load(name)))
-        want = as_multigraph(augment_flype_arcs(base))
+        base = run_stages(_region_graph(load(name), "black")[0], _reduce_bigons)
+        want = as_multigraph(run_stages(base, _augment_flype_arcs))
         for order_seed in range(20):
-            f = augment_flype_arcs(base, rng=random.Random(order_seed))
+            # shuffled candidate order, which only the retracing oracle offers
+            f = retrace_augment_flype_arcs(base, random.Random(order_seed))
             assert nx.is_isomorphic(
                 as_multigraph(f), want, edge_match=match_weights
             ), f"{name}, order seed {order_seed}"
@@ -413,7 +410,9 @@ def test_criterion_7_augmentation_well_defined():
 
 def test_criterion_8_connectivity_and_metric():
     start = time.perf_counter()
-    instances = list(family50()) + [pipeline(load(name)) for name in ("hopf", "dalpha")]
+    instances = list(family50()) + [
+        theta_pipeline(load(name)) for name in ("hopf", "dalpha")
+    ]
     for t in instances:
         c = build_complex(t)
         g = nx.Graph()
@@ -421,7 +420,7 @@ def test_criterion_8_connectivity_and_metric():
         g.add_edges_from(skeleton_edges(c))
         assert nx.is_connected(g)
 
-    c = build_complex(pipeline(load("dalpha")))
+    c = build_complex(theta_pipeline(load("dalpha")))
     n = len(c.vertices)
     assert n == 20
     dist = [

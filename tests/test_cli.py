@@ -1,12 +1,16 @@
 """Command-line behaviour: exit codes, report shapes, determinism."""
 
 import ast
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -574,6 +578,15 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert not added & {"dataclasses", "inspect", "typing", "pathlib"}
 
 
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"kakimizu.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
 def test_library_has_no_bare_asserts():
     """``python -O`` strips assert statements, so library invariants raise
     ``AssertionError`` explicitly."""
@@ -635,6 +648,94 @@ def test_deeply_nested_document_is_a_json_error(capsys, monkeypatch, argv):
     assert code == EXIT_INVALID
     assert "malformed document" in json.loads(captured.out)["error"]
     assert captured.err == ""
+
+
+HUGE = 10**30
+HUGE_WEIGHT_THETA = json.dumps(
+    {
+        "components": [
+            {
+                "id": 0,
+                "edges": [{"id": 0, "weight": HUGE}, {"id": 1, "weight": 0}],
+                "placement": {"parent": "sphere", "parent_face": 0, "outer_face": 0},
+            }
+        ]
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "-"],
+        ["analyze", "-"],
+        ["product", "-"],
+        ["verify-product", "-"],
+        ["esd", "--n", "1", "--m", str(10**21)],
+        ["esd", "--n", str(10**21), "--m", "1"],
+    ],
+    ids=["complex", "analyze", "product", "verify-product", "esd-m", "esd-n"],
+)
+def test_numbers_too_large_are_a_json_error(capsys, monkeypatch, argv):
+    """A weight or a size too large for an index or a range ends in exit 1
+    with an error document, not an ``OverflowError`` traceback."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(HUGE_WEIGHT_THETA))
+    code, doc, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert set(doc) == {"error"}
+    assert err == ""
+
+
+ODD = st.sampled_from([True, 1.5, None, "x", [], HUGE])
+
+
+@st.composite
+def fuzz_theta(draw):
+    """A theta document of distinct small int ids, up to 3 components of 2
+    or 3 edges and weight at most 2 each, with up to two of its ids,
+    weights, edge lists or placements replaced by values a theta document
+    must not hold."""
+    cids, eids = draw(st.permutations(range(4))), iter(draw(st.permutations(range(9))))
+    comps, slots = [], []
+    # sampled from the largest down, as draws lean to the first choice
+    for cid in cids[: draw(st.sampled_from([3, 2, 1, 0]))]:
+        k = draw(st.sampled_from([3, 2]))
+        weights = draw(
+            st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(lambda w: sum(w) <= 2)
+        )
+        edges = [{"id": next(eids), "weight": w} for w in weights]
+        placement = {
+            "parent": draw(st.sampled_from(["sphere", *(c["id"] for c in comps)])),
+            "parent_face": draw(st.integers(0, 2)),
+            "outer_face": draw(st.integers(0, k - 1)),
+        }
+        comp = {"id": cid, "edges": edges, "placement": placement}
+        comps.append(comp)
+        slots += [(e, key) for key in ("weight", "id") for e in edges]
+        slots += [*((placement, key) for key in placement), (comp, "placement")]
+        slots += [(comp, "edges"), (comp, "id")]
+    for _ in range(draw(st.integers(0, 2)) if slots else 0):
+        # half the time the one odd value that parses, so the work starts
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(st.just(HUGE) | ODD)
+    return {"components": comps}
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_theta())
+def test_random_theta_documents_end_in_a_json_document(doc):
+    text = json.dumps(doc)
+    for argv in (
+        ["complex", "-"],
+        ["analyze", "-", "--ball", "--flag-check"],
+        ["product", "-"],
+        ["verify-product", "-"],
+    ):
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE), argv
+        assert isinstance(json.loads(out.getvalue()), dict), argv
 
 
 def test_help_exits_zero(capsys):

@@ -15,8 +15,8 @@ from kakimizu.diagram import (
     _circle_black_faces,
     _circles,
     _smoothing_is_prime,
+    _region_graph,
     _two_edge_cut,
-    black_region_graph,
     is_fibred,
     parse_diagram,
     seifert,
@@ -418,7 +418,7 @@ def test_seifert_is_linear_on_many_circles():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_black_graph_of_torus_links(k):
-    g = black_region_graph(medial(book(k)))
+    g = _region_graph(medial(book(k)), "black")[0]
     assert len(g.rotation) == 2
     assert len(g.edges) == k
     (pair, ids), = g.parallel_classes().items()
@@ -427,7 +427,7 @@ def test_black_graph_of_torus_links(k):
 
 def test_black_graph_no_loops_and_bipartite():
     for fam in [book(3), cube_graph(), dalpha_graph()]:
-        g = black_region_graph(medial(fam))
+        g = _region_graph(medial(fam), "black")[0]
         for e in g.edges.values():
             assert e.u != e.v
             assert {g.orientation[e.u], g.orientation[e.v]} == {1, -1}
@@ -436,8 +436,8 @@ def test_black_graph_no_loops_and_bipartite():
 def test_white_graph_even_valencies():
     for fam in [book(2), book(3), cube_graph(), dalpha_graph(), granny_graph()]:
         w = white_region_graph(medial(fam))
-        for v in w.vertex_ids():
-            assert w.degree(v) % 2 == 0
+        for rot in w.rotation.values():
+            assert len(rot) % 2 == 0
 
 
 def test_white_graph_reduced_prime_no_cut_vertex_no_loop():
@@ -448,7 +448,7 @@ def test_white_graph_reduced_prime_no_cut_vertex_no_loop():
         for e in w.edges.values():
             assert e.u != e.v
         m = nx.MultiGraph()
-        m.add_nodes_from(w.vertex_ids())
+        m.add_nodes_from(w.rotation)
         m.add_edges_from((e.u, e.v) for e in w.edges.values())
         if len(m) > 2:
             assert not list(nx.articulation_points(nx.Graph(m)))

@@ -31,12 +31,13 @@ from kakimizu.theta import (
     ThetaComponent,
     ThetaEdge,
     ThetaGraph,
-    augment_flype_arcs,
+    _augment_flype_arcs,
+    _extract_theta,
+    _reduce_bigons,
     compute_regions,
-    extract_theta,
-    reduce_bigons,
 )
 
+from conftest import run_stages
 from oracles import (
     adjacency,
     all_pairs_neighbours,
@@ -71,7 +72,7 @@ CYCLES = [
 
 @pytest.fixture(scope="module")
 def dalpha():
-    t = extract_theta(augment_flype_arcs(reduce_bigons(dalpha_graph())))
+    t = run_stages(dalpha_graph(), _reduce_bigons, _augment_flype_arcs, _extract_theta)
     return t, compute_regions(t)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kakimizu.diagram import black_region_graph, validate
+from kakimizu.diagram import _region_graph, validate
 from kakimizu.families import (
     book,
     build_graph,
@@ -19,7 +19,7 @@ def cyclic_eq(a, b):
 
 
 def assert_roundtrip(g):
-    """black_region_graph(medial(g)) == g, orientation-preserving.
+    """The black-region graph of medial(g) is g, orientation-preserving.
 
     The vertex correspondence sends each +1 vertex to the black region at
     the anticlockwise black corner of any of its crossings, and the match
@@ -27,10 +27,10 @@ def assert_roundtrip(g):
     sequence, not just up to reflection).
     """
     d = medial(g)
-    b = black_region_graph(d)
+    b = _region_graph(d, "black")[0]
     par = d.smoothing_parity()
     vmap = {}
-    for w in g.vertex_ids():
+    for w in g.rotation:
         corner = par + 2 if g.orientation[w] == 1 else par
         images = {d.corner_face(eid, corner) for eid, _ in g.rotation[w]}
         assert len(images) == 1
@@ -39,7 +39,7 @@ def assert_roundtrip(g):
     for eid, e in g.edges.items():
         x, y = (e.u, e.v) if g.orientation[e.u] == 1 else (e.v, e.u)
         assert (b.edges[eid].u, b.edges[eid].v) == (vmap[x], vmap[y])
-    for w in g.vertex_ids():
+    for w in g.rotation:
         assert b.orientation[vmap[w]] == g.orientation[w]
         rot_g = [eid for eid, _ in g.rotation[w]]
         rot_b = [eid for eid, _ in b.rotation[vmap[w]]]

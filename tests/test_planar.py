@@ -4,7 +4,7 @@ import pytest
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph
 from oracles import min_pivot_trace_faces
-from kakimizu.diagram import black_region_graph, parse_diagram
+from kakimizu.diagram import _region_graph, parse_diagram
 from kakimizu.families import book, build_graph, cube_graph, dalpha_graph
 from kakimizu.medial import medial
 from kakimizu.planar import Edge, EmbeddedGraph, face_index
@@ -61,13 +61,6 @@ def test_insert_edge_splits_face():
     assert after == before + 1
 
 
-def test_remove_edge_keeps_consistency():
-    g = book(3)
-    g.remove_edge(1)
-    assert len(g.trace_faces()) == 2
-    assert sorted(g.edges) == [0, 2]
-
-
 def test_loops_rejected():
     g = EmbeddedGraph()
     g.add_vertex(0)
@@ -119,7 +112,7 @@ def test_trace_matches_oracle_on_fixture_maps():
     assert len(names) == 7
     for name in names:
         d = parse_diagram((FIXTURES / name).read_text())
-        for g in (d.map, black_region_graph(d)):
+        for g in (d.map, _region_graph(d, "black")[0]):
             assert g.trace_faces() == min_pivot_trace_faces(g)
 
 

@@ -53,7 +53,6 @@ EXAMPLES = [
             "id": 0,
             "edges": [ThetaEdge(0, 1), ThetaEdge(1, 0)],
             "placement": Placement(SPHERE, 0, 0),
-            "vertices": (1, 2),
         },
     ),
     (Region, {"id": 0, "faces": {(0, 0)}, "boundary_plus": {0}, "boundary_minus": {1}}),
@@ -95,7 +94,6 @@ EXAMPLES = [
             "region_ids": (0,),
             "labels": {0: -1, 1: 1},
             "circles": [FlypeCircle(0, 0, 1)],
-            "positive_side_regions": (0,),
             "negative_side_regions": (1,),
         },
     ),
@@ -109,10 +107,9 @@ EXAMPLES = [
 DEFAULTS = {
     ValidationReport: {"messages": []},
     Edge: {"weight": 1, "pos_left": True, "crossings": ()},
-    ThetaComponent: {"vertices": None},
     Region: {"boundary_plus": set(), "boundary_minus": set()},
     SimplicialComplex: {"theta": None, "key": None},
-    FlypeSet: {"positive_side_regions": (), "negative_side_regions": ()},
+    FlypeSet: {"negative_side_regions": ()},
     PArcConfig: {"flype_arcs": []},
 }
 
@@ -139,6 +136,14 @@ def test_equality_by_fields(cls, fields):
     for f in fields:
         assert cls(**{**fields, f: object()}) != obj
     assert obj != tuple(fields.values())
+
+
+FIELD_JSON = [(cls, fields) for cls, fields in EXAMPLES if "to_json" not in vars(cls)]
+
+
+@pytest.mark.parametrize("cls, fields", FIELD_JSON, ids=[c.__name__ for c, _ in FIELD_JSON])
+def test_to_json_maps_each_field_in_order(cls, fields):
+    assert list(cls(*fields.values()).to_json().items()) == list(fields.items())
 
 
 @pytest.mark.parametrize("cls", list(DEFAULTS), ids=lambda cls: cls.__name__)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_text
+from conftest import load_text, run_stages
 from oracles import (
     exhaustive_colour_schemes,
     key_pairs,
@@ -15,7 +15,6 @@ from oracles import (
     tuple_verify_iso,
 )
 from kakimizu import structure
-from kakimizu.diagram import black_region_graph
 from kakimizu.families import dalpha_graph
 from kakimizu.generate import random_theta, random_theta_family
 from kakimizu.kcomplex import (
@@ -41,11 +40,12 @@ from kakimizu.theta import (
     ThetaComponent,
     ThetaEdge,
     ThetaGraph,
-    augment_flype_arcs,
+    _augment_flype_arcs,
+    _extract_theta,
+    _reduce_bigons,
     compute_regions,
-    extract_theta,
     parse_theta,
-    reduce_bigons,
+    theta_pipeline,
 )
 
 
@@ -56,7 +56,7 @@ def single_component(weights):
 
 @pytest.fixture(scope="module")
 def dalpha_theta():
-    return extract_theta(augment_flype_arcs(reduce_bigons(dalpha_graph())))
+    return run_stages(dalpha_graph(), _reduce_bigons, _augment_flype_arcs, _extract_theta)
 
 
 # -- edgewise subdivision ---------------------------------------------------
@@ -468,7 +468,7 @@ def test_ball_report_json_shape(dalpha_theta):
 
 def test_dalpha_via_medial_matches(dalpha_theta):
     d = medial(dalpha_graph())
-    t = extract_theta(augment_flype_arcs(reduce_bigons(black_region_graph(d))))
+    t = theta_pipeline(d)
     assert t.weights() == dalpha_theta.weights()
     assert [c.k for c in t.components] == [c.k for c in dalpha_theta.components]
     c1, c2 = build_complex(t), build_complex(dalpha_theta)

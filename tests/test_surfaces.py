@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kakimizu.diagram import black_region_graph, seifert
+from kakimizu.diagram import seifert
 from kakimizu.families import book, dalpha_graph
 from kakimizu.kcomplex import build_complex
 from kakimizu.medial import medial
@@ -16,20 +16,14 @@ from kakimizu.surfaces import (
     realize_vertex,
     trace_curves,
 )
-from kakimizu.theta import (
-    augment_flype_arcs,
-    compute_regions,
-    extract_theta,
-    parse_theta,
-    reduce_bigons,
-)
+from kakimizu.theta import compute_regions, parse_theta, theta_pipeline
 
 from oracles import neighbours, skeleton_edges
 
 
 def pipeline(graph):
     d = medial(graph)
-    t = extract_theta(augment_flype_arcs(reduce_bigons(black_region_graph(d))))
+    t = theta_pipeline(d)
     return d, t
 
 
@@ -113,7 +107,7 @@ def test_flype_set_single_circle(dalpha):
     order = t.global_edge_order
     assert circle.crossing_edge == order[4]  # the -1 edge of r_a
     assert circle.arc_edge == order[2]  # the +1 edge of r_a
-    assert fs.positive_side_regions == (r_a.id,)
+    assert fs.region_ids == (r_a.id,)
     assert len(fs.negative_side_regions) == 3
 
 
