@@ -13,10 +13,10 @@ Whatever survives keeps its original boundary restricted to the survivors,
 and each of those matrices goes through a dense Smith normal form with
 exact integer arithmetic, so torsion is reported exactly.
 
-Cells are integer ids, and the facets of the k-cells sit in one flat list
-per dimension, k + 1 ids per cell, so ``flat[k][i::k + 1]`` is the i-th
-facet of every k-cell.  The ids and the coreduction order are those of
-per-cell facet lists, so the same cells survive.
+Cells are integer ids, numbered one dimension after another from the
+empty face, and each cell keeps the list of its facets' ids in
+``combinations`` order, whose incidence signs depend only on the position
+in the list and the dimension.
 """
 
 from __future__ import annotations
@@ -134,110 +134,86 @@ def _faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
     return by_dim
 
 
-def _facet_signs(size: int) -> list[int]:
-    """Incidence signs of the facets of a face with ``size`` vertices, listed
-    as ``combinations(face, size - 1)`` lists them.  Dropping the i-th
-    vertex has sign (-1)**i, and combinations drop the last vertex first."""
-    return [-1 if (size - 1 - j) & 1 else 1 for j in range(size)]
+def _facet_sign(j: int, k: int) -> int:
+    """Incidence sign of the j-th facet of a k-cell, facets listed as
+    ``combinations(face, k)`` lists them.  Dropping the i-th vertex has sign
+    (-1)**i, and combinations drop the last vertex first."""
+    return -1 if (k - j) & 1 else 1
 
 
 def _lattice(
     by_dim: list[list[tuple[int, ...]]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Global cell ids and signed facets of the augmented chain complex.
+) -> tuple[list[range], list[list[int]]]:
+    """Global cell ids and facets of the augmented chain complex.
 
     Cell 0 is the empty face, then come the vertices, the edges and so on,
-    each dimension in the order of ``by_dim``.  Returns the id of the first
-    cell of each dimension from 0 up, followed by the cell count; per
-    dimension k one flat list of the ids of the facets of every k-cell,
-    k + 1 per cell in ``combinations`` order; and per dimension the signs
-    of those facets.
+    each dimension in the order of ``by_dim``.  Returns the ids of each
+    dimension from 0 up and the ids of each cell's facets in
+    ``combinations`` order.
     """
-    offsets = [1]
-    flat: list[list[int]] = []
+    dims: list[range] = []
+    facets: list[list[int]] = [[]]
     lower = {(): 0}
     for size, faces in enumerate(by_dim, 1):
-        facets = chain.from_iterable(map(combinations, faces, repeat(size - 1)))
-        flat.append(list(map(lower.__getitem__, facets)))
-        ids = range(offsets[-1], offsets[-1] + len(faces))
-        offsets.append(ids.stop)
+        get = lower.__getitem__
+        ids = range(len(facets), len(facets) + len(faces))
+        facets.extend([list(map(get, combinations(f, size - 1))) for f in faces])
+        dims.append(ids)
         lower = dict(zip(faces, ids))
-    signs = [_facet_signs(size) for size in range(1, len(by_dim) + 1)]
-    return offsets, flat, signs
+    return dims, facets
 
 
-def _check_boundary_squared(
-    offsets: list[int], flat: list[list[int]], signs: list[list[int]]
-) -> None:
-    """Raise unless the codimension-2 faces of every cell cancel.
-
-    Facets are listed in ``combinations`` order, so the terms of the
-    boundary of a boundary come in pairs at positions that depend on the
-    dimension only: the j-th facet of the i-th facet and the j'-th facet of
-    the i'-th drop the same two vertices.  In each dimension every pair
-    must carry opposite signs and, in every cell, the same face id; then
-    each cell's codimension-2 faces cancel pair by pair.  The ids are
-    compared a whole column of the flat facet lists at a time.
-    """
-    for k in range(1, len(flat)):
-        size = k + 1
-        where: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for i, f in enumerate(combinations(range(size), size - 1)):
-            for j, h in enumerate(combinations(f, size - 2)):
-                where.setdefault(h, []).append((i, j))
-        # column i: the i-th facet of every k-cell; below[j][f]: the j-th
-        # facet of the (k-1)-cell f, padded so that a global id indexes it
-        column = [flat[k][i::size] for i in range(size)]
-        pad = [0] * offsets[k - 1]
-        below = [(pad + flat[k - 1][j::k]).__getitem__ for j in range(k)]
-        for (i, j), (i2, j2) in where.values():
-            cancel = signs[k][i] * signs[k - 1][j] == -signs[k][i2] * signs[k - 1][j2]
-            if not cancel or list(map(below[j], column[i])) != list(
-                map(below[j2], column[i2])
-            ):
+def _check_boundary_squared(dims: list[range], facets: list[list[int]]) -> None:
+    """Raise unless the boundary of the boundary of every cell is zero: each
+    codimension-2 face, reached through two facets, must cancel."""
+    for k in range(1, len(dims)):
+        signs = [[_facet_sign(i, k) * _facet_sign(j, k - 1) for j in range(k)]
+                 for i in range(k + 1)]
+        for g in dims[k]:
+            total: dict[int, int] = {}
+            for i, f in enumerate(facets[g]):
+                for j, h in enumerate(facets[f]):
+                    total[h] = total.get(h, 0) + signs[i][j]
+            if any(total.values()):
                 raise AssertionError(
                     f"the boundary of a boundary is not zero in dimension {k}"
                 )
 
 
-def _coreduce(offsets: list[int], flat: list[list[int]]) -> bytearray:
+def _coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
     """Live flags of the cells left by coreduction.
 
-    The empty face pairs with the least vertex; then a cell with exactly
-    one live facet pairs with that facet, and both die.  Such a cell's
-    boundary on the live cells is a unit times the facet, so deleting the
-    pair needs no change to any other boundary (no fill) and leaves the
-    homology as it was.  Candidates wait in a first-in first-out queue,
-    which pairs off far more cells than a stack does.
+    The empty face pairs with the least vertex, ``first_vertex``; then a
+    cell with exactly one live facet pairs with that facet, and both die.
+    Such a cell's boundary on the live cells is a unit times the facet, so
+    deleting the pair needs no change to any other boundary (no fill) and
+    leaves the homology as it was.  Candidates wait in a first-in first-out
+    queue, which pairs off far more cells than a stack does.
     """
-    n = offsets[-1]
+    n = len(facets)
     cofacets: list[list[int]] = [[] for _ in range(n)]
-    count = [0]  # live facets per cell; the empty face has none
-    dim = bytearray(1)
-    for k, ids in enumerate(flat):
-        cells, size = range(offsets[k], offsets[k + 1]), k + 1
-        for f, g in zip(ids, chain.from_iterable(map(repeat, cells, repeat(size)))):
+    for g, fs in enumerate(facets):
+        for f in fs:
             cofacets[f].append(g)
-        count += repeat(size, len(cells))
-        dim += bytes([k]) * len(cells)
+    count = [len(fs) for fs in facets]
     live = bytearray(b"\x01") * n
-    # the least vertex's one facet is the empty face
-    queue = deque([offsets[0]])
+    queue: deque[int] = deque()
+
+    def kill(x: int) -> None:
+        live[x] = 0
+        for y in cofacets[x]:
+            if live[y]:
+                count[y] -= 1
+                if count[y] == 1:
+                    queue.append(y)
+
+    kill(0)
+    kill(first_vertex)
     while queue:
         a = queue.popleft()
         if live[a] and count[a] == 1:
-            k = dim[a]
-            row = (a - offsets[k]) * (k + 1)
-            for b in flat[k][row : row + k + 1]:
-                if live[b]:
-                    break
-            for x in (a, b):
-                live[x] = 0
-                for y in cofacets[x]:
-                    if live[y]:
-                        count[y] -= 1
-                        if count[y] == 1:
-                            queue.append(y)
+            kill(a)
+            kill(next(f for f in facets[a] if live[f]))
     return live
 
 
@@ -290,9 +266,7 @@ def homology(c: SimplicialComplex) -> HomologyReport:
     which has the same homotopy type, hence the same reduced betti numbers,
     torsion and Euler characteristic; dimensions above its own are empty."""
     core = _strong_core(c.maximal_simplices)
-    label = {v: i for i, v in enumerate(sorted(set().union(*core)))}
-    core = [sorted(map(label.__getitem__, s)) for s in core]
-    report = _chain_homology(SimplicialComplex(list(range(len(label))), core))
+    report = _chain_homology(SimplicialComplex(c.vertices, core))
     pad = max(map(len, c.maximal_simplices)) - len(report.betti)
     report.betti += [0] * pad
     report.torsion += [[] for _ in range(pad)]
@@ -304,36 +278,32 @@ def _chain_homology(c: SimplicialComplex) -> HomologyReport:
     by_dim = _faces_by_dim(c)
     f_counts = [len(fs) for fs in by_dim]
     euler = sum((-1) ** k * f_counts[k] for k in range(len(f_counts)))
-    offsets, flat, signs = _lattice(by_dim)
+    dims, facets = _lattice(by_dim)
     del by_dim  # free the face tuples: cells are ids from here on
-    _check_boundary_squared(offsets, flat, signs)
-    live = _coreduce(offsets, flat)
+    _check_boundary_squared(dims, facets)
+    live = _coreduce(dims[0].start, facets)
 
     # the residue's boundary is the original one restricted to live cells;
     # diags[k] is the Smith diagonal of the boundary out of dimension k,
     # and the empty face is dead, so vertices bound nothing
-    survivors = [
-        list(compress(range(lo, hi), live[lo:hi]))
-        for lo, hi in zip(offsets, offsets[1:])
-    ]
+    survivors = [list(compress(ids, live[ids.start : ids.stop])) for ids in dims]
     diags: list[list[int]] = [[]]
-    for k in range(1, len(flat)):
+    for k in range(1, len(dims)):
         lower, upper = survivors[k - 1], survivors[k]
         diag: list[int] = []
         if lower and upper:
             row = {f: i for i, f in enumerate(lower)}
             dense = [[0] * len(upper) for _ in lower]
             for j, g in enumerate(upper):
-                start = (g - offsets[k]) * (k + 1)
-                for f, s in zip(flat[k][start : start + k + 1], signs[k]):
+                for i, f in enumerate(facets[g]):
                     if live[f]:
-                        dense[row[f]][j] = s
+                        dense[row[f]][j] = _facet_sign(i, k)
             diag = smith_diagonal(dense)
         diags.append(diag)
     diags.append([])
     betti = [
         len(survivors[k]) - len(diags[k]) - len(diags[k + 1])
-        for k in range(len(flat))
+        for k in range(len(dims))
     ]
-    torsion = [[d for d in diags[k + 1] if d > 1] for k in range(len(flat))]
+    torsion = [[d for d in diags[k + 1] if d > 1] for k in range(len(dims))]
     return HomologyReport(betti=betti, torsion=torsion, euler=euler)

@@ -24,10 +24,10 @@ from .kcomplex import (
 from .record import Record
 from .theta import (
     SPHERE,
-    Placement,
     Region,
     ThetaComponent,
     ThetaGraph,
+    _walk_placements,
 )
 
 __all__ = [
@@ -226,81 +226,22 @@ class SplitReport(Record):
         self.right_region = right_region
 
 
-def _incidence_tree(t: ThetaGraph) -> dict[tuple, list[tuple]]:
-    """Adjacency lists of the bipartite graph of components and regions,
-    joined where a region contains a local face of a component.  For a
-    planar placement this is always a tree, which the caller relies on."""
-    tree: dict[tuple, list[tuple]] = {}
-    pairs = {(cid, r.id) for r in t.regions for cid, _face in r.faces}
-    for cid, rid in pairs:
-        tree.setdefault(("c", cid), []).append(("r", rid))
-        tree.setdefault(("r", rid), []).append(("c", cid))
-    incidences = sum(len(r.faces) for r in t.regions)
-    if (
-        incidences != sum(c.k for c in t.components)
-        or len(pairs) != incidences
-        or len(tree) != incidences + 1
-        or len(_walk(tree, next(iter(tree)))) != len(tree)
-    ):
-        raise ValueError("component-region incidence is not a tree")
-    return tree
-
-
-def _walk(tree: dict[tuple, list[tuple]], start, blocked=None) -> dict:
-    """Every node reachable from ``start`` without entering ``blocked``,
-    mapped to the node it was first reached from (``start`` maps to None)."""
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in tree[node]:
-            if nxt not in parent and nxt != blocked:
-                parent[nxt] = node
-                frontier.append(nxt)
-    return parent
-
-
 def _restrict(w: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, ...]:
     return tuple(w[t.edge_position[eid]] for eid in sub.global_edge_order)
-
-
-def _branch_theta(t: ThetaGraph, walks: list[dict], region: Region) -> ThetaGraph:
-    """Reassemble the components of some branches into their own graph.
-
-    Each walk covers one branch from the component where it hangs off the
-    split region; that component goes directly on the sphere with its outer
-    face at the split region, and every other component keeps its nesting
-    inside the component the walk reached it from.
-    """
-    region_wedge = dict(region.faces)  # component -> face, unique in a tree
-    comps_out = []
-    for walk in walks:
-        for (kind, cid), via in walk.items():
-            if kind != "c":
-                continue
-            if via is None:
-                pl = Placement(SPHERE, 0, region_wedge[cid])
-            else:
-                faces = dict(t.regions[via[1]].faces)
-                parent = walk[via][1]
-                pl = Placement(parent, faces[parent], faces[cid])
-            old = t.component_by_id(cid)
-            comps_out.append(
-                ThetaComponent(cid, old.edges, placement=pl)
-            )
-    return ThetaGraph(comps_out)
 
 
 def split_theta(t: ThetaGraph) -> SplitReport:
     """Cut a multi-component graph along a curve inside one region.
 
     The cut region is the lowest-numbered one touching at least two
-    components.  Its complement in the incidence tree falls into branches,
-    one per component the region touches; the branch holding the lowest
-    component becomes ``left`` and the rest together become ``right``.  Each side's regions are predicted
-    from the original ones -- unchanged away from the cut, plus one
-    restriction of the cut region per side -- and the rebuilt placements
-    are checked against that prediction.
+    components.  A walk of the tree of components and regions from it
+    places every component again: those touching it go on the sphere with
+    their outer face there, each rooting one branch, and every other
+    component sits inside the one it was reached from.  The branch holding
+    the lowest component becomes ``left`` and the rest together become
+    ``right``.  Each side's regions are predicted from the original ones --
+    unchanged away from the cut, plus one restriction of the cut region per
+    side -- and the rebuilt placements are checked against that prediction.
     """
     if len(t.components) < 2:
         raise ValueError("cannot split a single-component theta graph")
@@ -310,11 +251,22 @@ def split_theta(t: ThetaGraph) -> SplitReport:
     if region.id != region_id:
         raise AssertionError(f"region {region_id} is not at index {region_id}")
 
-    tree = _incidence_tree(t)
-    walks = [_walk(tree, ("c", cid), ("r", region_id)) for cid in by_region[region_id]]
-    lowest = ("c", min(c.id for c in t.components))
-    left = _branch_theta(t, [w for w in walks if lowest in w], region)
-    right = _branch_theta(t, [w for w in walks if lowest not in w], region)
+    region_at = {lf: r.id for r in t.regions for lf in r.faces}
+    wedges = {c.id: [region_at[(c.id, j)] for j in range(c.k)] for c in t.components}
+    placement = _walk_placements(wedges, region_id)
+    if len(placement) != len(t.components):
+        raise ValueError("component-region incidence is not connected")
+    branch: dict[int, int] = {}
+    for cid, pl in placement.items():  # each component after its parent
+        branch[cid] = cid if pl.parent == SPHERE else branch[pl.parent]
+    lowest = branch[t.components[0].id]  # components are sorted by id
+    left, right = (
+        ThetaGraph([
+            ThetaComponent(c.id, c.edges, placement[c.id])
+            for c in t.components if (branch[c.id] == lowest) == side
+        ])
+        for side in (True, False)
+    )
 
     side_regions = []
     for sub in (left, right):

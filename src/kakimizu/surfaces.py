@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from .diagram import Diagram
 from .kcomplex import heights
-from .planar import HalfEdge
 from .record import Record
-from .theta import Region, ThetaGraph, merge_classes
+from .theta import Region, ThetaGraph
 
 __all__ = [
     "FlypeCircle",
@@ -157,37 +156,6 @@ def _strands(d: Diagram, cid: int, inward: bool) -> tuple[int, int]:
     return pair
 
 
-def _face_regions(t: ThetaGraph, face_of: dict[HalfEdge, int]) -> dict[int, Region]:
-    """Map each face of the source graph, indexed by ``face_of``, to its
-    region of the cut-apart theta graph, matching by signed boundary."""
-    f = t.source
-    theta_edges = set(t.global_edge_order)
-
-    classes = merge_classes(
-        sorted(set(face_of.values())),
-        (
-            (f.positive_face(eid, face_of), f.negative_face(eid, face_of))
-            for eid in f.edges
-            if eid not in theta_edges
-        ),
-    )
-
-    by_delta = {r.delta(t): r for r in t.regions}
-    if len(by_delta) != len(t.regions):
-        raise AssertionError("two regions have the same signed boundary")
-    out: dict[int, Region] = {}
-    for members in classes:
-        delta = []
-        for eid in t.global_edge_order:
-            pos = f.positive_face(eid, face_of) in members
-            neg = f.negative_face(eid, face_of) in members
-            delta.append(1 if neg and not pos else -1 if pos and not neg else 0)
-        region = by_delta[tuple(delta)]
-        for fc in members:
-            out[fc] = region
-    return out
-
-
 def _arc_strand(d: Diagram, t: ThetaGraph, arc_eid: int, vertex: int) -> int:
     """The strand a flype circle crosses next to one endpoint of a
     weight-0 arc edge: the boundary strand of the black region ``vertex``
@@ -234,13 +202,9 @@ def p_arcs(
         raise ValueError("convention must be 'positive' or 'negative'")
     theta_edges = set(t.global_edge_order)
     in_a = set(fs.region_ids)
-    face_regions: dict[int, Region] = {}
-    face_of = {}
-    if in_a:
-        if t.face_of is None:
-            raise ValueError("theta graph does not carry its source graph")
-        face_of = t.face_of
-        face_regions = _face_regions(t, face_of)
+    region_of = t.region_of
+    if in_a and region_of is None:
+        raise ValueError("theta graph does not carry its source graph")
     uniform = 1 if convention == "positive" else -1
 
     def sigma_of_region(region: Region) -> int:
@@ -296,8 +260,8 @@ def p_arcs(
                 if not chain:
                     continue
                 if in_a:
-                    pos_r = face_regions[graph.positive_face(eid, face_of)]
-                    neg_r = face_regions[graph.negative_face(eid, face_of)]
+                    pos_r = graph.positive_face(eid, region_of)
+                    neg_r = graph.negative_face(eid, region_of)
                     sigma = sigma_of_region(pos_r)
                     if eid in theta_edges:
                         # both sides of the corridor have the same status

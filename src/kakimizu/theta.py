@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from collections import deque
 
 from .diagram import Diagram, _region_graph, decode_document
 from .planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
@@ -85,14 +86,15 @@ class ThetaGraph:
 
     ``source`` (in-memory only, never serialized) keeps the F(D) graph when
     the graph came from a diagram, with the diagram crossings stacked along
-    each of its edges, and ``face_of`` its face index.  ``regions`` are the
-    regions of the cut-apart graph.
+    each of its edges, and ``region_of`` maps each half-edge of that graph
+    to the region of the face on its left.  ``regions`` are the regions of
+    the cut-apart graph.
     """
 
     def __init__(self, components: list[ThetaComponent]):
         self.components = sorted(components, key=lambda c: c.id)
         self.source: EmbeddedGraph | None = None
-        self.face_of: dict[HalfEdge, int] | None = None
+        self.region_of: dict[HalfEdge, Region] | None = None
         self._validate()
         self.global_edge_order: list[int] = [
             e.id for comp in self.components for e in comp.edges
@@ -144,12 +146,6 @@ class ThetaGraph:
     @property
     def n_edges(self) -> int:
         return len(self.global_edge_order)
-
-    def component_by_id(self, cid: int) -> ThetaComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
 
     def weights(self) -> tuple[int, ...]:
         w = {e.id: e.weight for c in self.components for e in c.edges}
@@ -381,39 +377,6 @@ def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
     raise ValueError(f"edges {eids} have incoherent transverse sides")
 
 
-def _wedge_of_face(
-    g: EmbeddedGraph, eids: list[int], face_of: dict
-) -> dict[int, int]:
-    """Assign every face of ``g`` to a wedge of the component ``eids``.
-
-    Wedge j is seeded by the positive face of the j-th edge (equally the
-    negative face of the j+1-st), and faces merge across all edges outside
-    the component; the component's circle is the only barrier on the
-    sphere, so each merged class holds exactly one wedge's seeds, and a
-    class with two or none means the embedding is broken.
-    """
-    k = len(eids)
-    in_comp = set(eids)
-    classes = merge_classes(
-        sorted(set(face_of.values())),
-        (
-            (face_of[(eid, 0)], face_of[(eid, 1)])
-            for eid in g.edges
-            if eid not in in_comp
-        ),
-    )
-    class_of = {f: i for i, members in enumerate(classes) for f in members}
-    seeds: list[set[int]] = [set() for _ in classes]
-    for j, eid in enumerate(eids):
-        seeds[class_of[g.positive_face(eid, face_of)]].add(j)
-        seeds[class_of[g.negative_face(eid, face_of)]].add((j - 1) % k)
-    if any(len(ws) > 1 for ws in seeds):
-        raise ValueError("component wedges are inconsistent")
-    if not all(seeds):
-        raise ValueError("wedge assignment did not cover the sphere")
-    return {f: w for members, (w,) in zip(classes, seeds) for f in members}
-
-
 def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
     """Keep the vertex pairs of F(D) joined by at least two edges; ``faces``
     are the traced faces of ``f``.
@@ -421,10 +384,12 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
     Components are ordered by their smallest edge id; within a component the
     edges start at the smallest id and follow the positive cyclic order (the
     anticlockwise rotation at the endpoint from which all positive sides lie
-    to the left).  The placement forest describes how the cut-apart circles
-    nest, seen from a point placed in the positive face of the first edge of
-    the first component.  ``t.face_of`` keeps the face index of ``f`` when
-    the graph has components.
+    to the left).  Wedge j of a component, between its j-th and j+1-st
+    edges, holds the positive face of the j-th.  Faces merge across every
+    edge outside the components into the regions of the cut-apart graph,
+    and the components are placed by a walk from the region of the first
+    wedge of the first component.  ``t.region_of`` maps each half-edge of
+    ``f`` to its region.
     """
     classes = [
         (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
@@ -435,51 +400,65 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
         t.source = f
         return t
 
-    face_of = face_index(faces)
     ordered_eids: list[list[int]] = []
-    weights: dict[int, int] = {}
     for (u, v), eids in classes:
         x = _component_x_end(f, u, v, eids)
         rot = [eid for eid, _end in f.rotation[x] if eid in set(eids)]
         start = rot.index(min(rot))
-        cyc = rot[start:] + rot[:start]
-        ordered_eids.append(cyc)
-        for eid in eids:
-            w = f.edges[eid].weight
-            weights[eid] = w
+        ordered_eids.append(rot[start:] + rot[:start])
 
-    wedges = [ _wedge_of_face(f, eids, face_of) for eids in ordered_eids ]
-    seats = [ f.positive_face(eids[0], face_of) for eids in ordered_eids ]
-    p_face = seats[0]
-
-    comps: list[ThetaComponent] = []
-    n = len(ordered_eids)
-    anc: list[list[int]] = []
-    for i in range(n):
-        anc.append(
-            [j for j in range(n) if j != i and wedges[j][seats[i]] != wedges[j][p_face]]
-        )
-    for i in range(n):
-        if not anc[i]:
-            placement = Placement(SPHERE, 0, wedges[i][p_face])
-        else:
-            depths = sorted(anc[i], key=lambda j: len(anc[j]))
-            if len({len(anc[j]) for j in anc[i]}) != len(anc[i]):
-                raise ValueError("nesting of components is not a chain")
-            parent = depths[-1]
-            placement = Placement(
-                parent, wedges[parent][seats[i]], wedges[i][p_face]
-            )
-        comps.append(
-            ThetaComponent(
-                id=i,
-                edges=[ThetaEdge(eid, weights[eid]) for eid in ordered_eids[i]],
-                placement=placement,
-            )
-        )
-    t = ThetaGraph(comps)
-    t.source, t.face_of = f, face_of
+    face_of = face_index(faces)
+    in_theta = {eid for eids in ordered_eids for eid in eids}
+    merged = merge_classes(
+        sorted(set(face_of.values())),
+        ((face_of[(eid, 0)], face_of[(eid, 1)]) for eid in f.edges if eid not in in_theta),
+    )
+    class_of = {face: c for c, members in enumerate(merged) for face in members}
+    wedges = {
+        i: [class_of[f.positive_face(eid, face_of)] for eid in eids]
+        for i, eids in enumerate(ordered_eids)
+    }
+    placement = _walk_placements(wedges, wedges[0][0])
+    classes_of: list[set[int]] = []
+    if len(placement) == len(ordered_eids):
+        t = ThetaGraph([
+            ThetaComponent(i, [ThetaEdge(eid, f.edges[eid].weight) for eid in eids],
+                           placement[i])
+            for i, eids in enumerate(ordered_eids)
+        ])
+        classes_of = [{wedges[i][j] for i, j in r.faces} for r in t.regions]
+    # each region of t holds the wedges of exactly one face class, and each
+    # class those of exactly one region; a component the walk missed leaves
+    # no region to match
+    if sorted(map(tuple, classes_of)) != [(c,) for c in range(len(merged))]:
+        raise ValueError("the faces of F(D) do not form the regions of its theta graph")
+    region = {c: t.regions[r] for r, (c,) in enumerate(classes_of)}
+    t.source = f
+    t.region_of = {h: region[class_of[face]] for h, face in face_of.items()}
     return t
+
+
+def _walk_placements(wedges: dict[int, list], start) -> dict[int, Placement]:
+    """Place components by a breadth-first walk of the tree of components
+    and regions from the region ``start``; ``wedges[c][j]`` is the region
+    of wedge j of component c, and a component is joined to the regions of
+    its wedges.  A component's outer face is the wedge it is reached
+    through, and its parent is the component, with the wedge, that this
+    region was reached through, or the sphere in ``start``.  Components
+    come in walk order, each after its parent."""
+    held: dict = {}
+    for c, row in wedges.items():
+        for j, r in enumerate(row):
+            held.setdefault(r, []).append((c, j))
+    placement: dict[int, Placement] = {}
+    queue = deque([(start, SPHERE, 0)])
+    while queue:
+        r, parent, parent_face = queue.popleft()
+        for c, j in held[r]:
+            if c not in placement:
+                placement[c] = Placement(parent, parent_face, j)
+                queue.extend((s, c, m) for m, s in enumerate(wedges[c]) if m != j)
+    return placement
 
 
 def theta_pipeline(d: Diagram) -> ThetaGraph:

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from kakimizu.families import build_graph
+from kakimizu.planar import Edge
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,6 +27,35 @@ def run_stages(g, *stages):
     for stage in stages:
         out = stage(*out)
     return out[0] if isinstance(out, tuple) else out
+
+
+def wedge_sum(g1, g2, rng):
+    """Black-region graphs ``g1`` and ``g2`` glued at one vertex: a vertex of
+    ``g2`` drawn by ``rng`` is identified with one of ``g1`` of the same
+    orientation class, its rotation opened at a random dart and spliced
+    into a random corner of the other's, so ``g2`` sits in that corner's
+    face.  The other vertices and the edges of ``g2`` are renumbered after
+    those of ``g1``."""
+    x = rng.choice(sorted(g1.rotation))
+    y = rng.choice(sorted(v for v in g2.rotation if g2.orientation[v] == g1.orientation[x]))
+    vshift, eshift = max(g1.rotation) + 1, max(g1.edges) + 1
+    name = {v: x if v == y else v + vshift for v in g2.rotation}
+    g = g1.copy()
+    for e in g2.edges.values():
+        g.edges[e.id + eshift] = Edge(
+            e.id + eshift, name[e.u], name[e.v], e.weight, e.pos_left,
+            tuple(c + eshift for c in e.crossings),
+        )
+    for v, rot in g2.rotation.items():
+        darts = [(eid + eshift, end) for eid, end in rot]
+        if v == y:
+            k, at = rng.randrange(len(darts)), rng.randrange(len(g.rotation[x])) + 1
+            g.rotation[x][at:at] = darts[k:] + darts[:k]
+        else:
+            g.add_vertex(name[v], g2.orientation[v])
+            g.rotation[name[v]] = darts
+    g.trace_faces()  # raises unless the splice is spherical
+    return g
 
 
 @pytest.fixture

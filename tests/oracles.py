@@ -61,10 +61,12 @@ answer:
   rotating each face to its least half-edge and sorting the list, where
   ``EmbeddedGraph.trace_faces`` makes one sorted sweep with a dict of
   rotation predecessors;
-- ``listed_lattice`` and ``listed_coreduce`` keep one facet list and one
-  cofacet list per cell and pair cells off through a ``kill`` helper,
-  where ``homology._lattice`` and ``homology._coreduce`` keep one flat
-  facet list per dimension and find a cell's last live facet in its row;
+- ``wedge_placements`` places the components of an extracted theta graph
+  one at a time: it merges the faces of F(D) across every edge outside
+  one component into that component's wedges, and reads a component's
+  ancestors off the wedges that separate it from the first wedge of the
+  first component, where ``theta._extract_theta`` merges the faces once
+  into regions and walks the tree of components and regions;
 - ``tuple_ordered_product`` names product vertices by nested pairs, sorts
   them and looks every pair up with ``SimplicialComplex.index``, and
   orders them componentwise by the factor relations of ``key_pairs``,
@@ -98,7 +100,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from math import comb
 from operator import add
 
@@ -116,7 +117,7 @@ from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
 from kakimizu.structure import _staircases
 from kakimizu.planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
-from kakimizu.theta import Region, ThetaGraph
+from kakimizu.theta import SPHERE, Placement, Region, ThetaGraph, merge_classes
 
 __all__ = [
     "adjacency",
@@ -132,8 +133,6 @@ __all__ = [
     "faces_by_dim",
     "greedy_is_fibred",
     "key_pairs",
-    "listed_coreduce",
-    "listed_lattice",
     "matrix_homology",
     "min_pivot_trace_faces",
     "neighbours",
@@ -157,6 +156,7 @@ __all__ = [
     "tuple_verify_iso",
     "union_find_orientation",
     "vertex_rank",
+    "wedge_placements",
     "white_smooth",
 ]
 
@@ -1047,53 +1047,49 @@ def dominated(simplices, v) -> bool:
     return any(all(w in s for s in star) for w in set().union(*star) - {v})
 
 
-def listed_lattice(
-    by_dim: list[list[tuple[int, ...]]],
-) -> tuple[list[range], list[list[int]]]:
-    """The ids of each dimension's cells, from 0 up, and the facet ids of
-    every cell of the augmented chain complex in ``combinations`` order;
-    cell 0 is the empty face, then come the cells of ``by_dim`` in order."""
-    dims: list[range] = []
-    facets: list[list[int]] = [[]]
-    lower = {(): 0}
-    for size, faces in enumerate(by_dim, 1):
-        get = lower.__getitem__
-        ids = range(len(facets), len(facets) + len(faces))
-        facets.extend([list(map(get, itertools.combinations(f, size - 1))) for f in faces])
-        dims.append(ids)
-        lower = dict(zip(faces, ids))
-    return dims, facets
+def wedge_placements(t: ThetaGraph) -> list[Placement]:
+    """The placement of each component of ``t``, extracted from F(D) =
+    ``t.source``, worked out one component at a time on a fresh trace.
 
+    Wedge j of a component holds the positive face of its j-th edge and
+    the negative face of its j+1-st; faces merge across every edge outside
+    the component, and each merged class must hold exactly one wedge.  The
+    ancestors of a component are those whose wedges separate the positive
+    face of its first edge from that of the first component's first edge;
+    they must form a chain, and the parent is the deepest of them.
+    """
+    f = t.source
+    face_of = face_index(f.trace_faces())
+    seat = [f.positive_face(c.edges[0].id, face_of) for c in t.components]
 
-def listed_coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
-    """Live flags after pairing the empty face with ``first_vertex`` and
-    then, first in first out, every cell with one live facet with that
-    facet."""
-    n = len(facets)
-    cofacets: list[list[int]] = [[] for _ in range(n)]
-    for g, fs in enumerate(facets):
-        for f in fs:
-            cofacets[f].append(g)
-    count = [len(fs) for fs in facets]
-    live = bytearray(b"\x01") * n
-    queue: deque[int] = deque()
+    def wedge_of_face(eids: list[int]) -> dict[int, int]:
+        classes = merge_classes(
+            sorted(set(face_of.values())),
+            ((face_of[(e, 0)], face_of[(e, 1)]) for e in f.edges if e not in eids),
+        )
+        seeds: list[set[int]] = [set() for _ in classes]
+        class_of = {face: i for i, members in enumerate(classes) for face in members}
+        for j, eid in enumerate(eids):
+            seeds[class_of[f.positive_face(eid, face_of)]].add(j)
+            seeds[class_of[f.negative_face(eid, face_of)]].add((j - 1) % len(eids))
+        assert all(len(ws) == 1 for ws in seeds), "one wedge per class"
+        return {face: w for members, (w,) in zip(classes, seeds) for face in members}
 
-    def kill(x: int) -> None:
-        live[x] = 0
-        for y in cofacets[x]:
-            if live[y]:
-                count[y] -= 1
-                if count[y] == 1:
-                    queue.append(y)
-
-    kill(0)
-    kill(first_vertex)
-    while queue:
-        a = queue.popleft()
-        if live[a] and count[a] == 1:
-            kill(a)
-            kill(next(f for f in facets[a] if live[f]))
-    return live
+    wedges = [wedge_of_face([e.id for e in c.edges]) for c in t.components]
+    n = len(wedges)
+    anc = [
+        [j for j in range(n) if j != i and wedges[j][seat[i]] != wedges[j][seat[0]]]
+        for i in range(n)
+    ]
+    out = []
+    for i in range(n):
+        assert sorted(len(anc[j]) for j in anc[i]) == list(range(len(anc[i]))), "a chain"
+        if anc[i]:
+            parent = max(anc[i], key=lambda j: len(anc[j]))
+            out.append(Placement(parent, wedges[parent][seat[i]], wedges[i][seat[0]]))
+        else:
+            out.append(Placement(SPHERE, 0, wedges[i][seat[0]]))
+    return out
 
 
 def tuple_ordered_product(

@@ -18,8 +18,6 @@ from oracles import (
     boundary,
     dominated,
     faces_by_dim,
-    listed_coreduce,
-    listed_lattice,
     matrix_homology,
     rescan_eliminate,
 )
@@ -269,8 +267,8 @@ def test_dunce_hat_is_acyclic():
 
 def residue_cells(c):
     """How many cells coreduction leaves for the eliminator."""
-    offsets, flat, _ = _lattice(_faces_by_dim(c))
-    return sum(_coreduce(offsets, flat))
+    dims, facets = _lattice(_faces_by_dim(c))
+    return sum(_coreduce(dims[0].start, facets))
 
 
 @st.composite
@@ -303,21 +301,6 @@ def test_coreduction_matches_matrix_homology(c):
     assert all(not dominated(core, v) for v in set().union(*core))
     assert all(any(s <= set(t) for t in c.maximal_simplices) for s in core)
     assert homology(c) == _chain_homology(c) == matrix_homology(c)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(small_complexes(), theta_balls()))
-@example(complex_on(6, PROJECTIVE_PLANE))
-@example(complex_on(8, DUNCE_HAT))
-def test_flat_lattice_and_coreduction_match_listed_oracle(c):
-    """The flat facet lists hold the ids of the per-cell lists, row by row,
-    and coreduction leaves the same cells alive."""
-    by_dim = _faces_by_dim(c)
-    offsets, flat, _ = _lattice(by_dim)
-    dims, facets = listed_lattice(by_dim)
-    assert offsets == [d.start for d in dims] + [dims[-1].stop]
-    assert flat == [list(itertools.chain(*facets[d.start : d.stop])) for d in dims]
-    assert _coreduce(offsets, flat) == listed_coreduce(dims[0].start, facets)
 
 
 def sphere_theta(*components):
@@ -373,15 +356,10 @@ def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
     the 500-edge cycle has no dominated vertex and goes end to end."""
     path = complex_on(501, [[i, i + 1] for i in range(500)])
     assert homology(path).is_trivial()
-    signed = homology_module._facet_signs
-
-    def unsigned(size):
-        return [abs(s) for s in signed(size)]
-
-    monkeypatch.setattr(homology_module, "_facet_signs", unsigned)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(homology_module, "_facet_sign", lambda j, k: 1)
+    with pytest.raises(AssertionError, match="dimension 1"):
         _check_boundary_squared(*_lattice(_faces_by_dim(path)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="dimension 1"):
         homology(cycle(500))
 
 
@@ -393,10 +371,10 @@ def test_boundary_of_boundary_checks_face_ids(monkeypatch):
     lattice = homology_module._lattice
 
     def corrupted(by_dim):
-        offsets, flat, signs = lattice(by_dim)
+        dims, facets = lattice(by_dim)
         # the first edge's first facet: the last vertex instead of the first
-        flat[1][0] = offsets[1] - 1
-        return offsets, flat, signs
+        facets[dims[1].start][0] = dims[0].stop - 1
+        return dims, facets
 
     monkeypatch.setattr(homology_module, "_lattice", corrupted)
     triangle = complex_on(3, [[0, 1, 2]])
@@ -412,8 +390,7 @@ def test_boundary_of_boundary_checked_under_optimisation():
     script = (
         "from kakimizu import homology as h\n"
         "from kakimizu.kcomplex import SimplicialComplex\n"
-        "signed = h._facet_signs\n"
-        "h._facet_signs = lambda size: [abs(s) for s in signed(size)]\n"
+        "h._facet_sign = lambda j, k: 1\n"
         "path = SimplicialComplex(vertices=list(range(501)),\n"
         "    maximal_simplices=[[i, i + 1] for i in range(500)])\n"
         "cycle = SimplicialComplex(vertices=list(range(500)),\n"

@@ -376,7 +376,7 @@ def chain_beside_sibling():
 def nesting_depth(t, comp):
     depth = 0
     while comp.placement.parent != SPHERE:
-        comp = t.component_by_id(comp.placement.parent)
+        comp = next(c for c in t.components if c.id == comp.placement.parent)
         depth += 1
     return depth
 

@@ -145,7 +145,7 @@ def test_p_arcs_needs_the_source_faces(dalpha):
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
     fs = flype_set_for_edge(t, t.weights(), [r_a])
     parsed = parse_theta(json.dumps(t.to_json()))
-    assert parsed.face_of is None
+    assert parsed.region_of is None
     with pytest.raises(ValueError, match="source graph"):
         p_arcs(d, parsed, fs)
 

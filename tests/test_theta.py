@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu.diagram import _region_graph, parse_diagram
+from kakimizu.diagram import _region_graph, parse_diagram, seifert
 from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
 from kakimizu.medial import medial
 from kakimizu import theta
@@ -28,9 +28,16 @@ from kakimizu.theta import (
     parse_theta,
     theta_pipeline,
 )
+from kakimizu.surfaces import realize_vertex
 
-from conftest import FIXTURES, HUB_CHAINS, hub_graph, load_text, run_stages
-from oracles import owner_maps, retrace_augment_flype_arcs, retrace_reduce_bigons
+from conftest import FIXTURES, HUB_CHAINS, hub_graph, load_text, run_stages, wedge_sum
+from oracles import (
+    neighbours,
+    owner_maps,
+    retrace_augment_flype_arcs,
+    retrace_reduce_bigons,
+    wedge_placements,
+)
 
 # The five-edge golden example: a two-component theta with weights
 # (1, 0, 2, 0, 1) and these four region delta vectors.
@@ -230,7 +237,9 @@ def assert_stages_match_oracles(d):
         assert t.source.edges[eid].crossings == want.source.edges[eid].crossings
     assert map_state(t.source) == map_state(augmented)
     if t.components:
-        assert t.face_of == face_index(augmented.trace_faces())
+        assert [c.placement for c in t.components] == wedge_placements(t)
+        deltas = {h: r.delta(t) for h, r in t.region_of.items()}
+        assert deltas == embedded_deltas(augmented, t)
 
 
 @pytest.mark.parametrize(
@@ -398,8 +407,9 @@ def test_owner_maps(maker):
 
 
 def embedded_deltas(f, t):
-    """Region deltas read directly off the embedding of F(D): faces merge
-    across every edge that is not a theta edge."""
+    """The signed boundary of the region on the left of every half-edge of
+    F(D), read directly off its embedding: faces merge across every edge
+    that is not a theta edge."""
     face_of = face_index(f.trace_faces())
     theta_edges = set(t.global_edge_order)
     parent = {}
@@ -418,22 +428,100 @@ def embedded_deltas(f, t):
     groups = {}
     for face in set(face_of.values()):
         groups.setdefault(find(face), set()).add(face)
-    deltas = []
-    for faces in groups.values():
+    delta_of = {}
+    for root, faces in groups.items():
         vec = []
         for eid in t.global_edge_order:
             pos = f.positive_face(eid, face_of) in faces
             neg = f.negative_face(eid, face_of) in faces
             vec.append(1 if neg and not pos else (-1 if pos and not neg else 0))
-        deltas.append(tuple(vec))
-    return sorted(deltas)
+        delta_of[root] = tuple(vec)
+    return {h: delta_of[find(face)] for h, face in face_of.items()}
 
 
 def test_regions_match_embedding():
     t = dalpha_theta()
-    f = t.source
+    deltas = embedded_deltas(t.source, t)
+    assert {h: r.delta(t) for h, r in t.region_of.items()} == deltas
     computed = sorted(r.delta(t) for r in compute_regions(t))
-    assert computed == embedded_deltas(f, t)
+    assert computed == sorted(set(deltas.values()))
+
+
+def test_pipeline_merges_faces_once(monkeypatch):
+    """Extraction merges the faces of F(D) into regions once for all
+    components, and ``compute_regions`` merges the local faces once."""
+    calls = []
+    merge = theta.merge_classes
+
+    def counting(items, pairs):
+        calls.append(len(items))
+        return merge(items, pairs)
+
+    monkeypatch.setattr(theta, "merge_classes", counting)
+    t = theta_pipeline(medial(dalpha_graph()))
+    assert len(t.components) == 2
+    assert len(calls) == 2
+
+
+def test_extraction_checks_faces_against_regions(monkeypatch):
+    """A face merge that splits one region in two no longer matches the
+    regions of the theta graph, and extraction refuses it."""
+    merge = theta.merge_classes
+    calls = []
+
+    def splitting(items, pairs):
+        classes = merge(items, pairs)
+        if not calls:
+            big = max(classes, key=len)
+            classes.append({max(big)})
+            big.discard(max(big))
+        calls.append(classes)
+        return classes
+
+    monkeypatch.setattr(theta, "merge_classes", splitting)
+    with pytest.raises(ValueError, match="do not form the regions"):
+        theta_pipeline(medial(dalpha_graph()))
+    assert len(calls) == 2  # the face merge, then compute_regions
+
+
+def test_extraction_checks_every_component_is_placed(monkeypatch):
+    """A walk that misses a component leaves the faces unmatched."""
+    walk = theta._walk_placements
+
+    def missing_last(wedges, start):
+        placement = walk(wedges, start)
+        del placement[max(placement)]
+        return placement
+
+    monkeypatch.setattr(theta, "_walk_placements", missing_last)
+    with pytest.raises(ValueError, match="do not form the regions"):
+        theta_pipeline(medial(dalpha_graph()))
+
+
+GLUED = [*(lambda c=c: hub_graph(c) for c in HUB_CHAINS), dalpha_graph, cube_graph]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(GLUED), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+def test_wedge_sums_nest_components(makers, seed):
+    """Wedge sums of the hub graphs, dalpha and the cube nest theta
+    components inside one another: the placements are the per-component
+    oracle's, every half-edge's region has the signed boundary read off the
+    embedding, and every vertex at distance 1 from the base realizes a
+    surface of the Seifert surface's Euler characteristic."""
+    rng = random.Random(seed)
+    g = makers[0]()
+    for make in makers[1:]:
+        g = wedge_sum(g, make(), rng)
+    d = medial(g)
+    t = theta_pipeline(d)
+    assert len(t.components) >= 2
+    assert [c.placement for c in t.components] == wedge_placements(t)
+    deltas = {h: r.delta(t) for h, r in t.region_of.items()}
+    assert deltas == embedded_deltas(t.source, t)
+    s, u = seifert(d).s, t.weights()
+    for v in [u, *neighbours(t, u)]:
+        assert realize_vertex(d, t, v)["euler_characteristic"] == s - d.n
 
 
 # -- serialization ---------------------------------------------------------
