@@ -4,9 +4,8 @@ One tool with subcommands; every report is JSON with sorted keys, so a
 given (input, flags, seed) always produces byte-identical output.  Exit
 codes: 0 success, 1 validation or computation failure on the input data
 (or a broken library invariant, reported as ``internal_error``), 2 usage
-error.  The environment variable KAKIMIZU_SEED overrides --seed wherever a
-seed is accepted.  The argument parser is built on first use and then kept
-for the rest of the process.
+error.  The argument parser is built on first use and then kept for the
+rest of the process.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -66,16 +64,6 @@ def _sniff(text: str) -> ThetaGraph:
     if isinstance(doc, dict) and "components" in doc:
         return _theta_from_doc(doc)
     return theta_pipeline(_diagram_from_doc(doc))
-
-
-def _resolve_seed(cli_seed: int) -> int:
-    env = os.environ.get("KAKIMIZU_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"KAKIMIZU_SEED must be an integer: {env!r}") from exc
-    return cli_seed
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -207,10 +195,9 @@ def cmd_surface(args) -> tuple[int, dict]:
 
 
 def cmd_selftest(args) -> tuple[int, dict]:
-    seed = _resolve_seed(args.seed)
     _at_least_one("count", args.count)
     failures = []
-    family = random_theta_family(seed, args.count)
+    family = random_theta_family(args.seed, args.count)
     for i, t in enumerate(family):
         c = build_complex(t)
         if not _is_component_product(t, c):
@@ -220,7 +207,7 @@ def cmd_selftest(args) -> tuple[int, dict]:
         if not flag_check(c):
             failures.append({"instance": i, "check": "flag"})
     doc = {
-        "seed": seed,
+        "seed": args.seed,
         "instances": len(family),
         "failures": failures,
         "all_ok": not failures,

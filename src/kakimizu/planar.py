@@ -62,13 +62,6 @@ class Edge(Record):
         self.pos_left = pos_left
         self.crossings = crossings
 
-    def other(self, vertex: int) -> int:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise ValueError(f"vertex {vertex} not an endpoint of edge {self.id}")
-
 
 def face_index(faces: list[list[HalfEdge]]) -> dict[HalfEdge, int]:
     """Map each half-edge of traced ``faces`` to the index of the face on
@@ -116,14 +109,6 @@ class EmbeddedGraph:
         if edge.u == edge.v:
             raise ValueError(f"loop edge {edge.id} not supported in embeddings")
         self.edges[edge.id] = edge
-
-    def copy(self) -> "EmbeddedGraph":
-        g = EmbeddedGraph()
-        g.orientation = dict(self.orientation)
-        g.edges = {i: Edge(i, e.u, e.v, e.weight, e.pos_left, e.crossings)
-                   for i, e in self.edges.items()}
-        g.rotation = {v: list(r) for v, r in self.rotation.items()}
-        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -206,11 +191,15 @@ class EmbeddedGraph:
                 )
         return faces
 
-    def positive_face(self, eid: int, face_of: dict[HalfEdge, int]) -> int:
+    def positive_face(self, eid: int, face_of: dict):
+        """``face_of`` at the half-edge with the positive side of edge
+        ``eid`` on its left: a face index for a map from :func:`face_index`,
+        a ``Region`` for ``ThetaGraph.region_of``."""
         edge = self.edges[eid]
         return face_of[(eid, 0 if edge.pos_left else 1)]
 
-    def negative_face(self, eid: int, face_of: dict[HalfEdge, int]) -> int:
+    def negative_face(self, eid: int, face_of: dict):
+        """``face_of`` at the half-edge with the negative side on its left."""
         edge = self.edges[eid]
         return face_of[(eid, 1 if edge.pos_left else 0)]
 

@@ -25,14 +25,13 @@ from .record import Record
 from .theta import (
     SPHERE,
     Region,
-    ThetaComponent,
     ThetaGraph,
+    _place,
     _walk_placements,
 )
 
 __all__ = [
     "BallReport",
-    "SplitReport",
     "ball_report",
     "colour_schemes",
     "component_product",
@@ -209,100 +208,43 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
 # -- splitting at a region --------------------------------------------------
 
 
-class SplitReport(Record):
-    """A theta graph cut along a curve inside one region.
-
-    ``left`` keeps the lowest component; ``right`` keeps the rest.  The
-    split region leaves a restricted copy of itself on each side, recorded
-    so that the factor complexes can be ordered compatibly.
-    """
-
-    def __init__(self, left: ThetaGraph, right: ThetaGraph, region: Region,
-                 left_region: Region, right_region: Region):
-        self.left = left
-        self.right = right
-        self.region = region
-        self.left_region = left_region
-        self.right_region = right_region
-
-
 def _restrict(w: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, ...]:
     return tuple(w[t.edge_position[eid]] for eid in sub.global_edge_order)
 
 
-def split_theta(t: ThetaGraph) -> SplitReport:
-    """Cut a multi-component graph along a curve inside one region.
+def split_theta(t: ThetaGraph) -> list[tuple[ThetaGraph, Region]]:
+    """Cut a multi-component graph along a curve inside one region; returns
+    ``[(left, left_cut), (right, right_cut)]``, each side with its copy of
+    the cut region.
 
     The cut region is the lowest-numbered one touching at least two
     components.  A walk of the tree of components and regions from it
-    places every component again: those touching it go on the sphere with
-    their outer face there, each rooting one branch, and every other
-    component sits inside the one it was reached from.  The branch holding
+    roots one branch at each component touching it.  The branch holding
     the lowest component becomes ``left`` and the rest together become
-    ``right``.  Each side's regions are predicted from the original ones --
-    unchanged away from the cut, plus one restriction of the cut region per
-    side -- and the rebuilt placements are checked against that prediction.
+    ``right``.  Each side is placed by a walk from the cut region, whose
+    regions must be those of ``t`` inside that side, one each, with the
+    cut region restricted to the side.
     """
     if len(t.components) < 2:
         raise ValueError("cannot split a single-component theta graph")
-    by_region = {r.id: sorted({cid for cid, _ in r.faces}) for r in t.regions}
-    region_id = min(r for r, cs in by_region.items() if len(cs) >= 2)
-    region = t.regions[region_id]
-    if region.id != region_id:
-        raise AssertionError(f"region {region_id} is not at index {region_id}")
-
+    cut = next(r.id for r in t.regions if len({cid for cid, _ in r.faces}) >= 2)
     region_at = {lf: r.id for r in t.regions for lf in r.faces}
     wedges = {c.id: [region_at[(c.id, j)] for j in range(c.k)] for c in t.components}
-    placement = _walk_placements(wedges, region_id)
-    if len(placement) != len(t.components):
-        raise ValueError("component-region incidence is not connected")
-    branch: dict[int, int] = {}
-    for cid, pl in placement.items():  # each component after its parent
-        branch[cid] = cid if pl.parent == SPHERE else branch[pl.parent]
-    lowest = branch[t.components[0].id]  # components are sorted by id
-    left, right = (
-        ThetaGraph([
-            ThetaComponent(c.id, c.edges, placement[c.id])
-            for c in t.components if (branch[c.id] == lowest) == side
-        ])
-        for side in (True, False)
-    )
-
-    side_regions = []
-    for sub in (left, right):
-        in_side = {c.id for c in sub.components}
-        predicted = {
-            _restrict(r.delta(t), t, sub)
-            for r in t.regions
-            if r.id != region_id and {cid for cid, _ in r.faces} <= in_side
+    branch: dict[int, int | None] = {}
+    for cid, pl in _walk_placements(wedges, cut).items():  # parents first
+        branch[cid] = cid if pl.parent == SPHERE else branch.get(pl.parent)
+    lowest = branch.get(t.components[0].id)  # components are sorted by id
+    sides = []
+    for side in (True, False):
+        edges = {
+            c.id: c.edges for c in t.components if (branch.get(c.id) == lowest) == side
         }
-        cut_delta = _restrict(region.delta(t), t, sub)
-        predicted.add(cut_delta)
-        actual = {r.delta(sub) for r in sub.regions}
-        if actual != predicted:
-            raise ValueError("split produced unexpected regions")
-        side_regions.append(
-            next(r for r in sub.regions if r.delta(sub) == cut_delta)
-        )
-    return SplitReport(left, right, region, side_regions[0], side_regions[1])
+        sub, region = _place(edges, {cid: wedges[cid] for cid in edges}, cut)
+        sides.append((sub, region[cut]))
+    return sides
 
 
 # -- products over all components -------------------------------------------
-
-
-def _transport_order(
-    k: SimplicialComplex, region: Region, product: SimplicialComplex, f: dict
-) -> SimplicialComplex:
-    """Order a product complex by carrying a region-broken order of the
-    isomorphic weight-vector complex across the isomorphism ``f``."""
-    key = [0] * len(product.vertices)
-    for v, x in zip(k.vertices, order_vertices(k, region)):
-        key[product.index(f[v])] = x
-    return SimplicialComplex(
-        vertices=product.vertices,
-        maximal_simplices=product.maximal_simplices,
-        key=key,
-    )
 
 
 def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
@@ -317,20 +259,23 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
     if len(t.components) <= 1:
         c = build_complex(t)
         return c, {v: v for v in c.vertices}
-    s = split_theta(t)
     sides = []
-    for sub, region in ((s.left, s.left_region), (s.right, s.right_region)):
+    for sub, region in split_theta(t):
         p, f = component_product(sub)
         # a one-component side is its own product; a larger side's
         # weight-vector complex is built here and checked against it
         k = p if len(sub.components) == 1 else build_complex(sub)
         if k is not p and not verify_iso(k, p, f):
             raise AssertionError("factor complex does not match its product form")
-        sides.append((_transport_order(k, region, p, f), f))
-    (left, fl), (right, fr) = sides
+        key = [0] * len(p.vertices)
+        for v, x in zip(k.vertices, order_vertices(k, region)):
+            key[p.index(f[v])] = x
+        p.key = key
+        sides.append((sub, p, f))
+    (tl, left, fl), (tr, right, fr) = sides
     product = ordered_product(left, right)
     f = {
-        w: (fl[_restrict(w, t, s.left)], fr[_restrict(w, t, s.right)])
+        w: (fl[_restrict(w, t, tl)], fr[_restrict(w, t, tr)])
         for w in enumerate_vertices(t)
     }
     return product, f

@@ -196,14 +196,15 @@ def p_arcs(
 
     With no circles the ``convention`` side is used everywhere; "positive"
     reproduces the special form of the Seifert-algorithm surface, with an
-    arc across the negative side of every crossing.
+    arc across the negative side of every crossing.  ``t`` must keep its
+    source graph, as ``theta_pipeline`` leaves it.
     """
     if convention not in ("positive", "negative"):
         raise ValueError("convention must be 'positive' or 'negative'")
     theta_edges = set(t.global_edge_order)
     in_a = set(fs.region_ids)
-    region_of = t.region_of
-    if in_a and region_of is None:
+    graph, region_of = t.source, t.region_of
+    if graph is None:
         raise ValueError("theta graph does not carry its source graph")
     uniform = 1 if convention == "positive" else -1
 
@@ -218,63 +219,54 @@ def p_arcs(
         sides[cid] = "negative" if sigma > 0 else "positive"
         arcs.append(_strands(d, cid, inward=sigma > 0))
 
-    graph = t.source
-    if graph is None:
-        # no theta structure at all: every crossing by convention
-        for c in d.crossings:
-            corner_arc(c.id, uniform)
-    else:
-        for eid in sorted(graph.edges):
-            e = graph.edges[eid]
-            chain = e.crossings
-            if len(chain) != e.weight:
-                raise AssertionError(f"edge {eid} carries {len(chain)} crossings")
-            delta = fs.labels.get(eid, 0) if eid in theta_edges else 0
-            if delta == -1:
-                # one crossing leaves: the circle passes through the last
-                # crossing of the stack and the rest hug their positive side
-                if not chain:
-                    raise AssertionError(f"crossing edge {eid} carries no crossing")
-                for cid in chain[:-1]:
-                    corner_arc(cid, -1)
-                sides[chain[-1]] = "flype"
-                for a, b in zip(chain, chain[1:]):
-                    if set(_strands(d, a, False)) != set(_strands(d, b, True)):
-                        raise AssertionError(f"crossings {a} and {b} do not stack")
-            elif delta == 1:
-                # a crossing arrives: the circle crosses the corridor at its
-                # negative end and every present crossing hugs its positive
-                # side
-                for cid in chain:
-                    corner_arc(cid, -1)
-                if chain:
-                    pair = _strands(d, chain[0], inward=True)
-                else:
-                    pair = (
-                        _arc_strand(d, t, eid, e.u),
-                        _arc_strand(d, t, eid, e.v),
-                    )
-                flype_arcs.append((eid, pair))
-                arcs.append(pair)
+    for eid in sorted(graph.edges):
+        e = graph.edges[eid]
+        chain = e.crossings
+        if len(chain) != e.weight:
+            raise AssertionError(f"edge {eid} carries {len(chain)} crossings")
+        delta = fs.labels.get(eid, 0) if eid in theta_edges else 0
+        if delta == -1:
+            # one crossing leaves: the circle passes through the last
+            # crossing of the stack and the rest hug their positive side
+            if not chain:
+                raise AssertionError(f"crossing edge {eid} carries no crossing")
+            for cid in chain[:-1]:
+                corner_arc(cid, -1)
+            sides[chain[-1]] = "flype"
+            for a, b in zip(chain, chain[1:]):
+                if set(_strands(d, a, False)) != set(_strands(d, b, True)):
+                    raise AssertionError(f"crossings {a} and {b} do not stack")
+        elif delta == 1:
+            # a crossing arrives: the circle crosses the corridor at its
+            # negative end and every present crossing hugs its positive
+            # side
+            for cid in chain:
+                corner_arc(cid, -1)
+            if chain:
+                pair = _strands(d, chain[0], inward=True)
             else:
-                if not chain:
-                    continue
-                if in_a:
-                    pos_r = graph.positive_face(eid, region_of)
-                    neg_r = graph.negative_face(eid, region_of)
-                    sigma = sigma_of_region(pos_r)
-                    if eid in theta_edges:
-                        # both sides of the corridor have the same status
-                        if sigma != sigma_of_region(neg_r):
-                            raise AssertionError(
-                                f"zero-labelled edge {eid} separates the two sides"
-                            )
-                    elif pos_r is not neg_r:
-                        raise AssertionError(f"edge {eid} is not inside a region")
-                else:
-                    sigma = uniform
-                for cid in chain:
-                    corner_arc(cid, sigma)
+                pair = (_arc_strand(d, t, eid, e.u), _arc_strand(d, t, eid, e.v))
+            flype_arcs.append((eid, pair))
+            arcs.append(pair)
+        else:
+            if not chain:
+                continue
+            if in_a:
+                pos_r = graph.positive_face(eid, region_of)
+                neg_r = graph.negative_face(eid, region_of)
+                sigma = sigma_of_region(pos_r)
+                if eid in theta_edges:
+                    # both sides of the corridor have the same status
+                    if sigma != sigma_of_region(neg_r):
+                        raise AssertionError(
+                            f"zero-labelled edge {eid} separates the two sides"
+                        )
+                elif pos_r is not neg_r:
+                    raise AssertionError(f"edge {eid} is not inside a region")
+            else:
+                sigma = uniform
+            for cid in chain:
+                corner_arc(cid, sigma)
 
     config = PArcConfig(arcs=arcs, crossing_sides=sides, flype_arcs=flype_arcs)
     _check_arcs(d, config)
@@ -313,25 +305,21 @@ def _check_arcs(d: Diagram, config: PArcConfig) -> None:
 
 
 def _cycle_count(pairings: list[tuple[int, int]], other: list[tuple[int, int]]) -> int:
-    link: dict[tuple[int, int], tuple[int, int]] = {}
-    for kind, pairs in ((0, pairings), (1, other)):
+    """The closed curves made by two perfect pairings of the same labels."""
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for partner, pairs in ((first, pairings), (second, other)):
         for a, b in pairs:
-            link[(kind, a)] = (kind, b)
-            link[(kind, b)] = (kind, a)
+            partner[a], partner[b] = b, a
     count = 0
-    seen: set[tuple[int, int]] = set()
-    for start in link:
-        if start in seen or start[0] != 0:
-            continue
-        count += 1
-        node = start
-        while True:
-            seen.add(node)
-            partner = link[node]
-            seen.add(partner)
-            node = (1 - partner[0], partner[1])
-            if node == start:
-                break
+    seen: set[int] = set()
+    for start in first:
+        if start not in seen:
+            count += 1
+            a = start
+            while a not in seen:
+                seen.update((a, first[a]))
+                a = second[first[a]]
     return count
 
 

@@ -329,10 +329,7 @@ def _augment_flype_arcs(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, 
         f = face_of[dart_u]
         if face_of[dart_v] != f:
             raise AssertionError("an arc must join two corners of one face")
-        if g.orientation[u] == 1:
-            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=True)
-        else:
-            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
+        edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=g.orientation[u] == 1)
         g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
         # the walk arriving at u now leaves along the arc and comes back
         # along the face from dart_v on; the arc's other half-edge closes
@@ -362,18 +359,10 @@ def _augment_flype_arcs(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, 
 def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
     """The endpoint from which every edge of the class has its positive side
     on the left."""
-    def all_left(x: int) -> bool:
-        ok = True
-        for eid in eids:
-            e = g.edges[eid]
-            left_of_x = e.pos_left if e.u == x else not e.pos_left
-            ok = ok and left_of_x
-        return ok
-
-    if all_left(u):
-        return u
-    if all_left(v):
-        return v
+    edges = [g.edges[eid] for eid in eids]
+    for x in (u, v):
+        if all(e.pos_left == (e.u == x) for e in edges):
+            return x
     raise ValueError(f"edges {eids} have incoherent transverse sides")
 
 
@@ -418,24 +407,34 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
         i: [class_of[f.positive_face(eid, face_of)] for eid in eids]
         for i, eids in enumerate(ordered_eids)
     }
-    placement = _walk_placements(wedges, wedges[0][0])
-    classes_of: list[set[int]] = []
-    if len(placement) == len(ordered_eids):
-        t = ThetaGraph([
-            ThetaComponent(i, [ThetaEdge(eid, f.edges[eid].weight) for eid in eids],
-                           placement[i])
-            for i, eids in enumerate(ordered_eids)
-        ])
-        classes_of = [{wedges[i][j] for i, j in r.faces} for r in t.regions]
-    # each region of t holds the wedges of exactly one face class, and each
-    # class those of exactly one region; a component the walk missed leaves
-    # no region to match
-    if sorted(map(tuple, classes_of)) != [(c,) for c in range(len(merged))]:
+    t, region = _place(
+        {i: [ThetaEdge(eid, f.edges[eid].weight) for eid in eids]
+         for i, eids in enumerate(ordered_eids)},
+        wedges, wedges[0][0],
+    )
+    if len(region) != len(merged):
         raise ValueError("the faces of F(D) do not form the regions of its theta graph")
-    region = {c: t.regions[r] for r, (c,) in enumerate(classes_of)}
     t.source = f
     t.region_of = {h: region[class_of[face]] for h, face in face_of.items()}
     return t
+
+
+def _place(
+    edges: dict[int, list[ThetaEdge]], wedges: dict[int, list], start
+) -> tuple[ThetaGraph, dict]:
+    """The theta graph of the components ``edges``, placed by a walk from
+    the class ``start`` (:func:`_walk_placements`), and the region of each
+    class; ``wedges[c][j]`` is the class of wedge j of component c.  The
+    walk places every component, and each region then holds the wedges of
+    one class, since a component's outer face joins a face of its class;
+    each class must hold those of exactly one region."""
+    placement = _walk_placements(wedges, start)
+    if len(placement) == len(edges):
+        t = ThetaGraph([ThetaComponent(c, row, placement[c]) for c, row in edges.items()])
+        region = {wedges[c][j]: r for r in t.regions for c, j in r.faces}
+        if len(region) == len(t.regions):
+            return t, region
+    raise ValueError("the wedges do not form the regions of the theta graph")
 
 
 def _walk_placements(wedges: dict[int, list], start) -> dict[int, Placement]:

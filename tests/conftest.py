@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from kakimizu.families import build_graph
-from kakimizu.planar import Edge
+from kakimizu.planar import Edge, EmbeddedGraph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -17,13 +17,23 @@ def load_text(name: str) -> str:
     return fixture_path(name).read_text()
 
 
+def copy_graph(g: EmbeddedGraph) -> EmbeddedGraph:
+    """A copy of ``g`` whose edges and rotation lists are its own."""
+    out = EmbeddedGraph()
+    out.orientation = dict(g.orientation)
+    out.edges = {i: Edge(i, e.u, e.v, e.weight, e.pos_left, e.crossings)
+                 for i, e in g.edges.items()}
+    out.rotation = {v: list(r) for v, r in g.rotation.items()}
+    return out
+
+
 def run_stages(g, *stages):
     """``g`` through the private diagram-to-theta stages of
     ``kakimizu.theta`` in turn (``_reduce_bigons``, ``_augment_flype_arcs``,
     ``_extract_theta``) on a copy, with its faces traced once and handed
     from stage to stage as ``theta_pipeline`` does; returns the last
     stage's graph without its faces."""
-    out = (g.copy(), g.trace_faces())
+    out = (copy_graph(g), g.trace_faces())
     for stage in stages:
         out = stage(*out)
     return out[0] if isinstance(out, tuple) else out
@@ -40,7 +50,7 @@ def wedge_sum(g1, g2, rng):
     y = rng.choice(sorted(v for v in g2.rotation if g2.orientation[v] == g1.orientation[x]))
     vshift, eshift = max(g1.rotation) + 1, max(g1.edges) + 1
     name = {v: x if v == y else v + vshift for v in g2.rotation}
-    g = g1.copy()
+    g = copy_graph(g1)
     for e in g2.edges.values():
         g.edges[e.id + eshift] = Edge(
             e.id + eshift, name[e.u], name[e.v], e.weight, e.pos_left,

@@ -67,6 +67,10 @@ answer:
   ancestors off the wedges that separate it from the first wedge of the
   first component, where ``theta._extract_theta`` merges the faces once
   into regions and walks the tree of components and regions;
+- ``split_regions`` predicts the region deltas of each side of a split
+  from the regions of the whole graph, where ``structure.split_theta``
+  places each side afresh and checks only that its regions match the
+  regions of the whole graph one to one;
 - ``tuple_ordered_product`` names product vertices by nested pairs, sorts
   them and looks every pair up with ``SimplicialComplex.index``, and
   orders them componentwise by the factor relations of ``key_pairs``,
@@ -105,6 +109,7 @@ from operator import add
 
 import networkx as nx
 
+from conftest import copy_graph
 from kakimizu.diagram import (
     OVER_A,
     OVER_B,
@@ -151,6 +156,7 @@ __all__ = [
     "rotation_prev",
     "scan_circle_black_face",
     "skeleton_edges",
+    "split_regions",
     "tuple_moves",
     "tuple_ordered_product",
     "tuple_verify_iso",
@@ -589,10 +595,11 @@ def bfs_two_edge_cut(d: Diagram) -> tuple[int, int] | None:
             stack = [d.crossings[0].id]
             while stack:
                 v = stack.pop()
-                for eid, _end in g.rotation[v]:
+                for eid, end in g.rotation[v]:
                     if eid in (a, b):
                         continue
-                    w = g.edges[eid].other(v)
+                    e = g.edges[eid]
+                    w = e.u if end else e.v  # the far end of the dart
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -795,7 +802,7 @@ def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
     the crossing chains concatenate in transverse order, so the chain of the
     final edge lists its crossings from the negative side to the positive.
     """
-    g = g.copy()
+    g = copy_graph(g)
     while True:
         faces = g.trace_faces()
         bigon = next(
@@ -870,7 +877,7 @@ def retrace_augment_flype_arcs(
     test suite checks by isomorphism.  Each candidate search traces, and
     Euler-checks, the map the previous arc left, the final map included.
     """
-    g = g.copy()
+    g = copy_graph(g)
     for e in g.edges.values():
         for w in (e.u, e.v):
             if g.orientation.get(w) not in (1, -1):
@@ -1090,6 +1097,24 @@ def wedge_placements(t: ThetaGraph) -> list[Placement]:
         else:
             out.append(Placement(SPHERE, 0, wedges[i][seat[0]]))
     return out
+
+
+def split_regions(t: ThetaGraph, sub: ThetaGraph) -> tuple[set, tuple[int, ...]]:
+    """The region deltas of ``sub``, one side of ``t`` cut inside its
+    lowest-numbered region touching two components, predicted from the
+    regions of ``t``: each region lying inside the side keeps its delta,
+    restricted to the side's edges, and the cut region leaves its own
+    restriction.  Returns the predicted set and the cut's restriction."""
+    in_side = {c.id for c in sub.components}
+
+    def restrict(r: Region) -> tuple[int, ...]:
+        delta = r.delta(t)
+        return tuple(delta[t.edge_position[eid]] for eid in sub.global_edge_order)
+
+    met = {r.id: {cid for cid, _ in r.faces} for r in t.regions}
+    cut = next(r for r in t.regions if len(met[r.id]) >= 2)
+    inside = {restrict(r) for r in t.regions if r is not cut and met[r.id] <= in_side}
+    return inside | {restrict(cut)}, restrict(cut)
 
 
 def tuple_ordered_product(

@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -72,14 +71,12 @@ def output_hash(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
-def test_cli_output_matches_golden(argv, monkeypatch):
-    monkeypatch.delenv("KAKIMIZU_SEED", raising=False)
+def test_cli_output_matches_golden(argv):
     golden = json.loads(GOLDEN.read_text())
     assert output_hash(argv) == golden[" ".join(argv)]
 
 
 if __name__ == "__main__":
-    os.environ.pop("KAKIMIZU_SEED", None)
     table = {" ".join(argv): output_hash(argv) for argv in commands()}
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(table)} hashes to {GOLDEN.name}\n")

@@ -9,7 +9,7 @@ from kakimizu.diagram import Crossing, SeifertData, ValidationReport
 from kakimizu.homology import HomologyReport
 from kakimizu.kcomplex import SimplicialComplex
 from kakimizu.planar import Edge
-from kakimizu.structure import BallReport, SplitReport
+from kakimizu.structure import BallReport
 from kakimizu.surfaces import FlypeCircle, FlypeSet, PArcConfig
 from kakimizu.theta import SPHERE, Placement, Region, ThetaComponent, ThetaEdge, ThetaGraph
 
@@ -66,16 +66,6 @@ EXAMPLES = [
         },
     ),
     (HomologyReport, {"betti": [0, 0], "torsion": [[], []], "euler": 1}),
-    (
-        SplitReport,
-        {
-            "left": ThetaGraph([_component()]),
-            "right": ThetaGraph([_component()]),
-            "region": Region(0, {(0, 0), (1, 0)}),
-            "left_region": Region(0, {(0, 0)}),
-            "right_region": Region(0, {(1, 0)}),
-        },
-    ),
     (
         BallReport,
         {

@@ -11,6 +11,7 @@ from conftest import load_text, run_stages
 from oracles import (
     exhaustive_colour_schemes,
     key_pairs,
+    split_regions,
     tuple_ordered_product,
     tuple_verify_iso,
 )
@@ -258,14 +259,14 @@ def test_order_vertices_gives_valid_order(dalpha_theta):
 
 
 def test_split_dalpha(dalpha_theta):
-    rep = split_theta(dalpha_theta)
-    assert [c.k for c in rep.left.components] == [2]
-    assert [c.k for c in rep.right.components] == [3]
-    assert rep.left_region.delta(rep.left) == (1, -1)
-    assert rep.right_region.delta(rep.right) == (-1, 1, 0)
-    # cut region meets both components
-    comps_met = {cid for cid, _ in rep.region.faces}
-    assert len(comps_met) == 2
+    (left, left_cut), (right, right_cut) = split_theta(dalpha_theta)
+    assert [c.k for c in left.components] == [2]
+    assert [c.k for c in right.components] == [3]
+    assert left_cut.delta(left) == (1, -1)
+    assert right_cut.delta(right) == (-1, 1, 0)
+    # both are restrictions of the cut region, which meets both components
+    assert left_cut.delta(left) == split_regions(dalpha_theta, left)[1]
+    assert right_cut.delta(right) == split_regions(dalpha_theta, right)[1]
 
 
 def test_split_needs_two_components():
@@ -274,13 +275,50 @@ def test_split_needs_two_components():
 
 
 def test_split_preserves_total_weight(dalpha_theta):
-    rep = split_theta(dalpha_theta)
+    (left, _), (right, _) = split_theta(dalpha_theta)
     total = sum(c.total_weight() for c in dalpha_theta.components)
     assert (
-        sum(c.total_weight() for c in rep.left.components)
-        + sum(c.total_weight() for c in rep.right.components)
+        sum(c.total_weight() for c in left.components)
+        + sum(c.total_weight() for c in right.components)
         == total
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_split_regions_match_the_prediction(seed):
+    """Each side of a split of a graph with 2 to 4 components has the
+    regions of the whole graph that lie inside it, restricted to its edges,
+    plus its copy of the cut region, which ``split_theta`` returns."""
+    rng = random.Random(seed)
+    t = random_theta(rng, max_components=4)
+    while len(t.components) < 2:
+        t = random_theta(rng, max_components=4)
+    sides = split_theta(t)
+    assert sides[0][0].components[0].id == t.components[0].id
+    ids = sorted(c.id for sub, _ in sides for c in sub.components)
+    assert ids == [c.id for c in t.components]
+    for sub, cut in sides:
+        predicted, cut_delta = split_regions(t, sub)
+        assert {r.delta(sub) for r in sub.regions} == predicted
+        assert cut.delta(sub) == cut_delta
+
+
+def test_split_checks_every_component_is_placed(monkeypatch):
+    """A walk that misses a component leaves it on the wrong side, where the
+    side's own walk from the cut region cannot place it."""
+    walk = structure._walk_placements
+
+    def missing_last(wedges, start):
+        placement = walk(wedges, start)
+        placement.popitem()  # component 2, the last one walked
+        return placement
+
+    t = chain_beside_sibling()
+    assert [len(sub.components) for sub, _ in split_theta(t)] == [3, 1]
+    monkeypatch.setattr(structure, "_walk_placements", missing_last)
+    with pytest.raises(ValueError, match="do not form the regions"):
+        split_theta(t)
 
 
 # -- full decomposition -----------------------------------------------------

@@ -146,8 +146,9 @@ def test_p_arcs_needs_the_source_faces(dalpha):
     fs = flype_set_for_edge(t, t.weights(), [r_a])
     parsed = parse_theta(json.dumps(t.to_json()))
     assert parsed.region_of is None
-    with pytest.raises(ValueError, match="source graph"):
-        p_arcs(d, parsed, fs)
+    for flypes in (fs, empty_set(parsed)):
+        with pytest.raises(ValueError, match="source graph"):
+            p_arcs(d, parsed, flypes)
 
 
 # -- realizations -----------------------------------------------------------

@@ -484,6 +484,22 @@ def test_extraction_checks_faces_against_regions(monkeypatch):
     assert len(calls) == 2  # the face merge, then compute_regions
 
 
+def test_place_gives_each_class_one_region():
+    """Placing needs each class in exactly one region: a class on two
+    wedges of one component, or on a cycle of components and classes, is
+    refused."""
+    edges = {0: [ThetaEdge(0, 1), ThetaEdge(1, 0), ThetaEdge(2, 0)]}
+    t, region = theta._place(edges, {0: ["a", "b", "c"]}, "b")
+    assert t.components[0].placement == Placement(SPHERE, 0, 1)
+    assert [region[x].faces for x in "abc"] == [{(0, 0)}, {(0, 1)}, {(0, 2)}]
+    with pytest.raises(ValueError, match="do not form the regions"):
+        theta._place(edges, {0: ["a", "b", "a"]}, "a")
+    ring = {0: ["a", "b"], 1: ["b", "c"], 2: ["c", "a"]}
+    with pytest.raises(ValueError, match="do not form the regions"):
+        theta._place({c: [ThetaEdge(2 * c, 1), ThetaEdge(2 * c + 1, 0)] for c in ring},
+                     ring, "a")
+
+
 def test_extraction_checks_every_component_is_placed(monkeypatch):
     """A walk that misses a component leaves the faces unmatched."""
     walk = theta._walk_placements
