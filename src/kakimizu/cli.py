@@ -231,7 +231,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="input file, or - for stdin")
-        p.add_argument("--format", choices=["json"], default="json")
         p.add_argument("-o", "--output", default=None, help="write to file")
 
     p = sub.add_parser("validate", help="check a diagram document")

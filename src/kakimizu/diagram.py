@@ -565,8 +565,8 @@ def _region_graph(
             u, v = f_high, f_low  # u anticlockwise, v clockwise
         else:
             u, v = min(f_low, f_high), max(f_low, f_high)
-        # the positive side is on the left walking u -> v (Edge's default)
-        g.edges[c.id] = Edge(id=c.id, u=u, v=v, weight=1, crossings=(c.id,))
+        # a black edge's positive side is on the left walking from its +1 end
+        g.edges[c.id] = Edge(id=c.id, u=u, v=v, crossings=(c.id,))
 
     # rotation: crossings in boundary order around each region (this is the
     # anticlockwise order at the vertex placed inside the region)

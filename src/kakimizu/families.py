@@ -35,12 +35,9 @@ def build_graph(
     for v, cls in classes.items():
         g.add_vertex(v, cls)
     for eid, (u, v) in sorted(endpoints.items()):
-        # positive side of a black edge: the left as seen walking from the
-        # anticlockwise (+1) region to the clockwise one; the medial names
-        # its crossings after the black edges, so record that here too
-        g.edges[eid] = Edge(
-            id=eid, u=u, v=v, pos_left=classes[u] == 1, crossings=(eid,)
-        )
+        # the medial names its crossings after the black edges, so record
+        # that here too; each edge then has weight 1
+        g.edges[eid] = Edge(id=eid, u=u, v=v, crossings=(eid,))
     for v, order in rotations.items():
         g.rotation[v] = [
             (eid, 0 if endpoints[eid][0] == v else 1) for eid in order

@@ -12,11 +12,12 @@ number of connected components, and every trace asserts this.  The surgeries
 of :mod:`kakimizu.theta` update only the faces they touch, each checked
 locally, and every stage there ends with one full trace.
 
-Edges carry a transverse orientation.  Rather than naming the two sides, we
-store the flag ``pos_left``: the positive side of the edge is the one on the
-left when the edge is walked from ``u`` to ``v``.  A flag is robust under
-face retracing -- faces are renumbered freely by surgeries, but "left of
-u -> v" never changes meaning.
+Edges of a black-region graph carry a transverse orientation, read off the
+vertex classes rather than stored: every such edge joins a +1 vertex to a -1
+vertex, and its positive side is the one on the left when the edge is walked
+from its +1 end.  The rule is robust under face retracing -- faces are
+renumbered freely by surgeries, but "left of the +1 end" never changes
+meaning.
 
 Vertices carry an orientation class in {+1, -1, 0}: +1 for a vertex whose
 attaching circle runs anticlockwise, -1 for clockwise, 0 for unoriented.
@@ -50,16 +51,13 @@ class Edge(Record):
     ``crossings`` lists the diagram crossings sitting along the edge, in
     transverse order from the negative side to the positive side; it is empty
     for edges that do not come from a diagram (added arcs, hand-built
-    graphs).
+    graphs).  An edge of F(D) has weight ``len(crossings)``.
     """
 
-    def __init__(self, id: int, u: int, v: int, weight: int = 1, pos_left: bool = True,
-                 crossings: tuple[int, ...] = ()):
+    def __init__(self, id: int, u: int, v: int, crossings: tuple[int, ...] = ()):
         self.id = id
         self.u = u
         self.v = v
-        self.weight = weight
-        self.pos_left = pos_left
         self.crossings = crossings
 
 
@@ -193,15 +191,16 @@ class EmbeddedGraph:
 
     def positive_face(self, eid: int, face_of: dict):
         """``face_of`` at the half-edge with the positive side of edge
-        ``eid`` on its left: a face index for a map from :func:`face_index`,
-        a ``Region`` for ``ThetaGraph.region_of``."""
-        edge = self.edges[eid]
-        return face_of[(eid, 0 if edge.pos_left else 1)]
+        ``eid`` on its left, the one leaving its +1 end: a face index for a
+        map from :func:`face_index`, a ``Region`` for
+        ``ThetaGraph.region_of``.  The edge must join a +1 and a -1 vertex."""
+        return face_of[(eid, 0 if self.orientation[self.edges[eid].u] == 1 else 1)]
 
     def negative_face(self, eid: int, face_of: dict):
-        """``face_of`` at the half-edge with the negative side on its left."""
-        edge = self.edges[eid]
-        return face_of[(eid, 1 if edge.pos_left else 0)]
+        """``face_of`` at the half-edge with the negative side on its left,
+        the one leaving the -1 end; the edge must join a +1 and a -1
+        vertex."""
+        return face_of[(eid, 1 if self.orientation[self.edges[eid].u] == 1 else 0)]
 
     # -- views ------------------------------------------------------------
 

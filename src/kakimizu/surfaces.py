@@ -170,7 +170,7 @@ def _arc_strand(d: Diagram, t: ThetaGraph, arc_eid: int, vertex: int) -> int:
         j = i
         for _ in range(len(rot)):
             j = (j + step) % len(rot)
-            if f.edges[rot[j][0]].weight >= 1:
+            if f.edges[rot[j][0]].crossings:
                 return rot[j][0]
         raise ValueError("no crossing-carrying edge at the arc endpoint")
 
@@ -222,8 +222,6 @@ def p_arcs(
     for eid in sorted(graph.edges):
         e = graph.edges[eid]
         chain = e.crossings
-        if len(chain) != e.weight:
-            raise AssertionError(f"edge {eid} carries {len(chain)} crossings")
         delta = fs.labels.get(eid, 0) if eid in theta_edges else 0
         if delta == -1:
             # one crossing leaves: the circle passes through the last

@@ -214,9 +214,9 @@ def _reduce_bigons(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces
     """Merge parallel edges bounding bigons until none remain, in place on
     ``g`` and its traced ``faces``; returns ``g`` with its traced faces.
 
-    The surviving edge of each merge keeps the lower id; weights add, and
-    the crossing chains concatenate in transverse order, so the chain of the
-    final edge lists its crossings from the negative side to the positive.
+    The surviving edge of each merge keeps the lower id, and the crossing
+    chains concatenate in transverse order, so the chain of the final edge
+    lists its crossings from the negative side to the positive.
 
     Bigons merge in the order of their least half-edges.  A merge puts the
     kept half-edge in place of the dropped edge's far half-edge, in the face
@@ -240,7 +240,6 @@ def _reduce_bigons(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces
                 ek.crossings = ed.crossings + ek.crossings
             else:
                 raise ValueError("bigon edges have incoherent sides")
-            ek.weight += ed.weight
             del g.edges[drop], where[(drop, dd)]  # its darts go at the end
             dropped.add(drop)
             x, k = where.pop((drop, 1 - dd))
@@ -329,8 +328,7 @@ def _augment_flype_arcs(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, 
         f = face_of[dart_u]
         if face_of[dart_v] != f:
             raise AssertionError("an arc must join two corners of one face")
-        edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=g.orientation[u] == 1)
-        g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
+        g.insert_edge(Edge(eid, u, v), after_u=dart_u, after_v=dart_v)
         # the walk arriving at u now leaves along the arc and comes back
         # along the face from dart_v on; the arc's other half-edge closes
         # the face from dart_u on
@@ -356,29 +354,19 @@ def _augment_flype_arcs(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, 
 # -- theta extraction ------------------------------------------------------
 
 
-def _component_x_end(g: EmbeddedGraph, u: int, v: int, eids: list[int]) -> int:
-    """The endpoint from which every edge of the class has its positive side
-    on the left."""
-    edges = [g.edges[eid] for eid in eids]
-    for x in (u, v):
-        if all(e.pos_left == (e.u == x) for e in edges):
-            return x
-    raise ValueError(f"edges {eids} have incoherent transverse sides")
-
-
 def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
     """Keep the vertex pairs of F(D) joined by at least two edges; ``faces``
     are the traced faces of ``f``.
 
     Components are ordered by their smallest edge id; within a component the
     edges start at the smallest id and follow the positive cyclic order (the
-    anticlockwise rotation at the endpoint from which all positive sides lie
-    to the left).  Wedge j of a component, between its j-th and j+1-st
-    edges, holds the positive face of the j-th.  Faces merge across every
-    edge outside the components into the regions of the cut-apart graph,
-    and the components are placed by a walk from the region of the first
-    wedge of the first component.  ``t.region_of`` maps each half-edge of
-    ``f`` to its region.
+    anticlockwise rotation at the +1 end, from which each edge's positive
+    side lies to the left).  Wedge j of a component, between its j-th and
+    j+1-st edges, holds the positive face of the j-th.  Faces merge across
+    every edge outside the components into the regions of the cut-apart
+    graph, and the components are placed by a walk from the region of the
+    first wedge of the first component.  ``t.region_of`` maps each
+    half-edge of ``f`` to its region.
     """
     classes = [
         (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
@@ -391,8 +379,9 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
 
     ordered_eids: list[list[int]] = []
     for (u, v), eids in classes:
-        x = _component_x_end(f, u, v, eids)
-        rot = [eid for eid, _end in f.rotation[x] if eid in set(eids)]
+        x = u if f.orientation[u] == 1 else v
+        members = set(eids)
+        rot = [eid for eid, _end in f.rotation[x] if eid in members]
         start = rot.index(min(rot))
         ordered_eids.append(rot[start:] + rot[:start])
 
@@ -408,7 +397,7 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
         for i, eids in enumerate(ordered_eids)
     }
     t, region = _place(
-        {i: [ThetaEdge(eid, f.edges[eid].weight) for eid in eids]
+        {i: [ThetaEdge(eid, len(f.edges[eid].crossings)) for eid in eids]
          for i, eids in enumerate(ordered_eids)},
         wedges, wedges[0][0],
     )

@@ -21,8 +21,7 @@ def copy_graph(g: EmbeddedGraph) -> EmbeddedGraph:
     """A copy of ``g`` whose edges and rotation lists are its own."""
     out = EmbeddedGraph()
     out.orientation = dict(g.orientation)
-    out.edges = {i: Edge(i, e.u, e.v, e.weight, e.pos_left, e.crossings)
-                 for i, e in g.edges.items()}
+    out.edges = {i: Edge(i, e.u, e.v, e.crossings) for i, e in g.edges.items()}
     out.rotation = {v: list(r) for v, r in g.rotation.items()}
     return out
 
@@ -53,8 +52,7 @@ def wedge_sum(g1, g2, rng):
     g = copy_graph(g1)
     for e in g2.edges.values():
         g.edges[e.id + eshift] = Edge(
-            e.id + eshift, name[e.u], name[e.v], e.weight, e.pos_left,
-            tuple(c + eshift for c in e.crossings),
+            e.id + eshift, name[e.u], name[e.v], tuple(c + eshift for c in e.crossings),
         )
     for v, rot in g2.rotation.items():
         darts = [(eid + eshift, end) for eid, end in rot]

@@ -798,9 +798,9 @@ def min_pivot_trace_faces(g: EmbeddedGraph) -> list[list[HalfEdge]]:
 def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
     """Merge parallel edges bounding bigons until none remain.
 
-    The surviving edge of each merge keeps the lower id; weights add, and
-    the crossing chains concatenate in transverse order, so the chain of the
-    final edge lists its crossings from the negative side to the positive.
+    The surviving edge of each merge keeps the lower id, and the crossing
+    chains concatenate in transverse order, so the chain of the final edge
+    lists its crossings from the negative side to the positive.
     """
     g = copy_graph(g)
     while True:
@@ -826,7 +826,6 @@ def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
             ek.crossings = ed.crossings + ek.crossings
         else:
             raise ValueError("bigon edges have incoherent sides")
-        ek.weight += ed.weight
         del g.edges[drop]
         g.rotation[ed.u].remove((drop, 0))
         g.rotation[ed.v].remove((drop, 1))
@@ -893,12 +892,7 @@ def retrace_augment_flype_arcs(
             cands = cands[:]
             rng.shuffle(cands)
         (u, dart_u), (v, dart_v) = cands[0]
-        eid = max(g.edges) + 1
-        if g.orientation[u] == 1:
-            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=True)
-        else:
-            edge = Edge(id=eid, u=u, v=v, weight=0, pos_left=False)
-        g.insert_edge(edge, after_u=dart_u, after_v=dart_v)
+        g.insert_edge(Edge(max(g.edges) + 1, u, v), after_u=dart_u, after_v=dart_v)
     return g
 
 

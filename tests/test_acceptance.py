@@ -385,7 +385,7 @@ def as_multigraph(g):
     m = nx.MultiGraph()
     m.add_nodes_from(g.rotation)
     for e in g.edges.values():
-        m.add_edge(e.u, e.v, weight=e.weight)
+        m.add_edge(e.u, e.v, weight=len(e.crossings))
     return m
 
 

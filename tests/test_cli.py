@@ -517,6 +517,12 @@ def test_missing_required_option_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_format_option_is_gone(capsys):
+    # JSON is the only output, so no option selects it
+    assert main(["esd", "--n", "1", "--m", "1", "--format", "json"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
 def test_missing_input_file(capsys):
     code = main(["validate", "no-such-file.json"])
     captured = capsys.readouterr()

@@ -41,12 +41,30 @@ def test_face_index_covers_both_sides():
         assert left != right  # no edge borders the same square twice
 
 
-def test_positive_and_negative_faces_differ_by_flag():
-    g = book(3)
-    face_of = face_index(g.trace_faces())
-    for eid, e in g.edges.items():
-        assert g.positive_face(eid, face_of) == face_of[(eid, 0 if e.pos_left else 1)]
-        assert g.negative_face(eid, face_of) != g.positive_face(eid, face_of)
+def test_positive_face_is_left_of_the_plus_one_end():
+    # dalpha stores some edges from their +1 end and some from their -1 end;
+    # stored the other way round, every edge keeps its two sides
+    g = dalpha_graph()
+    r = EmbeddedGraph()
+    r.orientation = dict(g.orientation)
+    r.edges = {i: Edge(i, e.v, e.u, e.crossings) for i, e in g.edges.items()}
+    r.rotation = {v: [(eid, 1 - end) for eid, end in rot] for v, rot in g.rotation.items()}
+
+    def sides(graph):
+        faces = graph.trace_faces()
+        face_of = face_index(faces)
+        walls = [frozenset(eid for eid, _ in cycle) for cycle in faces]
+        out = {}
+        for eid, e in graph.edges.items():
+            plus = 0 if graph.orientation[e.u] == 1 else 1
+            pos, neg = graph.positive_face(eid, face_of), graph.negative_face(eid, face_of)
+            assert (pos, neg) == (face_of[(eid, plus)], face_of[(eid, 1 - plus)])
+            out[eid] = (walls[pos], walls[neg])
+            assert walls[pos] != walls[neg]  # so a swap of sides would show
+        return out
+
+    assert {g.orientation[e.u] for e in g.edges.values()} == {1, -1}
+    assert sides(r) == sides(g)
 
 
 def test_insert_edge_splits_face():

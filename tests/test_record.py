@@ -44,7 +44,7 @@ EXAMPLES = [
             "genus_like": 0,
         },
     ),
-    (Edge, {"id": 0, "u": 1, "v": 2, "weight": 3, "pos_left": False, "crossings": (4, 5, 6)}),
+    (Edge, {"id": 0, "u": 1, "v": 2, "crossings": (4, 5, 6)}),
     (ThetaEdge, {"id": 0, "weight": 2}),
     (Placement, {"parent": SPHERE, "parent_face": 0, "outer_face": 1}),
     (
@@ -96,7 +96,7 @@ EXAMPLES = [
 # the defaults of the optional parameters
 DEFAULTS = {
     ValidationReport: {"messages": []},
-    Edge: {"weight": 1, "pos_left": True, "crossings": ()},
+    Edge: {"crossings": ()},
     Region: {"boundary_plus": set(), "boundary_minus": set()},
     SimplicialComplex: {"theta": None, "key": None},
     FlypeSet: {"negative_side_regions": ()},

@@ -51,7 +51,7 @@ GOLDEN_DELTAS = {
 
 
 def total_weight(g):
-    return sum(e.weight for e in g.edges.values())
+    return sum(len(e.crossings) for e in g.edges.values())
 
 
 # -- _reduce_bigons --------------------------------------------------------
@@ -60,7 +60,7 @@ def total_weight(g):
 def test_reduce_book3_single_edge():
     g = run_stages(book(3), _reduce_bigons)
     assert sorted(g.edge_ids()) == [0]
-    assert g.edges[0].weight == 3
+    assert len(g.edges[0].crossings) == 3
     assert {g.edges[0].u, g.edges[0].v} == {0, 1}
 
 
@@ -71,13 +71,13 @@ def test_reduce_book2_chain_order():
     r = run_stages(g, _reduce_bigons)
     # edge 1 sits on the positive side of edge 0, so its crossing comes last
     assert r.edges[0].crossings == (10, 20)
-    assert r.edges[0].weight == 2
+    assert len(r.edges[0].crossings) == 2
 
 
 def test_reduce_granny():
     g = run_stages(granny_graph(), _reduce_bigons)
     assert len(g.edges) == 2
-    assert sorted(e.weight for e in g.edges.values()) == [3, 3]
+    assert sorted(len(e.crossings) for e in g.edges.values()) == [3, 3]
     assert sorted(g.rotation) == [0, 1, 2]
 
 
@@ -85,8 +85,8 @@ def test_reduce_dalpha():
     g = run_stages(dalpha_graph(), _reduce_bigons)
     assert len(g.edges) == 14
     assert 2 not in g.edges
-    assert g.edges[1].weight == 2
-    assert all(e.weight == 1 for eid, e in g.edges.items() if eid != 1)
+    assert len(g.edges[1].crossings) == 2
+    assert all(len(e.crossings) == 1 for eid, e in g.edges.items() if eid != 1)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +119,7 @@ def test_augment_cube_adds_nothing():
 def test_augment_dalpha_adds_two_arcs():
     f = run_stages(dalpha_graph(), _reduce_bigons, _augment_flype_arcs)
     assert len(f.edges) == 16
-    arcs = [e for e in f.edges.values() if e.weight == 0]
+    arcs = [e for e in f.edges.values() if not e.crossings]
     assert len(arcs) == 2
     pairs = sorted((min(e.u, e.v), max(e.u, e.v)) for e in arcs)
     assert pairs == [(0, 1), (0, 2)]
@@ -132,7 +132,7 @@ def as_multigraph(g):
     m = nx.MultiGraph()
     m.add_nodes_from(g.rotation)
     for e in g.edges.values():
-        m.add_edge(e.u, e.v, weight=e.weight)
+        m.add_edge(e.u, e.v, weight=len(e.crossings))
     return m
 
 
@@ -538,6 +538,38 @@ def test_wedge_sums_nest_components(makers, seed):
     s, u = seifert(d).s, t.weights()
     for v in [u, *neighbours(t, u)]:
         assert realize_vertex(d, t, v)["euler_characteristic"] == s - d.n
+
+
+def wedge_sum_medial(seed):
+    rng = random.Random(seed)
+    g = rng.choice(GLUED)()
+    for make in rng.sample(GLUED, 2):
+        g = wedge_sum(g, make(), rng)
+    return medial(g)
+
+
+CLASSED = {
+    **{
+        f"fixture-{p.stem}": lambda p=p: parse_diagram(p.read_text())
+        for p in FIXTURES.glob("*.json")
+        if not p.name.endswith(".theta.json")
+    },
+    **{f"hub-{i}": lambda c=c: medial(hub_graph(c)) for i, c in enumerate(HUB_CHAINS)},
+    **{f"wedge-sum-{seed}": lambda seed=seed: wedge_sum_medial(seed) for seed in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSED))
+def test_stage_edges_join_opposite_classes(name):
+    """Every edge of the black-region graph, of its bigon reduction and
+    of F(D) joins a +1 and a -1 vertex, which the positive side read from
+    the +1 end rests on."""
+    g, faces = _region_graph(CLASSED[name](), "black")
+    for stage in (_reduce_bigons, _augment_flype_arcs, None):
+        for e in g.edges.values():
+            assert sorted((g.orientation[e.u], g.orientation[e.v])) == [-1, 1]
+        if stage is not None:
+            g, faces = stage(g, faces)
 
 
 # -- serialization ---------------------------------------------------------
