@@ -132,11 +132,10 @@ def _compositions(total: int, parts: int):
 
 def enumerate_vertices(t: ThetaGraph) -> list[Vertex]:
     """Every vertex, sorted: a product of sorted lists of equal-length tuples."""
-    per_comp = [list(_compositions(c.total_weight(), c.k)) for c in t.components]
-    vertices = [
-        tuple(itertools.chain.from_iterable(choice))
-        for choice in itertools.product(*per_comp)
-    ]
+    vertices: list[Vertex] = [()]
+    for c in t.components:
+        parts = list(_compositions(c.total_weight(), c.k))
+        vertices = [v + x for v in vertices for x in parts]
     if len(vertices) != predicted_vertex_count(t):
         raise AssertionError("vertex count differs from the closed form")
     return vertices

@@ -133,23 +133,13 @@ class ThetaGraph:
                 raise ValueError(f"component {comp.id}: is its own parent")
             if not (0 <= p.parent_face < by_id[p.parent].k):
                 raise ValueError(f"component {comp.id}: parent_face out of range")
-        # forest check: walking up parents must terminate at SPHERE
-        for comp in self.components:
-            slow = comp
-            seen = set()
-            while slow.placement.parent != SPHERE:
-                if slow.id in seen:
-                    raise ValueError("placement contains a cycle")
-                seen.add(slow.id)
-                slow = by_id[slow.placement.parent]
 
     @property
     def n_edges(self) -> int:
         return len(self.global_edge_order)
 
     def weights(self) -> tuple[int, ...]:
-        w = {e.id: e.weight for c in self.components for e in c.edges}
-        return tuple(w[eid] for eid in self.global_edge_order)
+        return tuple(e.weight for c in self.components for e in c.edges)
 
     def to_json(self) -> dict:
         return {
@@ -503,39 +493,31 @@ def compute_regions(t: ThetaGraph) -> list[Region]:
     """The regions of the cut-apart theta graph with their signed boundaries.
 
     Local face j of a component lies between its j-th and j+1-st edges and
-    is on the positive side of the j-th.  Faces merge along the placement
-    forest: a child's outer face joins its parent's parent_face, and the
-    outer faces of all components at the sphere root join each other.
+    is on the positive side of the j-th.  Faces merge along one walk of the
+    placement forest down from the sphere: the sphere's components chain
+    their outer faces, then each child's outer face joins its parent's
+    parent_face.  A component the walk misses lies on a cycle of parents
+    and is refused.  Each merge joins two components across a tree edge, so
+    sum(k - 1) + 1 regions remain, different on the two sides of each edge.
     """
-    local = [(c.id, j) for c in t.components for j in range(c.k)]
-    pairs = []
-    sphere_outer: list[tuple[int, int]] = []
+    children: dict = {}
     for c in t.components:
-        p = c.placement
-        if p.parent == SPHERE:
-            sphere_outer.append((c.id, p.outer_face))
-        else:
-            pairs.append(((c.id, p.outer_face), (p.parent, p.parent_face)))
-    pairs.extend(zip(sphere_outer, sphere_outer[1:]))
+        children.setdefault(c.placement.parent, []).append(c)
+    reached = children.get(SPHERE, [])
+    outer = [(c.id, c.placement.outer_face) for c in reached]
+    pairs = list(zip(outer, outer[1:]))
+    for c in reached:  # grows as the walk reaches each component's children
+        for d in children.get(c.id, []):
+            pairs.append(((d.id, d.placement.outer_face), (c.id, d.placement.parent_face)))
+            reached.append(d)
+    if len(reached) != len(t.components):
+        raise ValueError("placement contains a cycle")
+    local = [(c.id, j) for c in t.components for j in range(c.k)]
     regions = [Region(id=i, faces=g) for i, g in enumerate(merge_classes(local, pairs))]
-    expected = sum(c.k - 1 for c in t.components) + 1
-    if t.components and len(regions) != expected:
-        raise ValueError(
-            f"placement inconsistent: {len(regions)} regions, expected {expected}"
-        )
-    member: dict[tuple[int, int], Region] = {}
-    for r in regions:
-        for lf in r.faces:
-            member[lf] = r
+    member = {lf: r for r in regions for lf in r.faces}
     for c in t.components:
         for j, e in enumerate(c.edges):
-            pos = member[(c.id, j)]
-            neg = member[(c.id, (j - 1) % c.k)]
-            if pos is neg:
-                raise ValueError(
-                    f"edge {e.id} has the same region on both sides"
-                )
             # the region meeting e exactly on its negative side gains e
-            neg.boundary_plus.add(e.id)
-            pos.boundary_minus.add(e.id)
+            member[(c.id, (j - 1) % c.k)].boundary_plus.add(e.id)
+            member[(c.id, j)].boundary_minus.add(e.id)
     return regions

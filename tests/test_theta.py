@@ -1,5 +1,6 @@
 """Bigon reduction, arc augmentation, theta extraction, and regions."""
 
+import io
 import json
 import random
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from kakimizu.diagram import _region_graph, parse_diagram, seifert
 from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
+from kakimizu.generate import random_theta
 from kakimizu.medial import medial
 from kakimizu import theta
+from kakimizu.cli import main
 from kakimizu.planar import EmbeddedGraph, face_index
 from kakimizu.theta import (
     Placement,
@@ -367,7 +370,13 @@ def test_regions_nested_components():
 
 
 @pytest.mark.parametrize(
-    "maker", [two_edge_theta, nested_theta, dalpha_theta]
+    "maker",
+    [two_edge_theta, nested_theta, dalpha_theta]
+    + [
+        # 1-3 components, on the sphere and nested
+        pytest.param(lambda seed=seed: random_theta(random.Random(seed)), id=f"random{seed}")
+        for seed in range(16)
+    ],
 )
 def test_region_invariants(maker):
     t = maker()
@@ -375,8 +384,10 @@ def test_region_invariants(maker):
     assert len(regions) == sum(c.k - 1 for c in t.components) + 1
     plus = [eid for r in regions for eid in r.boundary_plus]
     minus = [eid for r in regions for eid in r.boundary_minus]
+    # each edge has one region on each side, and the two differ
     assert sorted(plus) == sorted(t.global_edge_order)
     assert sorted(minus) == sorted(t.global_edge_order)
+    assert all(not r.boundary_plus & r.boundary_minus for r in regions)
     total = [0] * t.n_edges
     for r in regions:
         for i, d in enumerate(r.delta(t)):
@@ -625,6 +636,16 @@ def comp_doc(cid, parent, parent_face=0, outer_face=0, eids=(0, 1)):
     }
 
 
+# component 0 on the sphere, components 1 and 2 each other's parent
+CYCLE_BESIDE_SPHERE = {
+    "components": [
+        comp_doc(0, "sphere"),
+        comp_doc(1, 2, outer_face=1, eids=(2, 3)),
+        comp_doc(2, 1, outer_face=1, eids=(4, 5)),
+    ]
+}
+
+
 def test_parse_rejects_bad_placement():
     with pytest.raises(ValueError, match="unknown parent"):
         parse_theta(json.dumps({"components": [comp_doc(0, 7)]}))
@@ -647,6 +668,37 @@ def test_parse_rejects_bad_placement():
                 {"components": [comp_doc(0, "sphere"), comp_doc(1, "sphere")]}
             )
         )
+    # beside a sphere component the region count alone would not see the
+    # cycle: only the walk down from the sphere refuses it
+    with pytest.raises(ValueError, match="^placement contains a cycle$"):
+        parse_theta(json.dumps(CYCLE_BESIDE_SPHERE))
+    with pytest.raises(ValueError, match="component 1: is its own parent"):
+        parse_theta(
+            json.dumps({"components": [comp_doc(0, "sphere"), comp_doc(1, 1, eids=(2, 3))]})
+        )
+    with pytest.raises(ValueError, match="component 1: parent_face out of range"):
+        parse_theta(
+            json.dumps(
+                {"components": [comp_doc(0, "sphere"), comp_doc(1, 0, 2, eids=(2, 3))]}
+            )
+        )
+    negative = comp_doc(0, "sphere")
+    negative["edges"][1]["weight"] = -1
+    with pytest.raises(ValueError, match="edge 1: negative weight"):
+        parse_theta(json.dumps({"components": [negative]}))
+    with pytest.raises(ValueError, match="duplicate component ids"):
+        parse_theta(
+            json.dumps(
+                {"components": [comp_doc(0, "sphere"), comp_doc(0, "sphere", eids=(2, 3))]}
+            )
+        )
+
+
+def test_cli_refuses_a_cycle_of_parents(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(CYCLE_BESIDE_SPHERE)))
+    assert main(["complex", "-"]) == 1
+    expected = {"error": "placement contains a cycle"}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_parse_rejects_malformed():
