@@ -49,6 +49,11 @@ STANDALONE = [
     ["esd", "--n", "3", "--m", "3"],
     ["verify-esd"],
     ["selftest", "--count", "10"],
+    # dalpha's base vertex and its six neighbours, realized as surfaces
+    *(
+        ["surface", "fixtures/dalpha.json", "--vertex", str(i)]
+        for i in (7, 9, 14, 15, 17, 18, 19)
+    ),
 ]
 
 
