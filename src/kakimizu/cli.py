@@ -189,7 +189,7 @@ def cmd_fibred(args) -> tuple[int, dict]:
 def cmd_surface(args) -> tuple[int, dict]:
     d = parse_diagram(_read_input(args.input))
     t = theta_pipeline(d)
-    doc = realize_vertex(d, t, vertex_at(t, args.vertex), convention=args.convention)
+    doc = realize_vertex(d, t, vertex_at(t, args.vertex))
     doc["vertex_index"] = args.vertex
     return EXIT_OK, doc
 
@@ -284,9 +284,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface", help="surface realization at a vertex")
     common(p)
     p.add_argument("--vertex", type=int, required=True, help="vertex index")
-    p.add_argument(
-        "--convention", choices=["positive", "negative"], default="positive"
-    )
     p.set_defaults(handler=cmd_surface)
 
     p = sub.add_parser("selftest", help="randomized property suites")

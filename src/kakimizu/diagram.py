@@ -500,10 +500,10 @@ def seifert(d: Diagram) -> SeifertData:
         raise ValueError("diagram is not special alternating")
     circles = _circles(d)
     s = len(circles)
+    # in an alternating diagram every face's corners share one parity, so
+    # these two lists split the faces
     black = d.black_faces()
     white = d.white_faces()
-    if sorted(black + white) != list(range(len(d.faces))):
-        raise ValueError("checkerboard colouring failed")
     bounded = _circle_black_faces(d, circles)
     if sorted(bounded) != sorted(black):
         raise ValueError("Seifert circles do not bound the black regions")
@@ -559,8 +559,6 @@ def _region_graph(
             raise ValueError(
                 f"crossing {c.id} joins a region to itself; reduce the diagram first"
             )
-        if f_low not in corners or f_high not in corners:
-            raise ValueError("corner colouring failed")
         if colour == "black":
             u, v = f_high, f_low  # u anticlockwise, v clockwise
         else:

@@ -126,12 +126,14 @@ class ThetaGraph:
             if not (0 <= p.outer_face < comp.k):
                 raise ValueError(f"component {comp.id}: outer_face out of range")
             if p.parent == SPHERE:
-                continue
-            if p.parent not in by_id:
+                parent_faces = 1  # the sphere has one face, face 0
+            elif p.parent not in by_id:
                 raise ValueError(f"component {comp.id}: unknown parent {p.parent}")
-            if p.parent == comp.id:
+            elif p.parent == comp.id:
                 raise ValueError(f"component {comp.id}: is its own parent")
-            if not (0 <= p.parent_face < by_id[p.parent].k):
+            else:
+                parent_faces = by_id[p.parent].k
+            if not (0 <= p.parent_face < parent_faces):
                 raise ValueError(f"component {comp.id}: parent_face out of range")
 
     @property

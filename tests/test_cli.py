@@ -316,20 +316,11 @@ def test_surface_every_vertex_in_the_unit_ball(capsys):
     assert vertices.index([1, 0, 2, 0, 1]) in realized
 
 
-def test_surface_conventions_agree_on_counts(capsys):
-    _, complex_doc, _ = run(capsys, "complex", fx("dalpha.json"))
-    idx = complex_doc["vertices"].index([1, 0, 2, 0, 1])
-    _, pos, _ = run(capsys, "surface", fx("dalpha.json"), "--vertex", str(idx))
-    _, neg, _ = run(
-        capsys,
-        "surface",
-        fx("dalpha.json"),
-        "--vertex",
-        str(idx),
-        "--convention",
-        "negative",
-    )
-    assert pos["n_a"] + pos["n_b"] == neg["n_a"] + neg["n_b"] == 10
+def test_surface_has_no_convention_option(capsys):
+    # the base vertex's arcs always sit on the negative side of each crossing
+    argv = ["surface", fx("dalpha.json"), "--vertex", "17", "--convention", "negative"]
+    assert main(argv) == EXIT_USAGE
+    assert "--convention" in capsys.readouterr().err
 
 
 def test_surface_does_not_build_the_complex(capsys, monkeypatch):

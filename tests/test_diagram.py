@@ -307,6 +307,23 @@ def test_strand_walk_matches_union_find():
         assert walked(d.crossings) == solved(d.crossings)
 
 
+def test_alternating_faces_keep_one_corner_parity():
+    """A face leaving a crossing along arm p-1 reaches the next crossing at
+    an arm whose parity differs from p-1's, and turns there in corner q-1
+    of p-1's parity: in an alternating diagram every face's corners share
+    one parity, so the black and white faces split the faces."""
+    checked = 0
+    for d in walk_bases():
+        if not d.is_alternating():
+            continue
+        for f in range(len(d.faces)):
+            assert len({pos % 2 for _, pos in d.face_corners(f)}) == 1
+        if d.is_special():
+            assert sorted(d.black_faces() + d.white_faces()) == list(range(len(d.faces)))
+        checked += 1
+    assert checked == len(walk_bases())
+
+
 def test_strand_walk_matches_union_find_over_everywhere():
     """Each component free of self-crossings, switched to pass over at
     every crossing it meets, in both directions."""

@@ -10,7 +10,6 @@ from kakimizu.homology import HomologyReport
 from kakimizu.kcomplex import SimplicialComplex
 from kakimizu.planar import Edge
 from kakimizu.structure import BallReport
-from kakimizu.surfaces import FlypeCircle, FlypeSet, PArcConfig
 from kakimizu.theta import SPHERE, Placement, Region, ThetaComponent, ThetaEdge, ThetaGraph
 
 
@@ -76,21 +75,6 @@ EXAMPLES = [
             "homology": HomologyReport([0, 0], [[], []], 1),
         },
     ),
-    (FlypeCircle, {"component": 0, "crossing_edge": 1, "arc_edge": 0}),
-    (
-        FlypeSet,
-        {
-            "base": (1, 0),
-            "region_ids": (0,),
-            "labels": {0: -1, 1: 1},
-            "circles": [FlypeCircle(0, 0, 1)],
-            "negative_side_regions": (1,),
-        },
-    ),
-    (
-        PArcConfig,
-        {"arcs": [(1, 2)], "crossing_sides": {1: "flype"}, "flype_arcs": [(0, (1, 2))]},
-    ),
 ]
 
 # the defaults of the optional parameters
@@ -99,8 +83,6 @@ DEFAULTS = {
     Edge: {"crossings": ()},
     Region: {"boundary_plus": set(), "boundary_minus": set()},
     SimplicialComplex: {"theta": None, "key": None},
-    FlypeSet: {"negative_side_regions": ()},
-    PArcConfig: {"flype_arcs": []},
 }
 
 

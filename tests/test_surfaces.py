@@ -1,21 +1,17 @@
 """Flype circles, P-arc configurations, and the Euler-count identity."""
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from kakimizu.diagram import seifert
 from kakimizu.families import book, dalpha_graph
+from kakimizu.generate import random_theta
 from kakimizu.kcomplex import build_complex
 from kakimizu.medial import medial
-from kakimizu.surfaces import (
-    FlypeSet,
-    euler_characteristic,
-    flype_set_for_edge,
-    p_arcs,
-    realize_vertex,
-    trace_curves,
-)
+from kakimizu.surfaces import flype_set_for_edge, p_arcs, realize_vertex, trace_curves
 from kakimizu.theta import compute_regions, parse_theta, theta_pipeline
 
 from oracles import neighbours, skeleton_edges
@@ -43,8 +39,7 @@ def dalpha():
 
 
 def empty_set(t):
-    base = t.weights()
-    return FlypeSet(base=base, region_ids=(), labels={}, circles=[])
+    return flype_set_for_edge(t, t.weights(), set())
 
 
 # -- the base configuration -------------------------------------------------
@@ -54,37 +49,20 @@ def empty_set(t):
 def test_base_configuration_counts_seifert_circles(maker):
     d, t = pipeline(maker)
     s = seifert(d).s
-    for convention in ("positive", "negative"):
-        config = p_arcs(d, t, empty_set(t), convention=convention)
-        assert len(config.arcs) == d.n
-        n_a, n_b = trace_curves(d, config)
-        assert n_a + n_b == s
-    pos = p_arcs(d, t, empty_set(t), convention="positive")
-    assert set(pos.crossing_sides.values()) == {"negative"}
-    neg = p_arcs(d, t, empty_set(t), convention="negative")
-    assert set(neg.crossing_sides.values()) == {"positive"}
+    config = p_arcs(d, t, empty_set(t))
+    assert len(config["arcs"]) == d.n
+    n_a, n_b = trace_curves(d, config["arcs"])
+    assert n_a + n_b == s
+    assert set(config["crossing_sides"].values()) == {"negative"}
 
 
 def test_base_configuration_dalpha(dalpha):
     d, t = dalpha
     s = seifert(d).s
-    for convention in ("positive", "negative"):
-        config = p_arcs(d, t, empty_set(t), convention=convention)
-        n_a, n_b = trace_curves(d, config)
-        assert n_a + n_b == s
-        assert euler_characteristic(d.n, n_a, n_b) == s - d.n
-
-
-def test_bad_convention_rejected(trefoil):
-    d, t = trefoil
-    with pytest.raises(ValueError):
-        p_arcs(d, t, empty_set(t), convention="sideways")
-
-
-def test_euler_characteristic_formula():
-    assert euler_characteristic(3, 1, 1) == -1
-    assert euler_characteristic(2, 1, 1) == 0
-    assert euler_characteristic(15, 5, 5) == -5
+    config = p_arcs(d, t, empty_set(t))
+    n_a, n_b = trace_curves(d, config["arcs"])
+    assert n_a + n_b == s
+    assert set(config["crossing_sides"].values()) == {"negative"}
 
 
 # -- flype sets -------------------------------------------------------------
@@ -101,14 +79,14 @@ def test_flype_set_single_circle(dalpha):
     d, t = dalpha
     u = t.weights()
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
-    fs = flype_set_for_edge(t, u, [r_a])
-    assert len(fs.circles) == 1
-    circle = fs.circles[0]
+    fs = flype_set_for_edge(t, u, {r_a.id})
     order = t.global_edge_order
-    assert circle.crossing_edge == order[4]  # the -1 edge of r_a
-    assert circle.arc_edge == order[2]  # the +1 edge of r_a
-    assert fs.region_ids == (r_a.id,)
-    assert len(fs.negative_side_regions) == 3
+    # the -1 edge of r_a loses a crossing, which its +1 edge gains
+    assert fs["circles"] == [
+        {"component": 1, "crossing_edge": order[4], "arc_edge": order[2]}
+    ]
+    assert fs["regions"] == fs["positive_side_regions"] == [r_a.id]
+    assert len(fs["negative_side_regions"]) == 3
 
 
 def test_flype_set_two_circles(dalpha):
@@ -116,9 +94,9 @@ def test_flype_set_two_circles(dalpha):
     u = t.weights()
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
     r_b = region_by_delta(t, (-1, 1, 0, 0, 0))
-    fs = flype_set_for_edge(t, u, [r_a, r_b])
-    assert len(fs.circles) == 2
-    assert {c.component for c in fs.circles} == {c.id for c in t.components}
+    fs = flype_set_for_edge(t, u, {r_a.id, r_b.id})
+    assert len(fs["circles"]) == 2
+    assert {c["component"] for c in fs["circles"]} == {c.id for c in t.components}
 
 
 def test_flype_set_requires_movable_crossing(dalpha):
@@ -126,29 +104,58 @@ def test_flype_set_requires_movable_crossing(dalpha):
     u = t.weights()
     # this region subtracts from a weight-0 edge at the base vertex
     r_c = region_by_delta(t, (1, -1, -1, 1, 0))
-    with pytest.raises(ValueError):
-        flype_set_for_edge(t, u, [r_c])
+    with pytest.raises(ValueError, match="no crossing to move"):
+        flype_set_for_edge(t, u, {r_c.id})
 
 
 def test_flype_set_json(dalpha):
     d, t = dalpha
     u = t.weights()
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
-    doc = flype_set_for_edge(t, u, [r_a]).to_json()
+    doc = flype_set_for_edge(t, u, {r_a.id})
+    assert json.loads(json.dumps(doc)) == doc
     assert doc["base"] == list(u)
-    assert len(doc["circles"]) == 1
+    assert sorted(doc["labels"], key=int) == [str(eid) for eid in sorted(t.global_edge_order)]
     assert set(doc["circles"][0]) == {"component", "crossing_edge", "arc_edge"}
 
 
 def test_p_arcs_needs_the_source_faces(dalpha):
     d, t = dalpha
     r_a = region_by_delta(t, (0, 0, 1, 0, -1))
-    fs = flype_set_for_edge(t, t.weights(), [r_a])
+    fs = flype_set_for_edge(t, t.weights(), {r_a.id})
     parsed = parse_theta(json.dumps(t.to_json()))
     assert parsed.region_of is None
     for flypes in (fs, empty_set(parsed)):
         with pytest.raises(ValueError, match="source graph"):
             p_arcs(d, parsed, flypes)
+
+
+@pytest.mark.parametrize("seed", [None, *range(30)])
+def test_labels_telescope_and_alternate(dalpha, seed):
+    """The labels of a region set A, on dalpha's theta graph (seed None)
+    or a seeded random one of 1-3 components, are the sum of the deltas of
+    its regions; round each component their nonzero values alternate, and
+    there is one circle per -1 label.  Every region set is tried, or 50
+    seeded ones when there are more than 6 regions."""
+    t = dalpha[1] if seed is None else random_theta(random.Random(seed))
+    ids = [r.id for r in t.regions]
+    if len(ids) <= 6:
+        subsets = [set(a) for k in range(1, len(ids) + 1) for a in combinations(ids, k)]
+    else:
+        rng = random.Random(seed)
+        subsets = [set(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(50)]
+    # every edge has a crossing to move, so no region set is refused
+    u = (1,) * t.n_edges
+    for a in subsets:
+        fs = flype_set_for_edge(t, u, a)
+        summed = [sum(col) for col in zip(*(t.regions[r].delta(t) for r in a))]
+        labels = [fs["labels"][str(eid)] for eid in t.global_edge_order]
+        assert labels == summed
+        assert set(labels) <= {-1, 0, 1}
+        for comp in t.components:
+            nonzero = [fs["labels"][str(e.id)] for e in comp.edges if fs["labels"][str(e.id)]]
+            assert all(x == -y for x, y in zip(nonzero, nonzero[1:] + nonzero[:1]))
+        assert len(fs["circles"]) == labels.count(-1)
 
 
 # -- realizations -----------------------------------------------------------

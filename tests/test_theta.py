@@ -682,6 +682,9 @@ def test_parse_rejects_bad_placement():
                 {"components": [comp_doc(0, "sphere"), comp_doc(1, 0, 2, eids=(2, 3))]}
             )
         )
+    # the sphere has one face, so a component on it names face 0
+    with pytest.raises(ValueError, match="component 0: parent_face out of range"):
+        parse_theta(json.dumps({"components": [comp_doc(0, "sphere", 1)]}))
     negative = comp_doc(0, "sphere")
     negative["edges"][1]["weight"] = -1
     with pytest.raises(ValueError, match="edge 1: negative weight"):
@@ -699,6 +702,14 @@ def test_cli_refuses_a_cycle_of_parents(capsys, monkeypatch):
     assert main(["complex", "-"]) == 1
     expected = {"error": "placement contains a cycle"}
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_cli_refuses_a_sphere_parent_face(capsys, monkeypatch):
+    doc = {"components": [comp_doc(0, "sphere", 1)]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["complex", "-"]) == 1
+    expected = {"error": "component 0: parent_face out of range"}
+    assert json.loads(capsys.readouterr().out) == expected
 
 
 def test_parse_rejects_malformed():
