@@ -42,7 +42,7 @@ def simplex_cycles(c, idx):
     simplex = c.maximal_simplices[idx]
     cycles = set()
     for start in simplex:
-        for perm in itertools.permutations(range(len(c.theta.regions))):
+        for perm in itertools.permutations(range(c.theta.region_count)):
             walk = [start]
             i = start
             for r in perm:

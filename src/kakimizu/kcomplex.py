@@ -36,7 +36,7 @@ from operator import mul, sub
 
 from .generate import predicted_vertex_count
 from .record import Record
-from .theta import Region, ThetaGraph
+from .theta import ThetaGraph
 
 __all__ = [
     "SimplicialComplex",
@@ -99,10 +99,11 @@ class SimplicialComplex(Record):
         place = [base**e for e in reversed(range(t.n_edges))]
         codes = [sum(map(mul, place, v)) for v in self.vertices]
         index = {x: i for i, x in enumerate(codes)}
-        columns = [
-            [index.get(x + d) for x in codes]
-            for d in (sum(map(mul, place, r.delta(t))) for r in t.regions)
-        ]
+        deltas = [0] * t.region_count
+        for p, plus, minus in zip(place, *t.edge_regions()):
+            deltas[plus] += p
+            deltas[minus] -= p
+        columns = [[index.get(x + d) for x in codes] for d in deltas]
         return list(zip(*columns)) if columns else [()] * len(self.vertices)
 
     def index(self, v) -> int:
@@ -225,7 +226,7 @@ def build_complex(t: ThetaGraph) -> SimplicialComplex:
     # every component has at least two edges, hence at least two regions
     moves = c.moves
     # walks (vertex reached, regions left, vertices so far), depth first
-    rest = list(range(1, len(t.regions)))
+    rest = list(range(1, t.region_count))
     stack = [(j, rest, [i, j]) for i, row in enumerate(moves) if (j := row[0]) is not None]
     while stack:
         i, remaining, path = stack.pop()
@@ -298,14 +299,14 @@ def _region_tree(t: ThetaGraph, root: int):
     the theta edges, each joining the regions on its two sides.
 
     Returns the tree as (region, parent, edge position) steps away from
-    ``root``, and per edge position the ids of the regions holding that
-    edge in their positive and in their negative boundary.
+    ``root``, and per edge position the ids of the regions on its negative
+    and on its positive side.
     """
-    plus = {e: r.id for r in t.regions for e in r.boundary_plus}
-    minus = {e: r.id for r in t.regions for e in r.boundary_minus}
-    plus, minus = ([side[e] for e in t.global_edge_order] for side in (plus, minus))
-    pos = t.edge_position
-    at = [[pos[e] for e in (*r.boundary_plus, *r.boundary_minus)] for r in t.regions]
+    plus, minus = t.edge_regions()
+    at: list[list[int]] = [[] for _ in range(t.region_count)]
+    for i, (a, b) in enumerate(zip(plus, minus)):
+        at[a].append(i)
+        at[b].append(i)
     steps = [(root, root, -1)]
     seen = {root}
     for p, _, _ in steps:
@@ -314,7 +315,7 @@ def _region_tree(t: ThetaGraph, root: int):
             if s not in seen:
                 seen.add(s)
                 steps.append((s, p, i))
-    if len(steps) != len(t.regions):
+    if len(steps) != t.region_count:
         raise AssertionError("the region graph is disconnected")
     return steps[1:], plus, minus
 
@@ -324,19 +325,19 @@ def heights(t: ThetaGraph, u, v) -> list[int]:
     per region, indexed by region id, the least 0, with
     ``v - u = sum(h[r] * delta(r))``.
 
-    Each theta edge changes by the height of the region holding it in its
-    positive boundary less that of the one holding it in its negative.  A
+    Each theta edge changes by the height of the region on its negative
+    side less that of the region on its positive side.  A
     walk over the region graph from region 0 fixes the heights and every
     other edge checks them; the deltas sum to zero, so the least height
     fixes the shift.
     """
     if len(u) != t.n_edges or len(v) != t.n_edges:
         raise ValueError("vertex does not match the theta graph")
-    if not t.regions:
+    if not t.region_count:
         return []
     steps, plus, minus = _region_tree(t, 0)
     change = list(map(sub, v, u))
-    h = [0] * len(t.regions)
+    h = [0] * t.region_count
     for s, p, i in steps:
         h[s] = h[p] + change[i] if s == plus[i] else h[p] - change[i]
     if any(h[a] - h[b] != d for a, b, d in zip(plus, minus, change)):
@@ -355,9 +356,10 @@ def distance(c: SimplicialComplex, u, v) -> int:
     return max(heights(c.theta, u, v), default=0)
 
 
-def order_vertices(c: SimplicialComplex, r: Region) -> list[int]:
+def order_vertices(c: SimplicialComplex, r: int) -> list[int]:
     """One key per vertex, ordering adjacent vertices: ``i`` comes before
-    ``j`` when the region set carrying vertex i to vertex j omits ``r``.
+    ``j`` when the region set carrying vertex i to vertex j omits region
+    id ``r``.
 
     Key each vertex by the sum of its heights over a base vertex, with the
     height of ``r`` held at 0: a move by a region set A raises the key by
@@ -369,11 +371,10 @@ def order_vertices(c: SimplicialComplex, r: Region) -> list[int]:
     if c.theta is None:
         raise ValueError("complex does not carry a theta graph")
     t = c.theta
-    cut = next((reg.id for reg in t.regions if reg.delta(t) == r.delta(t)), None)
-    if cut is None:
-        raise ValueError(f"region {r.id} is not a region of the complex's theta graph")
-    steps, plus, _ = _region_tree(t, cut)
-    size = [1] * len(t.regions)
+    if not 0 <= r < t.region_count:
+        raise ValueError(f"region {r} is not a region of the complex's theta graph")
+    steps, plus, _ = _region_tree(t, r)
+    size = [1] * t.region_count
     flow = [0] * t.n_edges
     for s, p, i in reversed(steps):
         flow[i] = size[s] if s == plus[i] else -size[s]

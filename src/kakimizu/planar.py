@@ -192,7 +192,7 @@ class EmbeddedGraph:
     def positive_face(self, eid: int, face_of: dict):
         """``face_of`` at the half-edge with the positive side of edge
         ``eid`` on its left, the one leaving its +1 end: a face index for a
-        map from :func:`face_index`, a ``Region`` for
+        map from :func:`face_index`, a region id for
         ``ThetaGraph.region_of``.  The edge must join a +1 and a -1 vertex."""
         return face_of[(eid, 0 if self.orientation[self.edges[eid].u] == 1 else 1)]
 

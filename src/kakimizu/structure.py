@@ -12,6 +12,7 @@ subdivisions, so it triangulates a ball whose dimension is the sum of
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 
 from .homology import HomologyReport, homology
@@ -22,13 +23,7 @@ from .kcomplex import (
     order_vertices,
 )
 from .record import Record
-from .theta import (
-    SPHERE,
-    Region,
-    ThetaGraph,
-    _place,
-    _walk_placements,
-)
+from .theta import SPHERE, ThetaGraph, _place, _walk_placements
 
 __all__ = [
     "BallReport",
@@ -212,10 +207,10 @@ def _restrict(w: tuple[int, ...], t: ThetaGraph, sub: ThetaGraph) -> tuple[int, 
     return tuple(w[t.edge_position[eid]] for eid in sub.global_edge_order)
 
 
-def split_theta(t: ThetaGraph) -> list[tuple[ThetaGraph, Region]]:
+def split_theta(t: ThetaGraph) -> list[tuple[ThetaGraph, int]]:
     """Cut a multi-component graph along a curve inside one region; returns
-    ``[(left, left_cut), (right, right_cut)]``, each side with its copy of
-    the cut region.
+    ``[(left, left_cut), (right, right_cut)]``, each side with the id of
+    its copy of the cut region.
 
     The cut region is the lowest-numbered one touching at least two
     components.  A walk of the tree of components and regions from it
@@ -227,9 +222,9 @@ def split_theta(t: ThetaGraph) -> list[tuple[ThetaGraph, Region]]:
     """
     if len(t.components) < 2:
         raise ValueError("cannot split a single-component theta graph")
-    cut = next(r.id for r in t.regions if len({cid for cid, _ in r.faces}) >= 2)
-    region_at = {lf: r.id for r in t.regions for lf in r.faces}
-    wedges = {c.id: [region_at[(c.id, j)] for j in range(c.k)] for c in t.components}
+    wedges = t.wedges
+    met = Counter(r for row in wedges.values() for r in set(row))  # components per region
+    cut = min(r for r, n in met.items() if n >= 2)
     branch: dict[int, int | None] = {}
     for cid, pl in _walk_placements(wedges, cut).items():  # parents first
         branch[cid] = cid if pl.parent == SPHERE else branch.get(pl.parent)
@@ -318,6 +313,6 @@ def ball_report(t: ThetaGraph, c: SimplicialComplex | None = None) -> BallReport
         dimension=c.dim,
         expected_dimension=expected,
         pure=c.is_pure(),
-        region_count=len(t.regions),
+        region_count=t.region_count,
         homology=homology(c),
     )

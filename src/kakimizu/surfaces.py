@@ -51,11 +51,10 @@ def flype_set_for_edge(t: ThetaGraph, u: tuple[int, ...], a: set[int]) -> dict:
             "positive_side_regions": [],
             "negative_side_regions": [],
         }
-    faces_in_a = {lf for r in t.regions if r.id in a for lf in r.faces}
     labels: dict[str, int] = {}
     circles: list[dict] = []
     for comp in t.components:
-        inside = [(comp.id, j) in faces_in_a for j in range(comp.k)]
+        inside = [r in a for r in t.wedges[comp.id]]
         seq = [inside[j - 1] - inside[j] for j in range(comp.k)]
         for j, e in enumerate(comp.edges):
             labels[str(e.id)] = seq[j]
@@ -75,7 +74,7 @@ def flype_set_for_edge(t: ThetaGraph, u: tuple[int, ...], a: set[int]) -> dict:
         "labels": labels,
         "circles": circles,
         "positive_side_regions": sorted(a),
-        "negative_side_regions": sorted({r.id for r in t.regions} - a),
+        "negative_side_regions": sorted(set(range(t.region_count)) - a),
     }
 
 
@@ -174,7 +173,7 @@ def p_arcs(d: Diagram, t: ThetaGraph, fs: dict) -> dict:
         elif chain:
             # a label of 0 puts both sides of a theta edge on one side of
             # the circles, and every other edge lies inside one region
-            positive = not in_a or graph.positive_face(eid, region_of).id in in_a
+            positive = not in_a or graph.positive_face(eid, region_of) in in_a
             for cid in chain:
                 corner_arc(cid, positive)
 

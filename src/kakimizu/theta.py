@@ -17,13 +17,13 @@ vertices joined by at least two edges, the ordered list of those edges with
 their weights.  Each such component, with its endpoints cut apart, is a
 circle of edges on the sphere; what matters beyond the cyclic edge order is
 how these circles nest, recorded as a placement forest.  The complement of
-the cut-apart theta graph falls into regions, and each region r meets every
-theta edge either not at all, on both sides, or on one side only: the edges
-met exactly on the negative side form the set written r+ below
-(``boundary_plus``), those met exactly on the positive side form r-.
-Adding or subtracting a region moves a weight vector by +1 on
-``boundary_plus`` and -1 on ``boundary_minus``; these moves generate the
-surface complex.
+the cut-apart theta graph falls into regions, and the graph keeps one fact
+about them: the region of each wedge (``ThetaGraph.wedges``).  Wedge j of
+a component lies on the positive side of its edge j and on the negative
+side of edge j+1, and the two sides of an edge lie in different regions.
+Adding a region moves a weight vector by +1 on the edges it meets on their
+negative side and by -1 on those it meets on their positive side; these
+moves generate the surface complex.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
 from .record import Record
 
 __all__ = [
-    "Region",
     "SPHERE",
     "ThetaComponent",
     "ThetaEdge",
@@ -87,20 +86,22 @@ class ThetaGraph:
     ``source`` (in-memory only, never serialized) keeps the F(D) graph when
     the graph came from a diagram, with the diagram crossings stacked along
     each of its edges, and ``region_of`` maps each half-edge of that graph
-    to the region of the face on its left.  ``regions`` are the regions of
-    the cut-apart graph.
+    to the id of the region of the face on its left.  ``wedges[c][j]`` is
+    the id of the region of the cut-apart graph holding wedge j of
+    component c; there are ``region_count`` regions.
     """
 
     def __init__(self, components: list[ThetaComponent]):
         self.components = sorted(components, key=lambda c: c.id)
         self.source: EmbeddedGraph | None = None
-        self.region_of: dict[HalfEdge, Region] | None = None
+        self.region_of: dict[HalfEdge, int] | None = None
         self._validate()
         self.global_edge_order: list[int] = [
             e.id for comp in self.components for e in comp.edges
         ]
         self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
-        self.regions = compute_regions(self)
+        self.wedges = compute_regions(self)
+        self.region_count = max((max(row) for row in self.wedges.values()), default=-1) + 1
 
     def _validate(self) -> None:
         ids = [c.id for c in self.components]
@@ -139,6 +140,14 @@ class ThetaGraph:
     @property
     def n_edges(self) -> int:
         return len(self.global_edge_order)
+
+    def edge_regions(self) -> tuple[list[int], list[int]]:
+        """Per edge position, the id of the region on the edge's negative
+        side, which adding that region raises the edge by, and of the one
+        on its positive side, which lowers it."""
+        rows = [(self.wedges[c.id], c.k) for c in self.components]
+        negative = [row[j - 1] for row, k in rows for j in range(k)]
+        return negative, [r for row, _ in rows for r in row]
 
     def weights(self) -> tuple[int, ...]:
         return tuple(e.weight for c in self.components for e in c.edges)
@@ -358,7 +367,7 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
     every edge outside the components into the regions of the cut-apart
     graph, and the components are placed by a walk from the region of the
     first wedge of the first component.  ``t.region_of`` maps each
-    half-edge of ``f`` to its region.
+    half-edge of ``f`` to its region id.
     """
     classes = [
         (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
@@ -404,16 +413,16 @@ def _place(
     edges: dict[int, list[ThetaEdge]], wedges: dict[int, list], start
 ) -> tuple[ThetaGraph, dict]:
     """The theta graph of the components ``edges``, placed by a walk from
-    the class ``start`` (:func:`_walk_placements`), and the region of each
-    class; ``wedges[c][j]`` is the class of wedge j of component c.  The
+    the class ``start`` (:func:`_walk_placements`), and the region id of
+    each class; ``wedges[c][j]`` is the class of wedge j of component c.  The
     walk places every component, and each region then holds the wedges of
     one class, since a component's outer face joins a face of its class;
     each class must hold those of exactly one region."""
     placement = _walk_placements(wedges, start)
     if len(placement) == len(edges):
         t = ThetaGraph([ThetaComponent(c, row, placement[c]) for c, row in edges.items()])
-        region = {wedges[c][j]: r for r in t.regions for c, j in r.faces}
-        if len(region) == len(t.regions):
+        region = {wedges[c][j]: r for c, row in t.wedges.items() for j, r in enumerate(row)}
+        if len(region) == t.region_count:
             return t, region
     raise ValueError("the wedges do not form the regions of the theta graph")
 
@@ -453,23 +462,6 @@ def theta_pipeline(d: Diagram) -> ThetaGraph:
 # -- regions ---------------------------------------------------------------
 
 
-class Region(Record):
-    def __init__(self, id: int, faces: set[tuple[int, int]],
-                 boundary_plus: set[int] | None = None,
-                 boundary_minus: set[int] | None = None):
-        self.id = id
-        self.faces = faces
-        self.boundary_plus = set() if boundary_plus is None else boundary_plus
-        self.boundary_minus = set() if boundary_minus is None else boundary_minus
-
-    def delta(self, t: ThetaGraph) -> tuple[int, ...]:
-        # compute_regions never puts an edge on both sides of one region
-        return tuple(
-            (eid in self.boundary_plus) - (eid in self.boundary_minus)
-            for eid in t.global_edge_order
-        )
-
-
 def merge_classes(items: list, pairs) -> list[set]:
     """The classes of ``items`` under the equivalence generated by
     ``pairs``, each a set, ordered by least member (union-find)."""
@@ -491,16 +483,18 @@ def merge_classes(items: list, pairs) -> list[set]:
     return sorted(groups.values(), key=min)
 
 
-def compute_regions(t: ThetaGraph) -> list[Region]:
-    """The regions of the cut-apart theta graph with their signed boundaries.
+def compute_regions(t: ThetaGraph) -> dict[int, list[int]]:
+    """The regions of the cut-apart theta graph: per component id, the
+    region id of each of its wedges.
 
-    Local face j of a component lies between its j-th and j+1-st edges and
-    is on the positive side of the j-th.  Faces merge along one walk of the
-    placement forest down from the sphere: the sphere's components chain
-    their outer faces, then each child's outer face joins its parent's
-    parent_face.  A component the walk misses lies on a cycle of parents
-    and is refused.  Each merge joins two components across a tree edge, so
-    sum(k - 1) + 1 regions remain, different on the two sides of each edge.
+    Wedge (local face) j of a component lies between its j-th and j+1-st
+    edges and is on the positive side of the j-th.  Faces merge along one
+    walk of the placement forest down from the sphere: the sphere's
+    components chain their outer faces, then each child's outer face joins
+    its parent's parent_face.  A component the walk misses lies on a cycle
+    of parents and is refused.  Each merge joins two components across a
+    tree edge, so sum(k - 1) + 1 regions remain, numbered by least wedge,
+    different on the two sides of each edge.
     """
     children: dict = {}
     for c in t.components:
@@ -514,12 +508,9 @@ def compute_regions(t: ThetaGraph) -> list[Region]:
             reached.append(d)
     if len(reached) != len(t.components):
         raise ValueError("placement contains a cycle")
+    wedges = {c.id: [0] * c.k for c in t.components}
     local = [(c.id, j) for c in t.components for j in range(c.k)]
-    regions = [Region(id=i, faces=g) for i, g in enumerate(merge_classes(local, pairs))]
-    member = {lf: r for r in regions for lf in r.faces}
-    for c in t.components:
-        for j, e in enumerate(c.edges):
-            # the region meeting e exactly on its negative side gains e
-            member[(c.id, (j - 1) % c.k)].boundary_plus.add(e.id)
-            member[(c.id, j)].boundary_minus.add(e.id)
-    return regions
+    for r, faces in enumerate(merge_classes(local, pairs)):
+        for c, j in faces:
+            wedges[c][j] = r
+    return wedges

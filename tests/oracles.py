@@ -6,6 +6,8 @@ answer:
 - the fibredness oracle tries every reduction order instead of trusting
   the greedy pass;
 - networkx's clique search checks the library's own;
+- ``delta`` reads a region's delta off the wedge map edge by edge, where
+  the library sums region codes in one pass over the edges;
 - ``region_add`` adds a region's delta to a weight tuple, where
   ``SimplicialComplex.moves`` looks every move up once per complex;
   ``tuple_moves`` builds that table by adding each delta to each weight
@@ -122,7 +124,7 @@ from kakimizu.homology import HomologyReport, smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
 from kakimizu.structure import _staircases
 from kakimizu.planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
-from kakimizu.theta import SPHERE, Placement, Region, ThetaGraph, merge_classes
+from kakimizu.theta import SPHERE, Placement, ThetaGraph, merge_classes
 
 __all__ = [
     "adjacency",
@@ -133,6 +135,7 @@ __all__ = [
     "bfs_two_edge_cut",
     "cyclic_order_maximal_simplices",
     "compose",
+    "delta",
     "exhaustive_colour_schemes",
     "exhaustive_is_fibred",
     "faces_by_dim",
@@ -168,27 +171,33 @@ __all__ = [
 
 
 def owner_maps(t: ThetaGraph) -> tuple[dict[int, int], dict[int, int]]:
-    """Maps from each edge id to the id of the region holding it in its
-    positive and in its negative boundary."""
-    plus = {e: r.id for r in t.regions for e in r.boundary_plus}
-    minus = {e: r.id for r in t.regions for e in r.boundary_minus}
+    """Maps from each edge id to the id of the region on its negative side,
+    which wedge j - 1 holds for edge j, and of the one on its positive
+    side, wedge j."""
+    plus: dict[int, int] = {}
+    minus: dict[int, int] = {}
+    for c in t.components:
+        row = t.wedges[c.id]
+        for j, e in enumerate(c.edges):
+            plus[e.id], minus[e.id] = row[j - 1], row[j]
     return plus, minus
 
 
-def region_add(v: Vertex, r: Region, t: ThetaGraph) -> Vertex | None:
-    """``v`` shifted by the region's delta, or None where undefined."""
-    out = list(v)
-    for eid in r.boundary_minus:
-        i = t.edge_position[eid]
-        if out[i] == 0:
-            return None
-        out[i] -= 1
-    for eid in r.boundary_plus:
-        out[t.edge_position[eid]] += 1
-    return tuple(out)
+def delta(t: ThetaGraph, r: int) -> tuple[int, ...]:
+    """The delta of region ``r`` in global edge order: +1 on the edges with
+    ``r`` on their negative side, -1 on those with ``r`` on their positive
+    side (never both: the check is the tests' own)."""
+    plus, minus = owner_maps(t)
+    return tuple((plus[e] == r) - (minus[e] == r) for e in t.global_edge_order)
 
 
-def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
+def region_add(v: Vertex, r: int, t: ThetaGraph) -> Vertex | None:
+    """``v`` shifted by the delta of region ``r``, or None where undefined."""
+    out = tuple(map(add, v, delta(t, r)))
+    return None if min(out, default=0) < 0 else out
+
+
+def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[int]]:
     """Every vertex adjacent to ``u``, mapped to the regions carrying ``u``
     to it.
 
@@ -198,20 +207,19 @@ def neighbours(t: ThetaGraph, u: Vertex) -> dict[Vertex, list[Region]]:
     """
     if len(u) != t.n_edges:
         raise ValueError("vertex does not match the theta graph")
-    regions = t.regions
-    full = (1 << len(regions)) - 1
-    out: dict[Vertex, list[Region]] = {}
+    full = (1 << t.region_count) - 1
+    out: dict[Vertex, list[int]] = {}
     seen = {0}
     stack = [(0, tuple(u))]
     while stack:
         used, v = stack.pop()
-        for j, r in enumerate(regions):
+        for r in range(t.region_count):
             w = region_add(v, r, t)
-            nxt = used | 1 << j
+            nxt = used | 1 << r
             if w is not None and nxt not in seen:
                 seen.add(nxt)
                 if nxt != full:
-                    out[w] = [s for k, s in enumerate(regions) if nxt >> k & 1]
+                    out[w] = [s for s in range(t.region_count) if nxt >> s & 1]
                     stack.append((nxt, w))
     return out
 
@@ -225,7 +233,7 @@ def tuple_moves(c: SimplicialComplex) -> list[tuple[int | None, ...]]:
     index = {v: i for i, v in enumerate(c.vertices)}
     columns = [
         [index.get(tuple(map(add, v, d))) for v in c.vertices]
-        for d in (r.delta(c.theta) for r in c.theta.regions)
+        for d in (delta(c.theta, r) for r in range(c.theta.region_count))
     ]
     return list(zip(*columns)) if columns else [()] * len(c.vertices)
 
@@ -306,14 +314,15 @@ def bfs_distance(c: SimplicialComplex, u, v) -> int:
     return d
 
 
-def order_regions(a: list[Region], u: Vertex, t: ThetaGraph) -> list[Region]:
-    """Order ``a`` so the regions can be added starting from ``u``.
+def order_regions(a: list[int], u: Vertex, t: ThetaGraph) -> list[int]:
+    """Order the region ids ``a`` so the regions can be added starting from
+    ``u``.
 
     Greedy by lowest region id; for genuinely adjacent vertices this never
     sticks, so sticking signals corrupted input.
     """
-    remaining = sorted(a, key=lambda r: r.id)
-    out: list[Region] = []
+    remaining = sorted(a)
+    out: list[int] = []
     current = u
     while remaining:
         for r in remaining:
@@ -328,11 +337,12 @@ def order_regions(a: list[Region], u: Vertex, t: ThetaGraph) -> list[Region]:
     return out
 
 
-def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[Region] | None:
-    """The set of regions carrying ``u`` to ``v``, or None when not adjacent.
+def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[int] | None:
+    """The ids of the regions carrying ``u`` to ``v``, or None when not
+    adjacent.
 
-    Each theta edge is in the positive boundary of exactly one region and
-    the negative boundary of another; a weight difference constrains
+    Each theta edge has one region on its negative side and another on its
+    positive side; a weight difference constrains
     whether those owners are in the set, and equal weights force the owners
     into or out of it together.  Propagation either fails (not adjacent) or
     determines the set and its complement; the returned set is the one
@@ -346,10 +356,10 @@ def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[Region] | None:
     if any(abs(x) > 1 for x in d):
         return None
 
-    regions = t.regions
+    regions = range(t.region_count)
     plus_owner, minus_owner = owner_maps(t)
     value: dict[int, bool] = {}
-    same: dict[int, list[int]] = {r.id: [] for r in regions}
+    same: dict[int, list[int]] = {r: [] for r in regions}
     pending: list[tuple[int, bool]] = []
     for eid in t.global_edge_order:
         de = d[t.edge_position[eid]]
@@ -376,18 +386,18 @@ def adjacency(u: Vertex, v: Vertex, t: ThetaGraph) -> list[Region] | None:
         # the constraint graph on regions is connected, so this cannot
         # happen for distinct vertices; guard rather than guess
         raise RuntimeError("underdetermined region set")
-    a = [r for r in regions if value[r.id]]
+    a = [r for r in regions if value[r]]
     if not a or len(a) == len(regions):
         return None
     order_regions(a, u, t)  # adjacency requires a valid addition order
     return a
 
 
-def all_pairs_neighbours(t: ThetaGraph) -> dict[Vertex, dict[Vertex, list[Region]]]:
+def all_pairs_neighbours(t: ThetaGraph) -> dict[Vertex, dict[Vertex, list[int]]]:
     """For every vertex, its neighbours and the regions reaching each, from
     ``adjacency`` on every ordered pair of vertices."""
     vertices = enumerate_vertices(t)
-    out: dict[Vertex, dict[Vertex, list[Region]]] = {u: {} for u in vertices}
+    out: dict[Vertex, dict[Vertex, list[int]]] = {u: {} for u in vertices}
     for u in vertices:
         for v in vertices:
             a = adjacency(u, v, t)
@@ -409,7 +419,7 @@ def cyclic_order_maximal_simplices(t: ThetaGraph) -> set[frozenset]:
     """
     if not t.components:
         return {frozenset({()})}
-    deltas = [r.delta(t) for r in t.regions]
+    deltas = [delta(t, r) for r in range(t.region_count)]
     m = len(deltas)
     vset = set(enumerate_vertices(t))
     memo: dict[tuple[Vertex, int], frozenset] = {}
@@ -1101,13 +1111,13 @@ def split_regions(t: ThetaGraph, sub: ThetaGraph) -> tuple[set, tuple[int, ...]]
     restriction.  Returns the predicted set and the cut's restriction."""
     in_side = {c.id for c in sub.components}
 
-    def restrict(r: Region) -> tuple[int, ...]:
-        delta = r.delta(t)
-        return tuple(delta[t.edge_position[eid]] for eid in sub.global_edge_order)
+    def restrict(r: int) -> tuple[int, ...]:
+        d = delta(t, r)
+        return tuple(d[t.edge_position[eid]] for eid in sub.global_edge_order)
 
-    met = {r.id: {cid for cid, _ in r.faces} for r in t.regions}
-    cut = next(r for r in t.regions if len(met[r.id]) >= 2)
-    inside = {restrict(r) for r in t.regions if r is not cut and met[r.id] <= in_side}
+    met = [{cid for cid, row in t.wedges.items() if r in row} for r in range(t.region_count)]
+    cut = next(r for r in range(t.region_count) if len(met[r]) >= 2)
+    inside = {restrict(r) for r in range(t.region_count) if r != cut and met[r] <= in_side}
     return inside | {restrict(cut)}, restrict(cut)
 
 

@@ -114,7 +114,7 @@ def region_walks_from(c, simplex, start):
     """Closed region-addition walks around ``simplex`` beginning at ``start``."""
     members = {c.vertices[i] for i in simplex}
     walks = set()
-    for perm in itertools.permutations(c.theta.regions):
+    for perm in itertools.permutations(range(c.theta.region_count)):
         walk = [start]
         v = start
         for r in perm:

@@ -34,7 +34,6 @@ from kakimizu.theta import (
     _augment_flype_arcs,
     _extract_theta,
     _reduce_bigons,
-    compute_regions,
 )
 
 from conftest import run_stages
@@ -43,6 +42,7 @@ from oracles import (
     all_pairs_neighbours,
     bfs_distance,
     cyclic_order_maximal_simplices,
+    delta,
     key_pairs,
     neighbours,
     networkx_maximal_cliques,
@@ -73,7 +73,7 @@ CYCLES = [
 @pytest.fixture(scope="module")
 def dalpha():
     t = run_stages(dalpha_graph(), _reduce_bigons, _augment_flype_arcs, _extract_theta)
-    return t, compute_regions(t)
+    return t, list(range(t.region_count))
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +82,8 @@ def dalpha_complex(dalpha):
     return build_complex(t)
 
 
-def by_delta(regions, t, delta):
-    matches = [r for r in regions if r.delta(t) == delta]
+def by_delta(regions, t, d):
+    matches = [r for r in regions if delta(t, r) == d]
     assert len(matches) == 1
     return matches[0]
 
@@ -228,7 +228,7 @@ def test_region_add_preserves_component_sums(dalpha):
 def test_adjacency_two_step(dalpha):
     t, regions = dalpha
     a = adjacency(BASE, (0, 1, 3, 0, 0), t)
-    assert {r.delta(t) for r in a} == {R_A, R_B}
+    assert {delta(t, r) for r in a} == {R_A, R_B}
     assert neighbours(t, BASE)[(0, 1, 3, 0, 0)] == a
 
 
@@ -252,10 +252,8 @@ def test_adjacency_complement_symmetry(dalpha):
         assert (a is None) == (b is None)
         if a is not None:
             found += 1
-            ids_a = {r.id for r in a}
-            ids_b = {r.id for r in b}
-            assert ids_a & ids_b == set()
-            assert ids_a | ids_b == {r.id for r in regions}
+            assert set(a) & set(b) == set()
+            assert set(a) | set(b) == set(regions)
     assert found > 0
 
 
@@ -265,25 +263,19 @@ def test_neighbours_reject_foreign_vertex(dalpha):
         neighbours(t, (1, 0, 2, 0))
 
 
-def region_ids(nbrs):
-    return {v: sorted(r.id for r in a) for v, a in nbrs.items()}
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_neighbours_match_all_pairs_oracle(seed):
     t = random_theta(random.Random(seed), max_vertices=60, max_cells=60)
     for u, expected in all_pairs_neighbours(t).items():
-        got = neighbours(t, u)
-        assert set(got) == set(expected)
-        assert region_ids(got) == region_ids(expected)
+        assert neighbours(t, u) == expected
 
 
 def test_order_regions_greedy_follows_third_cycle(dalpha):
     t, regions = dalpha
     a = [by_delta(regions, t, d) for d in (R_B, R_C, R_A)]
     ordered = order_regions(a, BASE, t)
-    assert [r.delta(t) for r in ordered] == [R_B, R_C, R_A]
+    assert [delta(t, r) for r in ordered] == [R_B, R_C, R_A]
     assert region_add(
         region_add(region_add(BASE, ordered[0], t), ordered[1], t), ordered[2], t
     ) == (1, 0, 2, 1, 0)
@@ -389,11 +381,11 @@ def test_maximal_cliques_match_networkx(adj):
 
 def assert_heights_carry(t, u, v):
     h = heights(t, u, v)
-    assert len(h) == len(t.regions) and min(h, default=0) == 0
+    assert len(h) == t.region_count and min(h, default=0) == 0
     moved = list(u)
-    for r in t.regions:
-        for k, d in enumerate(r.delta(t)):
-            moved[k] += h[r.id] * d
+    for r in range(t.region_count):
+        for k, d in enumerate(delta(t, r)):
+            moved[k] += h[r] * d
     assert tuple(moved) == tuple(v)
     return h
 
@@ -402,7 +394,7 @@ def test_heights_on_dalpha(dalpha, dalpha_complex):
     t, regions = dalpha
     assert heights(t, BASE, BASE) == [0] * len(regions)
     h = assert_heights_carry(t, BASE, (0, 1, 3, 0, 0))
-    assert {r.delta(t) for r in regions if h[r.id] == 1} == {R_A, R_B}
+    assert {delta(t, r) for r in regions if h[r] == 1} == {R_A, R_B}
     for v in dalpha_complex.vertices:
         assert_heights_carry(t, BASE, v)
 
@@ -412,7 +404,7 @@ def test_heights_of_neighbours_are_their_region_sets(dalpha_complex):
     for u in dalpha_complex.vertices:
         for v, a in neighbours(t, u).items():
             h = heights(t, u, v)
-            assert [r.id for r in t.regions if h[r.id]] == [r.id for r in a]
+            assert [r for r in range(t.region_count) if h[r]] == a
             assert max(h) == 1
 
 
@@ -507,19 +499,18 @@ def cyclic_realizable(vertex_set, regions, t):
     and end at a member of the set and pass exactly through the set?"""
     start = min(vertex_set)
     members = frozenset(vertex_set)
-    by_id = {r.id: r for r in regions}
 
     def dfs(current, remaining):
         if not remaining:
             return current == start
-        for rid in remaining:
-            nxt = region_add(current, by_id[rid], t)
+        for r in remaining:
+            nxt = region_add(current, r, t)
             if nxt is not None and nxt in members:
-                if dfs(nxt, remaining - {rid}):
+                if dfs(nxt, remaining - {r}):
                     return True
         return False
 
-    return dfs(start, frozenset(by_id))
+    return dfs(start, frozenset(regions))
 
 
 def test_maximal_simplices_are_region_cycles(dalpha, dalpha_complex):
@@ -715,8 +706,8 @@ def assert_moves_match_region_add(c):
     t = c.theta
     assert len(c.moves) == len(c.vertices)
     for v, row in zip(c.vertices, c.moves):
-        assert len(row) == len(t.regions)
-        for r, j in zip(t.regions, row):
+        assert len(row) == t.region_count
+        for r, j in enumerate(row):
             w = region_add(v, r, t)
             assert (j is None) == (w is None)
             if w is not None:
@@ -760,10 +751,10 @@ def test_moves_refuse_a_borrow_beside_a_full_weight():
     borrows = [
         (i, r)
         for i, v in enumerate(c.vertices)
-        for r, region in enumerate(t.regions)
+        for r in range(t.region_count)
         if any(
             v[e] + d == -1 and v[e - 1] == m
-            for e, d in enumerate(region.delta(t))
+            for e, d in enumerate(delta(t, r))
             if e
         )
     ]
@@ -810,18 +801,18 @@ def oracle_order(c, r):
     order = set()
     for i, j in skeleton_edges(c):
         a = adjacency(c.vertices[i], c.vertices[j], c.theta)
-        order.add((j, i) if any(reg.id == r.id for reg in a) else (i, j))
+        order.add((j, i) if r in a else (i, j))
     return order
 
 
 def test_order_vertices_matches_oracle(dalpha_complex):
     c = dalpha_complex
-    for r in c.theta.regions:
+    for r in range(c.theta.region_count):
         assert key_pairs(c, order_vertices(c, r)) == oracle_order(c, r)
     rng = random.Random(11)
     for _ in range(15):
         c = build_complex(random_theta(rng, max_vertices=60, max_cells=60))
-        for r in c.theta.regions:
+        for r in range(c.theta.region_count):
             assert key_pairs(c, order_vertices(c, r)) == oracle_order(c, r)
 
 
@@ -829,7 +820,7 @@ def test_order_vertices_matches_oracle(dalpha_complex):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_order_vertices_matches_oracle_on_random_graphs(seed):
     c = build_complex(random_theta(random.Random(seed), max_vertices=60, max_cells=60))
-    for r in c.theta.regions:
+    for r in range(c.theta.region_count):
         assert key_pairs(c, order_vertices(c, r)) == oracle_order(c, r)
 
 
@@ -840,19 +831,19 @@ def test_order_vertices_separates_every_simplex(seed):
     graphs of one to three components, so sorting by key breaks no tie."""
     t = random_theta(random.Random(seed), max_components=3)
     c = build_complex(t)
-    for r in t.regions:
+    for r in range(t.region_count):
         key = order_vertices(c, r)
         assert len(key) == len(c.vertices)
         for s in c.maximal_simplices:
-            assert len({key[i] for i in s}) == len(s), (r.id, s)
+            assert len({key[i] for i in s}) == len(s), (r, s)
 
 
 def test_order_vertices_rejects_foreign_region(dalpha_complex):
-    foreign = small_theta([(1, 1)]).regions[0]
-    with pytest.raises(ValueError, match="not a region"):
-        order_vertices(dalpha_complex, foreign)
-    with pytest.raises(ValueError, match="not a region"):
-        order_vertices(build_complex(ThetaGraph([])), foreign)
+    """Region ids run from 0 to one less than the region count."""
+    for c in (dalpha_complex, build_complex(ThetaGraph([]))):
+        for r in (-1, c.theta.region_count):
+            with pytest.raises(ValueError, match="not a region"):
+                order_vertices(c, r)
 
 
 def test_to_json_shape(dalpha_complex):

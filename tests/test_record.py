@@ -10,7 +10,7 @@ from kakimizu.homology import HomologyReport
 from kakimizu.kcomplex import SimplicialComplex
 from kakimizu.planar import Edge
 from kakimizu.structure import BallReport
-from kakimizu.theta import SPHERE, Placement, Region, ThetaComponent, ThetaEdge, ThetaGraph
+from kakimizu.theta import SPHERE, Placement, ThetaComponent, ThetaEdge, ThetaGraph
 
 
 def _component():
@@ -54,7 +54,6 @@ EXAMPLES = [
             "placement": Placement(SPHERE, 0, 0),
         },
     ),
-    (Region, {"id": 0, "faces": {(0, 0)}, "boundary_plus": {0}, "boundary_minus": {1}}),
     (
         SimplicialComplex,
         {
@@ -81,7 +80,6 @@ EXAMPLES = [
 DEFAULTS = {
     ValidationReport: {"messages": []},
     Edge: {"crossings": ()},
-    Region: {"boundary_plus": set(), "boundary_minus": set()},
     SimplicialComplex: {"theta": None, "key": None},
 }
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import load_text, run_stages
 from oracles import (
+    delta,
     exhaustive_colour_schemes,
     key_pairs,
     split_regions,
@@ -44,7 +45,6 @@ from kakimizu.theta import (
     _augment_flype_arcs,
     _extract_theta,
     _reduce_bigons,
-    compute_regions,
     parse_theta,
     theta_pipeline,
 )
@@ -175,7 +175,7 @@ def ordered_by(c, r):
 
 def order_by_first_region(t):
     c = build_complex(t)
-    return ordered_by(c, compute_regions(t)[0])
+    return ordered_by(c, 0)
 
 
 def test_product_of_intervals_is_square():
@@ -251,7 +251,7 @@ def test_validate_order_rejects_missing_key(key):
 
 def test_order_vertices_gives_valid_order(dalpha_theta):
     c = build_complex(dalpha_theta)
-    for r in compute_regions(dalpha_theta):
+    for r in range(dalpha_theta.region_count):
         validate_order(ordered_by(c, r))
 
 
@@ -262,11 +262,11 @@ def test_split_dalpha(dalpha_theta):
     (left, left_cut), (right, right_cut) = split_theta(dalpha_theta)
     assert [c.k for c in left.components] == [2]
     assert [c.k for c in right.components] == [3]
-    assert left_cut.delta(left) == (1, -1)
-    assert right_cut.delta(right) == (-1, 1, 0)
+    assert delta(left, left_cut) == (1, -1)
+    assert delta(right, right_cut) == (-1, 1, 0)
     # both are restrictions of the cut region, which meets both components
-    assert left_cut.delta(left) == split_regions(dalpha_theta, left)[1]
-    assert right_cut.delta(right) == split_regions(dalpha_theta, right)[1]
+    assert delta(left, left_cut) == split_regions(dalpha_theta, left)[1]
+    assert delta(right, right_cut) == split_regions(dalpha_theta, right)[1]
 
 
 def test_split_needs_two_components():
@@ -300,8 +300,8 @@ def test_split_regions_match_the_prediction(seed):
     assert ids == [c.id for c in t.components]
     for sub, cut in sides:
         predicted, cut_delta = split_regions(t, sub)
-        assert {r.delta(sub) for r in sub.regions} == predicted
-        assert cut.delta(sub) == cut_delta
+        assert {delta(sub, r) for r in range(sub.region_count)} == predicted
+        assert delta(sub, cut) == cut_delta
 
 
 def test_split_checks_every_component_is_placed(monkeypatch):

@@ -19,7 +19,6 @@ from kakimizu.cli import main
 from kakimizu.planar import EmbeddedGraph, face_index
 from kakimizu.theta import (
     Placement,
-    Region,
     SPHERE,
     ThetaComponent,
     ThetaEdge,
@@ -35,6 +34,7 @@ from kakimizu.surfaces import realize_vertex
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph, load_text, run_stages, wedge_sum
 from oracles import (
+    delta,
     neighbours,
     owner_maps,
     retrace_augment_flype_arcs,
@@ -51,6 +51,10 @@ GOLDEN_DELTAS = {
     (1, -1, -1, 1, 0),
     (0, 0, 0, -1, 1),
 }
+
+
+def region_deltas(t):
+    return [delta(t, r) for r in range(t.region_count)]
 
 
 def total_weight(g):
@@ -144,7 +148,7 @@ def test_augment_order_independent():
     canonical = run_stages(base, _augment_flype_arcs)
     want = as_multigraph(canonical)
     t = run_stages(canonical, _extract_theta)
-    want_regions = sorted(r.delta(t) for r in compute_regions(t))
+    want_regions = sorted(region_deltas(t))
     for seed in range(20):
         # shuffled candidate order, which only the retracing oracle offers
         f = retrace_augment_flype_arcs(base, random.Random(seed))
@@ -155,7 +159,7 @@ def test_augment_order_independent():
         )
         t2 = run_stages(f, _extract_theta)
         assert t2.weights() == t.weights()
-        assert sorted(r.delta(t2) for r in compute_regions(t2)) == want_regions
+        assert sorted(region_deltas(t2)) == want_regions
 
 
 def test_augment_requires_orientation():
@@ -241,7 +245,7 @@ def assert_stages_match_oracles(d):
     assert map_state(t.source) == map_state(augmented)
     if t.components:
         assert [c.placement for c in t.components] == wedge_placements(t)
-        deltas = {h: r.delta(t) for h, r in t.region_of.items()}
+        deltas = {h: delta(t, r) for h, r in t.region_of.items()}
         assert deltas == embedded_deltas(augmented, t)
 
 
@@ -307,9 +311,8 @@ def test_extract_dalpha_golden():
 
 def test_dalpha_region_deltas_golden():
     t = dalpha_theta()
-    regions = compute_regions(t)
-    assert len(regions) == 4
-    assert {r.delta(t) for r in regions} == GOLDEN_DELTAS
+    assert t.region_count == 4
+    assert set(region_deltas(t)) == GOLDEN_DELTAS
 
 
 def test_extract_records_crossing_chains():
@@ -354,15 +357,14 @@ def nested_theta():
 
 def test_regions_two_edge_component():
     t = two_edge_theta()
-    regions = compute_regions(t)
-    assert {r.delta(t) for r in regions} == {(-1, 1), (1, -1)}
+    assert compute_regions(t) == t.wedges == {0: [0, 1]}
+    assert region_deltas(t) == [(-1, 1), (1, -1)]
 
 
 def test_regions_nested_components():
     t = nested_theta()
-    regions = compute_regions(t)
-    assert len(regions) == 3
-    assert {r.delta(t) for r in regions} == {
+    assert t.wedges == {0: [0, 1], 1: [1, 2]}
+    assert set(region_deltas(t)) == {
         (-1, 1, 0, 0),
         (1, -1, -1, 1),
         (0, 0, 1, -1),
@@ -380,19 +382,14 @@ def test_regions_nested_components():
 )
 def test_region_invariants(maker):
     t = maker()
-    regions = compute_regions(t)
-    assert len(regions) == sum(c.k - 1 for c in t.components) + 1
-    plus = [eid for r in regions for eid in r.boundary_plus]
-    minus = [eid for r in regions for eid in r.boundary_minus]
-    # each edge has one region on each side, and the two differ
-    assert sorted(plus) == sorted(t.global_edge_order)
-    assert sorted(minus) == sorted(t.global_edge_order)
-    assert all(not r.boundary_plus & r.boundary_minus for r in regions)
-    total = [0] * t.n_edges
-    for r in regions:
-        for i, d in enumerate(r.delta(t)):
-            total[i] += d
-    assert all(x == 0 for x in total)
+    assert t.region_count == sum(c.k - 1 for c in t.components) + 1
+    plus, minus = owner_maps(t)
+    # each edge has one region on each side, the two differ, and every
+    # region meets some edge
+    assert set(plus) == set(minus) == set(t.global_edge_order)
+    assert all(plus[e] != minus[e] for e in plus)
+    assert {*plus.values(), *minus.values()} == set(range(t.region_count))
+    assert all(x == 0 for x in map(sum, zip(*region_deltas(t))))
 
 
 @pytest.mark.parametrize(
@@ -400,21 +397,20 @@ def test_region_invariants(maker):
 )
 def test_graph_owns_its_regions(maker):
     t = maker()
-    assert [r.delta(t) for r in t.regions] == [
-        r.delta(t) for r in compute_regions(t)
-    ]
+    assert t.wedges == compute_regions(t)
 
 
 @pytest.mark.parametrize(
     "maker", [two_edge_theta, nested_theta, dalpha_theta]
 )
 def test_owner_maps(maker):
+    """The owner maps, read off the wedges edge by edge, agree with the
+    per-edge region lists that the library derives."""
     t = maker()
     plus_owner, minus_owner = owner_maps(t)
-    for r in t.regions:
-        assert all(plus_owner[eid] == r.id for eid in r.boundary_plus)
-        assert all(minus_owner[eid] == r.id for eid in r.boundary_minus)
-    assert set(plus_owner) == set(minus_owner) == set(t.global_edge_order)
+    plus, minus = t.edge_regions()
+    assert [plus_owner[e] for e in t.global_edge_order] == plus
+    assert [minus_owner[e] for e in t.global_edge_order] == minus
 
 
 def embedded_deltas(f, t):
@@ -453,9 +449,8 @@ def embedded_deltas(f, t):
 def test_regions_match_embedding():
     t = dalpha_theta()
     deltas = embedded_deltas(t.source, t)
-    assert {h: r.delta(t) for h, r in t.region_of.items()} == deltas
-    computed = sorted(r.delta(t) for r in compute_regions(t))
-    assert computed == sorted(set(deltas.values()))
+    assert {h: delta(t, r) for h, r in t.region_of.items()} == deltas
+    assert sorted(region_deltas(t)) == sorted(set(deltas.values()))
 
 
 def test_pipeline_merges_faces_once(monkeypatch):
@@ -502,7 +497,7 @@ def test_place_gives_each_class_one_region():
     edges = {0: [ThetaEdge(0, 1), ThetaEdge(1, 0), ThetaEdge(2, 0)]}
     t, region = theta._place(edges, {0: ["a", "b", "c"]}, "b")
     assert t.components[0].placement == Placement(SPHERE, 0, 1)
-    assert [region[x].faces for x in "abc"] == [{(0, 0)}, {(0, 1)}, {(0, 2)}]
+    assert [region[x] for x in "abc"] == [0, 1, 2] and t.wedges == {0: [0, 1, 2]}
     with pytest.raises(ValueError, match="do not form the regions"):
         theta._place(edges, {0: ["a", "b", "a"]}, "a")
     ring = {0: ["a", "b"], 1: ["b", "c"], 2: ["c", "a"]}
@@ -544,7 +539,7 @@ def test_wedge_sums_nest_components(makers, seed):
     t = theta_pipeline(d)
     assert len(t.components) >= 2
     assert [c.placement for c in t.components] == wedge_placements(t)
-    deltas = {h: r.delta(t) for h, r in t.region_of.items()}
+    deltas = {h: delta(t, r) for h, r in t.region_of.items()}
     assert deltas == embedded_deltas(t.source, t)
     s, u = seifert(d).s, t.weights()
     for v in [u, *neighbours(t, u)]:
@@ -592,8 +587,7 @@ def test_theta_roundtrip():
     again = parse_theta(doc)
     assert again.to_json() == t.to_json()
     assert again.weights() == t.weights()
-    regions = compute_regions(again)
-    assert {r.delta(again) for r in regions} == GOLDEN_DELTAS
+    assert set(region_deltas(again)) == GOLDEN_DELTAS
 
 
 def test_parse_rejects_weightless_component():
