@@ -204,12 +204,10 @@ class Diagram:
         return self._faces_of_parity(1 - self.smoothing_parity())
 
     def _faces_of_parity(self, par: int) -> list[int]:
-        """Faces all of whose corners have index parity ``par``."""
-        return [
-            i
-            for i in range(len(self.faces))
-            if all(pos % 2 == par for _, pos in self.face_corners(i))
-        ]
+        """Faces whose corners have index parity ``par``.  Only meaningful
+        for alternating diagrams, where every face's corners share one
+        parity, so the first corner decides."""
+        return [f for f, cycle in enumerate(self.faces) if self.corners[cycle[0]][1] % 2 == par]
 
 
 def decode_document(text: str):
@@ -237,8 +235,6 @@ def _diagram_from_doc(doc) -> Diagram:
     raw = doc["crossings"]
     if not isinstance(raw, list):
         raise ValueError("malformed document: 'crossings' must be a list")
-    if not raw:
-        raise ValueError("no crossings")
     crossings = []
     labels = []
     for rec in raw:
@@ -476,19 +472,12 @@ def _circle_black_faces(d: Diagram, circles: list[list[int]]) -> list[int]:
     par = d.smoothing_parity()
     circle_of = {lab: i for i, circle in enumerate(circles) for lab in circle}
     faces: list[set[int]] = [set() for _ in circles]
-    split = [False] * len(circles)
     for c in d.crossings:
         for corner in (par, par + 2):
-            # The circle hugging this smoothing corner uses the labels at
-            # arms corner and corner+1, which always lie on one circle.
-            i, j = circle_of[c.pd[corner]], circle_of[c.pd[(corner + 1) % 4]]
-            if i == j:
-                faces[i].add(d.corner_face(c.id, corner))
-            else:
-                split[i] = split[j] = True
-    for broken, hugged in zip(split, faces):
-        if broken:
-            raise ValueError("smoothing corner splits a Seifert circle")
+            # the smoothing joins the labels at arms corner and corner+1
+            # (_circle_successor), so the circle hugging the corner has both
+            faces[circle_of[c.pd[corner]]].add(d.corner_face(c.id, corner))
+    for hugged in faces:
         if len(hugged) != 1:
             raise ValueError("Seifert circle is not innermost; diagram not special")
     return [min(hugged) for hugged in faces]
@@ -508,9 +497,9 @@ def seifert(d: Diagram) -> SeifertData:
     if sorted(bounded) != sorted(black):
         raise ValueError("Seifert circles do not bound the black regions")
     chi = s - d.n
+    # smoothing one crossing changes the number of curves by one, so s has
+    # the parity of mu + n and the genus below is an integer
     mu = len(d.components)
-    if (2 - chi - mu) % 2 != 0:
-        raise ValueError("surface Euler characteristic has impossible parity")
     return SeifertData(
         circles=circles,
         s=s,
@@ -531,13 +520,7 @@ def _region_graph(
     par = d.smoothing_parity()  # raises unless the diagram is special
     if colour != "black":
         par = 1 - par
-    # a special diagram is alternating: each face meets its crossings in
-    # corners of one parity, so the first corner gives the face's colour
-    corners = {
-        f: d.face_corners(f)
-        for f, cycle in enumerate(d.faces)
-        if d.corners[cycle[0]][1] % 2 == par
-    }
+    corners = {f: d.face_corners(f) for f in d._faces_of_parity(par)}
 
     g = EmbeddedGraph()
     for f, cs in corners.items():

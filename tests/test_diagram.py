@@ -324,6 +324,21 @@ def test_alternating_faces_keep_one_corner_parity():
     assert checked == len(walk_bases())
 
 
+def test_smoothing_corners_stay_on_one_circle_of_parity_mu_plus_n():
+    """Seifert's algorithm relies on two facts it does not check: the two
+    arms of each smoothing corner lie on one circle, since the smoothing
+    joins them, and the circle count s has the parity of mu + n, since
+    smoothing one crossing changes the number of curves by one."""
+    for d in walk_bases():
+        circles = _circles(d)
+        circle_of = {lab: i for i, circle in enumerate(circles) for lab in circle}
+        for c in d.crossings:
+            par = 1 if d.over_in_first[c.id] else 0
+            for corner in (par, par + 2):
+                assert circle_of[c.pd[corner]] == circle_of[c.pd[(corner + 1) % 4]]
+        assert (len(circles) - len(d.components) - d.n) % 2 == 0
+
+
 def test_strand_walk_matches_union_find_over_everywhere():
     """Each component free of self-crossings, switched to pass over at
     every crossing it meets, in both directions."""
