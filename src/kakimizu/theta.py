@@ -101,7 +101,7 @@ class ThetaGraph:
         ]
         self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
         self.wedges = compute_regions(self)
-        self.region_count = max((max(row) for row in self.wedges.values()), default=-1) + 1
+        self.region_count = len(set().union(*self.wedges.values()))
 
     def _validate(self) -> None:
         ids = [c.id for c in self.components]
@@ -145,9 +145,9 @@ class ThetaGraph:
         """Per edge position, the id of the region on the edge's negative
         side, which adding that region raises the edge by, and of the one
         on its positive side, which lowers it."""
-        rows = [(self.wedges[c.id], c.k) for c in self.components]
-        negative = [row[j - 1] for row, k in rows for j in range(k)]
-        return negative, [r for row, _ in rows for r in row]
+        rows = [self.wedges[c.id] for c in self.components]
+        negative = [r for row in rows for r in row[-1:] + row[:-1]]  # wedge j - 1
+        return negative, [r for row in rows for r in row]
 
     def weights(self) -> tuple[int, ...]:
         return tuple(e.weight for c in self.components for e in c.edges)
