@@ -186,7 +186,7 @@ def owner_maps(t: ThetaGraph) -> tuple[dict[int, int], dict[int, int]]:
 def delta(t: ThetaGraph, r: int) -> tuple[int, ...]:
     """The delta of region ``r`` in global edge order: +1 on the edges with
     ``r`` on their negative side, -1 on those with ``r`` on their positive
-    side (never both: the check is the tests' own)."""
+    side; ``test_region_invariants`` checks that no edge has it on both."""
     plus, minus = owner_maps(t)
     return tuple((plus[e] == r) - (minus[e] == r) for e in t.global_edge_order)
 
