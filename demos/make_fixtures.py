@@ -65,7 +65,7 @@ def main():
         if name.endswith(".theta.json"):
             continue
         report = validate(parse_diagram(text))
-        flags = {k: v for k, v in report.to_json().items() if k != "messages"}
+        flags = {k: v for k, v in report.items() if k != "messages"}
         print(f"  {name}: {flags}")
 
 

@@ -66,12 +66,13 @@ def main():
     print(f"fixture: {FIXTURE.name}, {len(d.crossings)} crossings")
 
     report = validate(d)
-    assert report.all_ok(), report.messages
-    print(f"validation: {json.dumps({k: v for k, v in report.to_json().items() if k != 'messages'})}")
+    flags = {k: v for k, v in report.items() if k != "messages"}
+    assert all(flags.values()), report["messages"]
+    print(f"validation: {json.dumps(flags)}")
 
     sd = seifert(d)
-    print(f"seifert: s={sd.s} circles, chi={sd.chi}, genus-like={sd.genus_like}")
-    assert sd.s == 10
+    print(f"seifert: s={sd['s']} circles, chi={sd['chi']}, genus-like={sd['genus_like']}")
+    assert sd["s"] == 10
 
     t = theta_pipeline(d)  # black regions, bigons, flype arcs, theta graph
     counts = tuple(len(comp.edges) for comp in t.components)
@@ -111,15 +112,16 @@ def main():
         f"n_a={real['n_a']}, n_b={real['n_b']}, "
         f"chi = -{n} + {real['n_a']} + {real['n_b']} = {real['euler_characteristic']}"
     )
-    assert real["n_a"] + real["n_b"] == sd.s
+    assert real["n_a"] + real["n_b"] == sd["s"]
 
     ball = ball_report(t, c)
+    h = ball["homology"]
     print(
-        f"ball report: dimension {ball.dimension}, pure={ball.pure}, "
-        f"euler={ball.homology.euler}, reduced betti {ball.homology.betti}, "
-        f"ok={ball.ok()}"
+        f"ball report: dimension {ball['dimension']}, pure={ball['pure']}, "
+        f"euler={h['euler_characteristic']}, reduced betti {h['reduced_betti']}, "
+        f"ok={ball['ok']}"
     )
-    assert ball.ok()
+    assert ball["ok"]
     print("all assertions passed")
 
 

@@ -70,14 +70,14 @@ def _sniff(text: str) -> ThetaGraph:
 
 
 def cmd_validate(args) -> tuple[int, dict]:
-    d = parse_diagram(_read_input(args.input))
-    report = validate(d)
-    return (EXIT_OK if report.all_ok() else EXIT_INVALID), report.to_json()
+    report = validate(parse_diagram(_read_input(args.input)))
+    ok = all(v for k, v in report.items() if k != "messages")
+    return (EXIT_OK if ok else EXIT_INVALID), report
 
 
 def cmd_seifert(args) -> tuple[int, dict]:
     d = parse_diagram(_read_input(args.input))
-    return EXIT_OK, seifert(d).to_json()
+    return EXIT_OK, seifert(d)
 
 
 def cmd_theta(args) -> tuple[int, dict]:
@@ -106,10 +106,10 @@ def cmd_analyze(args) -> tuple[int, dict]:
     if args.homology or args.ball:
         report = ball_report(t, c)
         if args.homology:
-            doc["homology"] = report.homology.to_json()
+            doc["homology"] = report["homology"]
         if args.ball:
-            doc["ball"] = report.to_json()
-            if not report.ok():
+            doc["ball"] = report
+            if not report["ok"]:
                 code = EXIT_INVALID
     if args.flag_check:
         doc["flag_check"] = flag_check(c)
@@ -172,8 +172,8 @@ def cmd_verify_product(args) -> tuple[int, dict]:
     c = build_complex(t)
     ok = _is_component_product(t, c)
     report = ball_report(t, c)
-    code = EXIT_OK if ok and report.ok() else EXIT_INVALID
-    return code, {"isomorphic": ok, "ball": report.to_json()}
+    code = EXIT_OK if ok and report["ok"] else EXIT_INVALID
+    return code, {"isomorphic": ok, "ball": report}
 
 
 def cmd_fibred(args) -> tuple[int, dict]:
@@ -202,7 +202,7 @@ def cmd_selftest(args) -> tuple[int, dict]:
         c = build_complex(t)
         if not _is_component_product(t, c):
             failures.append({"instance": i, "check": "product"})
-        if not ball_report(t, c).ok():
+        if not ball_report(t, c)["ok"]:
             failures.append({"instance": i, "check": "ball"})
         if not flag_check(c):
             failures.append({"instance": i, "check": "flag"})

@@ -35,8 +35,6 @@ from .record import Record
 __all__ = [
     "Crossing",
     "Diagram",
-    "SeifertData",
-    "ValidationReport",
     "is_fibred",
     "parse_diagram",
     "seifert",
@@ -264,29 +262,6 @@ def _diagram_from_doc(doc) -> Diagram:
 # -- validation ------------------------------------------------------------
 
 
-class ValidationReport(Record):
-    def __init__(self, connected: bool, alternating: bool, special: bool, reduced: bool,
-                 prime: bool, cuttable_region_exists: bool,
-                 messages: list[str] | None = None):
-        self.connected = connected
-        self.alternating = alternating
-        self.special = special
-        self.reduced = reduced
-        self.prime = prime
-        self.cuttable_region_exists = cuttable_region_exists
-        self.messages = [] if messages is None else messages
-
-    def all_ok(self) -> bool:
-        return (
-            self.connected
-            and self.alternating
-            and self.special
-            and self.reduced
-            and self.prime
-            and self.cuttable_region_exists
-        )
-
-
 def _two_edge_cut(d: Diagram) -> tuple[int, int] | None:
     """The least pair of arcs whose removal disconnects the crossings, if any.
 
@@ -368,8 +343,9 @@ def _cuttable_white_region_exists(d: Diagram) -> tuple[bool, str]:
     return False, "no cuttable white region"
 
 
-def validate(d: Diagram) -> ValidationReport:
-    """Compute the six diagram flags; failures go into ``messages``."""
+def validate(d: Diagram) -> dict:
+    """The six diagram flags, each under its own key, and ``messages`` on
+    them; the diagram meets the theorem's hypotheses when all six hold."""
     messages: list[str] = []
     connected = d.map.component_count() == 1
     if not connected:
@@ -407,29 +383,18 @@ def validate(d: Diagram) -> ValidationReport:
         messages.append(note)
     else:
         messages.append("cuttable-region search skipped: prerequisites failed")
-    return ValidationReport(
-        connected=connected,
-        alternating=alternating,
-        special=special,
-        reduced=reduced,
-        prime=prime,
-        cuttable_region_exists=cuttable,
-        messages=messages,
-    )
+    return {
+        "connected": connected,
+        "alternating": alternating,
+        "special": special,
+        "reduced": reduced,
+        "prime": prime,
+        "cuttable_region_exists": cuttable,
+        "messages": messages,
+    }
 
 
 # -- Seifert's algorithm ---------------------------------------------------
-
-
-class SeifertData(Record):
-    def __init__(self, circles: list[list[int]], s: int, black_regions: list[int],
-                 white_regions: list[int], chi: int, genus_like: int):
-        self.circles = circles
-        self.s = s
-        self.black_regions = black_regions
-        self.white_regions = white_regions
-        self.chi = chi
-        self.genus_like = genus_like
 
 
 def _circle_successor(d: Diagram) -> dict[int, int]:
@@ -483,8 +448,11 @@ def _circle_black_faces(d: Diagram, circles: list[list[int]]) -> list[int]:
     return [min(hugged) for hugged in faces]
 
 
-def seifert(d: Diagram) -> SeifertData:
-    """Run Seifert's algorithm on a special alternating diagram."""
+def seifert(d: Diagram) -> dict:
+    """Run Seifert's algorithm on a special alternating diagram: its
+    ``circles`` as label cycles, their number ``s``, the black and white
+    regions, the Euler characteristic ``chi`` of the Seifert surface and
+    the genus it gives."""
     if not d.is_special():
         raise ValueError("diagram is not special alternating")
     circles = _circles(d)
@@ -500,14 +468,14 @@ def seifert(d: Diagram) -> SeifertData:
     # smoothing one crossing changes the number of curves by one, so s has
     # the parity of mu + n and the genus below is an integer
     mu = len(d.components)
-    return SeifertData(
-        circles=circles,
-        s=s,
-        black_regions=black,
-        white_regions=white,
-        chi=chi,
-        genus_like=(2 - chi - mu) // 2,
-    )
+    return {
+        "circles": circles,
+        "s": s,
+        "black_regions": black,
+        "white_regions": white,
+        "chi": chi,
+        "genus_like": (2 - chi - mu) // 2,
+    }
 
 
 # -- region graphs ---------------------------------------------------------

@@ -25,28 +25,8 @@ from collections import deque
 from itertools import chain, combinations, compress, count, repeat
 
 from .kcomplex import SimplicialComplex
-from .record import Record
 
-__all__ = ["HomologyReport", "homology", "smith_diagonal"]
-
-
-class HomologyReport(Record):
-    def __init__(self, betti: list[int], torsion: list[list[int]], euler: int):
-        self.betti = betti  # reduced, indexed by dimension
-        self.torsion = torsion  # torsion coefficients per dimension
-        self.euler = euler  # alternating sum of face counts; the strong core's is the same
-
-    def is_trivial(self) -> bool:
-        return all(b == 0 for b in self.betti) and all(
-            not t for t in self.torsion
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "reduced_betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-            "euler_characteristic": self.euler,
-        }
+__all__ = ["homology", "smith_diagonal"]
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
@@ -261,20 +241,22 @@ def _strong_core(simplices) -> list[frozenset]:
     return list(live.values())
 
 
-def homology(c: SimplicialComplex) -> HomologyReport:
+def homology(c: SimplicialComplex) -> dict:
     """Reduced homology of ``c``, from the chain complex of its strong core,
     which has the same homotopy type, hence the same reduced betti numbers,
     torsion and Euler characteristic; dimensions above its own are empty."""
     core = _strong_core(c.maximal_simplices)
     report = _chain_homology(SimplicialComplex(c.vertices, core))
-    pad = max(map(len, c.maximal_simplices)) - len(report.betti)
-    report.betti += [0] * pad
-    report.torsion += [[] for _ in range(pad)]
+    pad = max(map(len, c.maximal_simplices)) - len(report["reduced_betti"])
+    report["reduced_betti"] += [0] * pad
+    report["torsion"] += [[] for _ in range(pad)]
     return report
 
 
-def _chain_homology(c: SimplicialComplex) -> HomologyReport:
-    """Reduced homology from the augmented chain complex."""
+def _chain_homology(c: SimplicialComplex) -> dict:
+    """Reduced homology from the augmented chain complex: the reduced betti
+    number and the torsion coefficients of each dimension, and the Euler
+    characteristic, the alternating sum of the face counts."""
     by_dim = _faces_by_dim(c)
     f_counts = [len(fs) for fs in by_dim]
     euler = sum((-1) ** k * f_counts[k] for k in range(len(f_counts)))
@@ -306,4 +288,4 @@ def _chain_homology(c: SimplicialComplex) -> HomologyReport:
         for k in range(len(dims))
     ]
     torsion = [[d for d in diags[k + 1] if d > 1] for k in range(len(dims))]
-    return HomologyReport(betti=betti, torsion=torsion, euler=euler)
+    return {"reduced_betti": betti, "torsion": torsion, "euler_characteristic": euler}

@@ -15,18 +15,16 @@ import itertools
 from collections import Counter
 from math import comb
 
-from .homology import HomologyReport, homology
+from .homology import homology
 from .kcomplex import (
     SimplicialComplex,
     build_complex,
     enumerate_vertices,
     order_vertices,
 )
-from .record import Record
 from .theta import SPHERE, ThetaGraph, _place, _walk_placements
 
 __all__ = [
-    "BallReport",
     "ball_report",
     "colour_schemes",
     "component_product",
@@ -194,9 +192,6 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
             for path in stairs[shape]:
                 maximal.add(tuple(sorted([ids[rows[a] + chain2[b]] for a, b in path])))
     product.maximal_simplices = sorted(list(s) for s in maximal)
-    key = product.key
-    if any(len({key[i] for i in s}) < len(s) for s in product.maximal_simplices):
-        raise AssertionError("product pairs must be strictly comparable")
     return product
 
 
@@ -279,40 +274,16 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
 # -- ball structure ---------------------------------------------------------
 
 
-class BallReport(Record):
-    def __init__(self, dimension: int, expected_dimension: int, pure: bool,
-                 region_count: int, homology: HomologyReport):
-        self.dimension = dimension
-        self.expected_dimension = expected_dimension
-        self.pure = pure
-        self.region_count = region_count
-        self.homology = homology
-
-    def ok(self) -> bool:
-        counts = self.region_count == self.dimension + 1 if self.region_count else True
-        return (
-            self.dimension == self.expected_dimension
-            and self.pure
-            and counts
-            and self.homology.is_trivial()
-            and self.homology.euler == 1
-        )
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "homology": self.homology.to_json(), "ok": self.ok()}
-
-
-def ball_report(t: ThetaGraph, c: SimplicialComplex | None = None) -> BallReport:
-    """Collect the checkable pieces of the ball statement: dimension equal
-    to the sum of (edge count - 1), purity, one more region than the
-    dimension, and trivial reduced homology with Euler characteristic 1."""
+def ball_report(t: ThetaGraph, c: SimplicialComplex | None = None) -> dict:
+    """The checkable pieces of the ball statement, and ``ok`` when they all
+    hold: dimension equal to the sum of (edge count - 1), purity, and
+    trivial reduced homology with Euler characteristic 1.  A graph has one
+    more region than that sum, so the region count adds no check."""
     if c is None:
         c = build_complex(t)
-    expected = sum(comp.k - 1 for comp in t.components)
-    return BallReport(
-        dimension=c.dim,
-        expected_dimension=expected,
-        pure=c.is_pure(),
-        region_count=t.region_count,
-        homology=homology(c),
-    )
+    dim, expected, pure = c.dim, sum(comp.k - 1 for comp in t.components), c.is_pure()
+    h = homology(c)
+    ok = (dim == expected and pure and not any(h["reduced_betti"])
+          and not any(h["torsion"]) and h["euler_characteristic"] == 1)
+    return {"dimension": dim, "expected_dimension": expected, "pure": pure,
+            "region_count": t.region_count, "homology": h, "ok": ok}

@@ -194,15 +194,13 @@ def _check_arcs(d: Diagram, arcs: list[list[int]]) -> None:
         raise ValueError(
             f"arc endpoints do not cover each strand exactly once: {bad[:6]}"
         )
+    # each side of an arc is a corner just before one of its arms, whose
+    # parities differ on an alternating diagram: one side is white
     whites = set(d.white_faces())
 
     def white_of(lab: int) -> int:
-        fa = d.face_of[(lab, 0)]
-        fb = d.face_of[(lab, 1)]
-        in_w = [x for x in (fa, fb) if x in whites]
-        if len(in_w) != 1:
-            raise AssertionError(f"strand {lab} does not border one white face")
-        return in_w[0]
+        side = d.face_of[(lab, 0)]
+        return side if side in whites else d.face_of[(lab, 1)]
 
     for a, b in arcs:
         if white_of(a) != white_of(b):

@@ -120,7 +120,7 @@ from kakimizu.diagram import (
     Crossing,
     Diagram,
 )
-from kakimizu.homology import HomologyReport, smith_diagonal
+from kakimizu.homology import smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
 from kakimizu.structure import _staircases
 from kakimizu.planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
@@ -1020,7 +1020,7 @@ def compose(
     return out
 
 
-def matrix_homology(c: SimplicialComplex) -> HomologyReport:
+def matrix_homology(c: SimplicialComplex) -> dict:
     """Reduced homology with every boundary matrix eliminated on its own."""
     by_dim = faces_by_dim(c)
     f_counts = [len(fs) for fs in by_dim]
@@ -1047,7 +1047,7 @@ def matrix_homology(c: SimplicialComplex) -> HomologyReport:
         in_rank, in_div = results[k + 1] if k + 1 < len(boundaries) else (0, [])
         betti.append(f_counts[k] - out_rank - in_rank)
         torsion.append(list(in_div))
-    return HomologyReport(betti=betti, torsion=torsion, euler=euler)
+    return {"reduced_betti": betti, "torsion": torsion, "euler_characteristic": euler}
 
 
 def dominated(simplices, v) -> bool:

@@ -18,6 +18,10 @@ from hypothesis import strategies as st
 
 from kakimizu import cli, kcomplex, structure
 from kakimizu.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from kakimizu.diagram import parse_diagram, seifert, validate
+from kakimizu.homology import homology
+from kakimizu.kcomplex import build_complex
+from kakimizu.structure import ball_report
 from kakimizu.theta import parse_theta
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -112,6 +116,23 @@ def test_analyze_reports(capsys):
     assert doc["homology"]["torsion"] == [[], [], [], []]
     assert doc["ball"]["ok"] is True
     assert doc["flag_check"] is True
+
+
+DIAGRAMS = sorted(p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".theta.json"))
+
+
+@pytest.mark.parametrize("name", DIAGRAMS)
+def test_validate_and_seifert_print_the_library_reports(capsys, name):
+    d = parse_diagram((FIXTURES / name).read_text())
+    assert run(capsys, "validate", fx(name))[1] == validate(d)
+    assert run(capsys, "seifert", fx(name))[1] == seifert(d)
+
+
+def test_analyze_prints_the_library_reports(capsys):
+    t = parse_theta((FIXTURES / "dalpha.theta.json").read_text())
+    _, doc, _ = run(capsys, "analyze", fx("dalpha.theta.json"), "--ball", "--homology")
+    assert doc["ball"] == ball_report(t)
+    assert doc["homology"] == homology(build_complex(t))
 
 
 def test_analyze_metric_symmetric(capsys):

@@ -60,7 +60,7 @@ def test_medial_diagrams_are_special(subtests=None):
     for fam in [book(2), book(3), cube_graph(), dalpha_graph()]:
         d = medial(fam)
         r = validate(d)
-        assert r.alternating and r.special and r.connected
+        assert r["alternating"] and r["special"] and r["connected"]
 
 
 def test_medial_crossing_count_and_ids():

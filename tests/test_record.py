@@ -1,15 +1,18 @@
-"""The value classes: constructor order, field names, defaults, equality."""
+"""The value classes: constructor order, field names, defaults, equality;
+and the reports, which are plain dicts."""
 
 import copy
 import inspect
+import json
 
 import pytest
 
-from kakimizu.diagram import Crossing, SeifertData, ValidationReport
-from kakimizu.homology import HomologyReport
-from kakimizu.kcomplex import SimplicialComplex
+from conftest import load_text
+from kakimizu.diagram import Crossing, parse_diagram, seifert, validate
+from kakimizu.homology import homology
+from kakimizu.kcomplex import SimplicialComplex, build_complex
 from kakimizu.planar import Edge
-from kakimizu.structure import BallReport
+from kakimizu.structure import ball_report
 from kakimizu.theta import SPHERE, Placement, ThetaComponent, ThetaEdge, ThetaGraph
 
 
@@ -20,29 +23,6 @@ def _component():
 # each class with one value per field, in constructor order
 EXAMPLES = [
     (Crossing, {"id": 3, "pd": (1, 4, 2, 3)}),
-    (
-        ValidationReport,
-        {
-            "connected": True,
-            "alternating": True,
-            "special": False,
-            "reduced": True,
-            "prime": True,
-            "cuttable_region_exists": False,
-            "messages": ["not special"],
-        },
-    ),
-    (
-        SeifertData,
-        {
-            "circles": [[1, 2], [3, 4]],
-            "s": 2,
-            "black_regions": [0, 1],
-            "white_regions": [2],
-            "chi": 0,
-            "genus_like": 0,
-        },
-    ),
     (Edge, {"id": 0, "u": 1, "v": 2, "crossings": (4, 5, 6)}),
     (ThetaEdge, {"id": 0, "weight": 2}),
     (Placement, {"parent": SPHERE, "parent_face": 0, "outer_face": 1}),
@@ -63,22 +43,10 @@ EXAMPLES = [
             "key": [0, 1],
         },
     ),
-    (HomologyReport, {"betti": [0, 0], "torsion": [[], []], "euler": 1}),
-    (
-        BallReport,
-        {
-            "dimension": 1,
-            "expected_dimension": 1,
-            "pure": True,
-            "region_count": 2,
-            "homology": HomologyReport([0, 0], [[], []], 1),
-        },
-    ),
 ]
 
 # the defaults of the optional parameters
 DEFAULTS = {
-    ValidationReport: {"messages": []},
     Edge: {"crossings": ()},
     SimplicialComplex: {"theta": None, "key": None},
 }
@@ -135,3 +103,28 @@ def test_crossing_hashes_by_fields():
     assert hash(a) == hash(b) == hash((3, (1, 4, 2, 3)))
     assert {a, b} == {a}
     assert Crossing(4, (1, 4, 2, 3)) not in {a}
+
+
+# each report's keys, in the order it lists them
+REPORT_KEYS = {
+    "validate": ["connected", "alternating", "special", "reduced", "prime",
+                 "cuttable_region_exists", "messages"],
+    "seifert": ["circles", "s", "black_regions", "white_regions", "chi", "genus_like"],
+    "homology": ["reduced_betti", "torsion", "euler_characteristic"],
+    "ball_report": ["dimension", "expected_dimension", "pure", "region_count",
+                    "homology", "ok"],
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_KEYS))
+def test_report_keys_in_order(name):
+    d = parse_diagram(load_text("hopf.json"))
+    t = ThetaGraph([_component()])
+    report = {
+        "validate": lambda: validate(d),
+        "seifert": lambda: seifert(d),
+        "homology": lambda: homology(build_complex(t)),
+        "ball_report": lambda: ball_report(t),
+    }[name]()
+    assert type(report) is dict and list(report) == REPORT_KEYS[name]
+    assert json.loads(json.dumps(report)) == report

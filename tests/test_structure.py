@@ -1,5 +1,6 @@
 """Subdivision model, products, decomposition, and ball reports."""
 
+import json
 import random
 from math import comb
 
@@ -16,6 +17,7 @@ from oracles import (
     tuple_ordered_product,
     tuple_verify_iso,
 )
+from test_homology import HOLLOW_TETRAHEDRON, PROJECTIVE_PLANE, complex_on
 from kakimizu import structure
 from kakimizu.families import dalpha_graph
 from kakimizu.generate import random_theta, random_theta_family
@@ -468,37 +470,76 @@ def test_component_product_builds_each_factor_once(maker, monkeypatch):
 
 
 def test_ball_report_dalpha(dalpha_theta):
-    rep = ball_report(dalpha_theta)
-    assert rep.dimension == 3 == rep.expected_dimension
-    assert rep.pure
-    assert rep.region_count == 4
-    assert rep.homology.euler == 1
-    assert rep.homology.is_trivial()
-    assert rep.ok()
+    assert ball_report(dalpha_theta) == {
+        "dimension": 3,
+        "expected_dimension": 3,
+        "pure": True,
+        "region_count": 4,
+        "homology": {
+            "reduced_betti": [0, 0, 0, 0],
+            "torsion": [[], [], [], []],
+            "euler_characteristic": 1,
+        },
+        "ok": True,
+    }
 
 
 def test_ball_report_interval():
     rep = ball_report(single_component([3, 0]))
-    assert rep.dimension == 1
-    assert rep.ok()
+    assert rep["dimension"] == 1
+    assert rep["ok"]
 
 
 def test_ball_report_empty_theta():
     rep = ball_report(ThetaGraph([]))
-    assert rep.dimension == 0 == rep.expected_dimension
-    assert rep.ok()
+    assert rep["dimension"] == 0 == rep["expected_dimension"]
+    assert rep["region_count"] == 0
+    assert rep["ok"]
 
 
 def test_ball_report_random_family():
     for t in random_theta_family(11, 10):
-        assert ball_report(t).ok()
+        rep = ball_report(t)
+        assert rep["region_count"] == rep["dimension"] + 1
+        assert rep["ok"]
 
 
 def test_ball_report_json_shape(dalpha_theta):
-    doc = ball_report(dalpha_theta).to_json()
-    assert doc["dimension"] == 3
-    assert doc["pure"] is True
-    assert doc["homology"]["euler_characteristic"] == 1
+    doc = ball_report(dalpha_theta)
+    assert doc["pure"] is True and doc["ok"] is True
+    assert json.loads(json.dumps(doc)) == doc
+
+
+# a 2-sphere and an annulus sharing vertex 0: reduced betti [0, 1, 1], yet
+# Euler characteristic 1, so only the betti numbers tell it from a ball
+SPHERE_AND_ANNULUS = HOLLOW_TETRAHEDRON + [
+    [0, 4, 6], [4, 6, 7], [4, 5, 7], [5, 7, 8], [0, 5, 8], [0, 6, 8],
+]
+
+
+@pytest.mark.parametrize(
+    "n, faces, weights, broken",
+    [
+        (3, [[0, 1], [1, 2], [0, 2]], [1, 0], {"homology"}),
+        (9, SPHERE_AND_ANNULUS, [1, 0, 0], {"homology"}),
+        (6, PROJECTIVE_PLANE, [1, 0, 0], {"homology"}),
+        (4, [[0, 1, 2], [2, 3]], [1, 0, 0], {"pure"}),
+        (3, [[0, 1, 2]], [1, 0], {"dimension"}),
+    ],
+    ids=["hollow-triangle", "sphere-and-annulus", "rp2", "impure", "wrong-dimension"],
+)
+def test_ball_report_not_ok(n, faces, weights, broken):
+    """Each complex fails the ball statement in one piece, against a theta
+    graph of the dimension it should have, and ``ok`` is false."""
+    rep = ball_report(single_component(weights), complex_on(n, faces))
+    h = rep["homology"]
+    holds = {
+        "dimension": rep["dimension"] == rep["expected_dimension"],
+        "pure": rep["pure"],
+        "homology": not any(h["reduced_betti"]) and not any(h["torsion"]),
+    }
+    assert {k for k, v in holds.items() if not v} == broken
+    assert not rep["ok"]
 
 
 # -- the pipeline route matches the hand-built route ------------------------

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from kakimizu.diagram import seifert
+from conftest import FIXTURES, HUB_CHAINS, hub_graph
+from kakimizu.diagram import parse_diagram, seifert
 from kakimizu.families import book, dalpha_graph
 from kakimizu.generate import random_theta
 from kakimizu.kcomplex import build_complex
@@ -48,7 +49,7 @@ def empty_set(t):
 @pytest.mark.parametrize("maker", [book(2), book(3), book(4)])
 def test_base_configuration_counts_seifert_circles(maker):
     d, t = pipeline(maker)
-    s = seifert(d).s
+    s = seifert(d)["s"]
     config = p_arcs(d, t, empty_set(t))
     assert len(config["arcs"]) == d.n
     n_a, n_b = trace_curves(d, config["arcs"])
@@ -58,7 +59,7 @@ def test_base_configuration_counts_seifert_circles(maker):
 
 def test_base_configuration_dalpha(dalpha):
     d, t = dalpha
-    s = seifert(d).s
+    s = seifert(d)["s"]
     config = p_arcs(d, t, empty_set(t))
     n_a, n_b = trace_curves(d, config["arcs"])
     assert n_a + n_b == s
@@ -163,7 +164,7 @@ def test_labels_telescope_and_alternate(dalpha, seed):
 
 def test_all_neighbor_realizations_satisfy_identity(dalpha):
     d, t = dalpha
-    s = seifert(d).s
+    s = seifert(d)["s"]
     u = t.weights()
     neighbors = neighbours(t, u)
     assert len(neighbors) == 6
@@ -207,6 +208,39 @@ def test_arcs_stay_in_white_regions(dalpha):
         config = realize_vertex(d, t, v)["p_arcs"]
         for a, b in config["arcs"]:
             assert white_of(a) == white_of(b)
+
+
+def special_diagrams():
+    """The special fixtures, the (2, k) torus diagrams for k = 2..11 and the
+    hub-graph medials."""
+    fixtures = [
+        parse_diagram(p.read_text())
+        for p in sorted(FIXTURES.glob("*.json"))
+        if not p.name.endswith(".theta.json")
+    ]
+    return [
+        *(d for d in fixtures if d.is_special()),
+        *(medial(book(k)) for k in range(2, 12)),
+        *(medial(hub_graph(c)) for c in HUB_CHAINS),
+    ]
+
+
+def test_every_arc_has_one_white_side():
+    """Half-edge (lab, way) lies in the corner just before the arm it
+    arrives along, and the two arms of an alternating arc differ in parity,
+    so of each arc's two sides exactly one is white, the one ``p_arcs``
+    reads an arc endpoint's region from."""
+    diagrams = special_diagrams()
+    arcs = 0
+    for d in diagrams:
+        whites = set(d.white_faces())
+        for lab, ends in d.arms.items():
+            for way in (0, 1):
+                cid, arm = ends[1 - way]
+                assert d.corners[(lab, way)] == (cid, (arm - 1) % 4)
+            assert (d.face_of[(lab, 0)] in whites) != (d.face_of[(lab, 1)] in whites)
+            arcs += 1
+    assert (len(diagrams), arcs) == (20, 308)
 
 
 def test_realized_flype_sets_match_the_neighbour_walk(dalpha):

@@ -541,7 +541,7 @@ def test_wedge_sums_nest_components(makers, seed):
     assert [c.placement for c in t.components] == wedge_placements(t)
     deltas = {h: delta(t, r) for h, r in t.region_of.items()}
     assert deltas == embedded_deltas(t.source, t)
-    s, u = seifert(d).s, t.weights()
+    s, u = seifert(d)["s"], t.weights()
     for v in [u, *neighbours(t, u)]:
         assert realize_vertex(d, t, v)["euler_characteristic"] == s - d.n
 
