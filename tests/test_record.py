@@ -116,15 +116,26 @@ REPORT_KEYS = {
 }
 
 
-@pytest.mark.parametrize("name", list(REPORT_KEYS))
-def test_report_keys_in_order(name):
+def _report(name):
     d = parse_diagram(load_text("hopf.json"))
     t = ThetaGraph([_component()])
-    report = {
+    return {
         "validate": lambda: validate(d),
         "seifert": lambda: seifert(d),
         "homology": lambda: homology(build_complex(t)),
         "ball_report": lambda: ball_report(t),
     }[name]()
+
+
+@pytest.mark.parametrize("name", list(REPORT_KEYS))
+def test_report_keys_in_order(name):
+    report = _report(name)
     assert type(report) is dict and list(report) == REPORT_KEYS[name]
-    assert json.loads(json.dumps(report)) == report
+
+
+@pytest.mark.parametrize("name", list(REPORT_KEYS))
+def test_report_is_its_json(name):
+    report = _report(name)
+    text = json.dumps(report)
+    assert json.loads(text) == report
+    assert list(json.loads(text)) == list(report)
