@@ -22,7 +22,7 @@ in the list and the dimension.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations, compress, count, repeat
+from itertools import chain, combinations, compress, repeat
 
 from .kcomplex import SimplicialComplex
 
@@ -203,40 +203,55 @@ def _strong_core(simplices) -> list[frozenset]:
     is deleted, each simplex of its star shrinking to its face without v,
     kept where no live simplex contains it.  This keeps the homotopy type
     (Barmak and Minian, *Strong homotopy types, nerves and collapses*,
-    2012).  ``star[v]`` holds the ids of the live simplices that hold v, so
-    a simplex lies in a live one exactly when the stars of its vertices
-    meet.  Vertices wait first in, first out."""
+    2012).  ``star[v]`` holds the ids of the live simplices that hold v.  A
+    shrunk face holds w, so a live simplex holding it lies in ``star[w] &
+    star[x]`` for x in the face, or in all its stars if ``star[w]`` is long."""
     live: dict[int, frozenset] = {}
     star: dict[int, set[int]] = {}
-    ids, nowhere = count(), set()
-
-    def inside(s: frozenset) -> set[int]:
-        return set.intersection(*sorted(map(star.get, s, repeat(nowhere)), key=len))
-
-    def add(s: frozenset) -> None:
-        live[i := next(ids)] = s
-        for v in s:
-            star.setdefault(v, set()).add(i)
-
+    i = 0
     # larger first, dropping listed faces; one of the largest size is maximal
     listed = sorted(dict.fromkeys(map(frozenset, simplices)), key=len, reverse=True)
     for s in listed:
-        if s and (len(s) == len(listed[0]) or not inside(s)):
-            add(s)
-    queue = deque(sorted(star))
+        if s and (len(s) == len(listed[0])
+                  or not set.intersection(*[star.get(x, set()) for x in s])):
+            live[i] = s
+            for x in s:
+                star.setdefault(x, set()).add(i)
+            i += 1
+    queue = deque(sorted(star))  # vertices wait first in, first out
     while queue and len(star) > 1:
         v = queue.popleft()
         mine = star.get(v)
-        if not mine or not any(mine <= star[w] for w in live[min(mine)] - {v}):
+        for w in live[min(mine)] if mine else ():
+            if w != v and mine <= star[w]:
+                break
+        else:
             continue
-        gone = [live.pop(i) for i in mine]
+        gone = [live.pop(j) for j in mine]
         del star[v]
         touched = set().union(*gone) - {v}
-        for w in touched:
-            star[w] -= mine
+        for x in touched:
+            star[x] -= mine
         for s in gone:
-            if not inside(s := s - {v}):  # not empty: v is dominated
-                add(s)
+            s = s - {v}
+            near = star[w]
+            if len(near) > 32:  # too many to scan: intersect every star
+                near = set.intersection(*sorted(map(star.__getitem__, s), key=len))
+                if near:
+                    continue
+            else:
+                for x in s:
+                    if x != w:
+                        near = near & star[x]
+                        break
+            for j in near:
+                if s <= live[j]:
+                    break
+            else:
+                live[i] = s
+                for x in s:
+                    star[x].add(i)
+                i += 1
         queue.extend(sorted(touched))
     return list(live.values())
 

@@ -174,10 +174,11 @@ def vertex_at(t: ThetaGraph, i: int) -> Vertex:
 
 def _maximal_cliques(adj: list[set[int]]) -> list[list[int]]:
     """Every maximal clique of the graph on vertices 0..n-1 with neighbour
-    sets ``adj``, by Bron-Kerbosch with the pivot rule of Tomita, Tanaka &
-    Takahashi (TCS 363, 2006), rooted at each vertex in index order with its
-    later neighbours as candidates and its earlier ones as done (Eppstein,
-    Loffler & Strash, ISAAC 2010).  The search keeps its own stack."""
+    sets ``adj``, by Bron-Kerbosch on its own stack, rooted at each vertex in
+    index order with later neighbours as candidates and earlier ones done
+    (Eppstein, Loffler & Strash, ISAAC 2010).  The pivot is a done vertex that
+    sees every candidate, else a candidate with the most candidate neighbours;
+    any pivot lists each clique once (Tomita, Tanaka & Takahashi, 2006)."""
     out: list[list[int]] = []
     for v, nbrs in enumerate(adj):
         done = {u for u in nbrs if u < v}
@@ -188,11 +189,15 @@ def _maximal_cliques(adj: list[set[int]]) -> list[list[int]]:
                 if not done:
                     out.append(clique)
                 continue
-            most = -1
-            for u in cand | done:
-                k = len(cand & adj[u])
-                if k > most:
-                    most, pivot = k, u
+            for pivot in done:
+                if cand <= adj[pivot]:
+                    break  # it joins every clique below, so none is maximal
+            else:
+                most = -1
+                for u in cand:
+                    k = len(cand & adj[u])
+                    if k > most:
+                        most, pivot = k, u
             # a branch leaves the candidates for the done set before the
             # next one is drawn; a branch without candidates is a leaf
             for w in cand - adj[pivot]:

@@ -99,13 +99,21 @@ answer:
 - ``dominated`` decides whether a vertex is dominated by listing the
   maximal simplices of a complex with a pairwise subset test and trying
   every other vertex of the star, where ``homology._strong_core`` compares
-  sets of simplex ids.
+  sets of simplex ids;
+- ``star_intersection_core`` strong-collapses a complex, looking for a
+  live simplex that contains each shrunk face among the intersection of
+  the stars of all of the face's vertices, where
+  ``homology._strong_core`` looks only among the simplices through one
+  edge from the face's dominator while the dominator's star is short;
+  both delete the same vertices in the same order and return the same
+  list.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from math import comb
 from operator import add
 
@@ -160,6 +168,7 @@ __all__ = [
     "scan_circle_black_face",
     "skeleton_edges",
     "split_regions",
+    "star_intersection_core",
     "tuple_moves",
     "tuple_ordered_product",
     "tuple_verify_iso",
@@ -1056,6 +1065,47 @@ def dominated(simplices, v) -> bool:
     sets = {frozenset(s) for s in simplices}
     star = [s for s in sets if v in s and not any(s < t for t in sets)]
     return any(all(w in s for s in star) for w in set().union(*star) - {v})
+
+
+def star_intersection_core(simplices) -> list[frozenset]:
+    """The maximal simplices left once no vertex is dominated, deleting
+    dominated vertices first in, first out.  ``star[v]`` holds the ids of
+    the live simplices that hold v, so a simplex lies in a live one exactly
+    when the stars of all of its vertices meet."""
+    live: dict[int, frozenset] = {}
+    star: dict[int, set[int]] = {}
+    ids, nowhere = itertools.count(), set()
+
+    def inside(s: frozenset) -> set[int]:
+        stars = sorted(map(star.get, s, itertools.repeat(nowhere)), key=len)
+        return set.intersection(*stars)
+
+    def add(s: frozenset) -> None:
+        live[i := next(ids)] = s
+        for v in s:
+            star.setdefault(v, set()).add(i)
+
+    # larger first, dropping listed faces; one of the largest size is maximal
+    listed = sorted(dict.fromkeys(map(frozenset, simplices)), key=len, reverse=True)
+    for s in listed:
+        if s and (len(s) == len(listed[0]) or not inside(s)):
+            add(s)
+    queue = deque(sorted(star))
+    while queue and len(star) > 1:
+        v = queue.popleft()
+        mine = star.get(v)
+        if not mine or not any(mine <= star[w] for w in live[min(mine)] - {v}):
+            continue
+        gone = [live.pop(i) for i in mine]
+        del star[v]
+        touched = set().union(*gone) - {v}
+        for w in touched:
+            star[w] -= mine
+        for s in gone:
+            if not inside(s := s - {v}):  # not empty: v is dominated
+                add(s)
+        queue.extend(sorted(touched))
+    return list(live.values())
 
 
 def wedge_placements(t: ThetaGraph) -> list[Placement]:

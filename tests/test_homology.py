@@ -21,6 +21,7 @@ from oracles import (
     faces_by_dim,
     matrix_homology,
     rescan_eliminate,
+    star_intersection_core,
 )
 from test_acceptance import family50
 from test_kcomplex import BENCH_SHAPES, shaped_theta
@@ -293,6 +294,17 @@ def test_coreduction_matches_matrix_homology(c):
     assert homology(c) == _chain_homology(c) == matrix_homology(c)
 
 
+@st.composite
+def with_listed_faces(draw):
+    """The simplices of a small complex or theta ball, shuffled, with some
+    faces of them listed too, which the collapse must drop at the start."""
+    c = draw(st.one_of(small_complexes(), theta_balls()))
+    simplices = [list(s) for s in c.maximal_simplices]
+    picks = draw(st.lists(st.sampled_from(simplices), max_size=10))
+    faces = [draw(st.lists(st.sampled_from(s), min_size=1, unique=True)) for s in picks]
+    return draw(st.permutations(simplices + faces))
+
+
 def sphere_theta(*components):
     """Theta components with the given edge weights, all on the sphere."""
     comps, eid = [], 0
@@ -301,6 +313,25 @@ def sphere_theta(*components):
         eid += len(weights)
         comps.append(ThetaComponent(cid, edges, Placement(SPHERE, 0, 0)))
     return ThetaGraph(comps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.one_of(small_complexes(), theta_balls()).map(lambda c: c.maximal_simplices),
+        with_listed_faces(),
+    )
+)
+@example(PROJECTIVE_PLANE)
+@example(DUNCE_HAT + [[0, 1], [2]])
+@example(build_complex(sphere_theta((1, 1), (1, 1), (1, 1), (1, 1))).maximal_simplices)
+def test_strong_core_matches_star_intersection_core(simplices):
+    """Testing a shrunk face only against the simplices through one edge
+    from its dominator deletes the same vertices in the same order as
+    intersecting the stars of all its vertices: the cores are equal as
+    lists.  The 81-vertex ball of four (1, 1) components has dominators
+    with more than 32 live simplices, whose faces take the other path."""
+    assert _strong_core(simplices) == star_intersection_core(simplices)
 
 
 def test_coreduction_pairs_off_every_theta_ball():
