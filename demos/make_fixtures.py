@@ -3,25 +3,30 @@
 Regenerate the shipped fixture files in fixtures/.
 
 Most fixtures are medial diagrams of the hand-built region graphs in
-kakimizu.families; the Hopf link uses the standard 2-crossing PD code
-directly, and the nugatory fixture splices a Reidemeister-I kink into it
-(replace one occurrence of strand 2 by 5, route 5 through a new crossing
-whose little loop 6-6 sits on the black side).  That keeps the diagram
-connected, alternating, and special while making crossing 2 nugatory,
-which is exactly what the validation tests need to see.
+tests/families.py, which this script puts on sys.path; the Hopf link
+uses the standard 2-crossing PD code directly, and the nugatory fixture
+splices a Reidemeister-I kink into it (replace one occurrence of strand
+2 by 5, route 5 through a new crossing whose little loop 6-6 sits on the
+black side).  That keeps the diagram connected, alternating, and
+special while making crossing 2 nugatory, which is exactly what the
+validation tests need to see.
 
 Run from the repository root:  python3 demos/make_fixtures.py
 """
 
 import json
+import sys
 from pathlib import Path
 
 from kakimizu.diagram import parse_diagram, validate
-from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
 from kakimizu.medial import medial
 from kakimizu.theta import theta_pipeline
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "tests"))
+
+from families import book, cube_graph, dalpha_graph, granny_graph  # noqa: E402
 
 HOPF = {"crossings": [{"id": 0, "pd": [1, 3, 2, 4]}, {"id": 1, "pd": [3, 1, 4, 2]}]}
 

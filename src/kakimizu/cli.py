@@ -161,7 +161,8 @@ def cmd_verify_esd(args) -> tuple[int, dict]:
 
 def _is_component_product(t: ThetaGraph, c: SimplicialComplex) -> bool:
     """Whether ``c``, the complex of ``t``, is the product of its component
-    complexes; with one component it is its own product, not built again."""
+    complexes.  With one component, ``c`` is compared with itself, which
+    catches only a simplex listed twice."""
     if len(t.components) <= 1:
         return verify_iso(c, c, {v: v for v in c.vertices})
     return verify_iso(c, *component_product(t))

@@ -17,6 +17,7 @@ import networkx as nx
 import pytest
 
 from conftest import load_text, run_stages
+from families import book
 from oracles import (
     cyclic_order_maximal_simplices,
     exhaustive_is_fibred,
@@ -34,7 +35,6 @@ from kakimizu.diagram import (
     seifert,
     white_region_graph,
 )
-from kakimizu.families import book
 from kakimizu.generate import random_theta_family
 from kakimizu.homology import homology
 from kakimizu.kcomplex import (

@@ -23,17 +23,11 @@ from kakimizu.diagram import (
     validate,
     white_region_graph,
 )
-from kakimizu.families import (
-    book,
-    build_graph,
-    cube_graph,
-    dalpha_graph,
-    granny_graph,
-    pendant_book,
-)
+from kakimizu.families import build_graph
 from kakimizu.medial import medial
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph
+from families import book, cube_graph, dalpha_graph, granny_graph, pendant_book
 from oracles import (
     bfs_two_edge_cut,
     exhaustive_is_fibred,

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu.families import dalpha_graph
 from kakimizu.generate import predicted_cell_count, random_theta
 from kakimizu.kcomplex import (
     SimplicialComplex,
@@ -37,6 +36,7 @@ from kakimizu.theta import (
 )
 
 from conftest import run_stages
+from families import dalpha_graph
 from oracles import (
     adjacency,
     all_pairs_neighbours,

@@ -1,17 +1,16 @@
 """The medial construction inverts the black-region graph, exactly."""
 
+import json
+
 import pytest
 
 from kakimizu.diagram import _region_graph, validate
-from kakimizu.families import (
-    book,
-    build_graph,
-    cube_graph,
-    dalpha_graph,
-    granny_graph,
-    pendant_book,
-)
+from kakimizu.families import build_graph
 from kakimizu.medial import medial
+from kakimizu.theta import theta_pipeline
+
+from conftest import load_text
+from families import book, cube_graph, dalpha_graph, granny_graph, pendant_book
 
 
 def cyclic_eq(a, b):
@@ -54,6 +53,28 @@ def assert_roundtrip(g):
 )
 def test_roundtrip(factory):
     assert_roundtrip(factory())
+
+
+def diagram_doc(g):
+    return {"crossings": [{"id": c.id, "pd": list(c.pd)} for c in medial(g).crossings]}
+
+
+# each shipped fixture that demos/make_fixtures.py derives from a hand-built
+# graph, with the document it writes there
+GENERATED_FIXTURES = {
+    "trefoil.json": lambda: diagram_doc(book(3)),
+    "torus24.json": lambda: diagram_doc(book(4)),
+    "granny.json": lambda: diagram_doc(granny_graph()),
+    "cube.json": lambda: diagram_doc(cube_graph()),
+    "dalpha.json": lambda: diagram_doc(dalpha_graph()),
+    "dalpha.theta.json": lambda: theta_pipeline(medial(dalpha_graph())).to_json(),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_FIXTURES)
+def test_shipped_fixture_is_generated(name):
+    doc = GENERATED_FIXTURES[name]()
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == load_text(name)
 
 
 def test_medial_diagrams_are_special(subtests=None):

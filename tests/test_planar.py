@@ -3,9 +3,10 @@
 import pytest
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph
+from families import book, cube_graph, dalpha_graph
 from oracles import min_pivot_trace_faces
 from kakimizu.diagram import _region_graph, parse_diagram
-from kakimizu.families import book, build_graph, cube_graph, dalpha_graph
+from kakimizu.families import build_graph
 from kakimizu.medial import medial
 from kakimizu.planar import Edge, EmbeddedGraph, face_index
 from kakimizu.theta import theta_pipeline

@@ -1,5 +1,6 @@
 """Subdivision model, products, decomposition, and ball reports."""
 
+import itertools
 import json
 import random
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_text, run_stages
+from families import dalpha_graph
 from oracles import (
     delta,
     exhaustive_colour_schemes,
@@ -19,7 +21,6 @@ from oracles import (
 )
 from test_homology import HOLLOW_TETRAHEDRON, PROJECTIVE_PLANE, complex_on
 from kakimizu import structure
-from kakimizu.families import dalpha_graph
 from kakimizu.generate import random_theta, random_theta_family
 from kakimizu.kcomplex import (
     SimplicialComplex,
@@ -52,9 +53,9 @@ from kakimizu.theta import (
 )
 
 
-def single_component(weights):
+def single_component(weights, outer_face=0):
     edges = [ThetaEdge(i, w) for i, w in enumerate(weights)]
-    return ThetaGraph([ThetaComponent(0, edges, Placement(SPHERE, 0, 0))])
+    return ThetaGraph([ThetaComponent(0, edges, Placement(SPHERE, 0, outer_face))])
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +124,24 @@ def test_subdivision_vertices_cover():
     assert used == set(range(len(c.vertices)))
 
 
-@pytest.mark.parametrize("k,m", [(2, 1), (2, 3), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "k,m", [(k, m) for k in range(2, 6) for m in range(1, 5) if m ** (k - 1) <= 100]
+)
 def test_single_component_complex_is_esd(k, m):
-    t = single_component([m] + [0] * (k - 1))
-    c = build_complex(t)
+    """At every weight vector of total m and every outer face; dropping any
+    one of the first five simplices breaks the isomorphism."""
     image = esd(k - 1, m)
-    f = theta_to_esd_map(t)
-    assert verify_iso(c, image, f)
+    for weights in itertools.product(range(m + 1), repeat=k):
+        if sum(weights) != m:
+            continue
+        for outer_face in range(k):
+            t = single_component(weights, outer_face)
+            c = build_complex(t)
+            f = theta_to_esd_map(t)
+            assert verify_iso(c, image, f), (weights, outer_face)
+            for i in range(min(5, len(c.maximal_simplices))):
+                rest = c.maximal_simplices[:i] + c.maximal_simplices[i + 1:]
+                assert not verify_iso(SimplicialComplex(c.vertices, rest), image, f)
 
 
 def test_esd_map_needs_single_component(dalpha_theta):

@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph
+from families import book, dalpha_graph
 from kakimizu.diagram import parse_diagram, seifert
-from kakimizu.families import book, dalpha_graph
 from kakimizu.generate import random_theta
 from kakimizu.kcomplex import build_complex
 from kakimizu.medial import medial

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu.diagram import _region_graph, parse_diagram, seifert
-from kakimizu.families import book, cube_graph, dalpha_graph, granny_graph
 from kakimizu.generate import random_theta
 from kakimizu.medial import medial
 from kakimizu import theta
@@ -33,6 +32,7 @@ from kakimizu.theta import (
 from kakimizu.surfaces import realize_vertex
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph, load_text, run_stages, wedge_sum
+from families import book, cube_graph, dalpha_graph, granny_graph
 from oracles import (
     delta,
     neighbours,
