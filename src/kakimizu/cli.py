@@ -4,18 +4,17 @@ One tool with subcommands; every report is JSON with sorted keys, so a
 given (input, flags, seed) always produces byte-identical output.  Exit
 codes: 0 success, 1 validation or computation failure on the input data
 (or a broken library invariant, reported as ``internal_error``), 2 usage
-error.  The argument parser is built on first use and then kept for the
-rest of the process.
+error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .diagram import (
     _diagram_from_doc,
@@ -216,84 +215,212 @@ def cmd_selftest(args) -> tuple[int, dict]:
     return (EXIT_OK if not failures else EXIT_INVALID), doc
 
 
-# -- parser and dispatch ----------------------------------------------------
+# -- the command table and its parser --------------------------------------
+
+# One row per subcommand: its handler, its help line, whether it reads an
+# input document, and its options.  Each option maps to its metavar, one
+# word per value it takes (none for a flag), and then its default; an
+# option without a default is required.  Option values are ints.  Every
+# subcommand also takes -h/--help and -o/--output FILE.
+COMMANDS = {
+    "validate": (cmd_validate, "check a diagram document", True, {}),
+    "seifert": (cmd_seifert, "Seifert circles and counts", True, {}),
+    "theta": (cmd_theta, "diagram to theta graph", True, {}),
+    "complex": (cmd_complex, "surface complex of a diagram or theta", True, {}),
+    "analyze": (cmd_analyze, "reports on the surface complex", True, {
+        "--homology": ("", False), "--flag-check": ("", False), "--ball": ("", False),
+        "--metric": ("U V", None)}),
+    "esd": (cmd_esd, "edgewise subdivision of a simplex", False,
+            {"--n": ("N",), "--m": ("M",)}),
+    "product": (cmd_product, "product complex over the components", True, {}),
+    "verify-esd": (cmd_verify_esd, "subdivision theorem sweep", False,
+                   {"--max-n": ("N", 3), "--max-m": ("M", 4)}),
+    "verify-product": (cmd_verify_product, "product theorem on one input", True, {}),
+    "fibred": (cmd_fibred, "fibredness from the white-region graph", True, {}),
+    "surface": (cmd_surface, "surface realization at a vertex", True, {"--vertex": ("INDEX",)}),
+    "selftest": (cmd_selftest, "randomized property suites", False,
+                 {"--seed": ("SEED", 0), "--count": ("COUNT", 20)}),
+}
+
+_SHORT = {"-h": "--help", "-o": "--output"}
+# every option string before the subcommand, and of every subcommand, with
+# the number of values it takes
+_TOP = {"-h": 0, "--help": 0}
+_COMMON = {**_TOP, "-o": 1, "--output": 1}
+# argparse reads a token that looks like a negative number as a value; the
+# pattern is compiled on first use, which the usual command line never needs
+_NEGATIVE = r"-\d+$|-\d*\.\d+$"
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kakimizu",
-        description=(
-            "Seifert-surface complexes of special alternating diagrams"
-        ),
+class _UsageError(Exception):
+    """The command line does not parse; the message names the bad token,
+    and ``command`` is the subcommand it follows, if any."""
+
+    command = None
+
+
+class _Help(Exception):
+    """-h or --help was read; the argument is the help text to print."""
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: kakimizu [-h] COMMAND ..."
+    words = ["usage: kakimizu", name, "[-h] [-o OUTPUT]"]
+    for option, (metavar, *default) in COMMANDS[name][3].items():
+        word = f"{option} {metavar}".rstrip()
+        words.append(f"[{word}]" if default else word)
+    if COMMANDS[name][2]:
+        words.append("INPUT")
+    return " ".join(words)
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        rows = "".join(f"  {n:<16}{row[1]}\n" for n, row in COMMANDS.items())
+        head = f"Seifert-surface complexes of special alternating diagrams\n\ncommands:\n{rows}"
+    else:
+        head = f"{COMMANDS[name][1]}\n"
+    return (
+        f"{_usage(name)}\n\n{head}\nINPUT is a file, or - for stdin; "
+        "-o/--output writes the report to a file.\n"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="input file, or - for stdin")
-        p.add_argument("-o", "--output", default=None, help="write to file")
 
-    p = sub.add_parser("validate", help="check a diagram document")
-    common(p)
-    p.set_defaults(handler=cmd_validate)
+def _classify(token: str, names) -> tuple | None:
+    """What argparse makes of ``token``, met before any ``--``, when ``names``
+    are the option strings: None for a value, else the option string (None
+    for an unknown option) and the value attached to it by ``=`` or, after a
+    one-letter option, directly."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token[1] == "-":
+        found = [(n, tail if eq else None) for n in names if n.startswith(head)]
+    else:
+        found = [(n, token[2:]) for n in names if n == token[:2]]
+    if len(found) > 1:
+        matches = ", ".join(n for n, _ in found)
+        raise _UsageError(f"ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    if re.match(_NEGATIVE, token) or " " in token:
+        return None
+    return None, None
 
-    p = sub.add_parser("seifert", help="Seifert circles and counts")
-    common(p)
-    p.set_defaults(handler=cmd_seifert)
 
-    p = sub.add_parser("theta", help="diagram to theta graph")
-    common(p)
-    p.set_defaults(handler=cmd_theta)
+def _take_option(tokens, i, kinds, arity) -> tuple[int, list]:
+    """Read the option at ``tokens[i]``, where ``kinds`` classifies the
+    tokens before any ``--`` and ``arity`` maps each option string to the
+    number of values it takes.  Returns the index after the option and its
+    (option, value strings) pairs, one for each one-letter flag run
+    together with it, as in ``-ho``."""
+    written, attached = kinds[i]
+    taken = []
+    while True:
+        k = arity[written]
+        option = _SHORT.get(written, written)
+        if attached is None:
+            if kinds[i + 1 : i + 1 + k] != [None] * k:
+                raise _UsageError(f"argument {written}: expected {k} value(s)")
+            taken.append((option, tokens[i + 1 : i + 1 + k]))
+            return i + 1 + k, taken
+        if k == 1:
+            taken.append((option, [attached]))
+            return i + 1, taken
+        if k or written[1] == "-" or not attached or "-" + attached[0] not in arity:
+            raise _UsageError(f"argument {tokens[i]}: ignored value {attached!r}")
+        taken.append((option, []))
+        written, attached = "-" + attached[0], attached[1:] or None
 
-    p = sub.add_parser("complex", help="surface complex of a diagram or theta")
-    common(p)
-    p.set_defaults(handler=cmd_complex)
 
-    p = sub.add_parser("analyze", help="reports on the surface complex")
-    common(p)
-    p.add_argument("--homology", action="store_true")
-    p.add_argument("--flag-check", action="store_true")
-    p.add_argument("--ball", action="store_true")
-    p.add_argument("--metric", nargs=2, type=int, metavar=("U", "V"))
-    p.set_defaults(handler=cmd_analyze)
+def _value(option: str, strings: list[str]):
+    """True for a flag, the file name for --output, else the ints given,
+    in a list when there are several."""
+    if option == "--output":
+        return strings[0]
+    if not strings:
+        return True
+    ints = []
+    for s in strings:
+        try:
+            ints.append(int(s))
+        except ValueError:
+            raise _UsageError(f"argument {option}: invalid int value: {s!r}") from None
+    return ints[0] if len(ints) == 1 else ints
 
-    p = sub.add_parser("esd", help="edgewise subdivision of a simplex")
-    common(p, with_input=False)
-    p.add_argument("--n", type=int, required=True, help="simplex dimension")
-    p.add_argument("--m", type=int, required=True, help="subdivision degree")
-    p.set_defaults(handler=cmd_esd)
 
-    p = sub.add_parser("product", help="product complex over the components")
-    common(p)
-    p.set_defaults(handler=cmd_product)
+def _parse(argv: list[str]) -> tuple:
+    """The handler that ``argv`` selects and the options to call it with,
+    read as argparse read them when the parser was built with it: before
+    the subcommand only -h/--help is an option, an option may be shortened
+    to a unique prefix, and ``--`` ends the options."""
+    unknown = []
+    for i, token in enumerate(argv):
+        kind = None if token == "--" else _classify(token, _TOP)
+        if kind is None:
+            break
+        if kind[0] is None:
+            unknown.append(token)
+        else:
+            _take_option([token], 0, [kind], _TOP)
+            raise _Help(_help(None))
+    else:
+        raise _UsageError("a command is required")
+    if argv[i] not in COMMANDS:
+        raise _UsageError(f"invalid choice: {argv[i]!r}")
+    try:
+        return _parse_command(argv[i], argv[i + 1 :], unknown)
+    except _UsageError as exc:
+        exc.command = argv[i]
+        raise
 
-    p = sub.add_parser("verify-esd", help="subdivision theorem sweep")
-    common(p, with_input=False)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-m", type=int, default=4)
-    p.set_defaults(handler=cmd_verify_esd)
 
-    p = sub.add_parser("verify-product", help="product theorem on one input")
-    common(p)
-    p.set_defaults(handler=cmd_verify_product)
-
-    p = sub.add_parser("fibred", help="fibredness from the white-region graph")
-    common(p)
-    p.set_defaults(handler=cmd_fibred)
-
-    p = sub.add_parser("surface", help="surface realization at a vertex")
-    common(p)
-    p.add_argument("--vertex", type=int, required=True, help="vertex index")
-    p.set_defaults(handler=cmd_surface)
-
-    p = sub.add_parser("selftest", help="randomized property suites")
-    common(p, with_input=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
-    p.set_defaults(handler=cmd_selftest)
-
-    return parser
+def _parse_command(name: str, tokens: list[str], unknown: list[str]) -> tuple:
+    """``_parse`` after the subcommand ``name``; ``unknown`` holds the
+    unknown options met before it."""
+    handler, _, reads_input, options = COMMANDS[name]
+    arity = dict(_COMMON)
+    values = {"output": None}
+    for option, (metavar, *default) in options.items():
+        arity[option] = len(metavar.split())
+        if default:
+            values[option[2:].replace("-", "_")] = default[0]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(token, arity) for token in tokens[:end]]
+    seen, got_input = set(), False
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i] if i < end else None
+        if kind and kind[0]:
+            i, taken = _take_option(tokens, i, kinds, arity)
+            for option, strings in taken:
+                if option == "--help":
+                    raise _Help(_help(name))
+                seen.add(option)
+                values[option[2:].replace("-", "_")] = _value(option, strings)
+        elif not kind and reads_input and not got_input and (i < end or i + 1 < len(tokens)):
+            # argparse matches the input to the pattern '-*A-*', so a '--'
+            # just before or just after it goes with it
+            i += i == end
+            values["input"] = tokens[i]
+            got_input = True
+            i += 1 + (i + 1 == end)
+        else:
+            unknown.append(tokens[i])
+            i += 1
+    missing = [o for o, spec in options.items() if len(spec) == 1 and o not in seen]
+    if reads_input and not got_input:
+        missing.append("INPUT")
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return handler, values
 
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
@@ -393,30 +520,33 @@ def _write(o, nl: str, out: list[str]) -> None:
         raise _Unmirrored
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict, output: str | None) -> None:
     text = _dumps(doc) + "\n"
-    if args.output:
-        with open(args.output, "w") as f:
+    if output:
+        with open(output, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+        handler, values = _parse(sys.argv[1:] if argv is None else argv)
+    except _Help as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_OK
+    except _UsageError as exc:
+        sys.stderr.write(f"{_usage(exc.command)}\nkakimizu: error: {exc}\n")
+        return EXIT_USAGE
     try:
         try:
-            code, doc = args.handler(args)
+            code, doc = handler(SimpleNamespace(**values))
         except (ValueError, OverflowError) as exc:
             # an OverflowError is a number too large for an index or a range
             code, doc = EXIT_INVALID, {"error": str(exc)}
         except AssertionError as exc:
             code, doc = EXIT_INVALID, {"internal_error": str(exc)}
-        _emit(doc, args)
+        _emit(doc, values["output"])
     except OSError as exc:
         sys.stderr.write(f"kakimizu: {exc}\n")
         return EXIT_USAGE

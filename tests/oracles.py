@@ -106,11 +106,16 @@ answer:
   ``homology._strong_core`` looks only among the simplices through one
   edge from the face's dominator while the dominator's star is short;
   both delete the same vertices in the same order and return the same
-  list.
+  list;
+- ``argparse_parser`` is the CLI's argument parser as argparse builds it,
+  with one ``ArgumentParser`` per subcommand, where ``cli._parse`` reads
+  the command line off the ``cli.COMMANDS`` table; both must accept the
+  same command lines and give the same handler and option values.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 from collections import deque
@@ -120,6 +125,20 @@ from operator import add
 import networkx as nx
 
 from conftest import copy_graph
+from kakimizu.cli import (
+    cmd_analyze,
+    cmd_complex,
+    cmd_esd,
+    cmd_fibred,
+    cmd_product,
+    cmd_seifert,
+    cmd_selftest,
+    cmd_surface,
+    cmd_theta,
+    cmd_validate,
+    cmd_verify_esd,
+    cmd_verify_product,
+)
 from kakimizu.diagram import (
     OVER_A,
     OVER_B,
@@ -138,6 +157,7 @@ __all__ = [
     "adjacency",
     "all_pairs_neighbours",
     "all_simplices",
+    "argparse_parser",
     "bfs_distance",
     "boundary",
     "bfs_two_edge_cut",
@@ -1277,3 +1297,79 @@ def vertex_rank(t: ThetaGraph, v: Vertex) -> int:
             m -= x
         rank = rank * comb(c.total_weight() + k - 1, k - 1) + r
     return rank
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kakimizu",
+        description=(
+            "Seifert-surface complexes of special alternating diagrams"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, with_input=True):
+        if with_input:
+            p.add_argument("input", help="input file, or - for stdin")
+        p.add_argument("-o", "--output", default=None, help="write to file")
+
+    p = sub.add_parser("validate", help="check a diagram document")
+    common(p)
+    p.set_defaults(handler=cmd_validate)
+
+    p = sub.add_parser("seifert", help="Seifert circles and counts")
+    common(p)
+    p.set_defaults(handler=cmd_seifert)
+
+    p = sub.add_parser("theta", help="diagram to theta graph")
+    common(p)
+    p.set_defaults(handler=cmd_theta)
+
+    p = sub.add_parser("complex", help="surface complex of a diagram or theta")
+    common(p)
+    p.set_defaults(handler=cmd_complex)
+
+    p = sub.add_parser("analyze", help="reports on the surface complex")
+    common(p)
+    p.add_argument("--homology", action="store_true")
+    p.add_argument("--flag-check", action="store_true")
+    p.add_argument("--ball", action="store_true")
+    p.add_argument("--metric", nargs=2, type=int, metavar=("U", "V"))
+    p.set_defaults(handler=cmd_analyze)
+
+    p = sub.add_parser("esd", help="edgewise subdivision of a simplex")
+    common(p, with_input=False)
+    p.add_argument("--n", type=int, required=True, help="simplex dimension")
+    p.add_argument("--m", type=int, required=True, help="subdivision degree")
+    p.set_defaults(handler=cmd_esd)
+
+    p = sub.add_parser("product", help="product complex over the components")
+    common(p)
+    p.set_defaults(handler=cmd_product)
+
+    p = sub.add_parser("verify-esd", help="subdivision theorem sweep")
+    common(p, with_input=False)
+    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-m", type=int, default=4)
+    p.set_defaults(handler=cmd_verify_esd)
+
+    p = sub.add_parser("verify-product", help="product theorem on one input")
+    common(p)
+    p.set_defaults(handler=cmd_verify_product)
+
+    p = sub.add_parser("fibred", help="fibredness from the white-region graph")
+    common(p)
+    p.set_defaults(handler=cmd_fibred)
+
+    p = sub.add_parser("surface", help="surface realization at a vertex")
+    common(p)
+    p.add_argument("--vertex", type=int, required=True, help="vertex index")
+    p.set_defaults(handler=cmd_surface)
+
+    p = sub.add_parser("selftest", help="randomized property suites")
+    common(p, with_input=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=20)
+    p.set_defaults(handler=cmd_selftest)
+
+    return parser

@@ -23,6 +23,7 @@ from kakimizu.homology import homology
 from kakimizu.kcomplex import build_complex
 from kakimizu.structure import ball_report
 from kakimizu.theta import parse_theta
+from oracles import argparse_parser
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kakimizu"
@@ -571,8 +572,9 @@ def test_import_leaves_networkx_unloaded():
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
-    """Start-up cost: the CLI's import pulls in none of these modules.  The
-    child runs without site, which on some hosts preloads ``typing``."""
+    """Start-up cost: the CLI's import pulls in none of these modules, nor
+    argparse and the translation machinery it loads.  The child runs
+    without site, which on some hosts preloads ``typing``."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys; before = set(sys.modules); import kakimizu.cli; "
@@ -587,7 +589,8 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     )
     added = set(out.stdout.split())
     assert "kakimizu.cli" in added
-    assert not added & {"dataclasses", "inspect", "typing", "pathlib"}
+    forbidden = {"dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale"}
+    assert not added & forbidden
 
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
@@ -755,38 +758,12 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-# -- the parser is built once per process -----------------------------------
+# -- the command line -------------------------------------------------------
 
 
-def test_import_builds_no_parser():
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    code = "import kakimizu.cli as c; print(c._parser.cache_info().currsize)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
-    assert out.stdout.strip() == "0"
-
-
-def test_two_runs_build_the_parser_once(capsys):
-    from kakimizu import cli
-
-    cli._parser.cache_clear()
-    run(capsys, "esd", "--n", "1", "--m", "1")
-    run(capsys, "esd", "--n", "2", "--m", "1")
-    info = cli._parser.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-
-
-def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
-    """Call for call, a run sequence through the cached parser prints and
-    exits as it does through a parser built afresh for every call."""
-    from kakimizu import cli
-
+def test_reused_parser_matches_fresh_parser(capsys):
+    """Call for call, a run sequence prints and exits the second time as it
+    did the first, so a run leaves nothing behind that changes the next."""
     analyze = ["analyze", fx("dalpha.theta.json"), "--metric", "0", "7"]
     sequence = [analyze, ["frobnicate"], ["esd"], ["--help"], analyze]
 
@@ -798,12 +775,157 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
             results.append((code, captured.out, captured.err))
         return results
 
-    cached = outcomes()
-    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
-    fresh = outcomes()
-    assert cached == fresh
-    assert [r[0] for r in cached] == [EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK]
-    assert cached[0] == cached[4]
+    first = outcomes()
+    assert outcomes() == first
+    assert [r[0] for r in first] == [EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert first[0] == first[4]
+
+
+ARGPARSE = argparse_parser()
+OPTION_NAMES = sorted(
+    {o for row in cli.COMMANDS.values() for o in row[3]} | {"-h", "--help", "-o", "--output"}
+)
+PREFIXES = sorted({o[:k] for o in OPTION_NAMES if o.startswith("--") for k in range(3, len(o))})
+# values carry no "--": argparse before 3.12.7 drops it from "--output=--",
+# leaving an empty list, where later releases keep it
+VALUES = st.one_of(
+    st.integers(-20, 40).map(str),
+    st.sampled_from(["-", "", "in.json", "x", "1.5", "-1.5", " 4", "+2", "1_0", "a b", "-x y"]),
+)
+JUNK = ["-", "--", "-h", "-hh", "-hx", "-ho", "-oh", "-h=", "-o=", "--help=", "-=", "---",
+        "-x", "--x", "--zz=1", "frobnicate"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line: now and then a token before the subcommand, the
+    subcommand (or junk), then options, their prefixes and ``=`` forms,
+    values, ``--`` and junk in any order."""
+    name = st.sampled_from(OPTION_NAMES + PREFIXES)
+    chunk = st.one_of(
+        st.tuples(name, st.lists(VALUES, max_size=3)).map(lambda t: [t[0], *t[1]]),
+        st.tuples(name, VALUES).map(lambda t: [f"{t[0]}={t[1]}"]),
+        VALUES.map(lambda v: ["-o" + v]),
+        st.sampled_from(JUNK).map(lambda t: [t]),
+        VALUES.map(lambda v: [v]),
+    )
+    before = draw(st.lists(st.sampled_from(["-h", "--he", "-x", "--x", "--help=1", "-hx", "-1"]),
+                           max_size=1))
+    command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+    return [*before, command, *(t for c in draw(st.lists(chunk, max_size=6)) for t in c)]
+
+
+def argparse_outcome(argv):
+    """The exit code argparse gives ``argv``, and its handler and options."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            ns = ARGPARSE.parse_args(argv)
+    except SystemExit as exc:
+        return (EXIT_USAGE if exc.code else EXIT_OK), None
+    values = vars(ns)
+    del values["command"]
+    return EXIT_OK, (values.pop("handler"), values)
+
+
+def table_outcome(argv):
+    try:
+        return EXIT_OK, cli._parse(argv)
+    except cli._Help:
+        return EXIT_OK, None
+    except cli._UsageError:
+        return EXIT_USAGE, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_table_parser_matches_argparse(argv):
+    assert table_outcome(list(argv)) == argparse_outcome(list(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["esd", "--n", "2", "--m=3", "-o", "out.json"],
+        ["esd", "--n=-1", "--m", "-1", "-oout.json"],
+        ["verify-esd", "--max-n", "2", "--max-m=1"],
+        ["analyze", "--hom", "--flag", "--metric", "-1", "2", "--", "-in.json"],
+        ["analyze", "in.json", "--"],
+        ["validate", "--", "--"],
+        ["selftest", "--s", "3", "--c", "1"],
+        ["surface", "-", "--vert", "7"],
+        ["esd", "-ho", "out.json"],
+        ["--he"],
+        ["--x", "esd", "-h"],
+        ["verify-esd", "-h", "--max", "2"],
+        ["esd", "--n", "1", "--m", "1", "--"],
+        ["validate", "in.json", "-o", "out.json", "--"],
+        ["esd", "--n", "x", "-h"],
+        ["analyze", "--metric=3", "in.json"],
+        ["analyze", "--h", "in.json"],
+        ["validate", "a", "b"],
+        ["esd", "--output", "--x", "--n", "1", "--m", "1"],
+        ["-hx"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_table_parser_matches_argparse_on_edge_cases(argv):
+    """The spellings that need care: prefixes, attached values, -h before
+    and after other tokens, ``--`` and negative numbers."""
+    assert table_outcome(list(argv)) == argparse_outcome(list(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["frobnicate"], "frobnicate"),
+        (["esd", "--n", "x", "--m", "1"], "'x'"),
+        (["verify-esd", "--max", "2"], "--max"),
+        (["analyze", "--metric=3", "in.json"], "--metric"),
+        (["validate", "a.json", "b.json"], "b.json"),
+        (["esd", "--n", "1"], "--m"),
+    ],
+)
+def test_usage_error_names_the_bad_token(capsys, argv, bad):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error, rest = captured.err.split("\n")
+    assert usage.startswith("usage: kakimizu")
+    assert error.startswith("kakimizu: error: ") and bad in error
+    assert rest == ""
+
+
+@pytest.mark.parametrize("name", [None, *cli.COMMANDS])
+def test_help_lists_every_command_and_option(capsys, name):
+    argv = ["-h"] if name is None else [name, "--help"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    names = cli.COMMANDS if name is None else cli.COMMANDS[name][3]
+    assert all(n in captured.out for n in names)
+
+
+@pytest.mark.parametrize(
+    "argv, code, printed",
+    [(["esd", "--n", "1", "--m", "1"], EXIT_OK, True), (["--help"], EXIT_OK, True),
+     (["frobnicate"], EXIT_USAGE, False)],
+)
+def test_module_entry_point_reads_sys_argv(argv, code, printed):
+    """``python -m kakimizu`` calls ``main()`` with no argv, so the command
+    line comes from ``sys.argv``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-m", "kakimizu", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == code
+    assert bool(out.stdout) == printed
+    if argv[0] == "esd":
+        assert json.loads(out.stdout)["maximal_simplices"]
 
 
 def test_internal_error_is_a_json_report(capsys, monkeypatch):
