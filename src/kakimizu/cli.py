@@ -522,7 +522,7 @@ def _write(o, nl: str, out: list[str]) -> None:
 
 def _emit(doc: dict, output: str | None) -> None:
     text = _dumps(doc) + "\n"
-    if output:
+    if output is not None:
         with open(output, "w") as f:
             f.write(text)
     else:

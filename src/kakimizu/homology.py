@@ -21,7 +21,7 @@ in the list and the dimension.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import chain, combinations, compress, repeat
 
 from .kcomplex import SimplicialComplex
@@ -30,68 +30,39 @@ __all__ = ["homology", "smith_diagonal"]
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of an integer matrix."""
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
+    """Nonzero diagonal of the Smith normal form of an integer matrix, in
+    divisor-chain order.  An entry of least absolute value is the pivot,
+    and its row and column are reduced modulo it; a remainder is a smaller
+    pivot.  A pivot left alone in its row and column is finished once it
+    divides every entry, so it is recorded and its row and column deleted;
+    until then the row of an entry it fails to divide is added to its own."""
+    mat = [row[:] for row in rows if any(row)]
     diag: list[int] = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = mat[i][j]
-                if v and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
-        if pivot is None:
-            break
-        pi, pj, _ = pivot
-        mat[top], mat[pi] = mat[pi], mat[top]
+    while mat:
+        least = min(abs(v) for row in mat for v in row if v)
+        i, j = next((i, j) for i, row in enumerate(mat)
+                    for j, v in enumerate(row) if abs(v) == least)
+        pivot = mat[i]
+        p = pivot[j]
         for row in mat:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            p = mat[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                q = mat[i][top] // p
-                if q:
-                    for j in range(top, n):
-                        mat[i][j] -= q * mat[top][j]
-                if mat[i][top]:
-                    # remainder smaller than the pivot: swap it up and redo
-                    mat[top], mat[i] = mat[i], mat[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                q = mat[top][j] // p
-                if q:
-                    for i in range(top, m):
-                        mat[i][j] -= q * mat[i][top]
-                if mat[top][j]:
-                    for i in range(top, m):
-                        mat[i][top], mat[i][j] = mat[i][j], mat[i][top]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        # the pivot must divide the rest of the matrix for true SNF
-        p = mat[top][top]
-        fixed = True
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if mat[i][j] % p:
-                    for k in range(top, n):
-                        mat[top][k] += mat[i][k]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+            if row is not pivot and (q := row[j] // p):
+                row[:] = [a - q * b for a, b in zip(row, pivot)]
+        for k, v in enumerate(pivot):
+            if k != j and (q := v // p):
+                for row in mat:
+                    row[k] -= q * row[j]
+        if sum(map(bool, pivot)) > 1 or sum(bool(row[j]) for row in mat) > 1:
+            continue  # a remainder is left, and it is a smaller pivot
+        # a unit divides every entry; a larger pivot is checked against each
+        bad = least > 1 and next((row for row in mat if any(v % p for v in row)), None)
+        if bad:
+            pivot[:] = [a + b for a, b in zip(pivot, bad)]
             continue
-        diag.append(abs(p))
-        top += 1
+        diag.append(least)
+        del mat[i]
+        for row in mat:
+            del row[j]
+        mat = [row for row in mat if any(row)]
     return diag
 
 
@@ -207,16 +178,16 @@ def _strong_core(simplices) -> list[frozenset]:
     shrunk face holds w, so a live simplex holding it lies in ``star[w] &
     star[x]`` for x in the face, or in all its stars if ``star[w]`` is long."""
     live: dict[int, frozenset] = {}
-    star: dict[int, set[int]] = {}
+    star: dict[int, set[int]] = defaultdict(set)
     i = 0
     # larger first, dropping listed faces; one of the largest size is maximal
     listed = sorted(dict.fromkeys(map(frozenset, simplices)), key=len, reverse=True)
     for s in listed:
         if s and (len(s) == len(listed[0])
-                  or not set.intersection(*[star.get(x, set()) for x in s])):
+                  or not set.intersection(*[star[x] for x in s])):
             live[i] = s
             for x in s:
-                star.setdefault(x, set()).add(i)
+                star[x].add(i)
             i += 1
     queue = deque(sorted(star))  # vertices wait first in, first out
     while queue and len(star) > 1:

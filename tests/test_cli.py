@@ -67,6 +67,58 @@ def test_validate_reads_stdin(capsys, monkeypatch):
     assert code == EXIT_OK and doc["connected"] is True
 
 
+def diagram_doc(pds, ids=None):
+    """An inline diagram document: one crossing per PD code."""
+    ids = range(len(pds)) if ids is None else ids
+    return json.dumps({"crossings": [{"id": i, "pd": pd} for i, pd in zip(ids, pds)]})
+
+
+def run_stdin(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, *argv, "-")
+
+
+# the figure-eight knot: alternating, with crossings of both signs
+FIGURE_EIGHT = [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]]
+# the medial of the 4-cycle: special, reduced and prime, but no white
+# region is cuttable
+MEDIAL_C4 = [[1, 8, 2, 5], [7, 2, 8, 3], [3, 6, 4, 7], [5, 4, 6, 1]]
+
+
+def test_validate_figure_eight_is_not_special(capsys, monkeypatch):
+    code, doc, _ = run_stdin(capsys, monkeypatch, diagram_doc(FIGURE_EIGHT), "validate")
+    assert code == EXIT_INVALID
+    assert doc["alternating"] is True and doc["special"] is False
+    assert "not special: crossings of both signs" in doc["messages"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["seifert"], ["theta"], ["fibred"], ["complex"], ["surface", "--vertex", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_stages_refuse_a_diagram_that_is_not_special(capsys, monkeypatch, argv):
+    code, doc, _ = run_stdin(capsys, monkeypatch, diagram_doc(FIGURE_EIGHT), *argv)
+    assert code == EXIT_INVALID
+    assert doc == {"error": "diagram is not special alternating"}
+
+
+def test_medial_of_four_cycle_fails_only_the_cuttable_region(capsys, monkeypatch):
+    """Today's behaviour, recorded rather than endorsed: every other flag
+    holds, and the ball checks pass on its one-vertex complex."""
+    text = diagram_doc(MEDIAL_C4)
+    code, doc, _ = run_stdin(capsys, monkeypatch, text, "validate")
+    assert code == EXIT_INVALID
+    assert doc["cuttable_region_exists"] is False
+    for flag in ("connected", "alternating", "special", "reduced", "prime"):
+        assert doc[flag] is True
+    assert doc["messages"] == ["no cuttable white region"]
+    code, doc, _ = run_stdin(capsys, monkeypatch, text, "analyze", "--ball", "--flag-check")
+    assert code == EXIT_OK and doc["ball"]["ok"] and doc["flag_check"]
+    code, doc, _ = run_stdin(capsys, monkeypatch, text, "verify-product")
+    assert code == EXIT_OK and doc["ball"]["ok"] and doc["isomorphic"]
+
+
 # -- pipeline stages --------------------------------------------------------
 
 
@@ -310,6 +362,23 @@ def test_selftest_reports_flag_failures(capsys, monkeypatch):
     assert flags == [{"instance": i, "check": "flag"} for i in range(3)]
 
 
+def test_ball_check_failure_exits_invalid(capsys, monkeypatch):
+    def holed(c):
+        report = homology(c)
+        report["reduced_betti"][-1] = 1
+        return report
+
+    monkeypatch.setattr("kakimizu.structure.homology", holed)
+    code, doc, _ = run(capsys, "analyze", "--ball", fx("dalpha.theta.json"))
+    assert code == EXIT_INVALID and doc["ball"]["ok"] is False
+    code, doc, _ = run(capsys, "verify-product", fx("dalpha.theta.json"))
+    assert code == EXIT_INVALID and doc["ball"]["ok"] is False
+    assert doc["isomorphic"] is True
+    code, doc, _ = run(capsys, "selftest", "--seed", "0", "--count", "1")
+    assert code == EXIT_INVALID
+    assert doc["failures"] == [{"instance": 0, "check": "ball"}]
+
+
 def test_fibred_trefoil(capsys):
     code, doc, _ = run(capsys, "fibred", fx("trefoil.json"))
     assert code == EXIT_OK
@@ -544,11 +613,14 @@ def test_missing_input_file(capsys):
 
 
 def test_io_errors_are_usage_errors(capsys, tmp_path):
-    # reading a directory, and writing into a directory that does not exist
+    # reading a directory, writing into a directory that does not exist,
+    # and writing to an empty path, which names no file and not stdout
     missing = tmp_path / "no-such-dir" / "x.json"
     for argv in (
         ["complex", str(tmp_path)],
         ["esd", "--n", "1", "--m", "1", "-o", str(missing)],
+        ["esd", "--n", "1", "--m", "1", "--output="],
+        ["esd", "--n", "1", "--m", "1", "-o", ""],
     ):
         code = main(argv)
         captured = capsys.readouterr()
@@ -630,6 +702,14 @@ def test_malformed_document(capsys, tmp_path):
         bad.write_text(text)
         code, doc, _ = run(capsys, "validate", str(bad))
         assert code == EXIT_INVALID and "integer" in doc["error"]
+    for text, message in (
+        (diagram_doc(FIGURE_EIGHT, ids=[0, 1, 1, 2]), "duplicate crossing ids"),
+        ('{"crossings": [{"id": 0}, {"id": 1, "pd": [1, 2, 3, 4]}]}',
+         "malformed document: crossing needs 'id' and 'pd'"),
+    ):
+        bad.write_text(text)
+        code, doc, _ = run(capsys, "validate", str(bad))
+        assert code == EXIT_INVALID and doc == {"error": message}
     theta = json.loads((FIXTURES / "dalpha.theta.json").read_text())
     theta["components"][0]["edges"][0]["weight"] = 1.5
     bad.write_text(json.dumps(theta))

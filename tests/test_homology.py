@@ -68,6 +68,14 @@ def test_smith_diagonal_examples():
     assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
     assert smith_diagonal([[0, 0], [0, 0]]) == []
     assert smith_diagonal([[1, 2, 3]]) == [1]
+    # no rows, no columns, a zero row and a zero column
+    assert smith_diagonal([]) == []
+    assert smith_diagonal([[]]) == []
+    assert smith_diagonal([[0, 0, 0], [0, 6, 4]]) == [2]
+    assert smith_diagonal([[0, 9], [0, -6], [0, 3]]) == [3]
+    rows = [[9, -6], [6, 9], [0, 0]]
+    assert smith_diagonal(rows) == [3, 39]
+    assert rows == [[9, -6], [6, 9], [0, 0]]  # the input is left as it was
 
 
 def sympy_diagonal(rows):
@@ -83,10 +91,19 @@ def sympy_diagonal(rows):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_smith_matches_sympy(seed):
+    """Entries up to 4, or up to 9 on odd seeds; seeds 1, 4, 7, ... have a
+    zero row and seeds 2, 5, 8, ... a zero column."""
     rng = random.Random(seed)
     rows = rng.randint(1, 5)
     cols = rng.randint(1, 5)
-    mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    bound = 9 if seed % 2 else 4
+    mat = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    if seed % 3 == 1:
+        mat[rng.randrange(rows)] = [0] * cols
+    elif seed % 3 == 2:
+        zero = rng.randrange(cols)
+        for row in mat:
+            row[zero] = 0
     assert sorted(smith_diagonal(mat)) == sympy_diagonal(mat)
 
 

@@ -174,6 +174,39 @@ def test_all_neighbor_realizations_satisfy_identity(dalpha):
         assert result["euler_characteristic"] == s - d.n
 
 
+def relabelled(d, ids):
+    """``d`` with its crossings, in order of id, renamed to ``ids``."""
+    new = dict(zip(sorted(c.id for c in d.crossings), ids))
+    doc = {"crossings": [{"id": new[c.id], "pd": list(c.pd)} for c in d.crossings]}
+    return parse_diagram(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: parse_diagram((FIXTURES / "dalpha.json").read_text()),
+     *(lambda c=c: medial(hub_graph(c)) for c in HUB_CHAINS)],
+    ids=["dalpha", *(f"hub{i}" for i in range(len(HUB_CHAINS)))],
+)
+def test_relabelled_crossings_give_the_same_complex_and_surfaces(make):
+    """Crossing ids are names only.  Reversed ids, and four seeded
+    shuffles, send bigon merges down the branch that puts the dropped
+    edge's crossings first."""
+    d = make()
+    c = build_complex(theta_pipeline(d))
+    ids = sorted(x.id for x in d.crossings)
+    rng = random.Random(0)
+    for order in [ids[::-1], *(rng.sample(ids, len(ids)) for _ in range(4))]:
+        e = relabelled(d, order)
+        t = theta_pipeline(e)
+        ce = build_complex(t)
+        assert len(ce.vertices) == len(c.vertices)
+        assert len(ce.maximal_simplices) == len(c.maximal_simplices)
+        chi = seifert(e)["chi"]
+        u = t.weights()
+        for v in [u, *neighbours(t, u)]:
+            assert realize_vertex(e, t, v)["euler_characteristic"] == chi
+
+
 def test_neighbor_realization_structure(dalpha):
     d, t = dalpha
     u = t.weights()
