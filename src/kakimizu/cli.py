@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -215,7 +214,7 @@ def cmd_selftest(args) -> tuple[int, dict]:
     return (EXIT_OK if not failures else EXIT_INVALID), doc
 
 
-# -- the command table and its parser --------------------------------------
+# -- the command table and its parsers -------------------------------------
 
 # One row per subcommand: its handler, its help line, whether it reads an
 # input document, and its options.  Each option maps to its metavar, one
@@ -242,185 +241,116 @@ COMMANDS = {
                  {"--seed": ("SEED", 0), "--count": ("COUNT", 20)}),
 }
 
-_SHORT = {"-h": "--help", "-o": "--output"}
-# every option string before the subcommand, and of every subcommand, with
-# the number of values it takes
-_TOP = {"-h": 0, "--help": 0}
-_COMMON = {**_TOP, "-o": 1, "--output": 1}
-# argparse reads a token that looks like a negative number as a value; the
-# pattern is compiled on first use, which the usual command line never needs
-_NEGATIVE = r"-\d+$|-\d*\.\d+$"
-
 
 class _UsageError(Exception):
-    """The command line does not parse; the message names the bad token,
-    and ``command`` is the subcommand it follows, if any."""
-
-    command = None
+    """The command line does not parse; the argument is the usage line and
+    the ``kakimizu: error:`` line naming the bad token."""
 
 
 class _Help(Exception):
     """-h or --help was read; the argument is the help text to print."""
 
 
-def _usage(name: str | None) -> str:
-    if name is None:
-        return "usage: kakimizu [-h] COMMAND ..."
-    words = ["usage: kakimizu", name, "[-h] [-o OUTPUT]"]
-    for option, (metavar, *default) in COMMANDS[name][3].items():
-        word = f"{option} {metavar}".rstrip()
-        words.append(f"[{word}]" if default else word)
-    if COMMANDS[name][2]:
-        words.append("INPUT")
-    return " ".join(words)
-
-
-def _help(name: str | None) -> str:
-    if name is None:
-        rows = "".join(f"  {n:<16}{row[1]}\n" for n, row in COMMANDS.items())
-        head = f"Seifert-surface complexes of special alternating diagrams\n\ncommands:\n{rows}"
-    else:
-        head = f"{COMMANDS[name][1]}\n"
-    return (
-        f"{_usage(name)}\n\n{head}\nINPUT is a file, or - for stdin; "
-        "-o/--output writes the report to a file.\n"
-    )
-
-
-def _classify(token: str, names) -> tuple | None:
-    """What argparse makes of ``token``, met before any ``--``, when ``names``
-    are the option strings: None for a value, else the option string (None
-    for an unknown option) and the value attached to it by ``=`` or, after a
-    one-letter option, directly."""
-    if token[:1] != "-" or token == "-":
+def _plain(argv: list[str]) -> tuple | None:
+    """The handler and options of a plain command line: the subcommand,
+    then exact option names, each followed by its values, and the input,
+    in any order, where no value and no input but ``-`` starts with ``-``.
+    None for any other line, which ``_argparse`` reads."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if token in names:
-        return token, None
-    head, eq, tail = token.partition("=")
-    if eq and head in names:
-        return head, tail
-    if token[1] == "-":
-        found = [(n, tail if eq else None) for n in names if n.startswith(head)]
-    else:
-        found = [(n, token[2:]) for n in names if n == token[:2]]
-    if len(found) > 1:
-        matches = ", ".join(n for n, _ in found)
-        raise _UsageError(f"ambiguous option: {token} could match {matches}")
-    if found:
-        return found[0]
-    if re.match(_NEGATIVE, token) or " " in token:
-        return None
-    return None, None
-
-
-def _take_option(tokens, i, kinds, arity) -> tuple[int, list]:
-    """Read the option at ``tokens[i]``, where ``kinds`` classifies the
-    tokens before any ``--`` and ``arity`` maps each option string to the
-    number of values it takes.  Returns the index after the option and its
-    (option, value strings) pairs, one for each one-letter flag run
-    together with it, as in ``-ho``."""
-    written, attached = kinds[i]
-    taken = []
-    while True:
-        k = arity[written]
-        option = _SHORT.get(written, written)
-        if attached is None:
-            if kinds[i + 1 : i + 1 + k] != [None] * k:
-                raise _UsageError(f"argument {written}: expected {k} value(s)")
-            taken.append((option, tokens[i + 1 : i + 1 + k]))
-            return i + 1 + k, taken
-        if k == 1:
-            taken.append((option, [attached]))
-            return i + 1, taken
-        if k or written[1] == "-" or not attached or "-" + attached[0] not in arity:
-            raise _UsageError(f"argument {tokens[i]}: ignored value {attached!r}")
-        taken.append((option, []))
-        written, attached = "-" + attached[0], attached[1:] or None
-
-
-def _value(option: str, strings: list[str]):
-    """True for a flag, the file name for --output, else the ints given,
-    in a list when there are several."""
-    if option == "--output":
-        return strings[0]
-    if not strings:
-        return True
-    ints = []
-    for s in strings:
-        try:
-            ints.append(int(s))
-        except ValueError:
-            raise _UsageError(f"argument {option}: invalid int value: {s!r}") from None
-    return ints[0] if len(ints) == 1 else ints
-
-
-def _parse(argv: list[str]) -> tuple:
-    """The handler that ``argv`` selects and the options to call it with,
-    read as argparse read them when the parser was built with it: before
-    the subcommand only -h/--help is an option, an option may be shortened
-    to a unique prefix, and ``--`` ends the options."""
-    unknown = []
-    for i, token in enumerate(argv):
-        kind = None if token == "--" else _classify(token, _TOP)
-        if kind is None:
-            break
-        if kind[0] is None:
-            unknown.append(token)
-        else:
-            _take_option([token], 0, [kind], _TOP)
-            raise _Help(_help(None))
-    else:
-        raise _UsageError("a command is required")
-    if argv[i] not in COMMANDS:
-        raise _UsageError(f"invalid choice: {argv[i]!r}")
-    try:
-        return _parse_command(argv[i], argv[i + 1 :], unknown)
-    except _UsageError as exc:
-        exc.command = argv[i]
-        raise
-
-
-def _parse_command(name: str, tokens: list[str], unknown: list[str]) -> tuple:
-    """``_parse`` after the subcommand ``name``; ``unknown`` holds the
-    unknown options met before it."""
-    handler, _, reads_input, options = COMMANDS[name]
-    arity = dict(_COMMON)
+    handler, _, reads_input, options = COMMANDS[argv[0]]
+    arity = {"-o": 1, "--output": 1}
     values = {"output": None}
     for option, (metavar, *default) in options.items():
         arity[option] = len(metavar.split())
         if default:
             values[option[2:].replace("-", "_")] = default[0]
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_classify(token, arity) for token in tokens[:end]]
-    seen, got_input = set(), False
-    i = 0
-    while i < len(tokens):
-        kind = kinds[i] if i < end else None
-        if kind and kind[0]:
-            i, taken = _take_option(tokens, i, kinds, arity)
-            for option, strings in taken:
-                if option == "--help":
-                    raise _Help(_help(name))
-                seen.add(option)
-                values[option[2:].replace("-", "_")] = _value(option, strings)
-        elif not kind and reads_input and not got_input and (i < end or i + 1 < len(tokens)):
-            # argparse matches the input to the pattern '-*A-*', so a '--'
-            # just before or just after it goes with it
-            i += i == end
-            values["input"] = tokens[i]
-            got_input = True
-            i += 1 + (i + 1 == end)
-        else:
-            unknown.append(tokens[i])
-            i += 1
-    missing = [o for o, spec in options.items() if len(spec) == 1 and o not in seen]
-    if reads_input and not got_input:
-        missing.append("INPUT")
-    if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if unknown:
-        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+
+    def plain(word: str) -> bool:
+        return word[:1] != "-" or word == "-"
+
+    words = iter(argv[1:])
+    for word in words:
+        if plain(word):
+            if not reads_input or "input" in values:
+                return None
+            values["input"] = word
+            continue
+        k = arity.get(word)
+        strings = list(itertools.islice(words, k or 0))
+        if k is None or len(strings) < k or not all(map(plain, strings)):
+            return None
+        if word in ("-o", "--output"):
+            values["output"] = strings[0]
+            continue
+        try:
+            ints = [int(s) for s in strings]
+        except ValueError:
+            return None
+        values[word[2:].replace("-", "_")] = True if k == 0 else ints[0] if k == 1 else ints
+    # one key each for the output, every option and the input: none is missing
+    if len(values) < 1 + len(options) + reads_input:
+        return None
     return handler, values
+
+
+def _argparse(argv: list[str]) -> tuple:
+    """``_plain`` for every other line: help, usage errors, unique
+    prefixes, ``=`` and attached values, ``--`` and negative numbers,
+    read by an argparse parser built from ``COMMANDS``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(
+                epilog="INPUT is a file, or - for stdin; -o/--output writes the report to a file.",
+                formatter_class=lambda prog: argparse.HelpFormatter(prog, width=1 << 16),
+                **kwargs,
+            )
+
+        def error(self, message):
+            raise _UsageError(f"{self.format_usage()}kakimizu: error: {message}\n")
+
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
+
+    parser = Parser(
+        prog="kakimizu",
+        description="Seifert-surface complexes of special alternating diagrams",
+    )
+    sub = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, (handler, line, reads_input, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=line, description=line)
+        p.set_defaults(handler=handler)
+        p.add_argument("-o", "--output")
+        for option, (metavar, *default) in options.items():
+            words = metavar.split()
+            if not words:
+                p.add_argument(option, action="store_true")
+            else:
+                p.add_argument(
+                    option,
+                    type=int,
+                    nargs=len(words) if len(words) > 1 else None,
+                    metavar=tuple(words) if len(words) > 1 else metavar,
+                    required=not default,
+                    default=default[0] if default else None,
+                )
+        if reads_input:
+            p.add_argument("input", metavar="INPUT")
+    values = vars(parser.parse_args(argv))
+    empty = [name for name, value in values.items() if value == []]
+    if empty:
+        # argparse before 3.12.7 reads "--output=--" and "-o--" as no value
+        parser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
+    return values.pop("handler"), values
+
+
+def _parse(argv: list[str]) -> tuple:
+    """The handler that ``argv`` selects and the options to call it with,
+    as argparse reads them; argparse itself is loaded only for the lines
+    ``_plain`` leaves to it."""
+    return _plain(argv) or _argparse(argv)
 
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
@@ -536,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(str(exc))
         return EXIT_OK
     except _UsageError as exc:
-        sys.stderr.write(f"{_usage(exc.command)}\nkakimizu: error: {exc}\n")
+        sys.stderr.write(str(exc))
         return EXIT_USAGE
     try:
         try:

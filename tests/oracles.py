@@ -107,10 +107,11 @@ answer:
   edge from the face's dominator while the dominator's star is short;
   both delete the same vertices in the same order and return the same
   list;
-- ``argparse_parser`` is the CLI's argument parser as argparse builds it,
-  with one ``ArgumentParser`` per subcommand, where ``cli._parse`` reads
-  the command line off the ``cli.COMMANDS`` table; both must accept the
-  same command lines and give the same handler and option values.
+- ``argparse_parser`` is the CLI's argument parser written out by hand,
+  one ``ArgumentParser`` per subcommand, where ``cli._parse`` reads plain
+  command lines directly and builds its argparse parser for the rest from
+  the ``cli.COMMANDS`` table; both must accept the same command lines and
+  give the same handler and option values.
 """
 
 from __future__ import annotations

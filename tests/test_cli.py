@@ -24,6 +24,7 @@ from kakimizu.kcomplex import build_complex
 from kakimizu.structure import ball_report
 from kakimizu.theta import parse_theta
 from oracles import argparse_parser
+from test_golden_cli import commands as golden_commands
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kakimizu"
@@ -953,6 +954,87 @@ def test_table_parser_matches_argparse_on_edge_cases(argv):
     """The spellings that need care: prefixes, attached values, -h before
     and after other tokens, ``--`` and negative numbers."""
     assert table_outcome(list(argv)) == argparse_outcome(list(argv))
+
+
+PLAIN_INTS = st.one_of(st.integers(0, 40).map(str), st.sampled_from(["+2", " 4", "1_0", "007"]))
+PLAIN_WORDS = st.sampled_from(["-", "in.json", "x", "a b", "", "x=1", "7"])
+
+
+@st.composite
+def clean_lines(draw):
+    """A command line the plain reader must answer: the subcommand, then in
+    any order each required option, maybe the others, maybe -o/--output,
+    each with plain values, and the input."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, reads_input, options = cli.COMMANDS[name]
+    chunks = []
+    for option, (metavar, *default) in options.items():
+        for _ in range(draw(st.integers(0 if default else 1, 2))):
+            chunks.append([option, *(draw(PLAIN_INTS) for _ in metavar.split())])
+    if draw(st.booleans()):
+        chunks.append([draw(st.sampled_from(["-o", "--output"])), draw(PLAIN_WORDS)])
+    if reads_input:
+        chunks.append([draw(PLAIN_WORDS)])
+    return [name, *(t for c in draw(st.permutations(chunks)) for t in c)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(clean_lines())
+def test_plain_reader_answers_clean_lines(argv):
+    assert (EXIT_OK, cli._plain(list(argv))) == argparse_outcome(list(argv))
+
+
+def no_argparse(argv):
+    raise AssertionError(f"argparse read {argv}")
+
+
+BENCHMARK_LINES = [
+    ["analyze", "-", "--homology", "--ball", "--flag-check"],
+    ["analyze", "-", "--flag-check", "--metric", "0", "12340"],
+    ["esd", "--n", "3", "--m", "4"],
+    ["verify-esd", "--max-n", "2", "--max-m", "3"],
+    ["surface", "-", "--vertex", "47601293640635"],
+    *([name, "-"] for name in ("validate", "theta", "seifert", "fibred", "complex", "product",
+                               "verify-product")),
+    ["esd", "--n", "1", "--m", "1", "-o", "out.json"],
+    ["validate", "-", "--output", "out.json"],
+]
+
+
+@pytest.mark.parametrize("argv", golden_commands() + BENCHMARK_LINES, ids=" ".join)
+def test_plain_lines_never_load_argparse(monkeypatch, argv):
+    """Every golden command line and every shape of line the benchmark
+    sends is read without argparse, and read as argparse reads it."""
+    monkeypatch.setattr(cli, "_argparse", no_argparse)
+    assert (EXIT_OK, cli._parse(list(argv))) == argparse_outcome(list(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["esd", "--n", "1", "--m", "1", "--output=--"],
+        ["esd", "--n", "1", "--m", "1", "-o--"],
+        ["esd", "--n=--", "--m", "1"],
+    ],
+    ids=" ".join,
+)
+def test_double_dash_value_is_no_traceback(tmp_path, argv):
+    """argparse before 3.12.7 reads ``--`` attached to an option as no value
+    at all, later releases as the value ``--``: the line either runs, or is
+    a usage error with nothing on stdout, never a traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-m", "kakimizu", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in out.stderr
+    if out.returncode == EXIT_USAGE:
+        assert out.stdout == ""
 
 
 @pytest.mark.parametrize(
