@@ -9,6 +9,8 @@ error.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -354,83 +356,80 @@ def _parse(argv: list[str]) -> tuple:
 
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
-_INTS = {int, bool}
 _SEQS = {list, tuple}
+# rows formatted per write: enough that the cost of a write vanishes, few
+# enough that the text held at once is a small part of a large complex's
+_CHUNK = 4096
 
 
 class _Unmirrored(Exception):
-    """A value ``_dumps`` does not write itself."""
+    """A value the writer leaves to ``json.dumps``."""
 
 
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
-
-    Lists nesting non-empty lists to the same depth on every branch down
-    to ints, the bulk of a complex, are written by the C encoder and
-    re-indented by one ``str.replace`` per level; a document with a
-    non-string key or a value of another type goes to ``json.dumps`` whole.
-    """
-    out: list[str] = []
-    try:
-        _write(doc, "\n", out)
-    except _Unmirrored:
-        return json.dumps(doc, indent=2, sort_keys=True)
-    return "".join(out)
-
-
-def _int_depth(o) -> int:
-    """How many levels of non-empty lists lead from ``o`` to ints, the same
-    on every branch, or 0 when they differ or something else is met; each
-    level is read through lazy chains, so nothing is copied."""
-
-    def level(k: int):
-        items = o
-        for _ in range(k):
-            items = itertools.chain.from_iterable(items)
-        return items
-
-    depth = 0
-    while not (kinds := set(map(type, level(depth)))) <= _INTS:
-        if not (kinds <= _SEQS and all(level(depth))):
+def _depth(o) -> int:
+    """How many levels of lists lead from the list ``o`` to ints, the same
+    on every branch (an empty list may end one), or 0 when they differ or
+    something else is met.  Ints must be exactly ``int``, as ``"%d"``
+    writes True as 1 and 1.5 as 1."""
+    depth, level = 1, o
+    while not (kinds := set(map(type, level))) <= {int}:
+        if not kinds <= _SEQS:
             return 0
+        level = o
+        for _ in range(depth):
+            level = itertools.chain.from_iterable(level)
         depth += 1
-    return depth + 1
+    return depth
 
 
-def _write(o, nl: str, out: list[str]) -> None:
-    """Append the JSON text of ``o`` to ``out``; ``nl`` is a newline plus the
-    indentation of the line ``o`` starts on."""
+@functools.lru_cache(maxsize=1024)
+def _template(shape, nl: str) -> str:
+    """The ``%`` template of a row whose line starts ``nl``: ``shape`` is
+    its length for a row of ints, or the tuple of their lengths for a row
+    of int rows."""
+    if not shape:
+        return "[]"
+    inner = nl + "  "
+    items = ["%d"] * shape if isinstance(shape, int) else [_template(n, inner) for n in shape]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _chunks(rows, nl: str, depth: int):
+    """The text of a list of rows of ints (``depth`` 2) or of int rows (3),
+    a chunk of rows at a time, each row one ``%`` on its shape's template."""
+    shape, values = (len, tuple) if depth == 2 else (
+        lambda r: tuple(map(len, r)), lambda r: tuple(itertools.chain.from_iterable(r)))
+    inner = nl + "  "
+    templates = {s: _template(s, inner) for s in set(map(shape, rows))}
+    sep = "," + inner
+    for i in range(0, len(rows), _CHUNK):
+        text = sep.join([templates[shape(r)] % values(r) for r in rows[i : i + _CHUNK]])
+        yield ("," if i else "[") + inner + text
+    yield nl + "]"
+
+
+def _plan(o, nl: str, out: list) -> None:
+    """Append the JSON text of ``o`` to ``out``: strings, and for each list
+    of rows longer than a chunk a generator of its text.  ``nl`` is a
+    newline plus the indentation of the line ``o`` starts on.  Every value
+    is read here, so an unmirrored one is met before anything is written."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or isinstance(o, (int, float)):
         out.append(_compact(o))
     elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-        elif depth := _int_depth(o):
-            # ind[j] starts a line j levels in, so the ints sit at
-            # ind[depth]; where an innermost list ends inside a list k
-            # levels out, k lists close and k open, and the widest such
-            # fences are replaced first, as each holds the narrower ones
-            ind = [nl + "  " * j for j in range(depth + 1)]
-
-            def opens(k: int) -> str:
-                return "".join(ind[j] + "[" for j in range(depth - k, depth)) + ind[depth]
-
-            def closes(k: int) -> str:
-                return "".join(ind[j] + "]" for j in reversed(range(depth - k, depth)))
-
-            body = _compact(o)[depth:-depth].replace(",", "," + ind[depth])
-            for k in range(depth - 1, 0, -1):
-                fence = "]" * k + "," + ind[depth] + "[" * k
-                body = body.replace(fence, closes(k) + "," + opens(k))
-            out.append(opens(depth)[len(nl):] + body + closes(depth))
+        depth = _depth(o)
+        if depth == 1:
+            out.append(_template(len(o), nl) % tuple(o))
+        elif depth in (2, 3):
+            rows = _chunks(o, nl, depth)
+            out.append(rows if len(o) > _CHUNK else "".join(rows))
         else:
             inner = nl + "  "
             sep = "[" + inner
             for v in o:
                 out.append(sep)
-                _write(v, inner, out)
+                _plan(v, inner, out)
                 sep = "," + inner
             out.append(nl + "]")
     elif isinstance(o, dict):
@@ -443,7 +442,7 @@ def _write(o, nl: str, out: list[str]) -> None:
         sep = "{" + inner
         for k, v in sorted(o.items()):
             out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, inner, out)
+            _plan(v, inner, out)
             sep = "," + inner
         out.append(nl + "}")
     else:
@@ -451,12 +450,25 @@ def _write(o, nl: str, out: list[str]) -> None:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = _dumps(doc) + "\n"
-    if output is not None:
-        with open(output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to
+    the file ``output``, or to stdout when it is None, byte for byte.
+
+    The document is read to the end first, and one with a non-string key
+    or a value of another type goes to ``json.dumps`` whole.  Otherwise
+    each run of text is written in one piece and each long list of rows,
+    the bulk of a complex, a chunk at a time, so the whole text is never
+    held at once.
+    """
+    parts: list = []
+    try:
+        _plan(doc, "\n", parts)
+    except _Unmirrored:
+        parts = [json.dumps(doc, indent=2, sort_keys=True)]
+    parts.append("\n")
+    with open(output, "w") if output is not None else contextlib.nullcontext(sys.stdout) as f:
+        for text, run in itertools.groupby(parts, lambda p: type(p) is str):
+            for piece in ["".join(run)] if text else itertools.chain.from_iterable(run):
+                f.write(piece)
 
 
 def main(argv: list[str] | None = None) -> int:

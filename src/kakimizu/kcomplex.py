@@ -113,10 +113,13 @@ class SimplicialComplex(Record):
             raise ValueError(f"{v!r} is not a vertex") from None
 
     def to_json(self) -> dict:
+        """The complex as JSON.  ``vertices`` and ``maximal_simplices`` are
+        the complex's own lists, not copies, and vertices are tuples, which
+        ``json.dumps`` writes as arrays."""
         return {
             "edge_order": list(self.theta.global_edge_order) if self.theta else [],
-            "vertices": [list(v) for v in self.vertices],
-            "maximal_simplices": [list(s) for s in self.maximal_simplices],
+            "vertices": self.vertices,
+            "maximal_simplices": self.maximal_simplices,
         }
 
 

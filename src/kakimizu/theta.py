@@ -233,9 +233,9 @@ def _reduce_bigons(g: EmbeddedGraph, faces: Faces) -> tuple[EmbeddedGraph, Faces
         while faces[b] and len(faces[b]) == 2 and faces[b][0][0] != faces[b][1][0]:
             (keep, dk), (drop, dd) = sorted(faces[b])
             ek, ed = g.edges[keep], g.edges[drop]
-            side = {h: where[h][0] for h in ((keep, 0), (keep, 1), (drop, 0), (drop, 1))}
-            if g.positive_face(keep, side) == g.negative_face(drop, side):
-                # drop sits on keep's positive side: its crossings come after
+            if g.positive_face(keep, where)[0] == b:
+                # the bigon, and so drop, lies on keep's positive side: drop's
+                # crossings come after
                 ek.crossings = ek.crossings + ed.crossings
             else:
                 ek.crossings = ed.crossings + ek.crossings

@@ -856,13 +856,12 @@ def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:
         ek, ed = g.edges[keep], g.edges[drop]
         if {ek.u, ek.v} != {ed.u, ed.v}:
             raise ValueError("bigon edges are not parallel")
-        keep_pos = g.positive_face(keep, face_of)
-        drop_pos = g.positive_face(drop, face_of)
-        drop_neg = g.negative_face(drop, face_of)
-        if keep_pos == drop_neg:
-            # drop sits on keep's positive side: its crossings come after
+        here = face_of[bigon[0]]
+        if g.positive_face(keep, face_of) == here == g.negative_face(drop, face_of):
+            # the bigon, and so drop, lies on keep's positive side: drop's
+            # crossings come after
             ek.crossings = ek.crossings + ed.crossings
-        elif g.negative_face(keep, face_of) == drop_pos:
+        elif g.negative_face(keep, face_of) == here == g.positive_face(drop, face_of):
             ek.crossings = ed.crossings + ek.crossings
         else:
             raise ValueError("bigon edges have incoherent sides")

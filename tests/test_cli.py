@@ -537,10 +537,30 @@ documents = st.recursive(
 )
 
 
+class Recorder:
+    """A stand-in for stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def emitted(doc):
+    """What the CLI's writer prints for ``doc``, less its final newline."""
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    text = "".join(out.writes)
+    assert text.endswith("\n")
+    return text[:-1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(documents)
 def test_emitter_matches_json_dumps(doc):
-    assert cli._dumps(doc) == reference_dumps(doc)
+    assert emitted(doc) == reference_dumps(doc)
 
 
 def nested_ints(depth):
@@ -562,29 +582,117 @@ mixed_nests = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(uniform_nests)
 def test_emitter_writes_uniform_int_nests_in_one_piece(case):
+    """A list of ints, of int rows or of rows of int rows is one piece of
+    text from row templates; deeper nests recurse down to such lists."""
     depth, doc = case
-    assert cli._int_depth(doc) == depth
-    assert cli._dumps(doc) == reference_dumps(doc)
-    assert cli._dumps({"v": [doc]}) == reference_dumps({"v": [doc]})
+    parts = []
+    cli._plan(doc, "\n", parts)
+    if depth <= 3:
+        assert len(parts) == 1
+    assert emitted(doc) == reference_dumps(doc)
+    assert emitted({"v": [doc]}) == reference_dumps({"v": [doc]})
 
 
 @settings(max_examples=200, deadline=None)
 @given(mixed_nests)
 def test_emitter_matches_json_dumps_on_mixed_int_nests(doc):
-    assert cli._dumps(doc) == reference_dumps(doc)
-    assert cli._dumps({"v": [doc, doc]}) == reference_dumps({"v": [doc, doc]})
+    assert emitted(doc) == reference_dumps(doc)
+    assert emitted({"v": [doc, doc]}) == reference_dumps({"v": [doc, doc]})
+
+
+class Count(int):
+    """An int subclass, which the row templates leave alone."""
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # rows of one width where one value is not exactly an int: "%d"
+        # would write True as 1
+        [[1, 2], [True, 3]],
+        [[1, 2], [3, False]],
+        [[1, 2], [1.5, 3]],
+        [[1, 2], [Count(7), 3]],
+        [True, 1],
+        [[], [], []],
+        [[1], [], [2, 3]],
+        [[[], []], [[1]]],
+        [[-1, 2**63], [-(2**70), 2**64 + 1]],
+        [(1, 2), [3, 4]],
+        ((1, 2), (3,)),
+        {"rows": ((0, -1),), "edge_order": (), "vertices": [()]},
+        [[1, [2]], [3, 4]],
+        [[1, None], [2, 3]],
+    ],
+)
+def test_emitter_rows_match_json_dumps(doc):
+    assert emitted(doc) == reference_dumps(doc)
+    assert emitted({"v": [doc, 0]}) == reference_dumps({"v": [doc, 0]})
+
+
+def test_emitter_writes_long_row_lists_a_chunk_at_a_time():
+    rows = [[i, -i, i * 2**40] for i in range(2 * cli._CHUNK + 5)] + [[], [7]]
+    doc = {"a": rows, "b": [tuple(r) for r in rows]}
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    assert "".join(out.writes) == reference_dumps(doc) + "\n"
+    # three chunks and the closing bracket for each list
+    assert len(out.writes) >= 8
+    assert max(map(len, out.writes)) < len(reference_dumps(doc)) / 3
 
 
 def test_emitter_defers_non_string_keys_to_json_dumps():
     doc = {"a": [[1, 2]], "b": {1: [3], 2: "x"}}
-    assert cli._dumps(doc) == reference_dumps(doc)
+    assert emitted(doc) == reference_dumps(doc)
     # a key json.dumps accepts but does not keep as it is
-    assert cli._dumps({True: None}) == reference_dumps({True: None}) == '{\n  "true": null\n}'
+    assert emitted({True: None}) == reference_dumps({True: None}) == '{\n  "true": null\n}'
+    # the fallback is decided before the row lists ahead of the key are
+    # written, so the document goes out in one piece
+    doc = {"a": [[i] for i in range(cli._CHUNK + 1)], "z": {1: 2}}
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    assert out.writes == [reference_dumps(doc) + "\n"]
 
 
-def test_emitter_defers_unknown_values_to_json_dumps():
+def test_emitter_defers_unknown_values_to_json_dumps(tmp_path):
+    doc = {"a": [[i] for i in range(cli._CHUNK + 1)], "b": [1, {2}]}
+    out = Recorder()
+    with contextlib.redirect_stdout(out), pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._emit(doc, None)
+    assert out.writes == []
+    target = tmp_path / "report.json"
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        cli._dumps({"a": [1, {2}]})
+        cli._emit(doc, str(target))
+    assert not target.exists()
+
+
+def test_complex_is_printed_a_chunk_at_a_time(tmp_path, monkeypatch):
+    """A complex of more simplices than one chunk is never held as one
+    string, and ``-o FILE`` writes exactly what stdout gets."""
+    source = tmp_path / "theta.json"
+    source.write_text(json.dumps({"components": [{
+        "id": 0,
+        "edges": [{"id": e, "weight": 5} for e in range(4)],
+        "placement": {"parent": "sphere", "parent_face": 0, "outer_face": 0},
+    }]}))
+    c = build_complex(parse_theta(source.read_text()))
+    assert len(c.maximal_simplices) > cli._CHUNK
+    doc = c.to_json()
+    # the complex's own lists, not copies
+    assert doc["maximal_simplices"] is c.maximal_simplices
+    assert doc["vertices"] is c.vertices
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["complex", str(source)]) == EXIT_OK
+    text = "".join(out.writes)
+    assert text == reference_dumps(doc) + "\n"
+    assert max(map(len, out.writes)) < len(text) / 2
+    target = tmp_path / "complex.json"
+    assert main(["complex", str(source), "-o", str(target)]) == EXIT_OK
+    assert "".join(out.writes) == text  # nothing more went to stdout
+    assert target.read_bytes() == text.encode()
 
 
 # -- error paths ------------------------------------------------------------

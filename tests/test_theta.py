@@ -81,6 +81,19 @@ def test_reduce_book2_chain_order():
     assert len(r.edges[0].crossings) == 2
 
 
+def test_reduce_orders_the_chain_by_the_bigon_side():
+    """In the nugatory fixture's black graph the bigon of edges 0 and 1 has
+    one face on both sides, so only the bigon itself tells the sides apart:
+    it lies on edge 0's negative side, so edge 1's crossing comes first."""
+    black = _region_graph(parse_diagram(load_text("nugatory.json")), "black")[0]
+    face_of = face_index(black.trace_faces())
+    bigon = face_of[(0, 1)]
+    assert black.negative_face(0, face_of) == black.positive_face(1, face_of) == bigon
+    assert black.positive_face(0, face_of) == black.negative_face(1, face_of) != bigon
+    for reduced in (run_stages(black, _reduce_bigons), retrace_reduce_bigons(black)):
+        assert reduced.edges[0].crossings == (1, 0)
+
+
 def test_reduce_granny():
     g = run_stages(granny_graph(), _reduce_bigons)
     assert len(g.edges) == 2
