@@ -15,7 +15,6 @@ import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 
 from .diagram import (
     _diagram_from_doc,
@@ -31,7 +30,7 @@ from .kcomplex import (
     SimplicialComplex,
     build_complex,
     distance,
-    flag_check,
+    flag_check as is_flag,
     vertex_at,
 )
 from .structure import ball_report, component_product, esd, theta_to_esd_map, verify_iso
@@ -69,30 +68,26 @@ def _sniff(text: str) -> ThetaGraph:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def cmd_validate(args) -> tuple[int, dict]:
-    report = validate(parse_diagram(_read_input(args.input)))
+def cmd_validate(d) -> tuple[int, dict]:
+    report = validate(d)
     ok = all(v for k, v in report.items() if k != "messages")
     return (EXIT_OK if ok else EXIT_INVALID), report
 
 
-def cmd_seifert(args) -> tuple[int, dict]:
-    d = parse_diagram(_read_input(args.input))
+def cmd_seifert(d) -> tuple[int, dict]:
     return EXIT_OK, seifert(d)
 
 
-def cmd_theta(args) -> tuple[int, dict]:
-    d = parse_diagram(_read_input(args.input))
+def cmd_theta(d) -> tuple[int, dict]:
     return EXIT_OK, theta_pipeline(d).to_json()
 
 
-def cmd_complex(args) -> tuple[int, dict]:
-    t = _sniff(_read_input(args.input))
+def cmd_complex(t) -> tuple[int, dict]:
     return EXIT_OK, build_complex(t).to_json()
 
 
-def cmd_analyze(args) -> tuple[int, dict]:
-    t = _sniff(_read_input(args.input))
-    for idx in args.metric or ():
+def cmd_analyze(t, homology, flag_check, ball, metric) -> tuple[int, dict]:
+    for idx in metric or ():
         if not 0 <= idx < predicted_vertex_count(t):
             raise ValueError(f"vertex index {idx} out of range")
     c = build_complex(t)
@@ -103,20 +98,20 @@ def cmd_analyze(args) -> tuple[int, dict]:
         "pure": c.is_pure(),
     }
     code = EXIT_OK
-    if args.homology or args.ball:
+    if homology or ball:
         report = ball_report(t, c)
-        if args.homology:
+        if homology:
             doc["homology"] = report["homology"]
-        if args.ball:
+        if ball:
             doc["ball"] = report
             if not report["ok"]:
                 code = EXIT_INVALID
-    if args.flag_check:
-        doc["flag_check"] = flag_check(c)
+    if flag_check:
+        doc["flag_check"] = is_flag(c)
         if not doc["flag_check"]:
             code = EXIT_INVALID
-    if args.metric is not None:
-        iu, iv = args.metric
+    if metric is not None:
+        iu, iv = metric
         doc["metric"] = {
             "u": iu,
             "v": iv,
@@ -125,12 +120,11 @@ def cmd_analyze(args) -> tuple[int, dict]:
     return code, doc
 
 
-def cmd_esd(args) -> tuple[int, dict]:
-    return EXIT_OK, esd(args.n, args.m).to_json()
+def cmd_esd(n, m) -> tuple[int, dict]:
+    return EXIT_OK, esd(n, m).to_json()
 
 
-def cmd_product(args) -> tuple[int, dict]:
-    t = _sniff(_read_input(args.input))
+def cmd_product(t) -> tuple[int, dict]:
     prod, _ = component_product(t)
     return EXIT_OK, prod.to_json()
 
@@ -141,13 +135,13 @@ def _at_least_one(name: str, value: int) -> None:
         raise ValueError(f"{name} must be positive")
 
 
-def cmd_verify_esd(args) -> tuple[int, dict]:
-    _at_least_one("max-n", args.max_n)
-    _at_least_one("max-m", args.max_m)
+def cmd_verify_esd(max_n, max_m) -> tuple[int, dict]:
+    _at_least_one("max-n", max_n)
+    _at_least_one("max-m", max_m)
     checked = []
     all_ok = True
-    for n in range(1, args.max_n + 1):
-        for m in range(1, args.max_m + 1):
+    for n in range(1, max_n + 1):
+        for m in range(1, max_m + 1):
             edges = [ThetaEdge(i, m if i == 0 else 0) for i in range(n + 1)]
             t = ThetaGraph([ThetaComponent(0, edges, Placement(SPHERE, 0, 0))])
             ok = verify_iso(build_complex(t), esd(n, m), theta_to_esd_map(t))
@@ -168,8 +162,7 @@ def _is_component_product(t: ThetaGraph, c: SimplicialComplex) -> bool:
     return verify_iso(c, *component_product(t))
 
 
-def cmd_verify_product(args) -> tuple[int, dict]:
-    t = _sniff(_read_input(args.input))
+def cmd_verify_product(t) -> tuple[int, dict]:
     c = build_complex(t)
     ok = _is_component_product(t, c)
     report = ball_report(t, c)
@@ -177,8 +170,7 @@ def cmd_verify_product(args) -> tuple[int, dict]:
     return code, {"isomorphic": ok, "ball": report}
 
 
-def cmd_fibred(args) -> tuple[int, dict]:
-    d = parse_diagram(_read_input(args.input))
+def cmd_fibred(d) -> tuple[int, dict]:
     g = white_region_graph(d)
     return EXIT_OK, {
         "fibred": is_fibred(g),
@@ -187,28 +179,27 @@ def cmd_fibred(args) -> tuple[int, dict]:
     }
 
 
-def cmd_surface(args) -> tuple[int, dict]:
-    d = parse_diagram(_read_input(args.input))
+def cmd_surface(d, vertex) -> tuple[int, dict]:
     t = theta_pipeline(d)
-    doc = realize_vertex(d, t, vertex_at(t, args.vertex))
-    doc["vertex_index"] = args.vertex
+    doc = realize_vertex(d, t, vertex_at(t, vertex))
+    doc["vertex_index"] = vertex
     return EXIT_OK, doc
 
 
-def cmd_selftest(args) -> tuple[int, dict]:
-    _at_least_one("count", args.count)
+def cmd_selftest(seed, count) -> tuple[int, dict]:
+    _at_least_one("count", count)
     failures = []
-    family = random_theta_family(args.seed, args.count)
+    family = random_theta_family(seed, count)
     for i, t in enumerate(family):
         c = build_complex(t)
         if not _is_component_product(t, c):
             failures.append({"instance": i, "check": "product"})
         if not ball_report(t, c)["ok"]:
             failures.append({"instance": i, "check": "ball"})
-        if not flag_check(c):
+        if not is_flag(c):
             failures.append({"instance": i, "check": "flag"})
     doc = {
-        "seed": args.seed,
+        "seed": seed,
         "instances": len(family),
         "failures": failures,
         "all_ok": not failures,
@@ -218,28 +209,31 @@ def cmd_selftest(args) -> tuple[int, dict]:
 
 # -- the command table and its parsers -------------------------------------
 
-# One row per subcommand: its handler, its help line, whether it reads an
-# input document, and its options.  Each option maps to its metavar, one
-# word per value it takes (none for a flag), and then its default; an
-# option without a default is required.  Option values are ints.  Every
-# subcommand also takes -h/--help and -o/--output FILE.
+# One row per subcommand: its handler, its help line, the reader that
+# parses its input document (None for no input), and its options.  Each
+# option maps to its metavar, one word per value it takes (none for a
+# flag), and then its default; an option without a default is required.
+# Option values are ints.  Every subcommand also takes -h/--help and
+# -o/--output FILE.  ``main`` calls the handler with what the reader
+# returns, if there is a reader, and each option by name.
 COMMANDS = {
-    "validate": (cmd_validate, "check a diagram document", True, {}),
-    "seifert": (cmd_seifert, "Seifert circles and counts", True, {}),
-    "theta": (cmd_theta, "diagram to theta graph", True, {}),
-    "complex": (cmd_complex, "surface complex of a diagram or theta", True, {}),
-    "analyze": (cmd_analyze, "reports on the surface complex", True, {
+    "validate": (cmd_validate, "check a diagram document", parse_diagram, {}),
+    "seifert": (cmd_seifert, "Seifert circles and counts", parse_diagram, {}),
+    "theta": (cmd_theta, "diagram to theta graph", parse_diagram, {}),
+    "complex": (cmd_complex, "surface complex of a diagram or theta", _sniff, {}),
+    "analyze": (cmd_analyze, "reports on the surface complex", _sniff, {
         "--homology": ("", False), "--flag-check": ("", False), "--ball": ("", False),
         "--metric": ("U V", None)}),
-    "esd": (cmd_esd, "edgewise subdivision of a simplex", False,
+    "esd": (cmd_esd, "edgewise subdivision of a simplex", None,
             {"--n": ("N",), "--m": ("M",)}),
-    "product": (cmd_product, "product complex over the components", True, {}),
-    "verify-esd": (cmd_verify_esd, "subdivision theorem sweep", False,
+    "product": (cmd_product, "product complex over the components", _sniff, {}),
+    "verify-esd": (cmd_verify_esd, "subdivision theorem sweep", None,
                    {"--max-n": ("N", 3), "--max-m": ("M", 4)}),
-    "verify-product": (cmd_verify_product, "product theorem on one input", True, {}),
-    "fibred": (cmd_fibred, "fibredness from the white-region graph", True, {}),
-    "surface": (cmd_surface, "surface realization at a vertex", True, {"--vertex": ("INDEX",)}),
-    "selftest": (cmd_selftest, "randomized property suites", False,
+    "verify-product": (cmd_verify_product, "product theorem on one input", _sniff, {}),
+    "fibred": (cmd_fibred, "fibredness from the white-region graph", parse_diagram, {}),
+    "surface": (cmd_surface, "surface realization at a vertex", parse_diagram,
+                {"--vertex": ("INDEX",)}),
+    "selftest": (cmd_selftest, "randomized property suites", None,
                  {"--seed": ("SEED", 0), "--count": ("COUNT", 20)}),
 }
 
@@ -254,13 +248,13 @@ class _Help(Exception):
 
 
 def _plain(argv: list[str]) -> tuple | None:
-    """The handler and options of a plain command line: the subcommand,
-    then exact option names, each followed by its values, and the input,
-    in any order, where no value and no input but ``-`` starts with ``-``.
-    None for any other line, which ``_argparse`` reads."""
+    """The handler, reader and options of a plain command line: the
+    subcommand, then exact option names, each followed by its values, and
+    the input, in any order, where no value and no input but ``-`` starts
+    with ``-``.  None for any other line, which ``_argparse`` reads."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    handler, _, reads_input, options = COMMANDS[argv[0]]
+    handler, _, reader, options = COMMANDS[argv[0]]
     arity = {"-o": 1, "--output": 1}
     values = {"output": None}
     for option, (metavar, *default) in options.items():
@@ -274,7 +268,7 @@ def _plain(argv: list[str]) -> tuple | None:
     words = iter(argv[1:])
     for word in words:
         if plain(word):
-            if not reads_input or "input" in values:
+            if reader is None or "input" in values:
                 return None
             values["input"] = word
             continue
@@ -291,9 +285,9 @@ def _plain(argv: list[str]) -> tuple | None:
             return None
         values[word[2:].replace("-", "_")] = True if k == 0 else ints[0] if k == 1 else ints
     # one key each for the output, every option and the input: none is missing
-    if len(values) < 1 + len(options) + reads_input:
+    if len(values) < 1 + len(options) + (reader is not None):
         return None
-    return handler, values
+    return handler, reader, values
 
 
 def _argparse(argv: list[str]) -> tuple:
@@ -321,9 +315,9 @@ def _argparse(argv: list[str]) -> tuple:
         description="Seifert-surface complexes of special alternating diagrams",
     )
     sub = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-    for name, (handler, line, reads_input, options) in COMMANDS.items():
+    for name, (handler, line, reader, options) in COMMANDS.items():
         p = sub.add_parser(name, help=line, description=line)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, reader=reader)
         p.add_argument("-o", "--output")
         for option, (metavar, *default) in options.items():
             words = metavar.split()
@@ -338,20 +332,20 @@ def _argparse(argv: list[str]) -> tuple:
                     required=not default,
                     default=default[0] if default else None,
                 )
-        if reads_input:
+        if reader is not None:
             p.add_argument("input", metavar="INPUT")
     values = vars(parser.parse_args(argv))
     empty = [name for name, value in values.items() if value == []]
     if empty:
         # argparse before 3.12.7 reads "--output=--" and "-o--" as no value
         parser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
-    return values.pop("handler"), values
+    return values.pop("handler"), values.pop("reader"), values
 
 
 def _parse(argv: list[str]) -> tuple:
-    """The handler that ``argv`` selects and the options to call it with,
-    as argparse reads them; argparse itself is loaded only for the lines
-    ``_plain`` leaves to it."""
+    """The handler that ``argv`` selects, the reader of its input and the
+    options to call it with, as argparse reads them; argparse itself is
+    loaded only for the lines ``_plain`` leaves to it."""
     return _plain(argv) or _argparse(argv)
 
 
@@ -473,22 +467,24 @@ def _emit(doc: dict, output: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        handler, values = _parse(sys.argv[1:] if argv is None else argv)
+        handler, reader, values = _parse(sys.argv[1:] if argv is None else argv)
     except _Help as exc:
         sys.stdout.write(str(exc))
         return EXIT_OK
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return EXIT_USAGE
+    output = values.pop("output")
     try:
         try:
-            code, doc = handler(SimpleNamespace(**values))
+            inputs = [reader(_read_input(values.pop("input")))] if reader else []
+            code, doc = handler(*inputs, **values)
         except (ValueError, OverflowError) as exc:
             # an OverflowError is a number too large for an index or a range
             code, doc = EXIT_INVALID, {"error": str(exc)}
         except AssertionError as exc:
             code, doc = EXIT_INVALID, {"internal_error": str(exc)}
-        _emit(doc, values["output"])
+        _emit(doc, output)
     except OSError as exc:
         sys.stderr.write(f"kakimizu: {exc}\n")
         return EXIT_USAGE

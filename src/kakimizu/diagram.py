@@ -299,18 +299,14 @@ def _smoothing_is_prime(d: Diagram, cid: int) -> bool:
     c = d.by_id[cid]
     m = 0 if d.over_in_first[cid] else 1  # the first merged corner
     pairs = [(c.pd[(m + 1) % 4], c.pd[(m + 2) % 4]), (c.pd[(m + 3) % 4], c.pd[m])]
-    rename: dict[int, int] = {}
-
-    def resolve(lab: int) -> int:
-        while lab in rename:
-            lab = rename[lab]
-        return lab
-
+    # The two pairs share no label: one label at opposite arms would make
+    # a loop that the other strand crosses exactly once, which no closed
+    # curve on the sphere can do.  So each pair is a kink or joins two arcs.
+    joined: set[int] = set()
     for x, y in pairs:
-        x, y = resolve(x), resolve(y)
         if x == y:
             return False  # a circle splits off
-        rename[max(x, y)] = min(x, y)
+        joined.add(max(x, y))
     if d.n == 2:
         # 1 crossing left: nothing can be on both sides of a curve
         return True
@@ -319,7 +315,7 @@ def _smoothing_is_prime(d: Diagram, cid: int) -> bool:
         return False
     seen: set[frozenset] = set()
     for lab in d.arms:
-        if lab in rename:
+        if lab in joined:
             continue  # joined into the arc of a smaller label
         sides = frozenset(
             a if f == b else f for f in (d.face_of[(lab, 0)], d.face_of[(lab, 1)])

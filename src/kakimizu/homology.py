@@ -66,25 +66,6 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-def _faces_by_dim(c: SimplicialComplex) -> list[list[tuple[int, ...]]]:
-    """The non-empty faces of ``c``, one sorted list per dimension, found
-    from the top down: the faces of one size are the maximal simplices of
-    that size and the facets of the faces one size up.  Each maximal
-    simplex is sorted first, so a face has one name however it is listed."""
-    top = max(map(len, c.maximal_simplices), default=0)
-    if not top:
-        # reduced H_{-1} of the empty complex is Z, and a report indexed
-        # from dimension 0 has no place for it
-        raise ValueError("homology of the empty complex is not reported")
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
-    upper: list[tuple[int, ...]] = []
-    for size in range(top, 0, -1):
-        faces = set(chain.from_iterable(map(combinations, upper, repeat(size))))
-        faces.update(tuple(sorted(s)) for s in c.maximal_simplices if len(s) == size)
-        upper = by_dim[size - 1] = sorted(faces)
-    return by_dim
-
-
 def _facet_sign(j: int, k: int) -> int:
     """Incidence sign of the j-th facet of a k-cell, facets listed as
     ``combinations(face, k)`` lists them.  Dropping the i-th vertex has sign
@@ -92,20 +73,33 @@ def _facet_sign(j: int, k: int) -> int:
     return -1 if (k - j) & 1 else 1
 
 
-def _lattice(
-    by_dim: list[list[tuple[int, ...]]],
-) -> tuple[list[range], list[list[int]]]:
-    """Global cell ids and facets of the augmented chain complex.
+def _lattice(simplices) -> tuple[list[range], list[list[int]]]:
+    """Global cell ids and facets of the augmented chain complex of the
+    complex whose maximal simplices are ``simplices``.
 
-    Cell 0 is the empty face, then come the vertices, the edges and so on,
-    each dimension in the order of ``by_dim``.  Returns the ids of each
-    dimension from 0 up and the ids of each cell's facets in
-    ``combinations`` order.
+    The faces of one size are the listed simplices of that size and the
+    facets of the faces one size up, found from the top down; each simplex
+    is sorted first, so a face has one name however it is listed.  Cell 0
+    is the empty face, then come the vertices, the edges and so on, each
+    dimension in sorted order.  Returns the ids of each dimension from 0 up
+    and the ids of each cell's facets in ``combinations`` order.
     """
+    top = max(map(len, simplices), default=0)
+    if not top:
+        # reduced H_{-1} of the empty complex is Z, and a report indexed
+        # from dimension 0 has no place for it
+        raise ValueError("homology of the empty complex is not reported")
+    by_size: list[list[tuple[int, ...]]] = []  # sizes top, top - 1, ..., 1
+    upper: list[tuple[int, ...]] = []
+    for size in range(top, 0, -1):
+        faces = set(chain.from_iterable(map(combinations, upper, repeat(size))))
+        faces.update(tuple(sorted(s)) for s in simplices if len(s) == size)
+        upper = sorted(faces)
+        by_size.append(upper)
     dims: list[range] = []
     facets: list[list[int]] = [[]]
     lower = {(): 0}
-    for size, faces in enumerate(by_dim, 1):
+    for size, faces in enumerate(reversed(by_size), 1):
         get = lower.__getitem__
         ids = range(len(facets), len(facets) + len(faces))
         facets.extend([list(map(get, combinations(f, size - 1))) for f in faces])
@@ -131,10 +125,10 @@ def _check_boundary_squared(dims: list[range], facets: list[list[int]]) -> None:
                 )
 
 
-def _coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
+def _coreduce(facets: list[list[int]]) -> bytearray:
     """Live flags of the cells left by coreduction.
 
-    The empty face pairs with the least vertex, ``first_vertex``; then a
+    The empty face, cell 0, pairs with the least vertex, cell 1; then a
     cell with exactly one live facet pairs with that facet, and both die.
     Such a cell's boundary on the live cells is a unit times the facet, so
     deleting the pair needs no change to any other boundary (no fill) and
@@ -159,7 +153,7 @@ def _coreduce(first_vertex: int, facets: list[list[int]]) -> bytearray:
                     queue.append(y)
 
     kill(0)
-    kill(first_vertex)
+    kill(1)
     while queue:
         a = queue.popleft()
         if live[a] and count[a] == 1:
@@ -231,25 +225,22 @@ def homology(c: SimplicialComplex) -> dict:
     """Reduced homology of ``c``, from the chain complex of its strong core,
     which has the same homotopy type, hence the same reduced betti numbers,
     torsion and Euler characteristic; dimensions above its own are empty."""
-    core = _strong_core(c.maximal_simplices)
-    report = _chain_homology(SimplicialComplex(c.vertices, core))
+    report = _chain_homology(_strong_core(c.maximal_simplices))
     pad = max(map(len, c.maximal_simplices)) - len(report["reduced_betti"])
     report["reduced_betti"] += [0] * pad
     report["torsion"] += [[] for _ in range(pad)]
     return report
 
 
-def _chain_homology(c: SimplicialComplex) -> dict:
-    """Reduced homology from the augmented chain complex: the reduced betti
-    number and the torsion coefficients of each dimension, and the Euler
+def _chain_homology(simplices) -> dict:
+    """Reduced homology from the augmented chain complex of the complex
+    whose maximal simplices are ``simplices``: the reduced betti number and
+    the torsion coefficients of each dimension, and the Euler
     characteristic, the alternating sum of the face counts."""
-    by_dim = _faces_by_dim(c)
-    f_counts = [len(fs) for fs in by_dim]
-    euler = sum((-1) ** k * f_counts[k] for k in range(len(f_counts)))
-    dims, facets = _lattice(by_dim)
-    del by_dim  # free the face tuples: cells are ids from here on
+    dims, facets = _lattice(simplices)
+    euler = sum((-1) ** k * len(ids) for k, ids in enumerate(dims))
     _check_boundary_squared(dims, facets)
-    live = _coreduce(dims[0].start, facets)
+    live = _coreduce(facets)
 
     # the residue's boundary is the original one restricted to live cells;
     # diags[k] is the Smith diagonal of the boundary out of dimension k,

@@ -61,13 +61,10 @@ class SimplicialComplex(Record):
     """
 
     def __init__(self, vertices: list, maximal_simplices: list[list[int]],
-                 theta: ThetaGraph | None = None, key: list[int] | None = None):
+                 theta: ThetaGraph | None = None):
         self.vertices = vertices
         self.maximal_simplices = maximal_simplices
         self.theta = theta
-        # optional vertex order, one key per vertex, e.g. from order_vertices;
-        # products of ordered complexes need it
-        self.key = key
 
     @property
     def dim(self) -> int:

@@ -131,13 +131,13 @@ def verify_iso(c1: SimplicialComplex, c2: SimplicialComplex, f: dict) -> bool:
 # -- ordered products -------------------------------------------------------
 
 
-def validate_order(c: SimplicialComplex) -> list[list[int]]:
-    """Every maximal simplex of ``c`` read as a chain in its vertex order,
-    that is sorted by key.  The key must give each vertex one integer and
-    separate the vertices of every simplex; antisymmetry, transitivity and
-    a support of exactly the adjacent pairs then hold by construction."""
-    key = c.key
-    if key is None or len(key) != len(c.vertices):
+def validate_order(c: SimplicialComplex, key: list[int]) -> list[list[int]]:
+    """Every maximal simplex of ``c`` read as a chain in the vertex order
+    ``key``, that is sorted by key.  The key must give each vertex of ``c``
+    one integer, in vertex order, and separate the vertices of every
+    simplex; antisymmetry, transitivity and a support of exactly the
+    adjacent pairs then hold by construction."""
+    if len(key) != len(c.vertices):
         raise ValueError("complex carries no vertex order")
     chains = [sorted(s, key=key.__getitem__) for s in c.maximal_simplices]
     if any(len({key[i] for i in s}) < len(s) for s in chains):
@@ -160,27 +160,25 @@ def _staircases(p: int, q: int):
         yield path
 
 
-def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:
-    """The product complex of two ordered complexes.
+def ordered_product(c1: SimplicialComplex, key1: list[int],
+                    c2: SimplicialComplex, key2: list[int]) -> SimplicialComplex:
+    """The product complex of ``c1`` and ``c2``, ordered by the vertex keys
+    ``key1`` and ``key2``.
 
     Vertices are pairs; each pair of maximal simplices, read as chains in
     the factor orders, contributes one top simplex per monotone staircase
-    through the grid of pairs.  The result is keyed by the sum of the
-    factor keys, which grows along every staircase, so products can be
-    iterated.  The pair of the i-th and the j-th vertex is the product's
-    vertex ``i * len(c2.vertices) + j``, so pairs of sorted, distinct
-    vertex lists come out sorted and distinct too.
+    through the grid of pairs.  The product carries no order: to iterate,
+    order it afresh, as ``component_product`` does.  The pair of the i-th
+    and the j-th vertex is the product's vertex ``i * len(c2.vertices) +
+    j``, so pairs of sorted, distinct vertex lists come out sorted and
+    distinct too.
     """
-    chains1 = validate_order(c1)
-    chains2 = validate_order(c2)
+    chains1 = validate_order(c1, key1)
+    chains2 = validate_order(c2, key2)
     n2 = len(c2.vertices)
-    product = SimplicialComplex(
-        vertices=[(u, v) for u in c1.vertices for v in c2.vertices],
-        maximal_simplices=[],
-        key=[a + b for a in c1.key for b in c2.key],
-    )
+    vertices = [(u, v) for u in c1.vertices for v in c2.vertices]
     # one int object per vertex, shared by every simplex that holds it
-    ids = list(range(len(product.vertices)))
+    ids = list(range(len(vertices)))
     stairs: dict[tuple[int, int], list] = {}
     maximal = set()
     for chain1 in chains1:
@@ -191,8 +189,7 @@ def ordered_product(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialC
                 stairs[shape] = list(_staircases(*shape))
             for path in stairs[shape]:
                 maximal.add(tuple(sorted([ids[rows[a] + chain2[b]] for a, b in path])))
-    product.maximal_simplices = sorted(list(s) for s in maximal)
-    return product
+    return SimplicialComplex(vertices, sorted(list(s) for s in maximal))
 
 
 # -- splitting at a region --------------------------------------------------
@@ -244,7 +241,9 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
     weight vector of ``t`` to its nested pair of per-side restrictions.
     Splitting happens at regions touching several components, and at each
     level the two factors are ordered by the restricted copies of the
-    split region, as the product decomposition requires.
+    split region, as the product decomposition requires: each side's
+    ``order_vertices`` key, read on its weight-vector complex, is carried
+    to its product's vertices through the side's vertex map.
     """
     if len(t.components) <= 1:
         c = build_complex(t)
@@ -260,10 +259,9 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
         key = [0] * len(p.vertices)
         for v, x in zip(k.vertices, order_vertices(k, region)):
             key[p.index(f[v])] = x
-        p.key = key
-        sides.append((sub, p, f))
-    (tl, left, fl), (tr, right, fr) = sides
-    product = ordered_product(left, right)
+        sides.append((sub, p, key, f))
+    (tl, left, kl, fl), (tr, right, kr, fr) = sides
+    product = ordered_product(left, kl, right, kr)
     f = {
         w: (fl[_restrict(w, t, tl)], fr[_restrict(w, t, tr)])
         for w in enumerate_vertices(t)
@@ -274,13 +272,12 @@ def component_product(t: ThetaGraph) -> tuple[SimplicialComplex, dict]:
 # -- ball structure ---------------------------------------------------------
 
 
-def ball_report(t: ThetaGraph, c: SimplicialComplex | None = None) -> dict:
-    """The checkable pieces of the ball statement, and ``ok`` when they all
-    hold: dimension equal to the sum of (edge count - 1), purity, and
-    trivial reduced homology with Euler characteristic 1.  A graph has one
-    more region than that sum, so the region count adds no check."""
-    if c is None:
-        c = build_complex(t)
+def ball_report(t: ThetaGraph, c: SimplicialComplex) -> dict:
+    """The checkable pieces of the ball statement for ``c``, the complex of
+    ``t``, and ``ok`` when they all hold: dimension equal to the sum of
+    (edge count - 1), purity, and trivial reduced homology with Euler
+    characteristic 1.  A graph has one more region than that sum, so the
+    region count adds no check."""
     dim, expected, pure = c.dim, sum(comp.k - 1 for comp in t.components), c.is_pure()
     h = homology(c)
     ok = (dim == expected and pure and not any(h["reduced_betti"])

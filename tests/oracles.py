@@ -77,7 +77,7 @@ answer:
   them and looks every pair up with ``SimplicialComplex.index``, and
   orders them componentwise by the factor relations of ``key_pairs``,
   where ``structure.ordered_product`` numbers the pair (i, j) by
-  ``i * len(c2.vertices) + j`` and sums the factor keys;
+  ``i * len(c2.vertices) + j`` and sorts each chain by its factor key;
   ``tuple_verify_iso`` compares frozensets of vertices, where
   ``structure.verify_iso`` compares frozensets of vertex indices;
 - ``key_pairs`` expands a vertex key into the directed pairs it orders
@@ -111,7 +111,7 @@ answer:
   one ``ArgumentParser`` per subcommand, where ``cli._parse`` reads plain
   command lines directly and builds its argparse parser for the rest from
   the ``cli.COMMANDS`` table; both must accept the same command lines and
-  give the same handler and option values.
+  give the same handler, input reader and option values.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ import networkx as nx
 
 from conftest import copy_graph
 from kakimizu.cli import (
+    _sniff,
     cmd_analyze,
     cmd_complex,
     cmd_esd,
@@ -147,6 +148,7 @@ from kakimizu.diagram import (
     UNDER_OUT,
     Crossing,
     Diagram,
+    parse_diagram,
 )
 from kakimizu.homology import smith_diagonal
 from kakimizu.kcomplex import SimplicialComplex, Vertex, enumerate_vertices
@@ -301,11 +303,10 @@ def skeleton_edges(c: SimplicialComplex) -> set[tuple[int, int]]:
     return out
 
 
-def key_pairs(c: SimplicialComplex, key: list[int] | None = None) -> frozenset:
-    """The directed pairs (i, j) over the skeleton edges with ``key[i] <
-    key[j]``, by default for the key ``c`` carries.  A tie leaves its edge
-    out, so the support falls short of the skeleton."""
-    key = c.key if key is None else key
+def key_pairs(c: SimplicialComplex, key: list[int]) -> frozenset:
+    """The directed pairs (i, j) over the skeleton edges of ``c`` with
+    ``key[i] < key[j]``.  A tie leaves its edge out, so the support falls
+    short of the skeleton."""
     return frozenset(
         (i, j) if key[i] < key[j] else (j, i)
         for i, j in skeleton_edges(c)
@@ -1192,13 +1193,13 @@ def split_regions(t: ThetaGraph, sub: ThetaGraph) -> tuple[set, tuple[int, ...]]
 
 
 def tuple_ordered_product(
-    c1: SimplicialComplex, c2: SimplicialComplex
+    c1: SimplicialComplex, key1: list[int], c2: SimplicialComplex, key2: list[int]
 ) -> tuple[SimplicialComplex, frozenset]:
-    """The ordered product with nested pairs as vertex names: the sorted
-    pairs, one top simplex per pair of chains and staircase, and the
-    componentwise order of the factor relations, as directed pairs, each
-    pair looked up by name.  The product carries no key."""
-    o1, o2 = key_pairs(c1), key_pairs(c2)
+    """The product of ``c1`` and ``c2`` ordered by ``key1`` and ``key2``,
+    with nested pairs as vertex names: the sorted pairs, one top simplex
+    per pair of chains and staircase, and the componentwise order of the
+    factor relations, as directed pairs, each pair looked up by name."""
+    o1, o2 = key_pairs(c1, key1), key_pairs(c2, key2)
     chains1, chains2 = relation_chains(c1, o1), relation_chains(c2, o2)
     product = SimplicialComplex(
         vertices=sorted((u, v) for u in c1.vertices for v in c2.vertices),
@@ -1308,29 +1309,30 @@ def argparse_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
+    def common(p, reader):
+        if reader is not None:
             p.add_argument("input", help="input file, or - for stdin")
         p.add_argument("-o", "--output", default=None, help="write to file")
+        p.set_defaults(reader=reader)
 
     p = sub.add_parser("validate", help="check a diagram document")
-    common(p)
+    common(p, parse_diagram)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("seifert", help="Seifert circles and counts")
-    common(p)
+    common(p, parse_diagram)
     p.set_defaults(handler=cmd_seifert)
 
     p = sub.add_parser("theta", help="diagram to theta graph")
-    common(p)
+    common(p, parse_diagram)
     p.set_defaults(handler=cmd_theta)
 
     p = sub.add_parser("complex", help="surface complex of a diagram or theta")
-    common(p)
+    common(p, _sniff)
     p.set_defaults(handler=cmd_complex)
 
     p = sub.add_parser("analyze", help="reports on the surface complex")
-    common(p)
+    common(p, _sniff)
     p.add_argument("--homology", action="store_true")
     p.add_argument("--flag-check", action="store_true")
     p.add_argument("--ball", action="store_true")
@@ -1338,36 +1340,36 @@ def argparse_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("esd", help="edgewise subdivision of a simplex")
-    common(p, with_input=False)
+    common(p, None)
     p.add_argument("--n", type=int, required=True, help="simplex dimension")
     p.add_argument("--m", type=int, required=True, help="subdivision degree")
     p.set_defaults(handler=cmd_esd)
 
     p = sub.add_parser("product", help="product complex over the components")
-    common(p)
+    common(p, _sniff)
     p.set_defaults(handler=cmd_product)
 
     p = sub.add_parser("verify-esd", help="subdivision theorem sweep")
-    common(p, with_input=False)
+    common(p, None)
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-m", type=int, default=4)
     p.set_defaults(handler=cmd_verify_esd)
 
     p = sub.add_parser("verify-product", help="product theorem on one input")
-    common(p)
+    common(p, _sniff)
     p.set_defaults(handler=cmd_verify_product)
 
     p = sub.add_parser("fibred", help="fibredness from the white-region graph")
-    common(p)
+    common(p, parse_diagram)
     p.set_defaults(handler=cmd_fibred)
 
     p = sub.add_parser("surface", help="surface realization at a vertex")
-    common(p)
+    common(p, parse_diagram)
     p.add_argument("--vertex", type=int, required=True, help="vertex index")
     p.set_defaults(handler=cmd_surface)
 
     p = sub.add_parser("selftest", help="randomized property suites")
-    common(p, with_input=False)
+    common(p, None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
     p.set_defaults(handler=cmd_selftest)

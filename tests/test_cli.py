@@ -185,7 +185,7 @@ def test_validate_and_seifert_print_the_library_reports(capsys, name):
 def test_analyze_prints_the_library_reports(capsys):
     t = parse_theta((FIXTURES / "dalpha.theta.json").read_text())
     _, doc, _ = run(capsys, "analyze", fx("dalpha.theta.json"), "--ball", "--homology")
-    assert doc["ball"] == ball_report(t)
+    assert doc["ball"] == ball_report(t, build_complex(t))
     assert doc["homology"] == homology(build_complex(t))
 
 
@@ -260,6 +260,8 @@ def test_verify_esd_sweep(capsys):
         (["selftest", "--count", "0"], "count must be positive"),
         (["verify-esd", "--max-n", "0"], "max-n must be positive"),
         (["verify-esd", "--max-m", "-1"], "max-m must be positive"),
+        (["esd", "--n", "-1", "--m", "1"], "n must be nonnegative"),
+        (["esd", "--n", "1", "--m", "0"], "m must be positive"),
     ],
 )
 def test_empty_sweeps_are_refused(capsys, argv, message):
@@ -1005,7 +1007,8 @@ def command_lines(draw):
 
 
 def argparse_outcome(argv):
-    """The exit code argparse gives ``argv``, and its handler and options."""
+    """The exit code argparse gives ``argv``, and its handler, reader and
+    options."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             ns = ARGPARSE.parse_args(argv)
@@ -1013,7 +1016,7 @@ def argparse_outcome(argv):
         return (EXIT_USAGE if exc.code else EXIT_OK), None
     values = vars(ns)
     del values["command"]
-    return EXIT_OK, (values.pop("handler"), values)
+    return EXIT_OK, (values.pop("handler"), values.pop("reader"), values)
 
 
 def table_outcome(argv):
@@ -1074,14 +1077,14 @@ def clean_lines(draw):
     any order each required option, maybe the others, maybe -o/--output,
     each with plain values, and the input."""
     name = draw(st.sampled_from(list(cli.COMMANDS)))
-    _, _, reads_input, options = cli.COMMANDS[name]
+    _, _, reader, options = cli.COMMANDS[name]
     chunks = []
     for option, (metavar, *default) in options.items():
         for _ in range(draw(st.integers(0 if default else 1, 2))):
             chunks.append([option, *(draw(PLAIN_INTS) for _ in metavar.split())])
     if draw(st.booleans()):
         chunks.append([draw(st.sampled_from(["-o", "--output"])), draw(PLAIN_WORDS)])
-    if reads_input:
+    if reader is not None:
         chunks.append([draw(PLAIN_WORDS)])
     return [name, *(t for c in draw(st.permutations(chunks)) for t in c)]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -79,6 +80,37 @@ def output_hash(argv: list[str]) -> str:
 def test_cli_output_matches_golden(argv):
     golden = json.loads(GOLDEN.read_text())
     assert output_hash(argv) == golden[" ".join(argv)]
+
+
+def sphere_theta(weights: list[list[int]]) -> str:
+    """A theta document with one component per weight list, all on the
+    sphere, and edge ids counted up across the components."""
+    ids = itertools.count()
+    return json.dumps({"components": [
+        {"id": i, "edges": [{"id": next(ids), "weight": w} for w in ws],
+         "placement": {"parent": "sphere", "parent_face": 0, "outer_face": 0}}
+        for i, ws in enumerate(weights)]})
+
+
+@pytest.mark.parametrize(
+    "weights, argv, digest",
+    [
+        # the product over three components, the only iterated product pinned
+        ([[2, 1, 1], [2, 1, 1], [1, 1]], ["product", "-"],
+         "bf801a30eb8269fb93c1aba7ca876fb9f94fa505ed5c12792f5c2f2defe487d0"),
+        # the 8-cube: 256 vertices, 40,320 simplices of dimension 8
+        ([[1, 0]] * 8, ["analyze", "--ball", "--homology", "-"],
+         "120c47a796583098e6346e0f630ad7473f82a84bd0402e3beb9fd85882ab190f"),
+    ],
+    ids=["product-three", "ball-cube8"],
+)
+def test_stdin_output_matches_recorded_digest(monkeypatch, capsys, weights, argv, digest):
+    """The sha256 of what the CLI prints for two theta documents read from
+    stdin, the digests the CI workflow also checks."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sphere_theta(weights)))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from kakimizu.homology import (
     _chain_homology,
     _check_boundary_squared,
     _coreduce,
-    _faces_by_dim,
     _lattice,
     _strong_core,
 )
@@ -275,8 +274,7 @@ def test_dunce_hat_is_acyclic():
 
 def residue_cells(c):
     """How many cells coreduction leaves for the eliminator."""
-    dims, facets = _lattice(_faces_by_dim(c))
-    return sum(_coreduce(dims[0].start, facets))
+    return sum(_coreduce(_lattice(c.maximal_simplices)[1]))
 
 
 @st.composite
@@ -308,7 +306,7 @@ def test_coreduction_matches_matrix_homology(c):
     core = _strong_core(c.maximal_simplices)
     assert all(not dominated(core, v) for v in set().union(*core))
     assert all(any(s <= set(t) for t in c.maximal_simplices) for s in core)
-    assert homology(c) == _chain_homology(c) == matrix_homology(c)
+    assert homology(c) == _chain_homology(c.maximal_simplices) == matrix_homology(c)
 
 
 @st.composite
@@ -396,7 +394,7 @@ def test_boundary_of_boundary_checked_on_large_complexes(monkeypatch):
     assert homology(path) == homology_doc([0, 0], [[], []], 1)
     monkeypatch.setattr(homology_module, "_facet_sign", lambda j, k: 1)
     with pytest.raises(AssertionError, match="dimension 1"):
-        _check_boundary_squared(*_lattice(_faces_by_dim(path)))
+        _check_boundary_squared(*_lattice(path.maximal_simplices))
     with pytest.raises(AssertionError, match="dimension 1"):
         homology(cycle(500))
 
@@ -408,8 +406,8 @@ def test_boundary_of_boundary_checks_face_ids(monkeypatch):
     has no dominated vertex."""
     lattice = homology_module._lattice
 
-    def corrupted(by_dim):
-        dims, facets = lattice(by_dim)
+    def corrupted(simplices):
+        dims, facets = lattice(simplices)
         # the first edge's first facet: the last vertex instead of the first
         facets[dims[1].start][0] = dims[0].stop - 1
         return dims, facets
@@ -417,7 +415,7 @@ def test_boundary_of_boundary_checks_face_ids(monkeypatch):
     monkeypatch.setattr(homology_module, "_lattice", corrupted)
     triangle = complex_on(3, [[0, 1, 2]])
     with pytest.raises(AssertionError, match="dimension 2"):
-        _check_boundary_squared(*corrupted(_faces_by_dim(triangle)))
+        _check_boundary_squared(*corrupted(triangle.maximal_simplices))
     with pytest.raises(AssertionError, match="dimension 2"):
         homology(complex_on(4, HOLLOW_TETRAHEDRON))
 
@@ -434,7 +432,7 @@ def test_boundary_of_boundary_checked_under_optimisation():
         "cycle = SimplicialComplex(vertices=list(range(500)),\n"
         "    maximal_simplices=[[i, (i + 1) % 500] for i in range(500)])\n"
         "for run in (lambda: h._check_boundary_squared(\n"
-        "        *h._lattice(h._faces_by_dim(path))),\n"
+        "        *h._lattice(path.maximal_simplices)),\n"
         "        lambda: h.homology(cycle)):\n"
         "    try:\n"
         "        run()\n"

@@ -87,6 +87,24 @@ def test_loops_rejected():
         g.insert_edge(Edge(id=0, u=0, v=0), after_u=(0, 0), after_v=(0, 0))
 
 
+def test_duplicate_vertex_rejected():
+    g = triangle()
+    with pytest.raises(ValueError, match="duplicate vertex 1"):
+        g.add_vertex(1)
+    assert g.rotation[1] == [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [(Edge(id=2, u=0, v=1), "duplicate edge id 2"), (Edge(id=3, u=0, v=7), "unknown vertex 7")],
+)
+def test_insert_edge_rejects_bad_edge(edge, message):
+    g = triangle()
+    with pytest.raises(ValueError, match=message):
+        g.insert_edge(edge, after_u=(0, 0), after_v=(0, 1))
+    assert sorted(g.edges) == [0, 1, 2]
+
+
 def test_bad_embedding_rejected():
     # book(3) with one rotation list not reversed is not spherical
     with pytest.raises(ValueError):

@@ -40,7 +40,6 @@ EXAMPLES = [
             "vertices": [(1, 0), (0, 1)],
             "maximal_simplices": [[0, 1]],
             "theta": ThetaGraph([_component()]),
-            "key": [0, 1],
         },
     ),
 ]
@@ -48,7 +47,7 @@ EXAMPLES = [
 # the defaults of the optional parameters
 DEFAULTS = {
     Edge: {"crossings": ()},
-    SimplicialComplex: {"theta": None, "key": None},
+    SimplicialComplex: {"theta": None},
 }
 
 
@@ -123,7 +122,7 @@ def _report(name):
         "validate": lambda: validate(d),
         "seifert": lambda: seifert(d),
         "homology": lambda: homology(build_complex(t)),
-        "ball_report": lambda: ball_report(t),
+        "ball_report": lambda: ball_report(t, build_complex(t)),
     }[name]()
 
 

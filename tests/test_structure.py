@@ -14,7 +14,7 @@ from families import dalpha_graph
 from oracles import (
     delta,
     exhaustive_colour_schemes,
-    key_pairs,
+    relation_chains,
     split_regions,
     tuple_ordered_product,
     tuple_verify_iso,
@@ -164,6 +164,15 @@ def test_verify_iso_rejects_collapse():
     assert not verify_iso(c, c, f)
 
 
+def test_verify_iso_rejects_map_missing_a_vertex():
+    """A map onto every vertex of ``c2`` that skips a vertex of ``c1``,
+    sending a stray point in its place, is no vertex map of ``c1``."""
+    c = esd(1, 2)
+    f = {v: v for v in c.vertices}
+    f[("stray",)] = f.pop(c.vertices[-1])
+    assert not verify_iso(c, c, f)
+
+
 def test_verify_iso_rejects_wrong_simplices():
     c1 = esd(1, 2)  # path on 3 vertices
     c2 = SimplicialComplex(
@@ -177,39 +186,28 @@ def test_verify_iso_rejects_wrong_simplices():
 # -- ordered products -------------------------------------------------------
 
 
-def ordered_by(c, r):
-    """Copy of ``c`` carrying the vertex order broken at region ``r``."""
-    return SimplicialComplex(
-        vertices=c.vertices,
-        maximal_simplices=c.maximal_simplices,
-        theta=c.theta,
-        key=order_vertices(c, r),
-    )
-
-
 def order_by_first_region(t):
+    """The complex of ``t`` and its vertex order broken at region 0."""
     c = build_complex(t)
-    return ordered_by(c, 0)
+    return c, order_vertices(c, 0)
 
 
 def test_product_of_intervals_is_square():
     a = order_by_first_region(single_component([1, 0]))
     b = order_by_first_region(single_component([2, 0]))
-    p = ordered_product(a, a)
+    p = ordered_product(*a, *a)
     assert len(p.vertices) == 4
     assert len(p.maximal_simplices) == 2  # two staircase triangles
     assert p.dim == 2
-    q = ordered_product(a, b)
+    q = ordered_product(*a, *b)
     assert len(q.vertices) == 6
     assert len(q.maximal_simplices) == 2 * comb(2, 1)
 
 
 def test_product_with_point():
-    a = order_by_first_region(single_component([1, 0, 0]))
-    point = SimplicialComplex(
-        vertices=[("pt",)], maximal_simplices=[[0]], key=[0]
-    )
-    p = ordered_product(a, point)
+    a, key = order_by_first_region(single_component([1, 0, 0]))
+    point = SimplicialComplex(vertices=[("pt",)], maximal_simplices=[[0]])
+    p = ordered_product(a, key, point, [0])
     assert len(p.vertices) == len(a.vertices)
     assert len(p.maximal_simplices) == len(a.maximal_simplices)
     assert p.dim == a.dim
@@ -218,16 +216,16 @@ def test_product_with_point():
 def test_product_reads_each_chain_once(monkeypatch):
     a = order_by_first_region(single_component([10, 10]))
     b = order_by_first_region(single_component([5, 5, 0]))
-    assert len(a.maximal_simplices) + len(b.maximal_simplices) == 120
+    assert len(a[0].maximal_simplices) + len(b[0].maximal_simplices) == 120
     validated = []
     validate = structure.validate_order
 
-    def counting(c):
-        validated.append(c)
-        return validate(c)
+    def counting(c, key):
+        validated.append((c, key))
+        return validate(c, key)
 
     monkeypatch.setattr(structure, "validate_order", counting)
-    p = ordered_product(a, b)
+    p = ordered_product(*a, *b)
     assert len(p.maximal_simplices) == 20 * 100 * comb(3, 1)
     assert validated == [a, b]
 
@@ -235,38 +233,30 @@ def test_product_reads_each_chain_once(monkeypatch):
 def test_product_requires_order():
     plain = build_complex(single_component([1, 0]))
     with pytest.raises(ValueError):
-        ordered_product(plain, plain)
-
-
-def keyed(c, key):
-    return SimplicialComplex(
-        vertices=list(c.vertices),
-        maximal_simplices=list(c.maximal_simplices),
-        key=key,
-    )
+        ordered_product(plain, [], plain, [])
 
 
 def test_validate_order_rejects_broken_relation():
     c = esd(1, 2)
-    assert validate_order(keyed(c, [0, 1, 2])) == [[0, 1], [1, 2]]
-    assert validate_order(keyed(c, [2, 1, 0])) == [[1, 0], [2, 1]]
+    assert validate_order(c, [0, 1, 2]) == [[0, 1], [1, 2]]
+    assert validate_order(c, [2, 1, 0]) == [[1, 0], [2, 1]]
     # a key tying the two vertices of one edge leaves them incomparable
     with pytest.raises(ValueError, match="order violates axioms"):
-        validate_order(keyed(c, [0, 1, 1]))
+        validate_order(c, [0, 1, 1])
 
 
 @pytest.mark.parametrize(
-    "key", [None, [], [0, 1], [0, 1, 2, 3]], ids=["none", "empty", "short", "long"]
+    "key", [[], [0, 1], [0, 1, 2, 3]], ids=["empty", "short", "long"]
 )
 def test_validate_order_rejects_missing_key(key):
     with pytest.raises(ValueError, match="carries no vertex order"):
-        validate_order(keyed(esd(1, 2), key))
+        validate_order(esd(1, 2), key)
 
 
 def test_order_vertices_gives_valid_order(dalpha_theta):
     c = build_complex(dalpha_theta)
     for r in range(dalpha_theta.region_count):
-        validate_order(ordered_by(c, r))
+        validate_order(c, order_vertices(c, r))
 
 
 # -- splitting at a region --------------------------------------------------
@@ -383,18 +373,18 @@ def test_component_product_random_family():
 @given(st.integers(0, 2**32 - 1))
 def test_products_and_isomorphisms_match_tuple_oracles(seed):
     """Every ordered product that ``component_product`` forms has the
-    vertices and simplices of the pair-named oracle, its key gives the
-    oracle's relation and is a valid order, and the isomorphism verdicts
-    agree, also on a map with two images swapped."""
+    vertices and simplices of the pair-named oracle, each of its top
+    simplices is a chain of the oracle's componentwise order, and the
+    isomorphism verdicts agree, also on a map with two images swapped."""
     t = random_theta(random.Random(seed), max_components=3)
     formed = []
 
-    def compared(c1, c2):
-        p, (q, order) = ordered_product(c1, c2), tuple_ordered_product(c1, c2)
+    def compared(c1, key1, c2, key2):
+        p = ordered_product(c1, key1, c2, key2)
+        q, order = tuple_ordered_product(c1, key1, c2, key2)
         assert p.vertices == q.vertices
         assert p.maximal_simplices == q.maximal_simplices
-        assert key_pairs(p) == order
-        validate_order(p)
+        relation_chains(p, order)
         formed.append(p)
         return p
 
@@ -482,7 +472,7 @@ def test_component_product_builds_each_factor_once(maker, monkeypatch):
 
 
 def test_ball_report_dalpha(dalpha_theta):
-    assert ball_report(dalpha_theta) == {
+    assert ball_report(dalpha_theta, build_complex(dalpha_theta)) == {
         "dimension": 3,
         "expected_dimension": 3,
         "pure": True,
@@ -497,13 +487,15 @@ def test_ball_report_dalpha(dalpha_theta):
 
 
 def test_ball_report_interval():
-    rep = ball_report(single_component([3, 0]))
+    t = single_component([3, 0])
+    rep = ball_report(t, build_complex(t))
     assert rep["dimension"] == 1
     assert rep["ok"]
 
 
 def test_ball_report_empty_theta():
-    rep = ball_report(ThetaGraph([]))
+    t = ThetaGraph([])
+    rep = ball_report(t, build_complex(t))
     assert rep["dimension"] == 0 == rep["expected_dimension"]
     assert rep["region_count"] == 0
     assert rep["ok"]
@@ -511,13 +503,13 @@ def test_ball_report_empty_theta():
 
 def test_ball_report_random_family():
     for t in random_theta_family(11, 10):
-        rep = ball_report(t)
+        rep = ball_report(t, build_complex(t))
         assert rep["region_count"] == rep["dimension"] + 1
         assert rep["ok"]
 
 
 def test_ball_report_json_shape(dalpha_theta):
-    doc = ball_report(dalpha_theta)
+    doc = ball_report(dalpha_theta, build_complex(dalpha_theta))
     assert doc["pure"] is True and doc["ok"] is True
     assert json.loads(json.dumps(doc)) == doc
 
