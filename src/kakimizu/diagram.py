@@ -153,20 +153,17 @@ class Diagram:
         return (pos == OVER_A) == self.over_in_first[cid]
 
     def _build_map(self) -> EmbeddedGraph:
+        # Each edge runs from its label's first arm to its second (edges in
+        # label order), and each rotation lists its crossing's darts in pd
+        # order, so rotation position == pd position at every crossing.
         g = EmbeddedGraph()
-        for c in self.crossings:
-            g.add_vertex(c.id)
-        # Register edges (in label order), each from its first arm to its
-        # second, then write rotations in pd order so rotation position ==
-        # pd position at every crossing.
-        darts: dict[tuple[int, int], tuple[int, int]] = {}
+        g.rotation = {c.id: [None] * 4 for c in self.crossings}
+        g.orientation = dict.fromkeys(g.rotation, 0)
         for lab in sorted(self.arms):
             (c1, p1), (c2, p2) = self.arms[lab]
-            g.edges[lab] = Edge(id=lab, u=c1, v=c2)
-            darts[(c1, p1)] = (lab, 0)
-            darts[(c2, p2)] = (lab, 1)
-        for c in self.crossings:
-            g.rotation[c.id] = [darts[(c.id, pos)] for pos in range(4)]
+            g.edges[lab] = Edge(lab, c1, c2)
+            g.rotation[c1][p1] = (lab, 0)
+            g.rotation[c2][p2] = (lab, 1)
         return g
 
     # -- corner utilities --------------------------------------------------

@@ -5,7 +5,8 @@ list the cyclic (anticlockwise) order of the edge ends meeting it.  Faces are
 traced from this data alone.  Following a directed edge into its head, the
 face boundary continues along the rotation predecessor of the arriving end;
 this keeps every face on the left of its (anticlockwise) boundary walk.  A
-trace reads each rotation list once and follows each half-edge once, so it
+trace reads each rotation list once into a map from each half-edge to the
+next one along its face, then pops that map along each face in turn, so it
 costs O(E log E), the log for sorting the half-edges.  On the sphere the
 count of traced faces then satisfies F = E - V + 1 + C, where C is the
 number of connected components, and every trace asserts this.  The surgeries
@@ -152,41 +153,53 @@ class EmbeddedGraph:
         """All faces, each an anticlockwise cycle of half-edges.
 
         Arriving at the head of a half-edge, the face on its left leaves
-        along the rotation predecessor of the arriving end.  One sweep over
-        the half-edges in sorted order starts a face at each one not yet
-        traced; that start is the least half-edge of its face, so every face
-        begins at its lexicographically least half-edge and the list comes
-        out sorted by it, which keeps face indices reproducible.
+        along the rotation predecessor of the arriving end: one map sends
+        each half-edge to that dart of the rotation lists.  One sweep over
+        the half-edges in sorted order starts a face at each one still in
+        the map and pops the map along it back to the start.  That start is
+        the least half-edge of its face, so every face begins at its
+        lexicographically least half-edge and the list comes out sorted by
+        it, which keeps face indices reproducible.  Raises ``ValueError``
+        unless the rotation lists hold each dart of each edge once and the
+        faces close up on the sphere.
         """
-        prev: dict[Dart, Dart] = {}
+        # the half-edge arriving at dart (eid, end) is (eid, 1 - end)
+        succ: dict[HalfEdge, Dart] = {}
         for rot in self.rotation.values():
-            for i, dart in enumerate(rot):
-                prev[dart] = rot[i - 1]
-        seen: set[HalfEdge] = set()
+            before = rot[-1] if rot else None
+            for dart in rot:
+                succ[dart[0], 1 - dart[1]] = before
+                before = dart
         faces: list[list[HalfEdge]] = []
-        for eid in sorted(self.edges):
-            for start in ((eid, 0), (eid, 1)):
-                cycle: list[HalfEdge] = []
-                h = start
-                while h not in seen:
-                    seen.add(h)
-                    cycle.append(h)
-                    # the arriving end is the head of h: end 1 walking u -> v
-                    h = prev[(h[0], 1 - h[1])]
-                if cycle:
-                    faces.append(cycle)
-        if self.edges:
-            # Each connected component must close up spherically.  The traced
-            # walks do not merge across components: a disconnected graph on
-            # the sphere has E - V + 1 + C faces but E - V + 2C boundary
-            # walks, one pair of walks bounding each shared face.
-            with_edges = {v for v in self.rotation if self.rotation[v]}
-            expected = len(self.edges) - len(with_edges) + 2 * self._edge_components()
-            if len(faces) != expected:
-                raise ValueError(
-                    f"embedding is not spherical: {len(faces)} faces, "
-                    f"expected {expected}"
-                )
+        pop = succ.pop
+        try:
+            for eid in sorted(self.edges):
+                for start in ((eid, 0), (eid, 1)):
+                    h = pop(start, None)
+                    if h is not None:
+                        cycle = [start]
+                        while h != start:
+                            cycle.append(h)
+                            h = pop(h)
+                        faces.append(cycle)
+            if succ:  # left over: half-edges of edges the graph lacks
+                raise KeyError(next(iter(succ)))
+            if self.edges:
+                # Each connected component must close up spherically.  The
+                # traced walks do not merge across components: a disconnected
+                # graph on the sphere has E - V + 1 + C faces but E - V + 2C
+                # boundary walks, one pair of walks bounding each shared face.
+                with_edges = {v for v in self.rotation if self.rotation[v]}
+                expected = len(self.edges) - len(with_edges) + 2 * self._edge_components()
+                if len(faces) != expected:
+                    raise ValueError(
+                        f"embedding is not spherical: {len(faces)} faces, "
+                        f"expected {expected}"
+                    )
+        except KeyError as e:  # a dart missing, listed twice or of no edge
+            raise ValueError(
+                f"rotation lists do not hold each dart of each edge once (at {e})"
+            ) from None
         return faces
 
     def positive_face(self, eid: int, face_of: dict):

@@ -61,8 +61,11 @@ answer:
   the least untraced half-edge with ``min`` for every face, stepping with
   ``next_in_face`` and ``rotation_prev`` (a ``list.index`` per step), then
   rotating each face to its least half-edge and sorting the list, where
-  ``EmbeddedGraph.trace_faces`` makes one sorted sweep with a dict of
-  rotation predecessors;
+  ``EmbeddedGraph.trace_faces`` makes one sorted sweep, popping a map
+  from each half-edge to the next;
+- ``dart_table_map`` builds the crossing map of a diagram with
+  ``add_vertex`` and a table from each arm to its dart, where
+  ``Diagram._build_map`` writes each rotation straight from the arms;
 - ``wedge_placements`` places the components of an extracted theta graph
   one at a time: it merges the faces of F(D) across every edge outside
   one component into that component's wedges, and reads a component's
@@ -795,6 +798,24 @@ def next_in_face(g: EmbeddedGraph, h: HalfEdge) -> HalfEdge:
     # The arriving end is the head of h: end 1 when walking u -> v.
     arrival: Dart = (eid, 1) if direction == 0 else (eid, 0)
     return rotation_prev(g, arrival)
+
+
+def dart_table_map(d: Diagram) -> EmbeddedGraph:
+    """The crossing map of ``d``: a vertex for each crossing, an edge for
+    each label from its first arm to its second, and each rotation in pd
+    order, read through a table from each arm to its dart."""
+    g = EmbeddedGraph()
+    for c in d.crossings:
+        g.add_vertex(c.id)
+    darts: dict[tuple[int, int], Dart] = {}
+    for lab in sorted(d.arms):
+        (c1, p1), (c2, p2) = d.arms[lab]
+        g.edges[lab] = Edge(id=lab, u=c1, v=c2)
+        darts[(c1, p1)] = (lab, 0)
+        darts[(c2, p2)] = (lab, 1)
+    for c in d.crossings:
+        g.rotation[c.id] = [darts[(c.id, pos)] for pos in range(4)]
+    return g
 
 
 def min_pivot_trace_faces(g: EmbeddedGraph) -> list[list[HalfEdge]]:

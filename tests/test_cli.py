@@ -944,6 +944,62 @@ def test_random_theta_documents_end_in_a_json_document(doc):
         assert isinstance(json.loads(out.getvalue()), dict), argv
 
 
+PD_FIXTURES = [
+    json.loads((FIXTURES / p).read_text())["crossings"]
+    for p in sorted(os.listdir(FIXTURES))
+    if p.endswith(".json") and not p.endswith(".theta.json")
+]
+
+
+@st.composite
+def fuzz_pd(draw):
+    """A fixture's PD code with one mutation: one pd rotated, two labels
+    swapped within a crossing or between two crossings, one pd reversed, or
+    every crossing mirrored (each pd rotated by one)."""
+    crossings = [{"id": c["id"], "pd": list(c["pd"])} for c in draw(st.sampled_from(PD_FIXTURES))]
+    pds = [c["pd"] for c in crossings]
+    kind = draw(st.sampled_from(["rotate", "swap-within", "swap-between", "reverse", "mirror"]))
+    i, j = draw(st.integers(0, len(pds) - 1)), draw(st.integers(0, len(pds) - 1))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if kind == "rotate":
+        k = draw(st.integers(1, 3))
+        pds[i][:] = pds[i][k:] + pds[i][:k]
+    elif kind == "swap-within":
+        pds[i][a], pds[i][b] = pds[i][b], pds[i][a]
+    elif kind == "swap-between":
+        pds[i][a], pds[j][b] = pds[j][b], pds[i][a]
+    elif kind == "reverse":
+        pds[i].reverse()
+    else:
+        for pd in pds:
+            pd[:] = pd[1:] + pd[:1]
+    return {"crossings": crossings}
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_pd())
+def test_mutated_pd_documents_end_in_a_json_document(doc):
+    """Every diagram command on a mutated fixture exits 0, 1 or 2 with one
+    JSON document on stdout."""
+    text = json.dumps(doc)
+    for argv in (
+        ["validate", "-"],
+        ["seifert", "-"],
+        ["theta", "-"],
+        ["fibred", "-"],
+        ["surface", "-", "--vertex", "0"],
+        ["complex", "-"],
+        ["analyze", "-", "--ball"],
+        ["product", "-"],
+        ["verify-product", "-"],
+    ):
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE), argv
+        assert isinstance(json.loads(out.getvalue()), dict), argv
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()

@@ -30,6 +30,7 @@ from conftest import FIXTURES, HUB_CHAINS, hub_graph
 from families import book, cube_graph, dalpha_graph, granny_graph, pendant_book
 from oracles import (
     bfs_two_edge_cut,
+    dart_table_map,
     exhaustive_is_fibred,
     greedy_is_fibred,
     rotation_face_corners,
@@ -178,6 +179,33 @@ def test_smoothing_judgement_matches_rebuilt_diagram():
             assert _smoothing_is_prime(d, c.id) == want, (d.crossings, c.id)
             verdicts.append(want)
     assert sum(verdicts) >= 10 and len(verdicts) - sum(verdicts) >= 10
+
+
+def assert_map_matches_dart_table(d):
+    """``d.map`` has the oracle's edges, rotations and orientations, each
+    dict in the same order."""
+    want = dart_table_map(d)
+    for name in ("edges", "rotation", "orientation"):
+        got, expected = getattr(d.map, name), getattr(want, name)
+        assert list(got.items()) == list(expected.items()), name
+
+
+def test_map_matches_dart_table_on_fixtures():
+    paths = [p for p in sorted(FIXTURES.glob("*.json")) if not p.name.endswith(".theta.json")]
+    assert len(paths) == 7
+    for p in paths:
+        assert_map_matches_dart_table(parse_diagram(p.read_text()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 60))
+def test_map_matches_dart_table_on_books(k):
+    assert_map_matches_dart_table(medial(book(k)))
+
+
+@pytest.mark.parametrize("chains", HUB_CHAINS)
+def test_map_matches_dart_table_on_hub_medials(chains):
+    assert_map_matches_dart_table(medial(hub_graph(chains)))
 
 
 def test_diagram_traces_its_map_once(trace_calls):

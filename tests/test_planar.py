@@ -115,6 +115,34 @@ def test_bad_embedding_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        {0: [(0, 0), (1, 0), (2, 0)], 1: [(2, 1), (1, 1)]},
+        {0: [(0, 0), (1, 0), (7, 0), (2, 0)], 1: [(2, 1), (1, 1), (0, 1)]},
+        {0: [(0, 0), (1, 0), (2, 0)], 1: [(2, 1), (1, 1), (0, 1), (1, 1)]},
+        {0: [(7, 0), (1, 0), (2, 0)], 1: [(2, 1), (1, 1), (7, 1)]},
+    ],
+    ids=["missing", "unknown-edge", "twice", "renamed-edge"],
+)
+def test_bad_rotation_system_rejected(rotation):
+    """Rotation lists that are not a permutation of the edges' darts are a
+    ``ValueError``, not a ``KeyError``."""
+    g = book(3)
+    g.rotation = rotation
+    with pytest.raises(ValueError, match="each dart of each edge once"):
+        g.trace_faces()
+
+
+def test_darts_of_an_edgeless_graph_rejected():
+    g = EmbeddedGraph()
+    g.add_vertex(0)
+    g.add_vertex(1)
+    g.rotation = {0: [(0, 0)], 1: [(0, 1)]}
+    with pytest.raises(ValueError, match="each dart of each edge once"):
+        g.trace_faces()
+
+
 def test_parallel_classes():
     g = dalpha_graph()
     groups = g.parallel_classes()
