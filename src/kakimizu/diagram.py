@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .planar import Edge, EmbeddedGraph, HalfEdge, face_index
+from .planar import Edge, EmbeddedGraph, HalfEdge, cycles, face_index
 from .record import Record
 
 __all__ = [
@@ -323,19 +323,6 @@ def _smoothing_is_prime(d: Diagram, cid: int) -> bool:
     return True
 
 
-def _cuttable_white_region_exists(d: Diagram) -> tuple[bool, str]:
-    """Search for a white region all of whose crossings cut to prime diagrams.
-
-    A region is cuttable when smoothing any one of its crossings leaves a
-    diagram that is connected, splits off no circle, and has no separating
-    pair of arcs (:func:`_smoothing_is_prime`).
-    """
-    for f in d.white_faces():
-        if all(_smoothing_is_prime(d, cid) for cid, _pos in d.face_corners(f)):
-            return True, f"white region {f} is cuttable"
-    return False, "no cuttable white region"
-
-
 def validate(d: Diagram) -> dict:
     """The six diagram flags, each under its own key, and ``messages`` on
     them; the diagram meets the theorem's hypotheses when all six hold."""
@@ -372,8 +359,12 @@ def validate(d: Diagram) -> dict:
 
     cuttable = False
     if connected and alternating and special and reduced and prime:
-        cuttable, note = _cuttable_white_region_exists(d)
-        messages.append(note)
+        # a white region is cuttable when each smoothing leaves a prime diagram
+        region = next((f for f in d.white_faces() if all(
+            _smoothing_is_prime(d, cid) for cid, _pos in d.face_corners(f))), None)
+        cuttable = region is not None
+        messages.append(f"white region {region} is cuttable" if cuttable
+                        else "no cuttable white region")
     else:
         messages.append("cuttable-region search skipped: prerequisites failed")
     return {
@@ -390,8 +381,9 @@ def validate(d: Diagram) -> dict:
 # -- Seifert's algorithm ---------------------------------------------------
 
 
-def _circle_successor(d: Diagram) -> dict[int, int]:
-    """Label-to-label successor map of the orientation-respecting smoothing."""
+def _circles(d: Diagram) -> list[list[int]]:
+    """The Seifert circles, the cycles of the label-to-label successor map
+    of the orientation-respecting smoothing, each from its least label."""
     succ = {}
     for c in d.crossings:
         if d.over_in_first[c.id]:
@@ -400,24 +392,7 @@ def _circle_successor(d: Diagram) -> dict[int, int]:
         else:
             succ[c.pd[UNDER_IN]] = c.pd[OVER_A]
             succ[c.pd[OVER_B]] = c.pd[UNDER_OUT]
-    return succ
-
-
-def _circles(d: Diagram) -> list[list[int]]:
-    succ = _circle_successor(d)
-    circles = []
-    seen: set[int] = set()
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cyc = []
-        lab = start
-        while lab not in seen:
-            seen.add(lab)
-            cyc.append(lab)
-            lab = succ[lab]
-        circles.append(cyc)
-    return circles
+    return cycles(succ, sorted(succ))
 
 
 def _circle_black_faces(d: Diagram, circles: list[list[int]]) -> list[int]:
@@ -433,7 +408,7 @@ def _circle_black_faces(d: Diagram, circles: list[list[int]]) -> list[int]:
     for c in d.crossings:
         for corner in (par, par + 2):
             # the smoothing joins the labels at arms corner and corner+1
-            # (_circle_successor), so the circle hugging the corner has both
+            # (_circles), so the circle hugging the corner has both
             faces[circle_of[c.pd[corner]]].add(d.corner_face(c.id, corner))
     for hugged in faces:
         if len(hugged) != 1:

@@ -27,7 +27,7 @@ around each +1 vertex run anticlockwise.
 from __future__ import annotations
 
 from .diagram import Crossing, Diagram
-from .planar import EmbeddedGraph
+from .planar import EmbeddedGraph, cycles
 
 __all__ = ["medial"]
 
@@ -36,16 +36,12 @@ __all__ = ["medial"]
 Corner = tuple[int, int]
 
 
-def _corner_before(g: EmbeddedGraph, dart: tuple[int, int]) -> Corner:
+def _corners(g: EmbeddedGraph, dart: tuple[int, int]) -> tuple[Corner, Corner]:
+    """The corners before and after ``dart`` at its vertex."""
     v = g.dart_vertex(dart)
     rot = g.rotation[v]
-    return (v, (rot.index(dart) - 1) % len(rot))
-
-
-def _corner_after(g: EmbeddedGraph, dart: tuple[int, int]) -> Corner:
-    v = g.dart_vertex(dart)
-    rot = g.rotation[v]
-    return (v, rot.index(dart))
+    i = rot.index(dart)
+    return (v, (i - 1) % len(rot)), (v, i)
 
 
 def medial(g: EmbeddedGraph) -> Diagram:
@@ -74,29 +70,19 @@ def medial(g: EmbeddedGraph) -> Diagram:
         x, y = (e.u, e.v) if g.orientation[e.u] == 1 else (e.v, e.u)
         dart_x = (eid, 0 if e.u == x else 1)
         dart_y = (eid, 1 if e.u == x else 0)
-        p0 = _corner_before(g, dart_x)
-        p1 = _corner_after(g, dart_y)
-        p2 = _corner_before(g, dart_y)
-        p3 = _corner_after(g, dart_x)
+        p0, p3 = _corners(g, dart_x)
+        p2, p1 = _corners(g, dart_y)
         arms[eid] = (p0, p1, p2, p3)
         succ[p0] = p2  # under-strand
         succ[p1] = p3  # over-strand
     if len(succ) != sum(len(r) for r in g.rotation.values()):
         raise ValueError("corner bookkeeping failed; orientation not proper")
 
-    # Trace the strands and hand out labels along them.
-    label: dict[Corner, int] = {}
-    nxt = 1
-    for start in sorted(succ):
-        if start in label:
-            continue
-        c = start
-        while c not in label:
-            label[c] = nxt
-            nxt += 1
-            c = succ[c]
-        if c != start:
-            raise ValueError("strand tracing did not close up")
+    try:  # trace the strands and hand out labels along them
+        strands = cycles(succ, sorted(succ))
+    except KeyError:
+        raise ValueError("strand tracing did not close up") from None
+    label = {c: i for i, c in enumerate((c for s in strands for c in s), 1)}
 
     crossings = [
         Crossing(eid, tuple(label[c] for c in arms[eid])) for eid in g.edge_ids()

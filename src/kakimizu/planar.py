@@ -6,8 +6,9 @@ traced from this data alone.  Following a directed edge into its head, the
 face boundary continues along the rotation predecessor of the arriving end;
 this keeps every face on the left of its (anticlockwise) boundary walk.  A
 trace reads each rotation list once into a map from each half-edge to the
-next one along its face, then pops that map along each face in turn, so it
-costs O(E log E), the log for sorting the half-edges.  On the sphere the
+next one along its face and walks that map's cycles with :func:`cycles`,
+so it costs O(E log E), the log for sorting the half-edges.  The same
+walker traces Seifert circles, strands and P-arc curves.  On the sphere the
 count of traced faces then satisfies F = E - V + 1 + C, where C is the
 number of connected components, and every trace asserts this.  The surgeries
 of :mod:`kakimizu.theta` update only the faces they touch, each checked
@@ -34,6 +35,7 @@ __all__ = [
     "Edge",
     "EmbeddedGraph",
     "HalfEdge",
+    "cycles",
     "face_index",
 ]
 
@@ -60,6 +62,25 @@ class Edge(Record):
         self.u = u
         self.v = v
         self.crossings = crossings
+
+
+def cycles(succ: dict, starts) -> list[list]:
+    """The cycles of the map ``succ`` through each of ``starts`` still a
+    key, each beginning at its start, popping ``succ`` as they go.  A walk
+    that meets a popped key raises ``KeyError``, so a map sending two keys
+    to one value is caught, not looped on.  No value may be ``None``: a
+    start that pops to ``None`` counts as walked."""
+    out = []
+    pop = succ.pop
+    for start in starts:
+        x = pop(start, None)
+        if x is not None:
+            cycle = [start]
+            while x != start:
+                cycle.append(x)
+                x = pop(x)
+            out.append(cycle)
+    return out
 
 
 def face_index(faces: list[list[HalfEdge]]) -> dict[HalfEdge, int]:
@@ -93,13 +114,6 @@ class EmbeddedGraph:
     def insert_edge(self, edge: Edge, after_u: Dart, after_v: Dart) -> None:
         """Insert an edge whose u-dart follows ``after_u`` anticlockwise at u
         and whose v-dart follows ``after_v`` at v."""
-        self._register(edge)
-        for vertex, end, anchor in ((edge.u, 0, after_u), (edge.v, 1, after_v)):
-            rot = self.rotation[vertex]
-            i = rot.index(anchor)
-            rot.insert(i + 1, (edge.id, end))
-
-    def _register(self, edge: Edge) -> None:
         if edge.id in self.edges:
             raise ValueError(f"duplicate edge id {edge.id}")
         for vertex in (edge.u, edge.v):
@@ -108,6 +122,9 @@ class EmbeddedGraph:
         if edge.u == edge.v:
             raise ValueError(f"loop edge {edge.id} not supported in embeddings")
         self.edges[edge.id] = edge
+        for vertex, end, anchor in ((edge.u, 0, after_u), (edge.v, 1, after_v)):
+            rot = self.rotation[vertex]
+            rot.insert(rot.index(anchor) + 1, (edge.id, end))
 
     # -- basic queries ----------------------------------------------------
 
@@ -142,11 +159,6 @@ class EmbeddedGraph:
                         stack.append(w)
         return count
 
-    def _edge_components(self) -> int:
-        """Connected components that contain at least one edge."""
-        isolated = sum(1 for v in self.rotation.values() if not v)
-        return self.component_count() - isolated
-
     # -- faces ------------------------------------------------------------
 
     def trace_faces(self) -> list[list[HalfEdge]]:
@@ -154,14 +166,12 @@ class EmbeddedGraph:
 
         Arriving at the head of a half-edge, the face on its left leaves
         along the rotation predecessor of the arriving end: one map sends
-        each half-edge to that dart of the rotation lists.  One sweep over
-        the half-edges in sorted order starts a face at each one still in
-        the map and pops the map along it back to the start.  That start is
-        the least half-edge of its face, so every face begins at its
-        lexicographically least half-edge and the list comes out sorted by
-        it, which keeps face indices reproducible.  Raises ``ValueError``
-        unless the rotation lists hold each dart of each edge once and the
-        faces close up on the sphere.
+        each half-edge to that dart of the rotation lists, and the faces
+        are its :func:`cycles` from the half-edges in sorted order.  So
+        every face begins at its lexicographically least half-edge and the
+        list comes out sorted by it, which keeps face indices
+        reproducible.  Raises ``ValueError`` unless the rotation lists hold
+        each dart of each edge once and the faces close up on the sphere.
         """
         # the half-edge arriving at dart (eid, end) is (eid, 1 - end)
         succ: dict[HalfEdge, Dart] = {}
@@ -170,27 +180,18 @@ class EmbeddedGraph:
             for dart in rot:
                 succ[dart[0], 1 - dart[1]] = before
                 before = dart
-        faces: list[list[HalfEdge]] = []
-        pop = succ.pop
         try:
-            for eid in sorted(self.edges):
-                for start in ((eid, 0), (eid, 1)):
-                    h = pop(start, None)
-                    if h is not None:
-                        cycle = [start]
-                        while h != start:
-                            cycle.append(h)
-                            h = pop(h)
-                        faces.append(cycle)
+            faces = cycles(succ, [(e, end) for e in sorted(self.edges) for end in (0, 1)])
             if succ:  # left over: half-edges of edges the graph lacks
                 raise KeyError(next(iter(succ)))
             if self.edges:
                 # Each connected component must close up spherically.  The
                 # traced walks do not merge across components: a disconnected
                 # graph on the sphere has E - V + 1 + C faces but E - V + 2C
-                # boundary walks, one pair of walks bounding each shared face.
-                with_edges = {v for v in self.rotation if self.rotation[v]}
-                expected = len(self.edges) - len(with_edges) + 2 * self._edge_components()
+                # boundary walks, less one per isolated vertex, which has none.
+                isolated = sum(1 for rot in self.rotation.values() if not rot)
+                expected = (len(self.edges) - len(self.rotation)
+                            + 2 * self.component_count() - isolated)
                 if len(faces) != expected:
                     raise ValueError(
                         f"embedding is not spherical: {len(faces)} faces, "

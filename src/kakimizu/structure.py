@@ -138,7 +138,7 @@ def validate_order(c: SimplicialComplex, key: list[int]) -> list[list[int]]:
     simplex; antisymmetry, transitivity and a support of exactly the
     adjacent pairs then hold by construction."""
     if len(key) != len(c.vertices):
-        raise ValueError("complex carries no vertex order")
+        raise ValueError(f"key gives {len(key)} values for {len(c.vertices)} vertices")
     chains = [sorted(s, key=key.__getitem__) for s in c.maximal_simplices]
     if any(len({key[i] for i in s}) < len(s) for s in chains):
         raise ValueError("order violates axioms")

@@ -26,8 +26,11 @@ that ``kakimizu surface`` prints.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .diagram import Diagram
 from .kcomplex import heights
+from .planar import cycles
 from .theta import ThetaGraph
 
 __all__ = ["flype_set_for_edge", "p_arcs", "realize_vertex", "trace_curves"]
@@ -184,12 +187,9 @@ def p_arcs(d: Diagram, t: ThetaGraph, fs: dict) -> dict:
 def _check_arcs(d: Diagram, arcs: list[list[int]]) -> None:
     """Each strand carries exactly one arc endpoint, and the two endpoints
     of every arc lie on the boundary of a common white region."""
-    seen: dict[int, int] = {}
-    for a, b in arcs:
-        seen[a] = seen.get(a, 0) + 1
-        seen[b] = seen.get(b, 0) + 1
+    seen = Counter(lab for arc in arcs for lab in arc)
     labels = sorted(d.arms)
-    bad = [lab for lab in labels if seen.get(lab, 0) != 1]
+    bad = [lab for lab in labels if seen[lab] != 1]
     if bad or len(seen) != len(labels):
         raise ValueError(
             f"arc endpoints do not cover each strand exactly once: {bad[:6]}"
@@ -211,22 +211,20 @@ def _check_arcs(d: Diagram, arcs: list[list[int]]) -> None:
 
 
 def _cycle_count(pairings: list, other: list) -> int:
-    """The closed curves made by two perfect pairings of the same labels."""
-    first: dict[int, int] = {}
+    """The closed curves made by two perfect pairings of the same labels.
+
+    Following one pairing and then the other visits every second label
+    round a curve, so each curve is exactly two cycles of the composite
+    map a -> other[pairing[a]], its labels at even and at odd places (two
+    fixed points for a curve of two labels): the count is half of them.
+    """
     second: dict[int, int] = {}
-    for partner, pairs in ((first, pairings), (second, other)):
-        for a, b in pairs:
-            partner[a], partner[b] = b, a
-    count = 0
-    seen: set[int] = set()
-    for start in first:
-        if start not in seen:
-            count += 1
-            a = start
-            while a not in seen:
-                seen.update((a, first[a]))
-                a = second[first[a]]
-    return count
+    for a, b in other:
+        second[a], second[b] = b, a
+    succ: dict[int, int] = {}
+    for a, b in pairings:
+        succ[a], succ[b] = second[b], second[a]
+    return len(cycles(succ, list(succ))) // 2
 
 
 def trace_curves(d: Diagram, arcs: list[list[int]]) -> tuple[int, int]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from collections import deque
+from collections import Counter, deque
 
 from .diagram import Diagram, _region_graph, decode_document
 from .planar import Dart, Edge, EmbeddedGraph, HalfEdge, face_index
@@ -95,15 +95,6 @@ class ThetaGraph:
         self.components = sorted(components, key=lambda c: c.id)
         self.source: EmbeddedGraph | None = None
         self.region_of: dict[HalfEdge, int] | None = None
-        self._validate()
-        self.global_edge_order: list[int] = [
-            e.id for comp in self.components for e in comp.edges
-        ]
-        self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
-        self.wedges = compute_regions(self)
-        self.region_count = len(set().union(*self.wedges.values()))
-
-    def _validate(self) -> None:
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate component ids")
@@ -136,6 +127,12 @@ class ThetaGraph:
                 parent_faces = by_id[p.parent].k
             if not (0 <= p.parent_face < parent_faces):
                 raise ValueError(f"component {comp.id}: parent_face out of range")
+        self.global_edge_order: list[int] = [
+            e.id for comp in self.components for e in comp.edges
+        ]
+        self.edge_position = {eid: i for i, eid in enumerate(self.global_edge_order)}
+        self.wedges = compute_regions(self)
+        self.region_count = len(set().union(*self.wedges.values()))
 
     @property
     def n_edges(self) -> int:
@@ -360,10 +357,11 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
     anticlockwise rotation at the +1 end, from which each edge's positive
     side lies to the left).  Wedge j of a component, between its j-th and
     j+1-st edges, holds the positive face of the j-th.  Faces merge across
-    every edge outside the components into the regions of the cut-apart
-    graph, and the components are placed by a walk from the region of the
-    first wedge of the first component.  ``t.region_of`` maps each
-    half-edge of ``f`` to its region id.
+    every edge outside the components, and where components meet at a
+    vertex (:func:`_cut_apart`), into the regions of the cut-apart graph,
+    and the components are placed by a walk from the region of the first
+    wedge of the first component.  ``t.region_of`` maps each half-edge of
+    ``f`` to its region id.
     """
     classes = [
         (pair, eids) for pair, eids in f.parallel_classes().items() if len(eids) >= 2
@@ -383,10 +381,14 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
         ordered_eids.append(rot[start:] + rot[:start])
 
     face_of = face_index(faces)
-    in_theta = {eid for eids in ordered_eids for eid in eids}
+    comp_of = {eid: i for i, eids in enumerate(ordered_eids) for eid in eids}
+    meets = Counter(x for pair, _eids in classes for x in pair)
     merged = merge_classes(
         sorted(set(face_of.values())),
-        ((face_of[(eid, 0)], face_of[(eid, 1)]) for eid in f.edges if eid not in in_theta),
+        itertools.chain(
+            ((face_of[(eid, 0)], face_of[(eid, 1)]) for eid in f.edges if eid not in comp_of),
+            _cut_apart(f, comp_of, face_of, [x for x, n in meets.items() if n > 1]),
+        ),
     )
     class_of = {face: c for c, members in enumerate(merged) for face in members}
     wedges = {
@@ -403,6 +405,21 @@ def _extract_theta(f: EmbeddedGraph, faces: Faces) -> ThetaGraph:
     t.source = f
     t.region_of = {h: region[class_of[face]] for h, face in face_of.items()}
     return t
+
+
+def _cut_apart(f: EmbeddedGraph, comp_of: dict[int, int], face_of: dict, shared: list):
+    """The pairs of faces of ``f`` that cutting its theta components apart
+    at the ``shared`` vertices joins.  The components' darts at a vertex
+    nest like brackets, so cut apart, the corner after a component's last
+    dart there joins the corner before its first."""
+    for v in shared:
+        darts = [d for d in f.rotation[v] if d[0] in comp_of]
+        first, last = {}, {}
+        for before, d in zip(darts[-1:] + darts, darts):
+            first.setdefault(comp_of[d[0]], before)
+            last[comp_of[d[0]]] = d
+        for c, before in first.items():
+            yield face_of[before], face_of[last[c]]
 
 
 def _place(

@@ -62,7 +62,13 @@ answer:
   ``next_in_face`` and ``rotation_prev`` (a ``list.index`` per step), then
   rotating each face to its least half-edge and sorting the list, where
   ``EmbeddedGraph.trace_faces`` makes one sorted sweep, popping a map
-  from each half-edge to the next;
+  from each half-edge to the next; its Euler check counts the components
+  by merging the ends of every edge, where ``trace_faces`` subtracts the
+  isolated vertices from ``component_count``;
+- ``walk_curve_count`` counts the closed curves of two perfect pairings by
+  walking each curve label by label, marking both ends of every pair
+  seen, where ``surfaces.trace_curves`` halves the cycle count of the
+  composite of the two pairings;
 - ``dart_table_map`` builds the crossing map of a diagram with
   ``add_vertex`` and a table from each arm to its dart, where
   ``Diagram._build_map`` writes each rotation straight from the arms;
@@ -846,15 +852,44 @@ def min_pivot_trace_faces(g: EmbeddedGraph) -> list[list[HalfEdge]]:
         # Each connected component must close up spherically.  The traced
         # walks do not merge across components: a disconnected graph on
         # the sphere has E - V + 1 + C faces but E - V + 2C boundary
-        # walks, one pair of walks bounding each shared face.
-        with_edges = {v for v in g.rotation if g.rotation[v]}
-        expected = len(g.edges) - len(with_edges) + 2 * g._edge_components()
+        # walks, one pair of walks bounding each shared face.  Components
+        # with an edge are counted by merging the endpoints of every edge.
+        root = {v: v for v in g.rotation if g.rotation[v]}
+        for e in g.edges.values():
+            a, b = e.u, e.v
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            root[a] = b
+        components = sum(1 for v, r in root.items() if v == r)
+        expected = len(g.edges) - len(root) + 2 * components
         if len(faces) != expected:
             raise ValueError(
                 f"embedding is not spherical: {len(faces)} faces, "
                 f"expected {expected}"
             )
     return faces
+
+
+def walk_curve_count(pairings: list, other: list) -> int:
+    """The closed curves made by two perfect pairings of the same labels,
+    each walked label by label."""
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for partner, pairs in ((first, pairings), (second, other)):
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+    count = 0
+    seen: set[int] = set()
+    for start in first:
+        if start not in seen:
+            count += 1
+            a = start
+            while a not in seen:
+                seen.update((a, first[a]))
+                a = second[first[a]]
+    return count
 
 
 def retrace_reduce_bigons(g: EmbeddedGraph) -> EmbeddedGraph:

@@ -1,6 +1,8 @@
 """Rotation-system plumbing: face tracing, Euler counts, surgeries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph
 from families import book, cube_graph, dalpha_graph
@@ -8,7 +10,7 @@ from oracles import min_pivot_trace_faces
 from kakimizu.diagram import _region_graph, parse_diagram
 from kakimizu.families import build_graph
 from kakimizu.medial import medial
-from kakimizu.planar import Edge, EmbeddedGraph, face_index
+from kakimizu.planar import Edge, EmbeddedGraph, cycles, face_index
 from kakimizu.theta import theta_pipeline
 
 
@@ -18,6 +20,33 @@ def triangle():
         endpoints={0: (0, 1), 1: (1, 2), 2: (2, 0)},
         rotations={0: [0, 2], 1: [1, 0], 2: [2, 1]},
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), unique=True).flatmap(
+        lambda keys: st.tuples(st.just(keys), st.permutations(keys))
+    )
+)
+def test_cycles_partition_a_permutation(keys_and_images):
+    """The cycles of a permutation from sorted starts partition its keys,
+    each begins at its least key and follows the map, and the map ends
+    empty."""
+    keys, images = keys_and_images
+    perm = dict(zip(keys, images))
+    succ = dict(perm)
+    found = cycles(succ, sorted(succ))
+    assert sorted(x for cycle in found for x in cycle) == sorted(keys)
+    for cycle in found:
+        assert cycle[0] == min(cycle)
+        assert [perm[x] for x in cycle] == cycle[1:] + cycle[:1]
+    assert succ == {}
+
+
+@pytest.mark.parametrize("starts", [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+def test_cycles_refuse_two_keys_with_one_value(starts):
+    with pytest.raises(KeyError):
+        cycles({0: 2, 1: 2, 2: 0}, starts)
 
 
 def test_triangle_faces():

@@ -5,6 +5,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, HUB_CHAINS, hub_graph
 from families import book, dalpha_graph
@@ -12,10 +14,16 @@ from kakimizu.diagram import parse_diagram, seifert
 from kakimizu.generate import random_theta
 from kakimizu.kcomplex import build_complex
 from kakimizu.medial import medial
-from kakimizu.surfaces import flype_set_for_edge, p_arcs, realize_vertex, trace_curves
+from kakimizu.surfaces import (
+    _cycle_count,
+    flype_set_for_edge,
+    p_arcs,
+    realize_vertex,
+    trace_curves,
+)
 from kakimizu.theta import parse_theta, theta_pipeline
 
-from oracles import delta, neighbours, skeleton_edges
+from oracles import delta, neighbours, skeleton_edges, walk_curve_count
 
 
 def pipeline(graph):
@@ -64,6 +72,50 @@ def test_base_configuration_dalpha(dalpha):
     n_a, n_b = trace_curves(d, config["arcs"])
     assert n_a + n_b == s
     assert set(config["crossing_sides"].values()) == {"negative"}
+
+
+def walked_curves(d, arcs):
+    """``trace_curves`` by the label-by-label walk."""
+    over = [(c.pd[1], c.pd[3]) for c in d.crossings]
+    under = [(c.pd[0], c.pd[2]) for c in d.crossings]
+    return walk_curve_count(arcs, over), walk_curve_count(arcs, under)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".theta.json")),
+)
+def test_base_curve_counts_match_the_walk(name):
+    d = parse_diagram((FIXTURES / name).read_text())
+    t = theta_pipeline(d)
+    arcs = p_arcs(d, t, empty_set(t))["arcs"]
+    assert trace_curves(d, arcs) == walked_curves(d, arcs)
+
+
+def test_neighbour_curve_counts_match_the_walk(dalpha):
+    d, t = dalpha
+    u = t.weights()
+    for v in [u, *neighbours(t, u)]:
+        result = realize_vertex(d, t, v)
+        assert (result["n_a"], result["n_b"]) == walked_curves(d, result["p_arcs"]["arcs"])
+
+
+def pairs(labels):
+    return [(labels[i], labels[i + 1]) for i in range(0, len(labels), 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(*(st.permutations(range(1, 2 * k + 1)) for _ in "ab"))
+    )
+)
+def test_curve_count_matches_the_walk_on_random_pairings(labellings):
+    """Two perfect pairings of 2k labels, including curves of two labels
+    that both pairings join: half the composite's cycles is the number of
+    curves."""
+    first, second = (pairs(labels) for labels in labellings)
+    assert _cycle_count(first, second) == walk_curve_count(first, second)
 
 
 # -- flype sets -------------------------------------------------------------

@@ -3,11 +3,12 @@
 import io
 import json
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kakimizu.diagram import _region_graph, parse_diagram, seifert
@@ -429,9 +430,11 @@ def test_owner_maps(maker):
 def embedded_deltas(f, t):
     """The signed boundary of the region on the left of every half-edge of
     F(D), read directly off its embedding: faces merge across every edge
-    that is not a theta edge."""
+    that is not a theta edge, and at each vertex the corners after two
+    theta darts merge when they lie in the same wedge of every component
+    there, which cutting the components apart leaves unseparated."""
     face_of = face_index(f.trace_faces())
-    theta_edges = set(t.global_edge_order)
+    component = {e.id: c.id for c in t.components for e in c.edges}
     parent = {}
 
     def find(x):
@@ -440,11 +443,23 @@ def embedded_deltas(f, t):
             x = parent[x]
         return x
 
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
     for eid in f.edges:
-        if eid not in theta_edges:
-            a, b = find(face_of[(eid, 0)]), find(face_of[(eid, 1)])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+        if eid not in component:
+            union(face_of[(eid, 0)], face_of[(eid, 1)])
+    for rot in f.rotation.values():
+        darts = [d for d in rot if d[0] in component]
+        total = Counter(component[eid] for eid, _ in darts)
+        seen = Counter()
+        corner_of_wedges = {}
+        for d in darts:
+            seen[component[d[0]]] += 1
+            wedges = tuple(seen[c] % total[c] for c in sorted(total))
+            union(corner_of_wedges.setdefault(wedges, face_of[d]), face_of[d])
     groups = {}
     for face in set(face_of.values()):
         groups.setdefault(find(face), set()).add(face)
@@ -538,12 +553,16 @@ GLUED = [*(lambda c=c: hub_graph(c) for c in HUB_CHAINS), dalpha_graph, cube_gra
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from(GLUED), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+@example(makers=[GLUED[1], dalpha_graph, GLUED[0]], seed=181508)
 def test_wedge_sums_nest_components(makers, seed):
     """Wedge sums of the hub graphs, dalpha and the cube nest theta
     components inside one another: the placements are the per-component
     oracle's, every half-edge's region has the signed boundary read off the
     embedding, and every vertex at distance 1 from the base realizes a
-    surface of the Seifert surface's Euler characteristic."""
+    surface of the Seifert surface's Euler characteristic.  In the example,
+    four components of F(D) form a ring, each sharing a vertex with the
+    next, so the ring's inside and outside are one region only once the
+    components are cut apart at those vertices."""
     rng = random.Random(seed)
     g = makers[0]()
     for make in makers[1:]:
