@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .planar import Edge, EmbeddedGraph, HalfEdge, cycles, face_index
+from .planar import Edge, EmbeddedGraph, HalfEdge, cycles, embed, face_index
 from .record import Record
 
 __all__ = [
@@ -327,7 +327,9 @@ def validate(d: Diagram) -> dict:
     """The six diagram flags, each under its own key, and ``messages`` on
     them; the diagram meets the theorem's hypotheses when all six hold."""
     messages: list[str] = []
-    connected = d.map.component_count() == 1
+    # the map has n vertices, 2n edges and none isolated, so the Euler
+    # check of its trace (F = E - V + 2C) leaves n + 2 faces just when C = 1
+    connected = len(d.faces) == d.n + 2
     if not connected:
         messages.append("diagram is not connected")
 
@@ -449,47 +451,33 @@ def seifert(d: Diagram) -> dict:
 # -- region graphs ---------------------------------------------------------
 
 
-def _region_graph(
-    d: Diagram, colour: str
-) -> tuple[EmbeddedGraph, list[list[HalfEdge]]]:
-    """The region graph of ``colour`` with its traced faces."""
+def _region_graph(d: Diagram, colour: str) -> tuple[EmbeddedGraph, list[list[HalfEdge]]]:
+    """The region graph of ``colour`` with its traced faces.  Each edge runs
+    from the region at corner par+2 of its crossing to the one at par: a
+    black edge from its +1 end, so its positive side is on its left."""
     par = d.smoothing_parity()  # raises unless the diagram is special
     if colour != "black":
         par = 1 - par
-    corners = {f: d.face_corners(f) for f in d._faces_of_parity(par)}
-
-    g = EmbeddedGraph()
-    for f, cs in corners.items():
-        cls = 0
-        if colour == "black":
-            # Of the two black corners at a crossing, the one at index par+2
-            # is traversed by its Seifert circle in the same direction as the
-            # face boundary walk: that region's circle runs anticlockwise.
-            classes = {1 if pos == par + 2 else -1 for _, pos in cs}
-            if len(classes) != 1:
-                raise ValueError("black regions are not consistently oriented")
-            cls = classes.pop()
-        g.add_vertex(f, cls)
-
+    classes: dict[int, int] = {}
+    rotations: dict[int, list[int]] = {}
+    for f in d._faces_of_parity(par):
+        cs = d.face_corners(f)
+        # crossings in boundary order around the region: the anticlockwise
+        # order at the vertex placed inside it
+        rotations[f] = [cid for cid, _ in cs]
+        # Of the two black corners at a crossing, the one at index par+2
+        # is traversed by its Seifert circle in the same direction as the
+        # face boundary walk: that region's circle runs anticlockwise.
+        signs = {1 if pos == par + 2 else -1 for _, pos in cs} if colour == "black" else {0}
+        if len(signs) != 1:
+            raise ValueError("black regions are not consistently oriented")
+        classes[f] = signs.pop()
+    endpoints: dict[int, tuple[int, int]] = {}
     for c in d.crossings:
-        f_low = d.corner_face(c.id, par)
-        f_high = d.corner_face(c.id, par + 2)
-        if f_low == f_high:
-            raise ValueError(
-                f"crossing {c.id} joins a region to itself; reduce the diagram first"
-            )
-        if colour == "black":
-            u, v = f_high, f_low  # u anticlockwise, v clockwise
-        else:
-            u, v = min(f_low, f_high), max(f_low, f_high)
-        # a black edge's positive side is on the left walking from its +1 end
-        g.edges[c.id] = Edge(id=c.id, u=u, v=v, crossings=(c.id,))
-
-    # rotation: crossings in boundary order around each region (this is the
-    # anticlockwise order at the vertex placed inside the region)
-    for f, cs in corners.items():
-        g.rotation[f] = [(cid, 0 if g.edges[cid].u == f else 1) for cid, _ in cs]
-    return g, g.trace_faces()  # raises unless the embedding is spherical
+        endpoints[c.id] = u, v = d.corner_face(c.id, par + 2), d.corner_face(c.id, par)
+        if u == v:
+            raise ValueError(f"crossing {c.id} joins a region to itself; reduce the diagram first")
+    return embed(classes, endpoints, rotations)
 
 
 def white_region_graph(d: Diagram) -> EmbeddedGraph:

@@ -36,6 +36,7 @@ __all__ = [
     "EmbeddedGraph",
     "HalfEdge",
     "cycles",
+    "embed",
     "face_index",
 ]
 
@@ -226,3 +227,30 @@ class EmbeddedGraph:
             key = (min(e.u, e.v), max(e.u, e.v))
             groups.setdefault(key, []).append(eid)
         return groups
+
+
+def embed(
+    classes: dict[int, int],
+    endpoints: dict[int, tuple[int, int]],
+    rotations: dict[int, list[int]],
+) -> tuple[EmbeddedGraph, list[list[HalfEdge]]]:
+    """The embedded graph with vertex classes ``classes``, edges
+    ``endpoints`` (id to (u, v)) and anticlockwise lists of edge ids
+    ``rotations``, and its traced faces.  Edges go in in sorted id order,
+    each its own one crossing, as the medial names crossings after edges.
+    Every vertex gets its own rotation list, which surgeries edit.  Raises
+    ``ValueError`` for an edge listed at a vertex it does not touch (a loop
+    touches its vertex twice, so it cannot be resolved) or, as
+    :meth:`EmbeddedGraph.trace_faces` does, for a non-spherical system."""
+    g = EmbeddedGraph()
+    g.orientation = dict(classes)
+    for eid, (u, v) in sorted(endpoints.items()):
+        g.edges[eid] = Edge(eid, u, v, (eid,))
+    for x in classes:
+        rot = g.rotation[x] = []
+        for eid in rotations.get(x, ()):
+            u, v = endpoints[eid]
+            if x != u and x != v:
+                raise ValueError(f"edge {eid} not incident to vertex {x}")
+            rot.append((eid, 0 if x == u else 1))
+    return g, g.trace_faces()

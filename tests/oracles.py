@@ -72,6 +72,12 @@ answer:
 - ``dart_table_map`` builds the crossing map of a diagram with
   ``add_vertex`` and a table from each arm to its dart, where
   ``Diagram._build_map`` writes each rotation straight from the arms;
+- ``hand_region_graph`` builds a region graph vertex by vertex with
+  ``add_vertex``, storing white edges from their lesser region to their
+  greater, and resolves each rotation entry by its edge's ``u``, where
+  ``diagram._region_graph`` hands classes, endpoints and edge-id lists to
+  ``planar.embed`` and stores every edge from the region at corner par+2
+  to the one at par;
 - ``wedge_placements`` places the components of an extracted theta graph
   one at a time: it merges the faces of F(D) across every edge outside
   one component into that component's wedges, and reads a component's
@@ -822,6 +828,41 @@ def dart_table_map(d: Diagram) -> EmbeddedGraph:
     for c in d.crossings:
         g.rotation[c.id] = [darts[(c.id, pos)] for pos in range(4)]
     return g
+
+
+def hand_region_graph(d: Diagram, colour: str) -> tuple[EmbeddedGraph, list[list[HalfEdge]]]:
+    """The region graph of ``colour`` with its traced faces, assembled by
+    hand: a vertex in each region of that colour, an edge through each
+    crossing and each rotation in the region's boundary order."""
+    par = d.smoothing_parity()
+    if colour != "black":
+        par = 1 - par
+    corners = {f: d.face_corners(f) for f in d._faces_of_parity(par)}
+    g = EmbeddedGraph()
+    for f, cs in corners.items():
+        cls = 0
+        if colour == "black":
+            # the region whose corners sit at index par+2 runs anticlockwise
+            classes = {1 if pos == par + 2 else -1 for _, pos in cs}
+            if len(classes) != 1:
+                raise ValueError("black regions are not consistently oriented")
+            cls = classes.pop()
+        g.add_vertex(f, cls)
+    for c in d.crossings:
+        f_low = d.corner_face(c.id, par)
+        f_high = d.corner_face(c.id, par + 2)
+        if f_low == f_high:
+            raise ValueError(
+                f"crossing {c.id} joins a region to itself; reduce the diagram first"
+            )
+        if colour == "black":
+            u, v = f_high, f_low  # from the +1 end
+        else:
+            u, v = min(f_low, f_high), max(f_low, f_high)
+        g.edges[c.id] = Edge(id=c.id, u=u, v=v, crossings=(c.id,))
+    for f, cs in corners.items():
+        g.rotation[f] = [(cid, 0 if g.edges[cid].u == f else 1) for cid, _ in cs]
+    return g, g.trace_faces()
 
 
 def min_pivot_trace_faces(g: EmbeddedGraph) -> list[list[HalfEdge]]:

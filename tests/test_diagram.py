@@ -33,6 +33,7 @@ from oracles import (
     dart_table_map,
     exhaustive_is_fibred,
     greedy_is_fibred,
+    hand_region_graph,
     rotation_face_corners,
     scan_circle_black_face,
     union_find_orientation,
@@ -143,6 +144,17 @@ def oracle_diagrams():
     graphs += [granny_graph(), pendant_book(), cube_graph(), dalpha_graph()]
     graphs.append(bridged_books())
     return diagrams + [medial(g) for g in graphs]
+
+
+def test_connected_flag_matches_the_component_count():
+    """``validate`` reads connectivity off the face count; a walk of the map
+    agrees on the oracle diagrams and on every white smoothing of theirs,
+    some of which fall apart."""
+    cases = oracle_diagrams()
+    cases += [s for d in cases for c in d.crossings if (s := white_smooth(d, c.id)[0])]
+    flags = [validate(d)["connected"] for d in cases]
+    assert flags == [d.map.component_count() == 1 for d in cases]
+    assert 0 < flags.count(False) < len(flags)
 
 
 def test_two_edge_cut_matches_bfs_oracle():
@@ -511,6 +523,40 @@ def test_white_graph_reduced_prime_no_cut_vertex_no_loop():
 def test_hopf_white_graph_shape():
     w = white_region_graph(parse_diagram(HOPF))
     assert len(w.rotation) == 2 and len(w.edges) == 2
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".theta.json")),
+)
+def test_region_graphs_match_the_hand_assembly(name):
+    """The black-region graph is the hand-assembled one, faces included.
+    The white one keeps its vertices, classes, rotations and edge ends, and
+    only the direction of its edges changed: each now runs from the region
+    at corner par+2 of its crossing to the one at par, as black edges do."""
+    d = parse_diagram((FIXTURES / name).read_text())
+    black, faces = _region_graph(d, "black")
+    want, want_faces = hand_region_graph(d, "black")
+    for field in ("edges", "rotation", "orientation"):
+        assert list(getattr(black, field).items()) == list(getattr(want, field).items())
+    assert faces == want_faces
+    try:
+        want = hand_region_graph(d, "white")[0]
+    except ValueError as error:  # nugatory: a crossing joins a region to itself
+        with pytest.raises(ValueError, match=str(error)):
+            white_region_graph(d)
+        return
+    white = white_region_graph(d)
+    assert list(white.orientation.items()) == list(want.orientation.items())
+    assert [(e.id, {e.u, e.v}, e.crossings) for e in white.edges.values()] == [
+        (e.id, {e.u, e.v}, e.crossings) for e in want.edges.values()
+    ]
+    assert {v: [eid for eid, _ in rot] for v, rot in white.rotation.items()} == {
+        v: [eid for eid, _ in rot] for v, rot in want.rotation.items()
+    }
+    par = 1 - d.smoothing_parity()
+    for e in white.edges.values():
+        assert (e.u, e.v) == (d.corner_face(e.id, par + 2), d.corner_face(e.id, par))
 
 
 # -- fibredness ------------------------------------------------------------

@@ -10,7 +10,7 @@ from oracles import min_pivot_trace_faces
 from kakimizu.diagram import _region_graph, parse_diagram
 from kakimizu.families import build_graph
 from kakimizu.medial import medial
-from kakimizu.planar import Edge, EmbeddedGraph, cycles, face_index
+from kakimizu.planar import Edge, EmbeddedGraph, cycles, embed, face_index
 from kakimizu.theta import theta_pipeline
 
 
@@ -142,6 +142,34 @@ def test_bad_embedding_rejected():
             endpoints={i: (0, 1) for i in range(3)},
             rotations={0: [0, 1, 2], 1: [0, 1, 2]},
         )
+
+
+@pytest.mark.parametrize("assemble", [embed, build_graph])
+def test_edge_at_a_vertex_it_does_not_touch_rejected(assemble):
+    # the triangle with edge 1 (from 1 to 2) listed at vertex 0 for edge 2
+    with pytest.raises(ValueError, match="edge 1 not incident to vertex 0"):
+        assemble(
+            classes={0: 0, 1: 0, 2: 0},
+            endpoints={0: (0, 1), 1: (1, 2), 2: (2, 0)},
+            rotations={0: [0, 1], 1: [1, 0], 2: [2, 1]},
+        )
+
+
+def test_embed_returns_the_trace_and_lists_of_its_own():
+    rotations = {0: [0, 2], 1: [1, 0], 2: [2, 1]}
+    g, faces = embed(
+        classes={0: 1, 1: -1, 2: 0, 3: 0, 4: 0},
+        endpoints={2: (2, 0), 0: (0, 1), 1: (1, 2)},
+        rotations=rotations,
+    )
+    assert faces == g.trace_faces()
+    assert list(g.edges) == [0, 1, 2]
+    assert g.edges[2] == Edge(2, 2, 0, (2,))
+    assert g.orientation == {0: 1, 1: -1, 2: 0, 3: 0, 4: 0}
+    assert g.rotation == {0: [(0, 0), (2, 1)], 1: [(1, 0), (0, 1)], 2: [(2, 0), (1, 1)], 3: [], 4: []}
+    g.rotation[3].append(None)
+    assert g.rotation[4] == []
+    assert rotations == {0: [0, 2], 1: [1, 0], 2: [2, 1]}
 
 
 @pytest.mark.parametrize(
